@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .maps import (MapError, NonOrientedMap, edge_role, is_orientable,
                    remove_edge, twist, twist_many)
-from .mon import failing_prefix, is_top_degree_map
+from .mon import _check_history, failing_prefix, is_top_degree_map
 
 
 class NotInDomainError(MapError):
@@ -38,16 +38,9 @@ class BijectionResult:
     twists: tuple[tuple[int, int], ...]
 
 
-def _normalized_history(m: NonOrientedMap, history: Sequence):
-    edges = tuple(tuple(sorted(e)) for e in history)
-    if sorted(edges) != list(m.eps.pairs):
-        raise MapError("history is not a permutation of the edge set")
-    return edges
-
-
 def phi(m: NonOrientedMap, history: Sequence) -> BijectionResult:
     """Top-degree pair -> (orientable map, same history, twist set)."""
-    edges = _normalized_history(m, history)
+    edges = _check_history(m, history)
     bad = failing_prefix(m, edges)
     if bad is not None:
         raise NotInDomainError(
@@ -59,7 +52,7 @@ def phi(m: NonOrientedMap, history: Sequence) -> BijectionResult:
 
 def phi_inverse(m: NonOrientedMap, history: Sequence) -> BijectionResult:
     """(orientable map, history) -> top-degree pair on the same graph."""
-    edges = _normalized_history(m, history)
+    edges = _check_history(m, history)
     if not is_orientable(m):
         raise NotInDomainError("phi_inverse requires an orientable map")
     out, twists = _phi_rec(m, edges, is_top_degree_map, [])

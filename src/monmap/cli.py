@@ -47,6 +47,13 @@ def _parse_rational(text: str):
             from exc
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
@@ -63,7 +70,11 @@ def _load_map(source: str):
     if source.lower() in FIXTURES:
         return load_fixture(source.lower())
     with open(source) as fh:
-        return map_from_json_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise MapError(f"{source} is not a JSON file: {exc}") from None
+    return map_from_json_obj(obj)
 
 
 def _emit(payload, out):
@@ -263,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="stream a map family as JSONL")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--family", required=True,
                    choices=["involutions", "one-face-conservative",
                             "one-face-liberal", "all", "oriented-pairs"])

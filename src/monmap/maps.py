@@ -10,6 +10,14 @@ two sides of each edge.  Everything else is derived:
 * white nodes = orbits of <omega, eps>
 * components  = orbits of <beta, omega, eps>
 
+A :class:`NonOrientedMap` stores its labels once, as a sorted tuple, and
+each involution as a tuple of partner indices into it.  The orbit kernels,
+edge removal, twisting and canonical forms all run on these index arrays;
+a label is found by bisection on the sorted tuple, and labels appear only
+at the API and JSON boundary.  :class:`Pairing` is the label-level value
+that maps are built from and that their ``beta``/``omega``/``eps`` views
+return.
+
 All values are immutable; every operation is a pure function returning new
 values, so instances are safe to share and to use as cache keys.
 """
@@ -18,9 +26,9 @@ from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import permutations
 from types import MappingProxyType
 from typing import Iterable, Optional
@@ -166,18 +174,23 @@ class BicoloredGraphClass:
 
 
 _MATRIX_CANON_CACHE: dict = {}
+MAX_CANONICAL_ROWS = 8
 
 
 def _canonical_matrix(rows: tuple[tuple[int, ...], ...]):
     """Lexicographically minimal matrix under independent row/column perms.
 
-    Exhaustive over row orders (desk scale: at most a handful of vertices);
-    for a fixed row order the best column order is just the ascending sort
-    of column vectors.
+    Exhaustive over row orders, so guarded to at most MAX_CANONICAL_ROWS
+    rows (black vertices); for a fixed row order the best column order is
+    just the ascending sort of column vectors.
     """
     cached = _MATRIX_CANON_CACHE.get(rows)
     if cached is not None:
         return cached
+    if len(rows) > MAX_CANONICAL_ROWS:
+        raise MapError(
+            f"graph class of a graph with {len(rows)} black vertices exceeds "
+            f"the guard of {MAX_CANONICAL_ROWS} (it tries every row order)")
     if not rows or not rows[0]:
         best = rows
     else:
@@ -196,15 +209,43 @@ def canonical_graph_class(graph: BicoloredGraph) -> BicoloredGraphClass:
     return BicoloredGraphClass(graph.blacks, graph.whites, matrix)
 
 
+class _cached:
+    """``functools.cached_property`` without its lock.
+
+    Before Python 3.12 it takes a lock on every first access, which costs
+    more than most of the kernel calls it caches on freshly derived maps.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class NonOrientedMap:
     """A bicolored map on a (possibly non-orientable) surface.
 
-    ``root``, when present, decorates one edge-side.  Labels are arbitrary
-    distinct integers; they are not required to stay contiguous after edge
-    removals.
+    ``labels`` is the sorted tuple of edge-side labels: arbitrary distinct
+    integers, not required to stay contiguous after edge removals.  The
+    three involutions are stored as partner-index tuples over ``labels``:
+    ``_b[i]`` is the position of beta(labels[i]), and likewise ``_w`` for
+    omega and ``_e`` for eps.  ``root``, when present, decorates one
+    edge-side.
+
+    The constructor takes three :class:`Pairing` values, checks that they
+    share one label set and converts them once.  Maps derived by
+    :func:`remove_edge` and :func:`twist_many` are built straight from
+    arrays by ``_new_map``, since they are valid by construction.
+    ``beta``, ``omega`` and ``eps`` are ``Pairing`` views built on first
+    access; kernel outputs and canonical forms are cached per instance.
     """
 
-    __slots__ = ("beta", "omega", "eps", "root", "__dict__")
+    __slots__ = ("labels", "_b", "_w", "_e", "root", "__dict__")
 
     def __init__(self, beta: Pairing, omega: Pairing, eps: Pairing,
                  root: Optional[int] = None):
@@ -213,10 +254,12 @@ class NonOrientedMap:
             raise MapError("the three pairings must share one label set")
         if root is not None and root not in support:
             raise MapError(f"root {root} is not a label of the map")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "root", root)
+        labels = tuple(sorted(support))
+        index = {lab: i for i, lab in enumerate(labels)}
+        b, w, e = (tuple([index[p._mapping[lab]] for lab in labels])
+                   for p in (beta, omega, eps))
+        _set_fields(self, labels, b, w, e, root)
+        self.__dict__.update(beta=beta, omega=omega, eps=eps)
 
     def __setattr__(self, name, value):
         raise AttributeError("NonOrientedMap values are immutable")
@@ -225,63 +268,81 @@ class NonOrientedMap:
     def from_pairs(cls, beta, omega, eps, root=None) -> "NonOrientedMap":
         return cls(Pairing(beta), Pairing(omega), Pairing(eps), root)
 
-    @cached_property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(sorted(self.beta.support))
-
     @property
     def n(self) -> int:
         """Number of edges."""
-        return len(self.eps)
+        return len(self.labels) // 2
+
+    def _label_pairs(self, partner) -> list[tuple[int, int]]:
+        labels = self.labels
+        return [(labels[i], labels[j]) for i, j in enumerate(partner) if i < j]
+
+    @_cached
+    def beta(self) -> Pairing:
+        return Pairing(self._label_pairs(self._b))
+
+    @_cached
+    def omega(self) -> Pairing:
+        return Pairing(self._label_pairs(self._w))
+
+    @_cached
+    def eps(self) -> Pairing:
+        return Pairing(self._label_pairs(self._e))
+
+    @_cached
+    def _edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self._label_pairs(self._e))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self.eps.pairs
+        """The edges as sorted label pairs (a, b) with a < b."""
+        return self._edges
 
     def has_edge(self, e) -> bool:
-        return e in self.eps
+        try:
+            _edge_index(self, e)
+        except MapError:
+            return False
+        return True
 
     def with_root(self, root: Optional[int]) -> "NonOrientedMap":
-        return NonOrientedMap(self.beta, self.omega, self.eps, root)
+        if root is not None and _position(self.labels, root) < 0:
+            raise MapError(f"root {root} is not a label of the map")
+        return _new_map(self.labels, self._b, self._w, self._e, root)
 
-    # -- index-array views consumed by the kernels ------------------------
+    # -- kernel outputs and canonical forms, cached per instance ----------
 
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-    def _array(self, pairing: Pairing) -> tuple[int, ...]:
-        idx = self._index
-        return tuple(idx[pairing(lab)] for lab in self.labels)
-
-    @cached_property
-    def _arrays(self):
-        return self._array(self.beta), self._array(self.omega), self._array(self.eps)
-
-    @cached_property
+    @_cached
     def _face_data(self):
-        b, w, _ = self._arrays
-        return kernels.face_data(b, w)
+        return kernels.face_data(self._b, self._w)
 
-    @cached_property
+    @_cached
     def _component_data(self):
-        b, w, e = self._arrays
-        return kernels.orbit_ids3(b, w, e)
+        return kernels.orbit_ids3(self._b, self._w, self._e)
 
-    @cached_property
-    def _vertex_counts(self):
-        b, w, e = self._arrays
-        _, blacks = kernels.orbit_ids2(b, e)
-        _, whites = kernels.orbit_ids2(w, e)
-        return blacks, whites
+    @_cached
+    def _vertex_data(self):
+        """Black and white vertex orbits: ((ids, count), (ids, count))."""
+        return (kernels.orbit_ids2(self._b, self._e),
+                kernels.orbit_ids2(self._w, self._e))
+
+    @_cached
+    def _canonical(self) -> bytes:
+        return _canonical_bytes(self, rooted=False)
+
+    @_cached
+    def _canonical_rooted(self) -> bytes:
+        return _canonical_bytes(self, rooted=True)
+
+    def _key(self):
+        return self.labels, self._b, self._w, self._e, self.root
 
     def __eq__(self, other):
         if isinstance(other, NonOrientedMap):
-            return (self.beta, self.omega, self.eps, self.root) == (
-                other.beta, other.omega, other.eps, other.root)
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.beta, self.omega, self.eps, self.root))
+        return hash(self._key())
 
     def __repr__(self):
         root = f", root={self.root}" if self.root is not None else ""
@@ -290,7 +351,49 @@ class NonOrientedMap:
                 f"E={list(map(list, self.eps.pairs))}{root})")
 
 
+# The slot setters write past the immutability guard in __setattr__.
+_SET_LABELS, _SET_B, _SET_W, _SET_E, _SET_ROOT = (
+    getattr(NonOrientedMap, name).__set__
+    for name in ("labels", "_b", "_w", "_e", "root"))
+
+
+def _set_fields(m: NonOrientedMap, labels, b, w, e, root) -> None:
+    _SET_LABELS(m, labels)
+    _SET_B(m, b)
+    _SET_W(m, w)
+    _SET_E(m, e)
+    _SET_ROOT(m, root)
+
+
+def _new_map(labels, b, w, e, root) -> NonOrientedMap:
+    """Private constructor from index arrays; no validation.
+
+    Callers pass arrays that are fixed-point-free involutions over the
+    sorted ``labels``, as edge removal and twisting produce them.
+    """
+    m = object.__new__(NonOrientedMap)
+    _set_fields(m, labels, b, w, e, root)
+    return m
+
+
 EMPTY_MAP = NonOrientedMap(Pairing(), Pairing(), Pairing())
+
+
+def _position(labels: tuple[int, ...], x) -> int:
+    """Index of label x in the sorted label tuple, or -1."""
+    i = bisect_left(labels, x)
+    return i if i < len(labels) and labels[i] == x else -1
+
+
+def _edge_index(m: NonOrientedMap, e) -> tuple[int, int]:
+    """Positions (i, j), i < j, of the two sides of edge e."""
+    a, b = _normalize_edge(e)
+    i = _position(m.labels, a)
+    if i >= 0:
+        j = m._e[i]
+        if m.labels[j] == b:
+            return i, j
+    raise MapError(f"{{{a},{b}}} is not an edge of the map")
 
 
 def faces(m: NonOrientedMap):
@@ -305,7 +408,7 @@ def faces(m: NonOrientedMap):
 
 
 def structure(m: NonOrientedMap) -> MapStructure:
-    blacks, whites = m._vertex_counts
+    (_, blacks), (_, whites) = m._vertex_data
     n_faces = m._face_data[2]
     n_comps = m._component_data[1]
     euler = n_faces - m.n + blacks + whites
@@ -320,70 +423,74 @@ def is_orientable(m: NonOrientedMap) -> bool:
     two classes, one per boundary direction; the three pairings each join
     opposite classes.
     """
-    b, w, e = m._arrays
-    return kernels.bipartite3(b, w, e)
+    return kernels.bipartite3(m._b, m._w, m._e)
 
 
 def classify_edge(m: NonOrientedMap, e) -> EdgeKind:
-    a, b = _normalize_edge(e)
-    if not m.has_edge((a, b)):
-        raise MapError(f"{{{a},{b}}} is not an edge of the map")
+    i, j = _edge_index(m, e)
     ids, cols, _ = m._face_data
-    idx = m._index
-    ia, ib = idx[a], idx[b]
-    if ids[ia] != ids[ib]:
+    if ids[i] != ids[j]:
         return EdgeKind.INTERFACE
-    if cols[ia] == cols[ib]:
+    if cols[i] == cols[j]:
         return EdgeKind.TWISTED
     return EdgeKind.STRAIGHT
 
 
-def _heal(mapping: dict[int, int], a: int, b: int) -> dict[int, int]:
-    # Drop labels a, b; if they were not partners, re-pair their partners.
-    pa = mapping[a]
-    pb = mapping[b]
-    out = {x: y for x, y in mapping.items() if x != a and x != b and y != a and y != b}
-    if pa != b:
-        out[pa] = pb
-        out[pb] = pa
-    return out
+def _drop(partner, i: int, j: int, renumber, heal: bool) -> tuple[int, ...]:
+    """Partner array without positions i < j, renumbered.
+
+    With ``heal``, the partners of i and j are paired with each other
+    (unless i and j were partners), which closes the corner the removed
+    edge leaves behind.
+    """
+    out = list(map(renumber.__getitem__, partner))
+    if heal:
+        pi, pj = partner[i], partner[j]
+        if pi != j:
+            out[pi] = renumber[pj]
+            out[pj] = renumber[pi]
+    del out[j], out[i]
+    return tuple(out)
 
 
 def remove_edge(m: NonOrientedMap, e) -> NonOrientedMap:
     """Remove one edge; endpoints that become isolated vanish with it."""
-    a, b = _normalize_edge(e)
-    if not m.has_edge((a, b)):
-        raise MapError(f"{{{a},{b}}} is not an edge of the map")
-    beta = Pairing.from_mapping(_heal(m.beta.mapping, a, b))
-    omega = Pairing.from_mapping(_heal(m.omega.mapping, a, b))
-    eps = {x: y for x, y in m.eps.mapping.items() if x != a and x != b}
-    root = m.root if m.root not in (a, b) else None
-    return NonOrientedMap(beta, omega, Pairing.from_mapping(eps), root)
+    i, j = _edge_index(m, e)
+    labels = m.labels
+    # old position -> new position; positions i and j map to junk values
+    # that _drop deletes or overwrites
+    renumber = [*range(i + 1), *range(i, j), *range(j - 1, len(labels) - 2)]
+    root = m.root if m.root not in (labels[i], labels[j]) else None
+    return _new_map(labels[:i] + labels[i + 1:j] + labels[j + 1:],
+                    _drop(m._b, i, j, renumber, True),
+                    _drop(m._w, i, j, renumber, True),
+                    _drop(m._e, i, j, renumber, False),
+                    root)
 
 
 def twist(m: NonOrientedMap, e) -> NonOrientedMap:
     """Conjugate the white pairing by the transposition of e's two sides."""
-    a, b = _normalize_edge(e)
-    if not m.has_edge((a, b)):
-        raise MapError(f"{{{a},{b}}} is not an edge of the map")
-    swap = {a: b, b: a}
-    omega = {swap.get(x, x): swap.get(y, y) for x, y in m.omega.mapping.items()}
-    return NonOrientedMap(m.beta, Pairing.from_mapping(omega), m.eps, m.root)
+    return twist_many(m, (e,))
 
 
 def twist_many(m: NonOrientedMap, edges) -> NonOrientedMap:
     """Twist a set of (necessarily disjoint) edges; order is irrelevant."""
-    swap: dict[int, int] = {}
+    swap = None
     for e in edges:
-        a, b = _normalize_edge(e)
-        if not m.has_edge((a, b)):
-            raise MapError(f"{{{a},{b}}} is not an edge of the map")
-        if a in swap:
-            raise MapError(f"edge {{{a},{b}}} listed twice in the twist set")
-        swap[a] = b
-        swap[b] = a
-    omega = {swap.get(x, x): swap.get(y, y) for x, y in m.omega.mapping.items()}
-    return NonOrientedMap(m.beta, Pairing.from_mapping(omega), m.eps, m.root)
+        i, j = _edge_index(m, e)
+        if swap is None:
+            swap = list(range(len(m.labels)))
+        elif swap[i] != i:
+            raise MapError(f"edge {{{m.labels[i]},{m.labels[j]}}} listed "
+                           f"twice in the twist set")
+        swap[i] = j
+        swap[j] = i
+    if swap is None:
+        return m
+    w = m._w
+    # omega' = s . omega . s with s the product of the swaps (an involution)
+    return _new_map(
+        m.labels, m._b, tuple([swap[w[x]] for x in swap]), m._e, m.root)
 
 
 def edge_role(m: NonOrientedMap, e) -> EdgeRole:
@@ -393,39 +500,40 @@ def edge_role(m: NonOrientedMap, e) -> EdgeRole:
     a second component, so a leaf is never a bridge here; the single-edge
     component counts as a leaf.
     """
-    a, b = _normalize_edge(e)
-    if not m.has_edge((a, b)):
-        raise MapError(f"{{{a},{b}}} is not an edge of the map")
-    leaf = m.beta(a) == b or m.omega(a) == b
+    i, j = _edge_index(m, e)
+    leaf = m._b[i] == j or m._w[i] == j
     comps_before = m._component_data[1]
-    comps_after = remove_edge(m, (a, b))._component_data[1]
+    comps_after = remove_edge(m, e)._component_data[1]
     return EdgeRole(is_bridge=comps_after > comps_before, is_leaf=leaf)
 
 
-def _component_trace(m: NonOrientedMap, start: int) -> tuple[int, ...]:
-    """Relabel the component of `start` by BFS discovery over (B, W, E).
+def _component_trace(b, w, e, start: int) -> tuple[int, ...]:
+    """Renumber the component of position `start` by BFS over (B, W, E).
 
-    The trace lists, for each discovered label in discovery order, the
+    The trace lists, for each discovered position in discovery order, the
     discovery indices of its three partners.  Two starts yield equal traces
     exactly when some label bijection maps one rooted component to the
     other, which is what canonical forms minimize over.
     """
-    b, w, e = m.beta, m.omega, m.eps
-    pos = {start: 0}
+    pos = [-1] * len(b)
+    pos[start] = 0
     order = [start]
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for y in (b(x), w(x), e(x)):
-            if y not in pos:
-                pos[y] = len(order)
-                order.append(y)
+    for x in order:  # the loop also visits positions appended below
+        y = b[x]
+        if pos[y] < 0:
+            pos[y] = len(order)
+            order.append(y)
+        y = w[x]
+        if pos[y] < 0:
+            pos[y] = len(order)
+            order.append(y)
+        y = e[x]
+        if pos[y] < 0:
+            pos[y] = len(order)
+            order.append(y)
     out = []
     for x in order:
-        out.append(pos[b(x)])
-        out.append(pos[w(x)])
-        out.append(pos[e(x)])
+        out += (pos[b[x]], pos[w[x]], pos[e[x]])
     return tuple(out)
 
 
@@ -434,21 +542,27 @@ def canonical_form(m: NonOrientedMap, rooted: bool = False) -> bytes:
 
     Per component, the minimum BFS trace over all starting labels (for the
     rooted form the root's component starts at the root only); component
-    encodings are sorted.
+    encodings are sorted.  Memoized on the map.
     """
     if rooted and m.root is None:
         raise MapError("rooted canonical form requires a root")
+    return m._canonical_rooted if rooted else m._canonical
+
+
+def _canonical_bytes(m: NonOrientedMap, rooted: bool) -> bytes:
+    b, w, e = m._b, m._w, m._e
     ids, count = m._component_data
     comps: list[list[int]] = [[] for _ in range(count)]
     for i, cid in enumerate(ids):
-        comps[cid].append(m.labels[i])
+        comps[cid].append(i)
+    root = _position(m.labels, m.root) if rooted else -1
     root_trace = None
     rest = []
     for comp in comps:
-        if rooted and m.root in comp:
-            root_trace = _component_trace(m, m.root)
+        if root in comp:
+            root_trace = _component_trace(b, w, e, root)
         else:
-            rest.append(min(_component_trace(m, s) for s in comp))
+            rest.append(min(_component_trace(b, w, e, s) for s in comp))
     rest.sort()
     if rooted:
         payload = ("R", root_trace, tuple(rest))
@@ -458,12 +572,9 @@ def canonical_form(m: NonOrientedMap, rooted: bool = False) -> bytes:
 
 
 def bicolored_graph(m: NonOrientedMap) -> BicoloredGraph:
-    b, w, e = m._arrays
-    black_ids, blacks = kernels.orbit_ids2(b, e)
-    white_ids, whites = kernels.orbit_ids2(w, e)
-    idx = m._index
+    (black_ids, blacks), (white_ids, whites) = m._vertex_data
     edges = tuple(sorted(
-        (black_ids[idx[a]], white_ids[idx[a]]) for a, _ in m.eps.pairs
+        (black_ids[i], white_ids[i]) for i, j in enumerate(m._e) if i < j
     ))
     return BicoloredGraph(blacks, whites, edges)
 
@@ -487,10 +598,41 @@ def map_to_json_obj(m: NonOrientedMap) -> dict:
     return obj
 
 
-def map_from_json_obj(obj: dict) -> NonOrientedMap:
-    m = NonOrientedMap.from_pairs(obj["B"], obj["W"], obj["E"],
-                                  obj.get("root"))
+def _json_label(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise MapError(f"{what}: labels must be integers, "
+                       f"not {type(x).__name__}")
+    return x
+
+
+def _json_pairs(obj: dict, key: str) -> list:
+    if key not in obj:
+        raise MapError(f"map JSON lacks the {key!r} pairing")
+    pairs = obj[key]
+    if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise MapError(f"{key!r} must be a list of [a, b] label pairs")
+    for p in pairs:
+        for x in p:
+            _json_label(x, key)
+    return pairs
+
+
+def map_from_json_obj(obj) -> NonOrientedMap:
+    """The one loader of map JSON; malformed input raises MapError."""
+    if not isinstance(obj, dict):
+        raise MapError("a map must be a JSON object with keys B, W and E")
+    beta, omega, eps = (_json_pairs(obj, key) for key in "BWE")
+    root = obj.get("root")
+    if root is not None:
+        _json_label(root, "root")
     labels = obj.get("labels")
+    if labels is not None:
+        if not isinstance(labels, list):
+            raise MapError("'labels' must be a list of integers")
+        for x in labels:
+            _json_label(x, "labels")
+    m = NonOrientedMap.from_pairs(beta, omega, eps, root)
     if labels is not None and tuple(sorted(labels)) != m.labels:
         raise MapError("label list does not match the pairings")
     return m

@@ -39,9 +39,10 @@ def edge_weight(m: NonOrientedMap, e) -> GammaPoly:
     return _WEIGHTS[classify_edge(m, e)]
 
 
-def _check_history(m: NonOrientedMap, history: Sequence) -> list[tuple[int, int]]:
-    edges = [tuple(sorted(e)) for e in history]
-    if sorted(edges) != list(m.eps.pairs):
+def _check_history(m: NonOrientedMap, history: Sequence) -> tuple[tuple[int, int], ...]:
+    """The history as sorted edge pairs; it must order every edge once."""
+    edges = tuple(tuple(sorted(e)) for e in history)
+    if tuple(sorted(edges)) != m.edges():
         raise MapError("history is not a permutation of the edge set")
     return edges
 
@@ -92,7 +93,7 @@ def mon(m: NonOrientedMap) -> GammaPoly:
     if hit is not None:
         return hit
     total = GammaPoly()
-    for e in m.eps.pairs:
+    for e in m.edges():
         total = total + _WEIGHTS[classify_edge(m, e)] * mon(remove_edge(m, e))
     value = total.scale(Fraction(1, m.n))
     _MON_CACHE[key] = value
@@ -115,7 +116,7 @@ def _top_probability(m: NonOrientedMap) -> Fraction:
     if hit is not None:
         return hit
     total = Fraction(0)
-    for e in m.eps.pairs:
+    for e in m.edges():
         total += _top_probability(remove_edge(m, e))
     value = total / m.n
     _TOP_CACHE[key] = value

@@ -139,7 +139,7 @@ def suite_lemma_equivalence(n: int = 3, force: bool = False) -> Report:
     consistent = True
     monic = True
     for m in all_maps(n, force=force):
-        for h in permutations(m.eps.pairs):
+        for h in permutations(m.edges()):
             rep = lemma_equivalence_check(m, h)
             total += 1
             if not rep.consistent:
@@ -173,7 +173,7 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
         for m in all_maps(n, force=force):
             st = structure(m)
             bound = 2 * st.genus
-            for h in permutations(m.eps.pairs):
+            for h in permutations(m.edges()):
                 if history_weight(m, h).degree > bound:
                     hist_ok = False
             prob, coeff = mon_top_detail(m)
@@ -202,7 +202,7 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
             # history degree, so this also bounds every history weight
             if poly.degree > 2 * st.genus or prob != coeff:
                 ok = False
-            h = list(m.eps.pairs)
+            h = list(m.edges())
             rng.shuffle(h)
             if history_weight(m, h).degree > 2 * st.genus:
                 ok = False
@@ -278,7 +278,7 @@ def suite_key_bijection(ns=(1, 2, 3), conservative_n: int = 4,
             orientable = is_orientable(m)
             if orientable:
                 orient_hists += math.factorial(n)
-            for h in permutations(m.eps.pairs):
+            for h in permutations(m.edges()):
                 if is_top_degree_pair(m, h):
                     pairs += 1
                     res = phi(m, h)
@@ -305,7 +305,7 @@ def suite_key_bijection(ns=(1, 2, 3), conservative_n: int = 4,
     ok = True
     count = 0
     for m in conservative_one_face(n):
-        for h in permutations(m.eps.pairs):
+        for h in permutations(m.edges()):
             if not is_top_degree_pair(m, h):
                 continue
             count += 1

@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monmap.cli import main
 from monmap.verify import SUITES
@@ -25,6 +31,57 @@ class TestStructureCommand:
         code, out, _ = run(capsys, "structure", "--map", str(path))
         assert code == 0
         assert json.loads(out)["euler_characteristic"] == 0
+
+    def test_graph_class_guard(self, capsys, tmp_path):
+        # a star: nine leaf edges around one white vertex
+        n = 9
+        edges = [[2 * k + 1, 2 * k + 2] for k in range(n)]
+        star = {"B": edges, "E": edges,
+                "W": [[2 * k + 2, (2 * k + 3) % (2 * n)] for k in range(n)]}
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(star))
+        code, _, err = run(capsys, "structure", "--map", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "guard" in err
+
+    def test_not_json(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("{B:")
+        code, _, err = run(capsys, "structure", "--map", str(path))
+        assert code == 2 and err.startswith("error:")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=16)
+LABEL_LIKE = st.integers(-2, 6) | st.booleans() | st.floats(-2, 6) | st.text(max_size=1)
+PAIR_LISTS = st.lists(st.lists(LABEL_LIKE, min_size=1, max_size=3), max_size=4)
+MAP_SHAPED = st.fixed_dictionaries(
+    {"B": PAIR_LISTS, "W": PAIR_LISTS, "E": PAIR_LISTS},
+    optional={"root": LABEL_LIKE | JSON_VALUES,
+              "labels": st.lists(LABEL_LIKE, max_size=6) | JSON_VALUES})
+
+
+class TestStructureFuzz:
+    """Arbitrary JSON given as --map: a one-line error and exit 2, or a map."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES | MAP_SHAPED)
+    def test_bad_map_files(self, tmp_path_factory, obj):
+        path = tmp_path_factory.mktemp("fuzz") / "m.json"
+        path.write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["structure", "--map", str(path)])
+        if code == 0:
+            assert {"B", "W", "E"} <= set(obj)
+            assert json.loads(out.getvalue())["edges"] == len(obj["E"])
+        else:
+            assert code == 2
+            assert err.getvalue().startswith("error:")
+            assert err.getvalue().count("\n") == 1
 
 
 class TestMonCommand:
@@ -53,6 +110,14 @@ class TestEnumerateCommand:
                            "--family", "involutions")
         assert code == 0
         assert len(out.splitlines()) == 15
+
+    @pytest.mark.parametrize("family, n", [
+        ("one-face-conservative", "0"), ("involutions", "-1")])
+    def test_nonpositive_n_rejected(self, capsys, family, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", n, "--family", family])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
 
     def test_guard_error_surfaces(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "4", "--family", "all")

@@ -3,11 +3,13 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monmap.enumeration import all_maps, conservative_one_face
-from monmap.maps import (EdgeKind, MapError, NonOrientedMap, Pairing,
-                         bicolored_graph, canonical_form, classify_edge,
-                         edge_role, faces, graph_class, is_orientable,
+from monmap.maps import (BicoloredGraph, EdgeKind, MapError, NonOrientedMap,
+                         Pairing, bicolored_graph, canonical_form,
+                         canonical_graph_class, classify_edge, edge_role,
+                         faces, graph_class, is_orientable, load_fixture,
                          map_from_json_obj, map_to_json_obj, remove_edge,
                          structure, twist, twist_many)
 from monmap.oriented import OrientedMap, side_label
@@ -299,3 +301,144 @@ class TestJson:
         with pytest.raises(MapError):
             map_from_json_obj({"labels": [1, 2, 3],
                                "B": [[1, 2]], "W": [[1, 2]], "E": [[1, 2]]})
+
+    PAIR = [[1, 2]]
+
+    @pytest.mark.parametrize("obj", [
+        [],
+        "map",
+        {"B": PAIR, "W": PAIR},
+        {"B": PAIR, "W": {"1": 2}, "E": PAIR},
+        {"B": PAIR, "W": PAIR, "E": [[1, 2, 3]]},
+        {"B": PAIR, "W": PAIR, "E": [1, 2]},
+        {"B": PAIR, "W": PAIR, "E": [[1, "2"]]},
+        {"B": PAIR, "W": PAIR, "E": [[1, 2.0]]},
+        {"B": [[True, 2]], "W": PAIR, "E": PAIR},
+        {"B": PAIR, "W": PAIR, "E": PAIR, "root": True},
+        {"B": PAIR, "W": PAIR, "E": PAIR, "root": "1"},
+        {"B": PAIR, "W": PAIR, "E": PAIR, "labels": "12"},
+        {"B": PAIR, "W": PAIR, "E": PAIR, "labels": [1, None]},
+    ])
+    def test_malformed_rejected(self, obj):
+        with pytest.raises(MapError):
+            map_from_json_obj(obj)
+
+
+class TestCanonicalMatrixGuard:
+    def test_nine_black_vertices_rejected(self):
+        graph = BicoloredGraph(9, 1, tuple((b, 0) for b in range(9)))
+        with pytest.raises(MapError, match="guard"):
+            canonical_graph_class(graph)
+
+    def test_eight_black_vertices_allowed(self):
+        graph = BicoloredGraph(8, 2, tuple((b, b % 2) for b in range(8)))
+        cls = canonical_graph_class(graph)
+        assert cls.matrix == ((0, 1),) * 4 + ((1, 0),) * 4
+
+
+# -- reference implementation over label dicts ----------------------------
+# The map core works on index arrays; these are the label-level definitions
+# it must agree with, written over ``Pairing.mapping``.
+
+
+def _ref_heal(mapping, a, b):
+    pa, pb = mapping[a], mapping[b]
+    out = {x: y for x, y in mapping.items()
+           if x not in (a, b) and y not in (a, b)}
+    if pa != b:
+        out[pa] = pb
+        out[pb] = pa
+    return out
+
+
+def ref_remove_edge(m, e):
+    a, b = sorted(e)
+    eps = {x: y for x, y in m.eps.mapping.items() if x not in (a, b)}
+    return NonOrientedMap(Pairing.from_mapping(_ref_heal(m.beta.mapping, a, b)),
+                          Pairing.from_mapping(_ref_heal(m.omega.mapping, a, b)),
+                          Pairing.from_mapping(eps),
+                          m.root if m.root not in (a, b) else None)
+
+
+def ref_twist_many(m, edges):
+    swap = {}
+    for a, b in edges:
+        swap[a], swap[b] = b, a
+    omega = {swap.get(x, x): swap.get(y, y)
+             for x, y in m.omega.mapping.items()}
+    return NonOrientedMap(m.beta, Pairing.from_mapping(omega), m.eps, m.root)
+
+
+def _ref_trace(m, start):
+    pos = {start: 0}
+    order = [start]
+    for x in order:
+        for y in (m.beta(x), m.omega(x), m.eps(x)):
+            if y not in pos:
+                pos[y] = len(order)
+                order.append(y)
+    return tuple(pos[p(x)] for x in order for p in (m.beta, m.omega, m.eps))
+
+
+def ref_canonical_form(m, rooted):
+    seen, comps = set(), []
+    for s in m.labels:
+        if s not in seen:
+            comp = [s]
+            seen.add(s)
+            for x in comp:
+                for y in (m.beta(x), m.omega(x), m.eps(x)):
+                    if y not in seen:
+                        seen.add(y)
+                        comp.append(y)
+            comps.append(comp)
+    root_trace, rest = None, []
+    for comp in comps:
+        if rooted and m.root in comp:
+            root_trace = _ref_trace(m, m.root)
+        else:
+            rest.append(min(_ref_trace(m, s) for s in comp))
+    rest.sort()
+    payload = ("R", root_trace, tuple(rest)) if rooted else ("U", tuple(rest))
+    return repr(payload).encode()
+
+
+class TestArrayCoreMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(map_strategy(1, 4), st.data())
+    def test_operations(self, m, data):
+        m = m.with_root(data.draw(st.sampled_from(m.labels)))
+        for a, b in m.edges():
+            assert remove_edge(m, (b, a)) == ref_remove_edge(m, (a, b))
+        subset = data.draw(st.lists(st.sampled_from(m.edges()), unique=True))
+        assert twist_many(m, subset) == ref_twist_many(m, subset)
+        for rooted in (False, True):
+            assert canonical_form(m, rooted) == ref_canonical_form(m, rooted)
+
+    def test_views_round_trip(self, projective):
+        for e in projective.edges():
+            for m in (remove_edge(projective, e), twist(projective, e)):
+                rebuilt = NonOrientedMap(m.beta, m.omega, m.eps, m.root)
+                assert rebuilt == m and hash(rebuilt) == hash(m)
+                assert m.edges() == m.eps.pairs
+
+    def test_operations_build_no_pairing(self, monkeypatch):
+        m = load_fixture("projective").with_root(1)
+        built = []
+        init = Pairing.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Pairing, "__init__", counting_init)
+        for e in m.edges():
+            smaller = remove_edge(m, e)
+            structure(smaller)
+            canonical_form(smaller)
+            canonical_form(twist_many(m, [e]), rooted=True)
+            classify_edge(m, e)
+            edge_role(m, e)
+        structure(m)
+        canonical_form(m)
+        assert built == []
