@@ -12,13 +12,12 @@ from .algebra import (GAMMA, ONE, ZERO, GammaPoly, MultiPoly, Sqrt2, SQRT2,
                       gamma_of)
 from .bijection import BijectionResult, phi, phi_inverse
 from .diagrams import (MultiRect, Partition, YoungDiagram, chtop_map_sum,
-                       count_embeddings, multirectangular,
-                       normalized_embeddings, ogs_full, ogs_top_map_sum)
+                       count_embeddings, normalized_embeddings, ogs_full,
+                       ogs_top_map_sum)
 from .enumeration import (all_maps, all_pairs, conservative_maps,
                           conservative_one_face, group_by, involutions,
                           liberal_one_face, transitive_pairs)
 from .jack import (JackParams, ch, ch_stanley, jack_in_p, stanley_special)
-from .kernels import BACKEND as KERNEL_BACKEND
 from .maps import (BicoloredGraph, BicoloredGraphClass, EdgeKind, EdgeRole,
                    MapError, MapStructure, NonOrientedMap, Pairing,
                    bicolored_graph, canonical_form, classify_edge, edge_role,

@@ -7,6 +7,7 @@ timings go to stderr so reports stay byte-stable.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -75,6 +76,19 @@ def _load_map(source: str):
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise MapError(f"{source} is not a JSON file: {exc}") from None
     return map_from_json_obj(obj)
+
+
+def _parse_history(text: str) -> list[tuple[int, int]]:
+    try:
+        obj = json.loads(text)
+    except ValueError:
+        obj = None
+    if not (isinstance(obj, list)
+            and all(isinstance(e, list) and len(e) == 2
+                    and all(type(x) is int for x in e) for e in obj)):
+        raise MapError(f"--history must be a JSON list of [label, label] "
+                       f"pairs, got {text!r}")
+    return [tuple(e) for e in obj]
 
 
 def _emit(payload, out):
@@ -157,7 +171,7 @@ def cmd_mon(args) -> int:
 
 def cmd_bijection(args) -> int:
     m = _load_map(args.map)
-    history = [tuple(e) for e in json.loads(args.history)]
+    history = _parse_history(args.history)
     fn = phi if args.direction == "apply" else phi_inverse
     res = fn(m, history)
     from .mon import is_top_degree_pair
@@ -223,20 +237,19 @@ def cmd_ch(args) -> int:
 
 
 def _suite_params(name: str, args) -> dict:
+    """Keyword arguments for one suite, from the options its signature takes."""
     name = SUITE_ALIASES.get(name, name)
+    accepted = inspect.signature(SUITES[name]).parameters
     params: dict = {}
-    if args.force:
+    if args.force and "force" in accepted:
         params["force"] = True
         print(f"warning: guards raised for suite {name}", file=sys.stderr)
     if args.n is not None:
-        if name in ("lemma-equivalence",):
-            params["n"] = args.n
-        elif name == "degree-bounds":
-            params["n_exhaustive"] = args.n
-        elif name in ("liberation-nonoriented", "liberation-oriented",
-                      "main-theorem", "second-main-theorem", "key-bijection"):
-            params["ns"] = tuple(range(1, args.n + 1))
-    if args.seed is not None and name == "degree-bounds":
+        for key, value in (("n", args.n), ("n_exhaustive", args.n),
+                           ("ns", tuple(range(1, args.n + 1)))):
+            if key in accepted:
+                params[key] = value
+    if args.seed is not None and "seed" in accepted:
         params["seed"] = args.seed
     return params
 
@@ -303,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bijection)
 
     p = sub.add_parser("chtop", help="top-degree character map sums at a point")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--P", type=_parse_rational_list, required=True)
     p.add_argument("--Q", type=_parse_rational_list, required=True)
     p.add_argument("--A", type=_parse_rational, required=True)
@@ -329,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite",
                    choices=sorted(SUITES) + sorted(SUITE_ALIASES) + ["all"])
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_positive_int, default=None,
                    help="override the suite's n range (with --force beyond "
                         "the default guards)")
     p.add_argument("--seed", type=int, default=None)

@@ -29,6 +29,17 @@ class DiagramError(ValueError):
     """Invalid partition/diagram data or unrealizable coordinates."""
 
 
+def z_of(parts: Iterable[int]) -> int:
+    """The centralizer order prod_i i^{m_i} m_i! of a partition."""
+    mult: dict[int, int] = {}
+    for p in parts:
+        mult[p] = mult.get(p, 0) + 1
+    out = 1
+    for i, m in mult.items():
+        out *= i ** m * math.factorial(m)
+    return out
+
+
 class Partition:
     """Weakly decreasing sequence of positive integer parts."""
 
@@ -57,19 +68,8 @@ class Partition:
         return sum(1 for p in self.parts if p == i)
 
     @property
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    @property
     def z(self) -> int:
-        """The centralizer order prod_i i^{m_i} m_i!."""
-        out = 1
-        for i, m in self.multiplicities.items():
-            out *= i ** m * math.factorial(m)
-        return out
+        return z_of(self.parts)
 
     def __iter__(self):
         return iter(self.parts)
@@ -204,10 +204,6 @@ class MultiRect:
         for p, q in zip(self.p_prime, self.q_prime):
             rows.extend([q] * p)
         return YoungDiagram(rows)
-
-
-def multirectangular(mr: MultiRect) -> YoungDiagram:
-    return mr.diagram()
 
 
 _EMBED_CACHE: dict = {}

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .algebra import SQRT2, MultiPoly, Sqrt2
-from .diagrams import Partition, YoungDiagram, normalized_embeddings
+from .diagrams import Partition, YoungDiagram, normalized_embeddings, z_of
 from .enumeration import conservative_maps
 from .maps import bicolored_graph
 from .oriented import OrientedMap, bicolored_graph_oriented
@@ -51,16 +51,6 @@ def partitions_of(d: int) -> tuple[tuple[int, ...], ...]:
 
     rec(d, d, ())
     return tuple(out)
-
-
-def z_of(parts: Sequence[int]) -> int:
-    mult: dict[int, int] = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    out = 1
-    for i, m in mult.items():
-        out *= i ** m * math.factorial(m)
-    return out
 
 
 def conjugate(parts: Sequence[int]) -> tuple[int, ...]:

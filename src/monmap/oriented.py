@@ -134,24 +134,7 @@ def is_transitive(m: OrientedMap) -> bool:
     """True iff <sigma1, sigma2> has a single orbit on the edge set."""
     if m.n == 0:
         raise MapError("transitivity needs at least one edge")
-    return _orbit_count(m) == 1
-
-
-def _orbit_count(m: OrientedMap) -> int:
-    parent = list(range(m.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in (m.sigma1, m.sigma2):
-        for i, j in enumerate(perm):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return sum(1 for i in range(m.n) if find(i) == i)
+    return len(_component_edge_sets(m)) == 1
 
 
 def oriented_structure(m: OrientedMap) -> OrientedStructure:
@@ -160,13 +143,14 @@ def oriented_structure(m: OrientedMap) -> OrientedStructure:
     whites = len(m.white_cycles)
     blacks = len(m.black_cycles)
     n_faces = len(m.face_cycles)
-    comps = _orbit_count(m)
+    comp_edges = _component_edge_sets(m)
+    comps = len(comp_edges)
     euler = n_faces - m.n + whites + blacks
     genera = []
     if comps == 1:
         genera.append((2 - euler) // 2)
     else:
-        for edges in _component_edge_sets(m):
+        for edges in comp_edges:
             sub = _restrict(m, edges)
             genera.append((2 - (len(sub.face_cycles) - sub.n
                                 + len(sub.white_cycles)

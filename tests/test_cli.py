@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monmap.cli import main
+from monmap.cli import _suite_params, build_parser, main
 from monmap.verify import SUITES
 
 
@@ -111,11 +112,23 @@ class TestEnumerateCommand:
         assert code == 0
         assert len(out.splitlines()) == 15
 
-    @pytest.mark.parametrize("family, n", [
-        ("one-face-conservative", "0"), ("involutions", "-1")])
-    def test_nonpositive_n_rejected(self, capsys, family, n):
+    @pytest.mark.parametrize("argv, n", [
+        pytest.param(("enumerate", "--family", "one-face-conservative"), "0",
+                     id="one-face-conservative-0"),
+        pytest.param(("enumerate", "--family", "involutions"), "-1",
+                     id="involutions--1"),
+        pytest.param(("verify", "lemma-equivalence"), "0",
+                     id="verify-lemma-equivalence-0"),
+        pytest.param(("verify", "degree-bounds"), "0",
+                     id="verify-degree-bounds-0"),
+        pytest.param(("chtop", "--P", "1", "--Q", "4", "--A", "2"), "0",
+                     id="chtop-0"),
+        pytest.param(("chtop", "--P", "1", "--Q", "4", "--A", "2"), "-1",
+                     id="chtop--1"),
+    ])
+    def test_nonpositive_n_rejected(self, capsys, argv, n):
         with pytest.raises(SystemExit) as exc:
-            main(["enumerate", "--n", n, "--family", family])
+            main([*argv, "--n", n])
         assert exc.value.code == 2
         assert "--n" in capsys.readouterr().err
 
@@ -141,6 +154,16 @@ class TestBijectionCommand:
         assert data["checks"]["output_orientable"] is True
         assert data["checks"]["graph_class_preserved"] is True
         assert sorted(map(tuple, data["twists"])) == [(1, 5), (2, 4)]
+
+
+    @pytest.mark.parametrize("history", [
+        "nope", "5", "[1,2]", '[[1,"a"]]', "{}"])
+    def test_malformed_history_rejected(self, capsys, history):
+        code, _, err = run(capsys, "bijection", "apply", "--map", "klein",
+                           "--history", history)
+        assert code == 2
+        assert err.startswith("error:") and "--history" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestChtopCommand:
@@ -198,6 +221,21 @@ class TestVerifyCommand:
         assert code == 1
         assert "first counterexample" in err
         assert "deliberately failing" in err
+
+    def test_force_on_suite_without_guards(self, capsys):
+        code, _, err = run(capsys, "verify", "mon-examples", "--force")
+        assert code == 0
+        assert "PASS" in err
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_suite_params_fit_signature(self, name):
+        args = build_parser().parse_args(
+            ["verify", name, "--force", "--n", "2", "--seed", "1"])
+        params = _suite_params(name, args)
+        signature = inspect.signature(SUITES[name])
+        signature.bind(**params)  # TypeError on an unexpected keyword
+        for key in ("force", "seed", "n", "n_exhaustive", "ns"):
+            assert (key in params) == (key in signature.parameters)
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

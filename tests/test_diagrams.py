@@ -6,8 +6,7 @@ import pytest
 from monmap.algebra import SQRT2, Sqrt2, gamma_of
 from monmap.diagrams import (DiagramError, MultiRect, Partition, YoungDiagram,
                              chtop_map_sum, count_embeddings,
-                             multirectangular, normalized_embeddings,
-                             ogs_full, ogs_top_map_sum)
+                             normalized_embeddings, ogs_full, ogs_top_map_sum)
 from monmap.enumeration import conservative_maps, conservative_one_face
 from monmap.jack import ch_stanley
 from monmap.maps import BicoloredGraph, bicolored_graph, canonical_form, structure
@@ -48,16 +47,16 @@ class TestYoungDiagram:
 class TestMultirectangular:
     def test_single_rectangle(self):
         mr = MultiRect.from_primes((2,), (3,), F(1))
-        assert multirectangular(mr) == YoungDiagram((3, 3))
+        assert mr.diagram() == YoungDiagram((3, 3))
 
     def test_stacking(self):
         mr = MultiRect.from_primes((1, 2), (4, 1), F(1))
-        assert multirectangular(mr) == YoungDiagram((4, 1, 1))
+        assert mr.diagram() == YoungDiagram((4, 1, 1))
 
     def test_scaling(self):
         mr = MultiRect((F(1),), (F(4),), F(2))
         assert mr.p_prime == (2,) and mr.q_prime == (2,)
-        assert multirectangular(mr) == YoungDiagram((2, 2))
+        assert mr.diagram() == YoungDiagram((2, 2))
 
     def test_non_integer_rejected(self):
         with pytest.raises(DiagramError):

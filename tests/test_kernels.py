@@ -1,104 +1,35 @@
-"""Backend parity: the compiled kernels must match the pure-Python ones."""
-
-import pytest
-from hypothesis import given, strategies as st
+"""Hand-checked cases for the involution-orbit kernels."""
 
 from monmap import kernels
-from monmap import _kernels_py
-
-try:
-    from monmap import _kernels_c
-except ImportError:
-    _kernels_c = None
-
-needs_compiled = pytest.mark.skipif(
-    _kernels_c is None, reason="compiled kernel extension not built")
-
-
-def involution_arrays(n_pairs):
-    def build(perm):
-        arr = [0] * (2 * n_pairs)
-        for i in range(0, 2 * n_pairs, 2):
-            a, b = perm[i], perm[i + 1]
-            arr[a], arr[b] = b, a
-        return tuple(arr)
-
-    return st.permutations(list(range(2 * n_pairs))).map(build)
-
-
-def triple_strategy(max_pairs=5):
-    return st.integers(1, max_pairs).flatmap(
-        lambda n: st.tuples(involution_arrays(n), involution_arrays(n),
-                            involution_arrays(n)))
 
 
 class TestPurePython:
     def test_orbit_ids2_first_visit_order(self):
         p = (1, 0, 3, 2)
         q = (1, 0, 3, 2)
-        ids, count = _kernels_py.orbit_ids2(p, q)
+        ids, count = kernels.orbit_ids2(p, q)
         assert ids == [0, 0, 1, 1] and count == 2
 
     def test_face_data_alternating_coloring(self):
         # hexagon: beta pairs (0,1)(2,3)(4,5), omega pairs (1,2)(3,4)(5,0)
         beta = (1, 0, 3, 2, 5, 4)
         omega = (5, 2, 1, 4, 3, 0)
-        ids, cols, count = _kernels_py.face_data(beta, omega)
+        ids, cols, count = kernels.face_data(beta, omega)
         assert count == 1
         assert cols == [0, 1, 0, 1, 0, 1]
 
     def test_bipartite3(self):
         # single edge: all three involutions swap 0 and 1
         swap = (1, 0)
-        assert _kernels_py.bipartite3(swap, swap, swap)
+        assert kernels.bipartite3(swap, swap, swap)
         # klein triple is not bipartite
         beta = (1, 0, 3, 2, 5, 4)
         omega = (5, 2, 1, 4, 3, 0)
         eps = (4, 3, 5, 1, 0, 2)
-        assert not _kernels_py.bipartite3(beta, omega, eps)
+        assert not kernels.bipartite3(beta, omega, eps)
 
     def test_empty_inputs(self):
-        assert _kernels_py.orbit_ids2((), ()) == ([], 0)
-        assert _kernels_py.orbit_ids3((), (), ()) == ([], 0)
-        assert _kernels_py.face_data((), ()) == ([], [], 0)
-        assert _kernels_py.bipartite3((), (), ())
-
-
-@needs_compiled
-class TestBackendParity:
-    @given(triple_strategy())
-    def test_orbit_ids2(self, triple):
-        p, q, _ = triple
-        assert tuple(_kernels_c.orbit_ids2(p, q)[0]) \
-            == tuple(_kernels_py.orbit_ids2(p, q)[0])
-        assert _kernels_c.orbit_ids2(p, q)[1] == _kernels_py.orbit_ids2(p, q)[1]
-
-    @given(triple_strategy())
-    def test_orbit_ids3(self, triple):
-        p, q, r = triple
-        got = _kernels_c.orbit_ids3(p, q, r)
-        want = _kernels_py.orbit_ids3(p, q, r)
-        assert (tuple(got[0]), got[1]) == (tuple(want[0]), want[1])
-
-    @given(triple_strategy())
-    def test_face_data(self, triple):
-        p, q, _ = triple
-        got = _kernels_c.face_data(p, q)
-        want = _kernels_py.face_data(p, q)
-        assert (tuple(got[0]), tuple(got[1]), got[2]) \
-            == (tuple(want[0]), tuple(want[1]), want[2])
-
-    @given(triple_strategy())
-    def test_bipartite3(self, triple):
-        p, q, r = triple
-        assert _kernels_c.bipartite3(p, q, r) == _kernels_py.bipartite3(p, q, r)
-
-
-class TestSelection:
-    def test_backend_reported(self):
-        assert kernels.BACKEND in ("python", "compiled")
-        if _kernels_c is not None:
-            assert kernels.BACKEND == "compiled"
-            assert kernels.face_data is _kernels_c.face_data
-        else:
-            assert kernels.face_data is _kernels_py.face_data
+        assert kernels.orbit_ids2((), ()) == ([], 0)
+        assert kernels.orbit_ids3((), (), ()) == ([], 0)
+        assert kernels.face_data((), ()) == ([], [], 0)
+        assert kernels.bipartite3((), (), ())

@@ -1,9 +1,32 @@
+import importlib
 import json
 
 import pytest
 
 from monmap.verify import (Check, Report, SUITES, report_from_json,
                            report_render, run_suite)
+
+
+# One small case per layer: oriented pairs, the mon/mon_top memo, embedding
+# counts and the Jack lru caches.
+ORDER_CASES = (
+    ("main-theorem", {"ns": (1, 2, 3)}),
+    ("degree-bounds", {"n_exhaustive": 2, "sampled": (4,), "samples": 200}),
+    ("liberation-oriented", {"ns": (1, 2)}),
+    ("second-main-theorem", {"ns": (1, 2)}),
+    ("mon-examples", {}),
+    ("stanley-special", {}),
+)
+
+
+def clear_every_cache():
+    # import_module: the package re-exports the function mon as monmap.mon
+    importlib.import_module("monmap.mon").clear_caches()
+    importlib.import_module("monmap.maps")._MATRIX_CANON_CACHE.clear()
+    importlib.import_module("monmap.diagrams")._EMBED_CACHE.clear()
+    for obj in vars(importlib.import_module("monmap.jack")).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
 
 
 def make_report():
@@ -66,6 +89,17 @@ class TestRunSuite:
         c = report_render(run_suite("counting"), "csv")
         d = report_render(run_suite("counting"), "csv")
         assert c == d
+
+    def test_reports_do_not_depend_on_suite_order(self):
+        def render(cases):
+            return {name: report_render(run_suite(name, **params), "json")
+                    for name, params in cases}
+
+        clear_every_cache()
+        forward = render(ORDER_CASES)
+        clear_every_cache()
+        backward = render(reversed(ORDER_CASES))
+        assert forward == backward
 
     def test_seeded_suite_deterministic(self):
         kwargs = dict(n_exhaustive=1, sampled=(4,), samples=30, seed=5)
