@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .maps import (MapError, NonOrientedMap, edge_role, is_orientable,
-                   remove_edge, twist, twist_many)
-from .mon import _check_history, failing_prefix, is_top_degree_map
+from .maps import MapError, NonOrientedMap, is_orientable, twist, twist_many
+from .mon import (_check_history, _failing_prefix, history_lattice,
+                  is_top_degree_map)
 
 
 class NotInDomainError(MapError):
@@ -41,12 +41,13 @@ class BijectionResult:
 def phi(m: NonOrientedMap, history: Sequence) -> BijectionResult:
     """Top-degree pair -> (orientable map, same history, twist set)."""
     edges = _check_history(m, history)
-    bad = failing_prefix(m, edges)
+    lattice = history_lattice(m)
+    bad = _failing_prefix(lattice, edges)
     if bad is not None:
         raise NotInDomainError(
             f"(map, history) is not a top-degree pair: prefix {bad} "
             f"(after removing {list(edges[:bad])}) is not top-degree")
-    out, twists = _phi_rec(m, edges, is_orientable, [])
+    out, twists = _phi_rec(lattice, 0, edges, is_orientable, [])
     return BijectionResult(out, edges, twists)
 
 
@@ -55,26 +56,31 @@ def phi_inverse(m: NonOrientedMap, history: Sequence) -> BijectionResult:
     edges = _check_history(m, history)
     if not is_orientable(m):
         raise NotInDomainError("phi_inverse requires an orientable map")
-    out, twists = _phi_rec(m, edges, is_top_degree_map, [])
+    lattice = history_lattice(m)
+    out, twists = _phi_rec(lattice, 0, edges, is_top_degree_map, [])
     return BijectionResult(out, edges, twists)
 
 
-def _phi_rec(m, edges, target, trace):
+def _phi_rec(lattice, mask, edges, target, trace):
     """Shared recursion; `target` is the property the output must satisfy.
 
     Both directions are the same induction with the roles of "orientable"
     and "top-degree map" swapped: remove the first edge, fix up the rest,
     re-apply the accumulated twists to the full map, then settle the first
-    edge by the bridge/leaf rule or the dichotomy.
+    edge by the bridge/leaf rule or the dichotomy.  The current map is the
+    lattice state of `mask`, the edges removed so far.
     """
+    m = lattice.state(mask)
     if m.n == 0:
         return m, ()
     first = edges[0]
-    rest_map, twists = _phi_rec(remove_edge(m, first), edges[1:], target,
-                                trace + [first])
+    rest_map, twists = _phi_rec(lattice, lattice.child(mask, first),
+                                edges[1:], target, trace + [first])
     del rest_map  # only the twist set propagates upward
     candidate = twist_many(m, twists)
-    role = edge_role(candidate, first)
+    # a twist changes neither the graph nor the beta/omega/eps adjacency of
+    # an edge's two sides, so the role in m is the role in the candidate
+    role = lattice.role(mask, first)
     if role.is_bridge or role.is_leaf:
         if not target(candidate):
             raise DichotomyError(

@@ -25,7 +25,7 @@ from .oriented import oriented_to_json_obj
 from .verify import SUITES, SUITE_ALIASES, report_render, run_suite
 
 DOMAIN_ERRORS = (MapError, DiagramError, GuardExceeded, JackGuardError,
-                 ZeroDivisionError, FileNotFoundError)
+                 ZeroDivisionError, OSError)
 
 FIXTURES = ("klein", "projective")
 

@@ -242,7 +242,8 @@ class NonOrientedMap:
     :func:`remove_edge` and :func:`twist_many` are built straight from
     arrays by ``_new_map``, since they are valid by construction.
     ``beta``, ``omega`` and ``eps`` are ``Pairing`` views built on first
-    access; kernel outputs and canonical forms are cached per instance.
+    access; kernel outputs, canonical forms and the history lattice of
+    ``monmap.mon`` are cached per instance.
     """
 
     __slots__ = ("labels", "_b", "_w", "_e", "root", "__dict__")
@@ -309,7 +310,7 @@ class NonOrientedMap:
             raise MapError(f"root {root} is not a label of the map")
         return _new_map(self.labels, self._b, self._w, self._e, root)
 
-    # -- kernel outputs and canonical forms, cached per instance ----------
+    # -- derived data, cached per instance ---------------------------------
 
     @_cached
     def _face_data(self):
@@ -324,6 +325,12 @@ class NonOrientedMap:
         """Black and white vertex orbits: ((ids, count), (ids, count))."""
         return (kernels.orbit_ids2(self._b, self._e),
                 kernels.orbit_ids2(self._w, self._e))
+
+    @_cached
+    def _history_lattice(self):
+        """Residual states of this map for the per-history checks."""
+        from .mon import HistoryLattice  # mon builds on this module
+        return HistoryLattice(self)
 
     @_cached
     def _canonical(self) -> bytes:

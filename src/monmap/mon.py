@@ -8,6 +8,11 @@ degree n + |F| - |V| equals the probability that a uniformly random removal
 order keeps every intermediate map "top-degree" (each connected component a
 single face); both quantities are computed independently here and checked
 against each other.
+
+The per-history checks (history weight, top-degree prefixes, admissible
+removals, and the twist bijection in ``monmap.bijection``) all walk one
+``HistoryLattice`` per map: the residual maps after each set of removed
+edges, built once and shared by every removal order.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import GAMMA, HALF, ONE, GammaPoly
-from .maps import (EdgeKind, MapError, NonOrientedMap, canonical_form,
-                   classify_edge, remove_edge, structure)
+from .maps import (EdgeKind, EdgeRole, MapError, NonOrientedMap,
+                   _edge_index, canonical_form, classify_edge, remove_edge,
+                   structure)
 
 _WEIGHTS = {
     EdgeKind.STRAIGHT: ONE,
@@ -47,15 +53,84 @@ def _check_history(m: NonOrientedMap, history: Sequence) -> tuple[tuple[int, int
     return edges
 
 
+class HistoryLattice:
+    """The residual maps of one map, keyed by the set of removed edges.
+
+    Bit k of a mask stands for the k-th edge of ``m.edges()``.  The map
+    left after removing some edges depends only on which edges were
+    removed, not on their order, so the 2^n states serve all n! removal
+    histories.  A state is built on first use by removing one edge from
+    the state the walk comes from (any parent gives an equal map), so a
+    single history costs n removals, as a walk without the lattice does.
+
+    Per (state, edge) the lattice also keeps the edge's kind and its
+    bridge/leaf role.  The role needs no removal of its own: the bridge
+    test compares the component counts of the state and of its child.
+    One lattice belongs to one map instance (see ``history_lattice``).
+    """
+
+    __slots__ = ("_bits", "_states", "_kinds", "_roles")
+
+    def __init__(self, m: NonOrientedMap):
+        self._bits = {e: 1 << k for k, e in enumerate(m.edges())}
+        self._states = {0: m}
+        self._kinds: dict[tuple, EdgeKind] = {}
+        self._roles: dict[tuple, EdgeRole] = {}
+
+    def state(self, mask: int) -> NonOrientedMap:
+        """The residual map of a mask reached by the walks so far."""
+        return self._states[mask]
+
+    def child(self, mask: int, e) -> int:
+        """The mask after also removing edge e, building its state once."""
+        child = mask | self._bits[e]
+        if child not in self._states:
+            self._states[child] = remove_edge(self._states[mask], e)
+        return child
+
+    def kind(self, mask: int, e) -> EdgeKind:
+        """``classify_edge`` of e in the state of mask."""
+        key = (mask, e)
+        kind = self._kinds.get(key)
+        if kind is None:
+            kind = self._kinds[key] = classify_edge(self._states[mask], e)
+        return kind
+
+    def role(self, mask: int, e) -> EdgeRole:
+        """``edge_role`` of e in the state of mask."""
+        key = (mask, e)
+        role = self._roles.get(key)
+        if role is None:
+            m = self._states[mask]
+            after = self._states[self.child(mask, e)]
+            i, j = _edge_index(m, e)
+            role = self._roles[key] = EdgeRole(
+                is_bridge=after._component_data[1] > m._component_data[1],
+                is_leaf=m._b[i] == j or m._w[i] == j)
+        return role
+
+
+def history_lattice(m: NonOrientedMap) -> HistoryLattice:
+    """The lattice of m, built lazily and kept on the map instance."""
+    return m._history_lattice
+
+
 def history_weight(m: NonOrientedMap, history: Sequence) -> GammaPoly:
     """Product of edge weights along a removal order."""
-    edges = _check_history(m, history)
-    out = ONE
-    current = m
+    return _history_weight(history_lattice(m), _check_history(m, history))
+
+
+def _history_weight(lattice: HistoryLattice, edges) -> GammaPoly:
+    # the weights are 1, gamma and 1/2, so the product is a monomial
+    twisted = interfaces = mask = 0
     for e in edges:
-        out = out * edge_weight(current, e)
-        current = remove_edge(current, e)
-    return out
+        kind = lattice.kind(mask, e)
+        if kind is EdgeKind.TWISTED:
+            twisted += 1
+        elif kind is EdgeKind.INTERFACE:
+            interfaces += 1
+        mask = lattice.child(mask, e)
+    return GammaPoly((0,) * twisted + (Fraction(1, 2 ** interfaces),))
 
 
 def is_top_degree_map(m: NonOrientedMap) -> bool:
@@ -65,14 +140,28 @@ def is_top_degree_map(m: NonOrientedMap) -> bool:
 
 def failing_prefix(m: NonOrientedMap, history: Sequence) -> Optional[int]:
     """Index i such that M_i is not top-degree, or None if the pair is."""
-    edges = _check_history(m, history)
-    current = m
-    for i in range(len(edges) + 1):
-        if not is_top_degree_map(current):
+    return _failing_prefix(history_lattice(m), _check_history(m, history))
+
+
+def _failing_prefix(lattice: HistoryLattice, edges) -> Optional[int]:
+    mask = 0
+    for i, e in enumerate(edges):
+        if not is_top_degree_map(lattice.state(mask)):
             return i
-        if i < len(edges):
-            current = remove_edge(current, edges[i])
-    return None
+        mask = lattice.child(mask, e)
+    return None if is_top_degree_map(lattice.state(mask)) else len(edges)
+
+
+def _removals_admissible(lattice: HistoryLattice, edges) -> bool:
+    """Each removed edge is twisted, a bridge or a leaf where it is removed."""
+    mask = 0
+    for e in edges:
+        if lattice.kind(mask, e) is not EdgeKind.TWISTED:
+            role = lattice.role(mask, e)
+            if not (role.is_bridge or role.is_leaf):
+                return False
+        mask = lattice.child(mask, e)
+    return True
 
 
 def is_top_degree_pair(m: NonOrientedMap, history: Sequence) -> bool:
@@ -164,23 +253,11 @@ class EquivalenceReport:
 
 
 def lemma_equivalence_check(m: NonOrientedMap, history: Sequence) -> EquivalenceReport:
-    from .maps import edge_role  # local import to keep module load light
-
     edges = _check_history(m, history)
-    cond_a = is_top_degree_pair(m, edges)
-
-    cond_b = True
-    current = m
-    for e in edges:
-        kind = classify_edge(current, e)
-        if kind != EdgeKind.TWISTED:
-            role = edge_role(current, e)
-            if not (role.is_bridge or role.is_leaf):
-                cond_b = False
-                break
-        current = remove_edge(current, e)
-
-    weight = history_weight(m, edges)
+    lattice = history_lattice(m)
+    cond_a = _failing_prefix(lattice, edges) is None
+    cond_b = _removals_admissible(lattice, edges)
+    weight = _history_weight(lattice, edges)
     st = structure(m)
     target = st.faces + st.edges - st.vertices
     cond_c = weight.degree == target

@@ -51,6 +51,12 @@ class TestStructureCommand:
         code, _, err = run(capsys, "structure", "--map", str(path))
         assert code == 2 and err.startswith("error:")
 
+    def test_directory_as_map(self, capsys, tmp_path):
+        code, out, err = run(capsys, "structure", "--map", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),

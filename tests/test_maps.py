@@ -210,6 +210,15 @@ class TestEdgeRole:
                 after = structure(remove_edge(m, e)).components
                 assert after == before + 1
 
+    @settings(max_examples=150, deadline=None)
+    @given(map_strategy(1, 4), st.data())
+    def test_twist_invariant(self, m, data):
+        # the twist bijection reads roles off the untwisted map
+        subset = data.draw(st.lists(st.sampled_from(m.edges()), unique=True))
+        twisted = twist_many(m, subset)
+        for e in m.edges():
+            assert edge_role(twisted, e) == edge_role(m, e)
+
 
 class TestCanonicalForm:
     def test_relabeling_invariance(self, klein):

@@ -4,12 +4,14 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monmap.algebra import GAMMA, ONE, GammaPoly
 from monmap.enumeration import all_maps
-from monmap.maps import MapError, NonOrientedMap, structure
-from monmap.mon import (edge_weight, failing_prefix, history_weight,
-                        is_top_degree_map, is_top_degree_pair,
+from monmap.maps import (MapError, NonOrientedMap, classify_edge, edge_role,
+                         remove_edge, structure)
+from monmap.mon import (edge_weight, failing_prefix, history_lattice,
+                        history_weight, is_top_degree_map, is_top_degree_pair,
                         lemma_equivalence_check, mon, mon_top,
                         mon_top_degree_target, mon_top_detail)
 
@@ -52,6 +54,57 @@ class TestHistoryWeight:
             history_weight(klein, [(1, 5), (2, 4)])
         with pytest.raises(MapError):
             history_weight(klein, [(1, 5), (1, 5), (2, 4)])
+
+
+def ref_history_weight(m, history):
+    """Product of edge weights along the history, one removal at a time."""
+    out = ONE
+    for e in history:
+        out = out * edge_weight(m, e)
+        m = remove_edge(m, e)
+    return out
+
+
+class TestHistoryWeightReference:
+    def test_all_maps_n2(self):
+        for m in all_maps(2):
+            for h in permutations(m.edges()):
+                assert history_weight(m, h) == ref_history_weight(m, h)
+
+    @settings(max_examples=40, deadline=None)
+    @given(map_strategy(1, 4))
+    def test_random_maps(self, m):
+        for h in permutations(m.edges()):
+            assert history_weight(m, h) == ref_history_weight(m, h)
+
+
+class TestHistoryLattice:
+    @settings(max_examples=150, deadline=None)
+    @given(map_strategy(1, 4), st.data())
+    def test_states_match_sequential_removal(self, m, data):
+        m = m.with_root(data.draw(st.sampled_from(m.labels)))
+        lattice = history_lattice(m)
+        # a first walk builds states from its own parents ...
+        mask = 0
+        for e in data.draw(st.permutations(m.edges())):
+            mask = lattice.child(mask, e)
+        # ... which a second walk, in another order, must find equal to
+        # the maps it reaches by removing edges one at a time
+        order = data.draw(st.permutations(m.edges()))
+        subset = order[:data.draw(st.integers(0, m.n))]
+        mask = 0
+        current = m
+        for e in subset:
+            assert lattice.state(mask) == current
+            assert lattice.kind(mask, e) == classify_edge(current, e)
+            assert lattice.role(mask, e) == edge_role(current, e)
+            mask = lattice.child(mask, e)
+            current = remove_edge(current, e)
+        assert lattice.state(mask) == current
+
+    def test_one_lattice_per_map(self, klein):
+        assert history_lattice(klein) is history_lattice(klein)
+        assert history_lattice(klein).state(0) is klein
 
 
 class TestMon:
