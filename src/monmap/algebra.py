@@ -13,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Rational = Fraction
-
 NEG_INF = float("-inf")
 
 
@@ -47,10 +45,6 @@ class Sqrt2:
         if isinstance(x, Sqrt2):
             return x
         return cls(_as_fraction(x), 0)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def to_fraction(self) -> Fraction:
         if self.b != 0:

@@ -28,6 +28,8 @@ DOMAIN_ERRORS = (MapError, DiagramError, GuardExceeded, JackGuardError,
                  ZeroDivisionError, OSError)
 
 FIXTURES = ("klein", "projective")
+# The time of `mon` grows about 2.4x per edge, to about 1 s at 12 edges.
+MAX_MON_EDGES = 12
 
 
 def _parse_rational(text: str):
@@ -156,6 +158,10 @@ def cmd_structure(args) -> int:
 
 def cmd_mon(args) -> int:
     m = _load_map(args.map)
+    if m.n > MAX_MON_EDGES:
+        raise MapError(f"mon of a map with {m.n} edges exceeds the guard of "
+                       f"{MAX_MON_EDGES} (it canonicalises up to 2^n "
+                       f"residual maps)")
     poly = mon(m)
     prob, coeff = mon_top_detail(m)
     if prob != coeff:

@@ -1,44 +1,33 @@
 """Involution-orbit kernels.
 
-Every structural query on a map reduces to a handful of orbit traversals
-over one, two or three fixed-point-free involutions given as index arrays
-(sequences p with p[p[i]] == i).  These four functions are the innermost
-loops of all exhaustive scans.
+Every structural query on a map reduces to orbit traversals over two or
+three fixed-point-free involutions given as index arrays (sequences p with
+p[p[i]] == i).  Two traversals are enough:
 
-All functions return orbit ids numbered in first-visit order (scanning
+* Two such involutions generate orbits that are single alternating cycles,
+  so one cycle walk (:func:`face_data`) gives the faces <beta, omega>, the
+  black vertices <beta, eps> and the white vertices <omega, eps>.
+* The components <beta, omega, eps> need a general traversal
+  (:func:`orbit_ids3`); orientability is the bipartiteness of the same label
+  graph, so that traversal 2-colours the labels as it goes.
+
+Both functions return orbit ids numbered in first-visit order (scanning
 indices upward), which makes the output deterministic.
 """
 
 
-def orbit_ids2(p, q):
-    """Orbit id per index under the group generated by p and q."""
-    n = len(p)
-    ids = [-1] * n
-    count = 0
-    for s in range(n):
-        if ids[s] >= 0:
-            continue
-        ids[s] = count
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            y = p[x]
-            if ids[y] < 0:
-                ids[y] = count
-                stack.append(y)
-            y = q[x]
-            if ids[y] < 0:
-                ids[y] = count
-                stack.append(y)
-        count += 1
-    return ids, count
-
-
 def orbit_ids3(p, q, r):
-    """Orbit id per index under the group generated by p, q and r."""
+    """Orbit id per index under <p, q, r>, the orbit count, and bipartiteness.
+
+    Each newly reached index gets the colour opposite to the index it was
+    reached from; the graph with adjacencies p, q, r is bipartite iff no
+    adjacency joins two indices of the same colour.
+    """
     n = len(p)
     ids = [-1] * n
+    cols = [0] * n
     count = 0
+    bipartite = True
     for s in range(n):
         if ids[s] >= 0:
             continue
@@ -46,31 +35,42 @@ def orbit_ids3(p, q, r):
         stack = [s]
         while stack:
             x = stack.pop()
+            c = cols[x] ^ 1
             y = p[x]
             if ids[y] < 0:
                 ids[y] = count
+                cols[y] = c
                 stack.append(y)
+            elif cols[y] != c:
+                bipartite = False
             y = q[x]
             if ids[y] < 0:
                 ids[y] = count
+                cols[y] = c
                 stack.append(y)
+            elif cols[y] != c:
+                bipartite = False
             y = r[x]
             if ids[y] < 0:
                 ids[y] = count
+                cols[y] = c
                 stack.append(y)
+            elif cols[y] != c:
+                bipartite = False
         count += 1
-    return ids, count
+    return ids, count, bipartite
 
 
-def face_data(beta, omega):
-    """Face id and boundary 2-coloring per index.
+def face_data(p, q):
+    """Orbit id and alternating 2-colouring per index under <p, q>.
 
     The union of two fixed-point-free involutions is a 2-regular multigraph,
-    so each orbit of <beta, omega> is a single cycle with edge types
-    alternating beta/omega; walking it and flipping a bit per step yields
-    the unique bipartition of the cycle (the two boundary directions).
+    so each orbit of <p, q> is a single cycle with edge types alternating
+    p/q; walking it and flipping a bit per step yields the unique
+    bipartition of the cycle.  For (beta, omega) the orbits are the faces
+    and the colours their two boundary directions.
     """
-    n = len(beta)
+    n = len(p)
     ids = [-1] * n
     cols = [0] * n
     count = 0
@@ -79,33 +79,12 @@ def face_data(beta, omega):
             continue
         x = s
         c = 0
-        use_beta = True
+        use_p = True
         while ids[x] < 0:
             ids[x] = count
             cols[x] = c
-            x = beta[x] if use_beta else omega[x]
-            use_beta = not use_beta
+            x = p[x] if use_p else q[x]
+            use_p = not use_p
             c ^= 1
         count += 1
     return ids, cols, count
-
-
-def bipartite3(p, q, r):
-    """True iff the multigraph with adjacencies p, q, r is bipartite."""
-    n = len(p)
-    col = [-1] * n
-    for s in range(n):
-        if col[s] >= 0:
-            continue
-        col[s] = 0
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            cx = col[x] ^ 1
-            for y in (p[x], q[x], r[x]):
-                if col[y] < 0:
-                    col[y] = cx
-                    stack.append(y)
-                elif col[y] != cx:
-                    return False
-    return True

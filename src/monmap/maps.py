@@ -298,13 +298,6 @@ class NonOrientedMap:
         """The edges as sorted label pairs (a, b) with a < b."""
         return self._edges
 
-    def has_edge(self, e) -> bool:
-        try:
-            _edge_index(self, e)
-        except MapError:
-            return False
-        return True
-
     def with_root(self, root: Optional[int]) -> "NonOrientedMap":
         if root is not None and _position(self.labels, root) < 0:
             raise MapError(f"root {root} is not a label of the map")
@@ -318,13 +311,15 @@ class NonOrientedMap:
 
     @_cached
     def _component_data(self):
+        """Component orbits and orientability: (ids, count, orientable)."""
         return kernels.orbit_ids3(self._b, self._w, self._e)
 
     @_cached
     def _vertex_data(self):
         """Black and white vertex orbits: ((ids, count), (ids, count))."""
-        return (kernels.orbit_ids2(self._b, self._e),
-                kernels.orbit_ids2(self._w, self._e))
+        black_ids, _, blacks = kernels.face_data(self._b, self._e)
+        white_ids, _, whites = kernels.face_data(self._w, self._e)
+        return (black_ids, blacks), (white_ids, whites)
 
     @_cached
     def _history_lattice(self):
@@ -383,9 +378,6 @@ def _new_map(labels, b, w, e, root) -> NonOrientedMap:
     return m
 
 
-EMPTY_MAP = NonOrientedMap(Pairing(), Pairing(), Pairing())
-
-
 def _position(labels: tuple[int, ...], x) -> int:
     """Index of label x in the sorted label tuple, or -1."""
     i = bisect_left(labels, x)
@@ -428,9 +420,9 @@ def is_orientable(m: NonOrientedMap) -> bool:
 
     Orientable maps are exactly those whose edge-sides can be split into
     two classes, one per boundary direction; the three pairings each join
-    opposite classes.
+    opposite classes.  Computed with the components and cached on the map.
     """
-    return kernels.bipartite3(m._b, m._w, m._e)
+    return m._component_data[2]
 
 
 def classify_edge(m: NonOrientedMap, e) -> EdgeKind:
@@ -558,7 +550,7 @@ def canonical_form(m: NonOrientedMap, rooted: bool = False) -> bytes:
 
 def _canonical_bytes(m: NonOrientedMap, rooted: bool) -> bytes:
     b, w, e = m._b, m._w, m._e
-    ids, count = m._component_data
+    ids, count, _ = m._component_data
     comps: list[list[int]] = [[] for _ in range(count)]
     for i, cid in enumerate(ids):
         comps[cid].append(i)

@@ -100,6 +100,29 @@ class TestMonCommand:
         assert data["mon"][0] == {"num": 1, "den": 6}
         assert data["mon"][2] == {"num": 2, "den": 3}
 
+    def test_klein_output_bytes(self, capsys):
+        code, out, _ = run(capsys, "mon", "--map", "klein")
+        assert code == 0
+        assert out == (
+            '{\n  "mon": [\n'
+            '    {\n      "den": 6,\n      "num": 1\n    },\n'
+            '    {\n      "den": 1,\n      "num": 0\n    },\n'
+            '    {\n      "den": 3,\n      "num": 2\n    }\n  ],\n'
+            '  "mon_top": {\n    "den": 3,\n    "num": 2\n  }\n}\n')
+
+    def test_edge_guard(self, capsys, tmp_path):
+        # a star: thirteen leaf edges around one white vertex
+        n = 13
+        edges = [[2 * k + 1, 2 * k + 2] for k in range(n)]
+        star = {"B": edges, "E": edges,
+                "W": [[2 * k + 2, (2 * k + 3) % (2 * n)] for k in range(n)]}
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(star))
+        code, out, err = run(capsys, "mon", "--map", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "guard" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestEnumerateCommand:
     def test_jsonl_output(self, capsys, tmp_path):

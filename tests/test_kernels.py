@@ -1,13 +1,22 @@
-"""Hand-checked cases for the involution-orbit kernels."""
+"""Hand-checked cases for the involution-orbit kernels, and the map queries
+built on them against a label-level reference."""
+
+from collections import deque
+
+from hypothesis import given, settings
 
 from monmap import kernels
+from monmap.enumeration import all_maps
+from monmap.maps import bicolored_graph, is_orientable, structure
+
+from conftest import map_strategy
 
 
 class TestPurePython:
-    def test_orbit_ids2_first_visit_order(self):
+    def test_face_data_first_visit_order(self):
         p = (1, 0, 3, 2)
         q = (1, 0, 3, 2)
-        ids, count = kernels.orbit_ids2(p, q)
+        ids, _, count = kernels.face_data(p, q)
         assert ids == [0, 0, 1, 1] and count == 2
 
     def test_face_data_alternating_coloring(self):
@@ -18,18 +27,77 @@ class TestPurePython:
         assert count == 1
         assert cols == [0, 1, 0, 1, 0, 1]
 
-    def test_bipartite3(self):
+    def test_orbit_ids3_bipartite(self):
         # single edge: all three involutions swap 0 and 1
         swap = (1, 0)
-        assert kernels.bipartite3(swap, swap, swap)
+        assert kernels.orbit_ids3(swap, swap, swap)[2]
         # klein triple is not bipartite
         beta = (1, 0, 3, 2, 5, 4)
         omega = (5, 2, 1, 4, 3, 0)
         eps = (4, 3, 5, 1, 0, 2)
-        assert not kernels.bipartite3(beta, omega, eps)
+        assert not kernels.orbit_ids3(beta, omega, eps)[2]
+        # indices 1, 4, 5 form a triangle, one adjacency of each kind; under
+        # the traversal's colouring only beta adjacencies join equal colours
+        beta = (1, 0, 3, 2, 5, 4, 7, 6)
+        omega = (2, 4, 0, 6, 1, 7, 3, 5)
+        eps = (3, 5, 6, 0, 7, 1, 2, 4)
+        assert not kernels.orbit_ids3(beta, omega, eps)[2]
 
     def test_empty_inputs(self):
-        assert kernels.orbit_ids2((), ()) == ([], 0)
-        assert kernels.orbit_ids3((), (), ()) == ([], 0)
+        assert kernels.orbit_ids3((), (), ()) == ([], 0, True)
         assert kernels.face_data((), ()) == ([], [], 0)
-        assert kernels.bipartite3((), (), ())
+
+
+def _reference_orbits(labels, *pairings):
+    """Orbit id per label (first-visit order over sorted labels), the orbit
+    count, and whether the graph with these adjacencies is bipartite."""
+    ids, cols = {}, {}
+    count = 0
+    bipartite = True
+    for s in sorted(labels):
+        if s in ids:
+            continue
+        ids[s], cols[s] = count, 0
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            for p in pairings:
+                y = p(x)
+                if y not in ids:
+                    ids[y], cols[y] = count, 1 - cols[x]
+                    queue.append(y)
+                elif cols[y] == cols[x]:
+                    bipartite = False
+        count += 1
+    return ids, count, bipartite
+
+
+def _check_against_reference(m):
+    labels = m.labels
+    black_ids, blacks, _ = _reference_orbits(labels, m.beta, m.eps)
+    white_ids, whites, _ = _reference_orbits(labels, m.omega, m.eps)
+    _, components, orientable = _reference_orbits(
+        labels, m.beta, m.omega, m.eps)
+    s = structure(m)
+    assert (s.blacks, s.whites, s.components) == (blacks, whites, components)
+    g = bicolored_graph(m)
+    assert (g.blacks, g.whites) == (blacks, whites)
+    assert g.edges == tuple(sorted(
+        (black_ids[a], white_ids[a]) for a, _ in m.eps.pairs))
+    assert is_orientable(m) == orientable
+
+
+class TestAgainstReference:
+    """The map queries built on the two kernels, against a label-level BFS."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(map_strategy(1, 5))
+    def test_random_maps(self, m):
+        _check_against_reference(m)
+
+    def test_all_maps_up_to_three_edges(self):
+        # Random draws are mostly orientable; the exhaustive families check
+        # every non-orientable map up to three edges as well.
+        for n in (1, 2, 3):
+            for m in all_maps(n):
+                _check_against_reference(m)
