@@ -15,11 +15,13 @@ from fractions import Fraction
 from .algebra import Sqrt2
 from .bijection import phi, phi_inverse
 from .diagrams import DiagramError, MultiRect, chtop_map_sum, ogs_top_map_sum
-from .enumeration import (GuardExceeded, all_maps, conservative_one_face,
-                          involutions, liberal_one_face, all_pairs)
+from .enumeration import (MAX_ONE_FACE_N, GuardExceeded, all_maps, all_pairs,
+                          check_guard, conservative_one_face, involutions,
+                          liberal_one_face)
 from .jack import JackGuardError, JackParams, ch, ch_stanley, jack_in_p
-from .maps import (MapError, load_fixture, map_from_json_obj, map_to_json_obj,
-                   structure, graph_class, is_orientable, faces)
+from .maps import (MapError, checked_pairs, load_fixture, map_from_json_obj,
+                   map_to_json_obj, structure, graph_class, is_orientable,
+                   faces)
 from .mon import mon, mon_top_detail
 from .oriented import oriented_to_json_obj
 from .verify import SUITES, SUITE_ALIASES, report_render, run_suite
@@ -83,14 +85,12 @@ def _load_map(source: str):
 def _parse_history(text: str) -> list[tuple[int, int]]:
     try:
         obj = json.loads(text)
-    except ValueError:
-        obj = None
-    if not (isinstance(obj, list)
-            and all(isinstance(e, list) and len(e) == 2
-                    and all(type(x) is int for x in e) for e in obj)):
-        raise MapError(f"--history must be a JSON list of [label, label] "
-                       f"pairs, got {text!r}")
-    return [tuple(e) for e in obj]
+        if isinstance(obj, list):
+            return checked_pairs(obj, "--history")
+    except ValueError:  # not JSON, or a MapError for a bad pair
+        pass
+    raise MapError(f"--history must be a JSON list of [label, label] "
+                   f"pairs, got {text!r}")
 
 
 def _emit(payload, out):
@@ -112,10 +112,12 @@ def _frac_obj(x):
 def cmd_enumerate(args) -> int:
     n = args.n
     if args.family == "involutions":
-        items = ({"pairs": [list(p) for p in inv.pairs]}
-                 for inv in involutions(range(1, 2 * n + 1)))
+        check_guard("n", n, MAX_ONE_FACE_N, args.force)
+        items = ({"pairs": [[i + 1, j + 1] for i, j in enumerate(p) if i < j]}
+                 for p in involutions(range(2 * n)))
     elif args.family == "one-face-conservative":
-        items = (map_to_json_obj(m) for m in conservative_one_face(n))
+        items = (map_to_json_obj(m)
+                 for m in conservative_one_face(n, args.force))
     elif args.family == "one-face-liberal":
         items = (map_to_json_obj(m) for m in liberal_one_face(n, args.force))
     elif args.family == "all":

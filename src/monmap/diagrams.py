@@ -289,7 +289,7 @@ def ogs_top_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
     g = mr.gamma
     a = mr.A
     total = Fraction(0)
-    for m in conservative_one_face(n):
+    for m in conservative_one_face(n, force=force):
         graph = bicolored_graph(m)
         v = graph.blacks + graph.whites
         total += (mon_top(m) * g ** (n + 1 - v)

@@ -9,7 +9,8 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, Iterator
 
-from .maps import NonOrientedMap, Pairing, canonical_form, graph_class
+from . import kernels
+from .maps import NonOrientedMap, canonical_form, graph_class
 from .oriented import OrientedMap, is_transitive
 
 
@@ -17,116 +18,113 @@ class GuardExceeded(ValueError):
     """A generation request exceeded its cost guard without force=True."""
 
 
-def _check_guard(name: str, value: int, limit: int, force: bool):
+MAX_ONE_FACE_N = 7  # (2n-1)!! = 135 135 one-polygon maps or involutions
+
+
+def check_guard(name: str, value: int, limit: int, force: bool):
     if value > limit and not force:
         raise GuardExceeded(
             f"{name}={value} exceeds the guard ({limit}); "
             f"pass force=True to override")
 
 
-def involutions(labels: Iterable[int]) -> Iterator[Pairing]:
+def involutions(labels: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """All fixed-point-free involutions on an even label set, (2n-1)!! many.
 
-    Deterministic order: the smallest label is paired with each partner in
-    increasing order, recursively.
+    Each is a partner-index tuple over the positions of the sorted labels.
+    Deterministic order: the first position is paired with each later one
+    in increasing order, recursively.
     """
-    labels = sorted(labels)
-    if len(labels) % 2:
+    size = len(list(labels))
+    if size % 2:
         raise ValueError("label set must have even size")
+    partner = [0] * size
 
-    def rec(rest: tuple[int, ...]):
-        if not rest:
-            yield ()
+    def rec(free: tuple[int, ...]):
+        if not free:
+            yield tuple(partner)
             return
-        first = rest[0]
-        for i in range(1, len(rest)):
-            partner = rest[i]
-            remaining = rest[1:i] + rest[i + 1:]
-            for tail in rec(remaining):
-                yield ((first, partner),) + tail
+        first = free[0]
+        for i in range(1, len(free)):
+            partner[first] = free[i]
+            partner[free[i]] = first
+            yield from rec(free[1:i] + free[i + 1:])
 
-    for pairs in rec(tuple(labels)):
-        yield Pairing(pairs)
+    yield from rec(tuple(range(size)))
 
 
-def polygon_pairings(face_type) -> tuple[Pairing, Pairing]:
+def polygon_pairings(face_type) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The fixed (B, W) of a disjoint union of labeled 2k-gons.
 
     Polygon i of half-size k occupies 2k consecutive labels; B pairs
     (1,2),(3,4),... and W pairs (2,3),...,(2k,1) within each polygon, so
-    the <B,W> orbits are exactly the polygons.
+    the <B,W> orbits are exactly the polygons.  Both are partner-index
+    tuples over the labels 1, 2, ...
     """
     beta = []
     omega = []
-    offset = 0
     for part in face_type:
         k = int(part)
         if k < 1:
             raise ValueError("face-type parts must be positive")
-        labs = list(range(offset + 1, offset + 2 * k + 1))
-        for i in range(0, 2 * k, 2):
-            beta.append((labs[i], labs[i + 1]))
-        for i in range(1, 2 * k - 1, 2):
-            omega.append((labs[i], labs[i + 1]))
-        omega.append((labs[-1], labs[0]))
-        offset += 2 * k
-    return Pairing(beta), Pairing(omega)
+        first = len(beta)
+        for t in range(2 * k):
+            beta.append(first + (t ^ 1))
+            omega.append(first + (t + 1 if t % 2 else t - 1) % (2 * k))
+    return tuple(beta), tuple(omega)
 
 
 def conservative_maps(face_type) -> Iterator[NonOrientedMap]:
     """All gluings of the fixed labeled polygons of the given face-type."""
     beta, omega = polygon_pairings(face_type)
-    labels = sorted(beta.support)
+    labels = tuple(range(1, len(beta) + 1))
     for eps in involutions(labels):
-        yield NonOrientedMap(beta, omega, eps)
+        yield NonOrientedMap.from_arrays(labels, beta, omega, eps)
 
 
-def conservative_one_face(n: int) -> Iterator[NonOrientedMap]:
+def conservative_one_face(n: int,
+                          force: bool = False) -> Iterator[NonOrientedMap]:
     """All (2n-1)!! one-polygon maps on the standard 2n-gon, rooted at side 1."""
     if n < 1:
         raise ValueError("need n >= 1")
+    check_guard("n", n, MAX_ONE_FACE_N, force)
     for m in conservative_maps((n,)):
         yield m.with_root(1)
 
 
-def single_polygon_pairs(n: int) -> Iterator[tuple[Pairing, Pairing]]:
-    """All (B, W) on [2n] whose polygon graph is one single 2n-gon."""
-    from . import kernels
-
-    labels = list(range(1, 2 * n + 1))
-    all_pairings = list(involutions(labels))
+def single_polygon_pairs(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All (B, W) on [2n], as partner-index tuples, forming one 2n-gon."""
+    all_pairings = list(involutions(range(2 * n)))
     for beta in all_pairings:
-        barr = tuple(beta(x) - 1 for x in labels)
         for omega in all_pairings:
-            warr = tuple(omega(x) - 1 for x in labels)
-            if kernels.face_data(barr, warr)[2] == 1:
+            if kernels.face_data(beta, omega)[2] == 1:
                 yield beta, omega
 
 
 def liberal_one_face(n: int, force: bool = False) -> Iterator[NonOrientedMap]:
     """All triples (B, W, E) on [2n] with a single <B,W> polygon."""
-    _check_guard("n", n, 4, force)
-    labels = list(range(1, 2 * n + 1))
+    check_guard("n", n, 4, force)
+    labels = tuple(range(1, 2 * n + 1))
     eps_list = list(involutions(labels))
     for beta, omega in single_polygon_pairs(n):
         for eps in eps_list:
-            yield NonOrientedMap(beta, omega, eps)
+            yield NonOrientedMap.from_arrays(labels, beta, omega, eps)
 
 
 def all_maps(n: int, force: bool = False) -> Iterator[NonOrientedMap]:
     """All ((2n-1)!!)^3 involution triples on [2n]."""
-    _check_guard("n", n, 3, force)
-    labels = list(range(1, 2 * n + 1))
+    check_guard("n", n, 3, force)
+    labels = tuple(range(1, 2 * n + 1))
     pairings = list(involutions(labels))
     for beta in pairings:
         for omega in pairings:
             for eps in pairings:
-                yield NonOrientedMap(beta, omega, eps)
+                yield NonOrientedMap.from_arrays(labels, beta, omega, eps)
 
 
 def all_pairs(n: int, force: bool = False) -> Iterator[OrientedMap]:
     """All (sigma1, sigma2) in S_n x S_n as oriented maps."""
-    _check_guard("n", n, 5, force)
+    check_guard("n", n, 5, force)
     perms = list(permutations(range(n)))
     for s1 in perms:
         for s2 in perms:

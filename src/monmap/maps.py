@@ -11,12 +11,12 @@ two sides of each edge.  Everything else is derived:
 * components  = orbits of <beta, omega, eps>
 
 A :class:`NonOrientedMap` stores its labels once, as a sorted tuple, and
-each involution as a tuple of partner indices into it.  The orbit kernels,
-edge removal, twisting and canonical forms all run on these index arrays;
-a label is found by bisection on the sorted tuple, and labels appear only
-at the API and JSON boundary.  :class:`Pairing` is the label-level value
-that maps are built from and that their ``beta``/``omega``/``eps`` views
-return.
+each involution as a tuple of partner indices into it.  Maps are built from
+such arrays by one validating constructor, :meth:`NonOrientedMap.from_arrays`.
+The orbit kernels, edge removal, twisting and canonical forms all run on
+the index arrays; a label is found by bisection on the sorted tuple, and
+labels appear only at the API and JSON boundary, as label pairs or as the
+:class:`Pairing` values that the ``beta``/``omega``/``eps`` views return.
 
 All values are immutable; every operation is a pure function returning new
 values, so instances are safe to share and to use as cache keys.
@@ -30,8 +30,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from types import MappingProxyType
-from typing import Iterable, Optional
+from operator import eq, lt
+from typing import Optional
 
 from . import kernels
 
@@ -45,72 +45,61 @@ def _normalize_edge(e) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-class Pairing:
-    """Fixed-point-free involution on a finite label set (perfect matching)."""
+def _check_label(x, what: str) -> None:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise MapError(f"{what}: labels must be integers, "
+                       f"not {type(x).__name__}")
 
-    __slots__ = ("_mapping", "_pairs", "_hash")
 
-    def __init__(self, pairs: Iterable = ()):
-        mapping: dict[int, int] = {}
-        for pair in pairs:
+def checked_pairs(pairs, what: str) -> list[tuple[int, int]]:
+    """Label pairs as (a, b) with a <= b; each must be two integer labels."""
+    out = []
+    for pair in pairs:
+        try:
             a, b = pair
-            a = int(a)
-            b = int(b)
-            if a == b:
-                raise MapError(f"pairing has a fixed point: {a}")
-            if a in mapping or b in mapping:
-                raise MapError(f"label reused in pairing: {pair}")
-            mapping[a] = b
-            mapping[b] = a
-        object.__setattr__(self, "_mapping", mapping)
-        object.__setattr__(
-            self,
-            "_pairs",
-            tuple(sorted((a, b) for a, b in mapping.items() if a < b)),
-        )
-        object.__setattr__(self, "_hash", hash(self._pairs))
+        except (TypeError, ValueError):
+            raise MapError(f"{what}: {pair!r} is not a pair of labels") \
+                from None
+        _check_label(a, what)
+        _check_label(b, what)
+        out.append(_normalize_edge(pair))
+    return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Pairing values are immutable")
+
+@dataclass(frozen=True)
+class Pairing:
+    """Fixed-point-free involution on a finite label set (perfect matching).
+
+    A label-level value for the API and JSON boundary, held as its sorted
+    pairs (a, b) with a < b.  Maps do not store it: they hold partner-index
+    tuples, and their ``beta``/``omega``/``eps`` views build it on demand.
+    """
+
+    pairs: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        # valid exactly when the map with all three involutions equal to it is
+        pairs = checked_pairs(self.pairs, "pairing")
+        m = NonOrientedMap.from_pairs(pairs, pairs, pairs)
+        object.__setattr__(self, "pairs", m.edges())
 
     @classmethod
     def from_mapping(cls, mapping: dict[int, int]) -> "Pairing":
-        return cls((a, b) for a, b in mapping.items() if a < b)
+        return cls([(a, b) for a, b in mapping.items() if a < b])
 
     @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return self._pairs
-
-    @property
-    def mapping(self):
-        return MappingProxyType(self._mapping)
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self._mapping)
+    def mapping(self) -> dict[int, int]:
+        """A fresh dict from each label to its partner."""
+        return {**dict(self.pairs), **{b: a for a, b in self.pairs}}
 
     def __call__(self, x: int) -> int:
-        return self._mapping[x]
+        return self.mapping[x]
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self.pairs)
 
     def __contains__(self, pair) -> bool:
-        return _normalize_edge(pair) in self._pairs
-
-    def __iter__(self):
-        return iter(self._pairs)
-
-    def __eq__(self, other):
-        if isinstance(other, Pairing):
-            return self._pairs == other._pairs
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Pairing({list(map(list, self._pairs))!r})"
+        return _normalize_edge(pair) in self.pairs
 
 
 class EdgeKind(enum.Enum):
@@ -237,37 +226,63 @@ class NonOrientedMap:
     omega and ``_e`` for eps.  ``root``, when present, decorates one
     edge-side.
 
-    The constructor takes three :class:`Pairing` values, checks that they
-    share one label set and converts them once.  Maps derived by
+    Every map built from scratch goes through :meth:`from_arrays`, the one
+    validating constructor; ``NonOrientedMap(beta, omega, eps, root)`` and
+    :meth:`from_pairs` convert label pairs and call it.  Maps derived by
     :func:`remove_edge` and :func:`twist_many` are built straight from
     arrays by ``_new_map``, since they are valid by construction.
-    ``beta``, ``omega`` and ``eps`` are ``Pairing`` views built on first
+    ``beta``, ``omega`` and ``eps`` are :class:`Pairing` views built on
     access; kernel outputs, canonical forms and the history lattice of
     ``monmap.mon`` are cached per instance.
     """
 
     __slots__ = ("labels", "_b", "_w", "_e", "root", "__dict__")
 
-    def __init__(self, beta: Pairing, omega: Pairing, eps: Pairing,
-                 root: Optional[int] = None):
-        support = beta.support
-        if omega.support != support or eps.support != support:
-            raise MapError("the three pairings must share one label set")
-        if root is not None and root not in support:
-            raise MapError(f"root {root} is not a label of the map")
-        labels = tuple(sorted(support))
-        index = {lab: i for i, lab in enumerate(labels)}
-        b, w, e = (tuple([index[p._mapping[lab]] for lab in labels])
-                   for p in (beta, omega, eps))
-        _set_fields(self, labels, b, w, e, root)
-        self.__dict__.update(beta=beta, omega=omega, eps=eps)
+    def __new__(cls, beta: Pairing, omega: Pairing, eps: Pairing,
+                root: Optional[int] = None):
+        return cls.from_pairs(beta.pairs, omega.pairs, eps.pairs, root)
 
     def __setattr__(self, name, value):
         raise AttributeError("NonOrientedMap values are immutable")
 
     @classmethod
+    def from_arrays(cls, labels, b, w, e,
+                    root: Optional[int] = None) -> "NonOrientedMap":
+        """The validating constructor: distinct integer labels in increasing
+        order, three fixed-point-free involutions of their positions as
+        partner-index sequences, and an optional root label."""
+        labels = tuple(labels)
+        for x in labels:
+            _check_label(x, "labels")
+        if not all(map(lt, labels, labels[1:])):
+            raise MapError("labels must be distinct and in increasing order")
+        _check_root(labels, root)
+        positions = list(range(len(labels)))
+        for p, name in ((b, "beta"), (w, "omega"), (e, "eps")):
+            try:
+                ok = (list(map(p.__getitem__, p)) == positions
+                      and not any(map(eq, p, positions)))
+            except (IndexError, TypeError):  # not positions of the labels
+                ok = False
+            if not ok:
+                raise MapError(f"{name} is not a fixed-point-free involution "
+                               f"of the {len(labels)} label positions")
+        return _new_map(labels, tuple(b), tuple(w), tuple(e), root)
+
+    @classmethod
     def from_pairs(cls, beta, omega, eps, root=None) -> "NonOrientedMap":
-        return cls(Pairing(beta), Pairing(omega), Pairing(eps), root)
+        """Build from three lists of label pairs over one label set."""
+        triple = [checked_pairs(pairs, name) for pairs, name in
+                  ((beta, "beta"), (omega, "omega"), (eps, "eps"))]
+        labels = tuple(sorted(x for pair in triple[0] for x in pair))
+        arrays = [[-1] * len(labels) for _ in triple]
+        for partner, pairs in zip(arrays, triple):
+            for a, b in pairs:
+                i, j = _position(labels, a), _position(labels, b)
+                if i < 0 or j < 0:
+                    raise MapError("the pairings must share one label set")
+                partner[i], partner[j] = j, i
+        return cls.from_arrays(labels, *arrays, root)
 
     @property
     def n(self) -> int:
@@ -299,8 +314,7 @@ class NonOrientedMap:
         return self._edges
 
     def with_root(self, root: Optional[int]) -> "NonOrientedMap":
-        if root is not None and _position(self.labels, root) < 0:
-            raise MapError(f"root {root} is not a label of the map")
+        _check_root(self.labels, root)
         return _new_map(self.labels, self._b, self._w, self._e, root)
 
     # -- derived data, cached per instance ---------------------------------
@@ -359,23 +373,25 @@ _SET_LABELS, _SET_B, _SET_W, _SET_E, _SET_ROOT = (
     for name in ("labels", "_b", "_w", "_e", "root"))
 
 
-def _set_fields(m: NonOrientedMap, labels, b, w, e, root) -> None:
+def _new_map(labels, b, w, e, root) -> NonOrientedMap:
+    """Private constructor from index arrays, which makes every map; no
+    validation, so callers other than ``from_arrays`` pass arrays valid by
+    construction, as edge removal and twisting produce them.
+    """
+    m = object.__new__(NonOrientedMap)
     _SET_LABELS(m, labels)
     _SET_B(m, b)
     _SET_W(m, w)
     _SET_E(m, e)
     _SET_ROOT(m, root)
-
-
-def _new_map(labels, b, w, e, root) -> NonOrientedMap:
-    """Private constructor from index arrays; no validation.
-
-    Callers pass arrays that are fixed-point-free involutions over the
-    sorted ``labels``, as edge removal and twisting produce them.
-    """
-    m = object.__new__(NonOrientedMap)
-    _set_fields(m, labels, b, w, e, root)
     return m
+
+
+def _check_root(labels: tuple[int, ...], root) -> None:
+    if root is not None:
+        _check_label(root, "root")
+        if _position(labels, root) < 0:
+            raise MapError(f"root {root} is not a label of the map")
 
 
 def _position(labels: tuple[int, ...], x) -> int:
@@ -588,50 +604,31 @@ def graph_class(m: NonOrientedMap) -> BicoloredGraphClass:
 def map_to_json_obj(m: NonOrientedMap) -> dict:
     obj = {
         "labels": list(m.labels),
-        "B": [list(p) for p in m.beta.pairs],
-        "W": [list(p) for p in m.omega.pairs],
-        "E": [list(p) for p in m.eps.pairs],
+        "B": [list(p) for p in m._label_pairs(m._b)],
+        "W": [list(p) for p in m._label_pairs(m._w)],
+        "E": [list(p) for p in m._label_pairs(m._e)],
     }
     if m.root is not None:
         obj["root"] = m.root
     return obj
 
 
-def _json_label(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise MapError(f"{what}: labels must be integers, "
-                       f"not {type(x).__name__}")
-    return x
-
-
-def _json_pairs(obj: dict, key: str) -> list:
-    if key not in obj:
-        raise MapError(f"map JSON lacks the {key!r} pairing")
-    pairs = obj[key]
-    if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise MapError(f"{key!r} must be a list of [a, b] label pairs")
-    for p in pairs:
-        for x in p:
-            _json_label(x, key)
-    return pairs
-
-
 def map_from_json_obj(obj) -> NonOrientedMap:
     """The one loader of map JSON; malformed input raises MapError."""
     if not isinstance(obj, dict):
         raise MapError("a map must be a JSON object with keys B, W and E")
-    beta, omega, eps = (_json_pairs(obj, key) for key in "BWE")
-    root = obj.get("root")
-    if root is not None:
-        _json_label(root, "root")
+    for key in "BWE":
+        if not isinstance(obj.get(key), list):
+            raise MapError(f"map JSON needs {key!r} as a list of [a, b] "
+                           f"label pairs")
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list):
             raise MapError("'labels' must be a list of integers")
         for x in labels:
-            _json_label(x, "labels")
-    m = NonOrientedMap.from_pairs(beta, omega, eps, root)
+            _check_label(x, "labels")
+    m = NonOrientedMap.from_pairs(obj["B"], obj["W"], obj["E"],
+                                  obj.get("root"))
     if labels is not None and tuple(sorted(labels)) != m.labels:
         raise MapError("label list does not match the pairings")
     return m

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Optional
 
 from .maps import (BicoloredGraph, BicoloredGraphClass, MapError,
-                   NonOrientedMap, Pairing, canonical_graph_class)
+                   NonOrientedMap, canonical_graph_class)
 
 
 def _perm_from_cycles(n: int, cycles) -> tuple[int, ...]:
@@ -211,8 +211,7 @@ def side_label(m: OrientedMap, f=None) -> NonOrientedMap:
         fd = dict(f)
     else:
         fd = {(k, s): f(k, s) for k in range(1, m.n + 1) for s in (1, 2)}
-    values = sorted(fd.values())
-    if len(set(values)) != 2 * m.n:
+    if len(set(fd.values())) != 2 * m.n:
         raise MapError("side labeling is not a bijection")
     beta = []
     omega = []
@@ -224,7 +223,7 @@ def side_label(m: OrientedMap, f=None) -> NonOrientedMap:
         omega.append((fd[(k, 2)], fd[(s1k, 1)]))
         eps.append((fd[(k, 1)], fd[(k, 2)]))
     root = fd[(m.root, 1)] if m.root is not None else None
-    return NonOrientedMap(Pairing(beta), Pairing(omega), Pairing(eps), root)
+    return NonOrientedMap.from_pairs(beta, omega, eps, root)
 
 
 def bicolored_graph_oriented(m: OrientedMap) -> BicoloredGraph:

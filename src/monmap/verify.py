@@ -25,9 +25,8 @@ from .enumeration import (all_maps, conservative_one_face, group_by,
                           involutions, liberal_one_face, transitive_pairs)
 from .jack import (JackParams, ch, ch_stanley, jack_in_p, jack_inner_product,
                    partitions_of, stanley_special)
-from .maps import (EdgeKind, NonOrientedMap, Pairing, canonical_form,
-                   classify_edge, graph_class, is_orientable, load_fixture,
-                   structure)
+from .maps import (EdgeKind, NonOrientedMap, canonical_form, classify_edge,
+                   graph_class, is_orientable, load_fixture, structure)
 from .mon import (history_weight, is_top_degree_pair, lemma_equivalence_check,
                   mon, mon_top, mon_top_detail, mon_top_degree_target)
 from .oriented import graph_class_oriented, side_label
@@ -156,10 +155,15 @@ def suite_lemma_equivalence(n: int = 3, force: bool = False) -> Report:
     ])
 
 
-def _random_pairing(rng: random.Random, labels) -> Pairing:
-    labs = list(labels)
-    rng.shuffle(labs)
-    return Pairing((labs[i], labs[i + 1]) for i in range(0, len(labs), 2))
+def _random_pairing(rng: random.Random, size: int) -> list[int]:
+    """A uniform perfect matching of range(size) as partner indices; it
+    draws from ``rng`` as one shuffle of ``size`` labels does."""
+    order = list(range(size))
+    rng.shuffle(order)
+    partner = [0] * size
+    for a, b in zip(order[::2], order[1::2]):
+        partner[a], partner[b] = b, a
+    return partner
 
 
 def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
@@ -190,11 +194,10 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
     rng = random.Random(seed)
     for n in sampled:
         ok = True
-        labels = list(range(1, 2 * n + 1))
+        labels = tuple(range(1, 2 * n + 1))
         for _ in range(samples):
-            m = NonOrientedMap(_random_pairing(rng, labels),
-                               _random_pairing(rng, labels),
-                               _random_pairing(rng, labels))
+            m = NonOrientedMap.from_arrays(
+                labels, *(_random_pairing(rng, 2 * n) for _ in range(3)))
             st = structure(m)
             poly = mon(m)
             prob, coeff = mon_top_detail(m)
@@ -218,7 +221,7 @@ def suite_liberation_nonoriented(ns=(1, 2, 3), force: bool = False) -> Report:
     checks = []
     for n in ns:
         lib = group_by(liberal_one_face(n, force=force), "canonical")
-        con = group_by(conservative_one_face(n), "canonical")
+        con = group_by(conservative_one_face(n, force=force), "canonical")
         scaled = {k: v * math.factorial(2 * n - 1) for k, v in con.items()}
         checks.append(Check(
             f"n={n}: liberal histogram == (2n-1)! * conservative histogram",
@@ -253,7 +256,7 @@ def suite_main_theorem(ns=(1, 2, 3, 4, 5), force: bool = False) -> Report:
             k = graph_class_oriented(om).key
             lhs[k] = lhs.get(k, Fraction(0)) + Fraction(1, math.factorial(n - 1))
         rhs: dict[bytes, Fraction] = {}
-        for m in conservative_one_face(n):
+        for m in conservative_one_face(n, force=force):
             k = graph_class(m).key
             rhs[k] = rhs.get(k, Fraction(0)) + mon_top(m)
         rhs = {k: v for k, v in rhs.items() if v}
@@ -304,7 +307,7 @@ def suite_key_bijection(ns=(1, 2, 3), conservative_n: int = 4,
     n = conservative_n
     ok = True
     count = 0
-    for m in conservative_one_face(n):
+    for m in conservative_one_face(n, force=force):
         for h in permutations(m.edges()):
             if not is_top_degree_pair(m, h):
                 continue

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from monmap.maps import NonOrientedMap, Pairing, load_fixture
+from monmap.maps import NonOrientedMap, load_fixture
 
 
 @pytest.fixture(scope="session")
@@ -14,16 +14,22 @@ def projective():
     return load_fixture("projective")
 
 
-def pairing_strategy(n):
-    return st.permutations(list(range(1, 2 * n + 1))).map(
-        lambda labs: Pairing(
-            (labs[i], labs[i + 1]) for i in range(0, 2 * n, 2)))
+def _uniform_matching(rng, size):
+    """Partner indices of a uniform perfect matching of range(size)."""
+    order = list(range(size))
+    rng.shuffle(order)
+    partner = [0] * size
+    for a, b in zip(order[::2], order[1::2]):
+        partner[a], partner[b] = b, a
+    return partner
 
 
 def map_strategy(min_n=1, max_n=3):
+    """Maps with n in [min_n, max_n] edges, uniform over triples for each n."""
     def build(n):
-        return st.tuples(pairing_strategy(n), pairing_strategy(n),
-                         pairing_strategy(n)).map(
-            lambda t: NonOrientedMap(*t))
+        labels = range(1, 2 * n + 1)
+        return st.randoms(use_true_random=True).map(
+            lambda rng: NonOrientedMap.from_arrays(
+                labels, *(_uniform_matching(rng, 2 * n) for _ in range(3))))
 
     return st.integers(min_n, max_n).flatmap(build)

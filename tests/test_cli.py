@@ -166,6 +166,15 @@ class TestEnumerateCommand:
         assert code == 2
         assert "exceeds the guard" in err
 
+    @pytest.mark.parametrize("family", ["involutions",
+                                        "one-face-conservative"])
+    def test_factorial_families_guarded(self, capsys, family):
+        code, out, err = run(capsys, "enumerate", "--n", "8",
+                             "--family", family)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_sqrt2_rejected_for_chtop(self, capsys):
         code, _, err = run(capsys, "chtop", "--n", "1", "--P", "1",
                            "--Q", "1", "--A", "sqrt2")

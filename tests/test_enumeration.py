@@ -8,7 +8,8 @@ from monmap.enumeration import (GuardExceeded, all_maps, all_pairs,
                                 group_by, involutions, liberal_one_face,
                                 polygon_pairings, single_polygon_pairs,
                                 transitive_pairs)
-from monmap.maps import Pairing, canonical_form, faces, graph_class, structure
+from monmap.maps import (NonOrientedMap, Pairing, canonical_form, faces,
+                         graph_class, structure)
 from monmap.mon import mon_top
 from monmap.oriented import graph_class_oriented
 
@@ -25,16 +26,22 @@ class TestInvolutions:
             list(involutions([1, 2, 3]))
 
     def test_arbitrary_labels(self):
-        items = list(involutions([4, 7, 9, 12]))
+        labels = (4, 7, 9, 12)
+        items = list(involutions(labels))
         assert len(items) == 3
-        assert all(p.support == frozenset({4, 7, 9, 12}) for p in items)
+        views = {NonOrientedMap.from_arrays(labels, p, p, p).eps
+                 for p in items}
+        assert views == {Pairing([(4, 7), (9, 12)]),
+                         Pairing([(4, 9), (7, 12)]),
+                         Pairing([(4, 12), (7, 9)])}
 
 
 class TestConservative:
     def test_polygon_shape(self):
+        # partner positions over the labels 1..6
         beta, omega = polygon_pairings((3,))
-        assert beta == Pairing([(1, 2), (3, 4), (5, 6)])
-        assert omega == Pairing([(2, 3), (4, 5), (6, 1)])
+        assert beta == (1, 0, 3, 2, 5, 4)  # (1,2), (3,4), (5,6)
+        assert omega == (5, 2, 1, 4, 3, 0)  # (2,3), (4,5), (6,1)
 
     def test_one_face_counts_and_type(self):
         for n in (1, 2, 3):
@@ -44,6 +51,12 @@ class TestConservative:
                 _, face_type = faces(m)
                 assert face_type == (n,)
                 assert m.root == 1
+
+    def test_one_face_guard(self):
+        with pytest.raises(GuardExceeded):
+            next(conservative_one_face(8))
+        m = next(conservative_one_face(8, force=True))
+        assert m.n == 8 and m.root == 1
 
     def test_klein_appears_at_n3(self, klein):
         target = canonical_form(klein)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monmap.enumeration import all_maps, conservative_one_face
+from monmap.enumeration import (all_maps, conservative_one_face,
+                                liberal_one_face)
 from monmap.maps import (BicoloredGraph, EdgeKind, MapError, NonOrientedMap,
                          Pairing, bicolored_graph, canonical_form,
                          canonical_graph_class, classify_edge, edge_role,
@@ -13,6 +14,7 @@ from monmap.maps import (BicoloredGraph, EdgeKind, MapError, NonOrientedMap,
                          map_from_json_obj, map_to_json_obj, remove_edge,
                          structure, twist, twist_many)
 from monmap.oriented import OrientedMap, side_label
+from monmap.verify import run_suite
 
 from conftest import map_strategy
 
@@ -38,6 +40,59 @@ class TestPairing:
             assert p(x) != x
         assert len(p) == 3
         assert (4, 2) in p
+
+
+# a valid 2-edge triple on the labels 1..4, as partner positions
+LABELS4, B4, W4, E4 = (1, 2, 3, 4), (1, 0, 3, 2), (3, 2, 1, 0), (2, 3, 0, 1)
+
+
+class TestConstructor:
+    def test_arrays_and_pairs_agree(self, klein):
+        m = NonOrientedMap.from_arrays(LABELS4, B4, W4, E4, root=3)
+        assert m == NonOrientedMap.from_pairs(
+            [[1, 2], [3, 4]], [[1, 4], [2, 3]], [[1, 3], [2, 4]], root=3)
+        rebuilt = NonOrientedMap.from_arrays(klein.labels, list(klein._b),
+                                             klein._w, klein._e)
+        assert rebuilt == klein and rebuilt._b == klein._b
+
+    @pytest.mark.parametrize("labels, b, w, e, root", [
+        pytest.param(LABELS4, (1, 0, 3), W4, E4, None, id="short-array"),
+        pytest.param(LABELS4, B4, W4, E4 + (4,), None, id="long-array"),
+        pytest.param(LABELS4, (1, 0, 2, 3), W4, E4, None, id="fixed-point"),
+        pytest.param(LABELS4, B4, (1, 2, 3, 0), E4, None,
+                     id="not-an-involution"),
+        pytest.param(LABELS4, B4, W4, (-2, -1, 0, 1), None,
+                     id="negative-position"),
+        pytest.param(LABELS4, B4, W4, (2, 3, 0, 5), None,
+                     id="position-out-of-range"),
+        pytest.param(LABELS4, B4, W4, (2.0, 3, 0, 1), None,
+                     id="float-position"),
+        pytest.param((1, 3, 2, 4), B4, W4, E4, None, id="unsorted-labels"),
+        pytest.param((1, 2, 2, 4), B4, W4, E4, None, id="duplicate-labels"),
+        pytest.param(LABELS4, B4, W4, E4, 5, id="root-not-a-label"),
+        pytest.param(LABELS4, B4, W4, E4, True, id="bool-root"),
+        pytest.param((1, 2.0, 3, 4), B4, W4, E4, None, id="float-label"),
+        pytest.param(("1", 2, 3, 4), B4, W4, E4, None, id="str-label"),
+        pytest.param((True, 2, 3, 4), B4, W4, E4, None, id="bool-label"),
+    ])
+    def test_rejects_invalid_arrays(self, labels, b, w, e, root):
+        with pytest.raises(MapError):
+            NonOrientedMap.from_arrays(labels, b, w, e, root)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "2", True])
+    def test_rejects_non_integer_labels(self, bad):
+        with pytest.raises(MapError):
+            NonOrientedMap.from_pairs([[bad, 7]], [[bad, 7]], [[bad, 7]])
+        with pytest.raises(MapError):
+            NonOrientedMap.from_pairs([[1, 2]], [[1, 2]], [[bad, 1]])
+        with pytest.raises(MapError):
+            Pairing([(bad, 7)])
+
+    def test_rejects_labels_int_would_accept(self):
+        with pytest.raises(MapError):
+            NonOrientedMap.from_pairs([[1.5, 2]], [[1, 2.2]], [[True, 2]])
+        with pytest.raises(MapError):
+            Pairing([("3", True)])
 
 
 class TestFaces:
@@ -430,6 +485,24 @@ class TestArrayCoreMatchesReference:
                 rebuilt = NonOrientedMap(m.beta, m.omega, m.eps, m.root)
                 assert rebuilt == m and hash(rebuilt) == hash(m)
                 assert m.edges() == m.eps.pairs
+
+    def test_construction_builds_no_pairing(self, monkeypatch):
+        built = []
+        init = Pairing.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Pairing, "__init__", counting_init)
+        for family in (all_maps(2), conservative_one_face(3),
+                       liberal_one_face(2)):
+            for m in family:
+                canonical_form(m)
+        torus = side_label(OrientedMap((1, 2, 0), (1, 2, 0)))
+        assert structure(torus).genus == 1
+        run_suite("degree-bounds", n_exhaustive=1, sampled=(4,), samples=30)
+        assert built == []
 
     def test_operations_build_no_pairing(self, monkeypatch):
         m = load_fixture("projective").with_root(1)

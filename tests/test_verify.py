@@ -1,8 +1,10 @@
 import importlib
 import json
+import random
 
 import pytest
 
+from monmap.maps import NonOrientedMap, Pairing
 from monmap.verify import (Check, Report, SUITES, report_from_json,
                            report_render, run_suite)
 
@@ -35,6 +37,27 @@ def make_report():
         Check("second", False, {"lhs_num": "1", "lhs_den": "2",
                                 "rhs_num": "1", "rhs_den": "3"}),
     ], runtime=1.23)
+
+
+def label_level_samples(seed, ns, samples):
+    """The degree-bounds sampler's maps, drawn as label pairs: per map, one
+    shuffle of the labels 1..2n for each involution, then one shuffle of
+    its edges for the sampled history."""
+    rng = random.Random(seed)
+    maps = []
+    for n in ns:
+        labels = list(range(1, 2 * n + 1))
+
+        def pairing():
+            labs = labels[:]
+            rng.shuffle(labs)
+            return Pairing((labs[i], labs[i + 1]) for i in range(0, 2 * n, 2))
+
+        for _ in range(samples):
+            m = NonOrientedMap(pairing(), pairing(), pairing())
+            rng.shuffle(list(m.edges()))
+            maps.append(m)
+    return maps
 
 
 class TestRender:
@@ -106,6 +129,17 @@ class TestRunSuite:
         a = report_render(run_suite("degree-bounds", **kwargs), "json")
         b = report_render(run_suite("degree-bounds", **kwargs), "json")
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_maps_match_label_level_draws(self, monkeypatch, seed):
+        verify = importlib.import_module("monmap.verify")
+        drawn = []
+        real = verify.structure
+        monkeypatch.setattr(verify, "structure",
+                            lambda m: drawn.append(m) or real(m))
+        verify.suite_degree_bounds(n_exhaustive=0, sampled=(3, 4),
+                                   samples=25, seed=seed)
+        assert drawn == label_level_samples(seed, (3, 4), 25)
 
     def test_main_theorem_small(self):
         report = run_suite("main-theorem", ns=(1, 2))
