@@ -11,13 +11,14 @@ import inspect
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import Sqrt2
 from .bijection import phi, phi_inverse
 from .diagrams import DiagramError, MultiRect, chtop_map_sum, ogs_top_map_sum
-from .enumeration import (MAX_ONE_FACE_N, GuardExceeded, all_maps, all_pairs,
-                          check_guard, conservative_one_face, involutions,
-                          liberal_one_face)
+from .enumeration import (FORCE_HINT, MAX_ONE_FACE_N, GuardExceeded, all_maps,
+                          all_pairs, check_guard, conservative_one_face,
+                          involutions, liberal_one_face)
 from .jack import JackGuardError, JackParams, ch, ch_stanley, jack_in_p
 from .maps import (MapError, checked_pairs, load_fixture, map_from_json_obj,
                    map_to_json_obj, structure, graph_class, is_orientable,
@@ -126,10 +127,12 @@ def cmd_enumerate(args) -> int:
         items = (oriented_to_json_obj(om) for om in all_pairs(n, args.force))
     else:
         raise AssertionError(args.family)
+    # the first item runs the family's lazy guard before --out is opened
+    first = next(items, None)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         count = 0
-        for item in items:
+        for item in chain(() if first is None else (first,), items):
             out.write(json.dumps(item, sort_keys=True) + "\n")
             count += 1
     finally:
@@ -368,7 +371,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc).replace(FORCE_HINT, "pass --force to override")
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

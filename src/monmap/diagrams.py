@@ -17,27 +17,17 @@ from itertools import product
 from typing import Iterable, Union
 
 from .algebra import Sqrt2, gamma_of
-from .enumeration import conservative_maps, conservative_one_face, transitive_pairs
+from .enumeration import (FORCE_HINT, conservative_maps, conservative_one_face,
+                          transitive_pairs_by_class)
 from .maps import BicoloredGraph, bicolored_graph, canonical_graph_class
 from .mon import mon, mon_top
-from .oriented import bicolored_graph_oriented
+from .oriented import bicolored_graph_oriented, z_of
 
 Scalar = Union[Fraction, Sqrt2]
 
 
 class DiagramError(ValueError):
     """Invalid partition/diagram data or unrealizable coordinates."""
-
-
-def z_of(parts: Iterable[int]) -> int:
-    """The centralizer order prod_i i^{m_i} m_i! of a partition."""
-    mult: dict[int, int] = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    out = 1
-    for i, m in mult.items():
-        out *= i ** m * math.factorial(m)
-    return out
 
 
 class Partition:
@@ -255,25 +245,28 @@ def normalized_embeddings(g: BicoloredGraph, lam: YoungDiagram,
 def _check_n_guard(n: int, force: bool):
     if n > 5 and not force:
         raise DiagramError(f"n={n} exceeds the map-sum guard (5); "
-                           f"pass force=True to override")
+                           f"{FORCE_HINT}")
 
 
 def chtop_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
     """Oriented-side formula for the top-degree character at a lattice point.
 
     (-1) * sum over transitive (sigma1, sigma2) of
-    gamma^(n+1-|V|) * normalized embeddings, divided by (n-1)! (each
-    unlabeled rooted connected oriented map is hit (n-1)! times).
+    gamma^(n+1-|V|) * normalized embeddings, divided by (n-1)! (the
+    number of edge labelings of an unlabeled rooted connected oriented
+    map).  The summand depends only on the bicolored graph, so the sum
+    runs over one sigma1 per cycle type, each pair weighted by the size of
+    its class (:func:`~monmap.enumeration.transitive_pairs_by_class`).
     """
     _check_n_guard(n, force)
     lam = mr.diagram()
     g = mr.gamma
     a = mr.A
     total = Fraction(0)
-    for om in transitive_pairs(n, force=force):
+    for om, size in transitive_pairs_by_class(n, force=force):
         graph = bicolored_graph_oriented(om)
         v = graph.blacks + graph.whites
-        total += g ** (n + 1 - v) * normalized_embeddings(graph, lam, a)
+        total += size * g ** (n + 1 - v) * normalized_embeddings(graph, lam, a)
     return -total / math.factorial(n - 1)
 
 
@@ -305,7 +298,7 @@ def ogs_full(pi, lam: YoungDiagram, a: Scalar, force: bool = False) -> Scalar:
     if pi.size + pi.length > 8 and not force:
         raise DiagramError(
             f"|pi| + l(pi) = {pi.size + pi.length} exceeds the guard (8); "
-            f"pass force=True to override")
+            f"{FORCE_HINT}")
     g = gamma_of(a)
     total = a * 0
     for m in conservative_maps(pi.parts):

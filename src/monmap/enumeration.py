@@ -6,12 +6,14 @@ instead of hanging; pass ``force=True`` to lift a guard knowingly.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 from typing import Iterable, Iterator
 
 from . import kernels
 from .maps import NonOrientedMap, canonical_form, graph_class
-from .oriented import OrientedMap, is_transitive
+from .oriented import (OrientedMap, cycle_type_permutation, is_transitive,
+                       partitions_of, z_of)
 
 
 class GuardExceeded(ValueError):
@@ -19,13 +21,14 @@ class GuardExceeded(ValueError):
 
 
 MAX_ONE_FACE_N = 7  # (2n-1)!! = 135 135 one-polygon maps or involutions
+MAX_CLASS_PAIRS_N = 6  # p(6) * 6! = 7 920 candidate pairs
+FORCE_HINT = "pass force=True to override"
 
 
 def check_guard(name: str, value: int, limit: int, force: bool):
     if value > limit and not force:
         raise GuardExceeded(
-            f"{name}={value} exceeds the guard ({limit}); "
-            f"pass force=True to override")
+            f"{name}={value} exceeds the guard ({limit}); {FORCE_HINT}")
 
 
 def involutions(labels: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -136,6 +139,34 @@ def transitive_pairs(n: int, force: bool = False) -> Iterator[OrientedMap]:
     for m in all_pairs(n, force):
         if is_transitive(m):
             yield m
+
+
+def transitive_pairs_by_class(
+        n: int, force: bool = False) -> Iterator[tuple[OrientedMap, int]]:
+    """:func:`transitive_pairs` up to conjugacy of sigma1, with weights.
+
+    For each partition lambda of n, yields ``(OrientedMap(rho, sigma2),
+    n!/z_lambda)`` for every sigma2 making the pair transitive, where rho
+    is :func:`cycle_type_permutation` of lambda: p(n) * n! candidates
+    instead of n!^2.
+
+    The sum is exact for every summand f(sigma1, sigma2) that simultaneous
+    conjugation leaves unchanged (transitivity, the bicolored graph and so
+    its class and embedding counts, the unrooted canonical form of
+    ``side_label``).  If tau rho tau^-1 = sigma1, then sigma2 -> tau sigma2
+    tau^-1 maps the pairs (rho, .) bijectively onto the pairs (sigma1, .)
+    and keeps f, so the n!/z_lambda elements sigma1 of the class of rho
+    each contribute the sum over (rho, .).
+    """
+    check_guard("n", n, MAX_CLASS_PAIRS_N, force)
+    perms = list(permutations(range(n)))
+    for lam in partitions_of(n):
+        rho = cycle_type_permutation(lam)
+        size = math.factorial(n) // z_of(lam)
+        for s2 in perms:
+            m = OrientedMap(rho, s2)
+            if is_transitive(m):
+                yield m, size
 
 
 _GROUP_KEYS = {

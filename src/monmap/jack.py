@@ -22,10 +22,11 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .algebra import SQRT2, MultiPoly, Sqrt2
-from .diagrams import Partition, YoungDiagram, normalized_embeddings, z_of
+from .diagrams import Partition, YoungDiagram, normalized_embeddings
 from .enumeration import conservative_maps
 from .maps import bicolored_graph
-from .oriented import OrientedMap, bicolored_graph_oriented
+from .oriented import (OrientedMap, bicolored_graph_oriented,
+                       cycle_type_permutation, partitions_of, z_of)
 
 Scalar = Union[Fraction, Sqrt2]
 
@@ -34,23 +35,6 @@ JACK_SIZE_GUARD = 6
 
 class JackGuardError(ValueError):
     pass
-
-
-@lru_cache(maxsize=None)
-def partitions_of(d: int) -> tuple[tuple[int, ...], ...]:
-    if d == 0:
-        return ((),)
-    out = []
-
-    def rec(remaining, maxpart, prefix):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(remaining, maxpart), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
-
-    rec(d, d, ())
-    return tuple(out)
 
 
 def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
@@ -351,15 +335,6 @@ def ch_stanley(n: int, gamma, P: Sequence, Q: Sequence):
 # -- special-value identities (Stanley formulas) ----------------------------
 
 
-def _face_permutation(pi: Partition) -> tuple[int, ...]:
-    img = []
-    offset = 0
-    for part in pi.parts:
-        img.extend(list(range(offset + 1, offset + part)) + [offset])
-        offset += part
-    return tuple(img)
-
-
 def oriented_face_type_maps(pi):
     """All oriented maps whose faces are one fixed polygon collection.
 
@@ -369,7 +344,7 @@ def oriented_face_type_maps(pi):
     from itertools import permutations as iperm
 
     pi = Partition(pi)
-    w = _face_permutation(pi)
+    w = cycle_type_permutation(pi.parts)
     k = pi.size
     for s1 in iperm(range(k)):
         inv1 = [0] * k

@@ -9,13 +9,18 @@ validated by Euler characteristics of known embeddings.
 ``side_label`` converts an oriented map into an orientable involution map
 by giving each edge two side labels, read counterclockwise around its white
 endpoint.
+
+The conjugacy classes of S_n are indexed by the partitions of n
+(:func:`partitions_of`); the class of cycle type lambda has n!/z_lambda
+elements (:func:`z_of`) and contains :func:`cycle_type_permutation`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional
 
 from .maps import (BicoloredGraph, BicoloredGraphClass, MapError,
                    NonOrientedMap, canonical_graph_class)
@@ -52,6 +57,46 @@ def perm_cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             x = perm[x]
         cycles.append(tuple(cyc))
     return tuple(cycles)
+
+
+@lru_cache(maxsize=None)
+def partitions_of(d: int) -> tuple[tuple[int, ...], ...]:
+    """The partitions of d, each weakly decreasing, in reverse lex order."""
+    if d == 0:
+        return ((),)
+    out = []
+
+    def rec(remaining, maxpart, prefix):
+        if remaining == 0:
+            out.append(prefix)
+            return
+        for part in range(min(remaining, maxpart), 0, -1):
+            rec(remaining - part, part, prefix + (part,))
+
+    rec(d, d, ())
+    return tuple(out)
+
+
+def z_of(parts: Iterable[int]) -> int:
+    """The centralizer order prod_i i^{m_i} m_i! of a partition."""
+    mult: dict[int, int] = {}
+    for p in parts:
+        mult[p] = mult.get(p, 0) + 1
+    out = 1
+    for i, m in mult.items():
+        out *= i ** m * math.factorial(m)
+    return out
+
+
+def cycle_type_permutation(parts: Iterable[int]) -> tuple[int, ...]:
+    """The 0-based permutation whose cycles are the parts, in order, each on
+    consecutive points: (0 1 .. p1-1)(p1 .. p1+p2-1)..."""
+    img: list[int] = []
+    for part in parts:
+        offset = len(img)
+        img.extend(range(offset + 1, offset + part))
+        img.append(offset)
+    return tuple(img)
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -125,3 +125,10 @@ def test_criterion_12_counting_sanity():
     _criterion(12, "involution and one-face family counts",
                invol_ok and conservative_ok,
                time.perf_counter() - start, 60)
+
+
+def test_criterion_13_main_theorem_n6():
+    start = time.perf_counter()
+    report = run_suite("main-theorem", ns=(6,))
+    _criterion(13, "per-graph-class main identity at n=6, one sigma1 per "
+               "cycle type", report.passed, time.perf_counter() - start, 15)

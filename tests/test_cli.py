@@ -175,6 +175,28 @@ class TestEnumerateCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("family,n", [
+        ("involutions", "8"), ("one-face-conservative", "8"),
+        ("one-face-liberal", "5"), ("all", "4"), ("oriented-pairs", "6")])
+    def test_guard_leaves_no_out_file(self, capsys, tmp_path, family, n):
+        out_path = tmp_path / "x.jsonl"
+        code, out, err = run(capsys, "enumerate", "--n", n, "--family",
+                             family, "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--force" in err and "force=True" not in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "liberation-oriented", "--n", "4"),
+        ("chtop", "--n", "6", "--P", "1", "--Q", "4", "--A", "2")],
+        ids=["verify", "chtop"])
+    def test_guard_message_names_flag(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--force" in err and "force=True" not in err
+
     def test_sqrt2_rejected_for_chtop(self, capsys):
         code, _, err = run(capsys, "chtop", "--n", "1", "--P", "1",
                            "--Q", "1", "--A", "sqrt2")

@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from monmap.diagrams import MultiRect, chtop_map_sum, normalized_embeddings
 from monmap.enumeration import (GuardExceeded, all_maps, all_pairs,
                                 conservative_maps, conservative_one_face,
                                 group_by, involutions, liberal_one_face,
                                 polygon_pairings, single_polygon_pairs,
-                                transitive_pairs)
+                                transitive_pairs, transitive_pairs_by_class)
 from monmap.maps import (NonOrientedMap, Pairing, canonical_form, faces,
                          graph_class, structure)
 from monmap.mon import mon_top
-from monmap.oriented import graph_class_oriented
+from monmap.oriented import (bicolored_graph_oriented, graph_class_oriented,
+                             side_label)
+from monmap.verify import SECOND_THEOREM_POINTS
 
 
 class TestInvolutions:
@@ -110,6 +113,68 @@ class TestPairsAndAllMaps:
     def test_pairs_guard(self):
         with pytest.raises(GuardExceeded):
             next(all_pairs(6))
+
+    def test_pairs_by_class_guard(self):
+        with pytest.raises(GuardExceeded):
+            next(transitive_pairs_by_class(7))
+        om, size = next(transitive_pairs_by_class(7, force=True))
+        assert om.n == 7 and size == math.factorial(6)
+
+
+@pytest.fixture(scope="module")
+def brute_pairs():
+    """n -> every transitive pair of S_n x S_n, n = 1..5."""
+    return {n: list(transitive_pairs(n)) for n in range(1, 6)}
+
+
+def brute_chtop(n, mr, pairs):
+    """chtop_map_sum summed over every transitive pair, each weight 1."""
+    lam, g, a = mr.diagram(), mr.gamma, mr.A
+    total = Fraction(0)
+    for om in pairs:
+        graph = bicolored_graph_oriented(om)
+        v = graph.blacks + graph.whites
+        total += g ** (n + 1 - v) * normalized_embeddings(graph, lam, a)
+    return -total / math.factorial(n - 1)
+
+
+class TestPairsByClass:
+    """The weighted class stream against the brute-force transitive pairs."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_weights_count_transitive_pairs(self, n, brute_pairs):
+        total = sum(size for _, size in transitive_pairs_by_class(n))
+        assert total == len(brute_pairs[n])
+        assert total == (1, 3, 26, 426, 11064)[n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_main_theorem_lhs(self, n, brute_pairs):
+        labelings = math.factorial(n - 1)
+        brute: dict[bytes, Fraction] = {}
+        for om in brute_pairs[n]:
+            k = graph_class_oriented(om).key
+            brute[k] = brute.get(k, Fraction(0)) + Fraction(1, labelings)
+        weighted: dict[bytes, Fraction] = {}
+        for om, size in transitive_pairs_by_class(n):
+            k = graph_class_oriented(om).key
+            weighted[k] = weighted.get(k, Fraction(0)) + Fraction(size,
+                                                                  labelings)
+        assert weighted == brute
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_side_label_histogram(self, n, brute_pairs):
+        brute = group_by(side_label(om) for om in brute_pairs[n])
+        weighted: dict[bytes, int] = {}
+        for om, size in transitive_pairs_by_class(n):
+            k = canonical_form(side_label(om))
+            weighted[k] = weighted.get(k, 0) + size
+        assert weighted == brute
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_chtop_map_sum(self, n, brute_pairs):
+        for pp, qq, a in SECOND_THEOREM_POINTS:
+            mr = MultiRect.from_primes(pp, qq, a)
+            assert chtop_map_sum(n, mr) == brute_chtop(n, mr, brute_pairs[n])
 
 
 class TestGroupBy:
