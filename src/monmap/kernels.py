@@ -2,7 +2,7 @@
 
 Every structural query on a map reduces to orbit traversals over two or
 three fixed-point-free involutions given as index arrays (sequences p with
-p[p[i]] == i).  Two traversals are enough:
+p[p[i]] == i).  Two traversals give every orbit:
 
 * Two such involutions generate orbits that are single alternating cycles,
   so one cycle walk (:func:`face_data`) gives the faces <beta, omega>, the
@@ -13,6 +13,11 @@ p[p[i]] == i).  Two traversals are enough:
 
 Both functions return orbit ids numbered in first-visit order (scanning
 indices upward), which makes the output deterministic.
+
+A third kernel, :func:`removal_counts`, weighs a whole removal history.  It
+needs no orbit ids: an edge's kind depends only on the one face through
+its first side, so a walk of that face classifies it, and removing the edge
+re-pairs two partners in place, so no residual map is built.
 """
 
 
@@ -88,3 +93,36 @@ def face_data(p, q):
             c ^= 1
         count += 1
     return ids, cols, count
+
+
+def removal_counts(p, q, order):
+    """(twisted, interface) counts of removing edges one after another.
+
+    ``order`` lists each edge as the index pair (i, j) of its two sides.
+    The edge is classified in the current map by walking its face from i,
+    alternating p and q: it is interface if the walk comes back to i
+    without meeting j, twisted if j is an even number of steps away (the
+    two sides have the same :func:`face_data` colour) and straight if odd.
+    Removing it pairs r[i] with r[j] for r in (p, q), unless r[i] == j;
+    the copies of p and q are updated in place and nothing is renumbered.
+    """
+    p = list(p)
+    q = list(q)
+    twisted = interface = 0
+    for i, j in order:
+        x = p[i]
+        odd = True
+        while x != i and x != j:
+            x = q[x] if odd else p[x]
+            odd = not odd
+        if x == i:
+            interface += 1
+        elif not odd:
+            twisted += 1
+        for r in (p, q):
+            a = r[i]
+            if a != j:
+                b = r[j]
+                r[a] = b
+                r[b] = a
+    return twisted, interface

@@ -337,7 +337,7 @@ class NonOrientedMap:
 
     @_cached
     def _history_lattice(self):
-        """Residual states of this map for the per-history checks."""
+        """Residual states of this map for the checks that need them."""
         from .mon import HistoryLattice  # mon builds on this module
         return HistoryLattice(self)
 

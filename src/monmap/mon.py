@@ -9,18 +9,23 @@ order keeps every intermediate map "top-degree" (each connected component a
 single face); both quantities are computed independently here and checked
 against each other.
 
-The per-history checks (history weight, top-degree prefixes, admissible
-removals, and the twist bijection in ``monmap.bijection``) all walk one
-``HistoryLattice`` per map: the residual maps after each set of removed
-edges, built once and shared by every removal order.
+A history weight needs no residual map: ``kernels.removal_counts`` walks
+the history on one copy of the map's partner arrays, classifying each edge
+by a face walk and removing it in place.  The per-history checks that do
+need residual maps (top-degree prefixes, admissible removals, and the twist
+bijection in ``monmap.bijection``) walk one ``HistoryLattice`` per map: the
+residual maps after each set of removed edges, built once and shared by
+every removal order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
+from . import kernels
 from .algebra import GAMMA, HALF, ONE, GammaPoly
 from .maps import (EdgeKind, EdgeRole, MapError, NonOrientedMap,
                    _edge_index, canonical_form, classify_edge, remove_edge,
@@ -66,7 +71,9 @@ class HistoryLattice:
     Per (state, edge) the lattice also keeps the edge's kind and its
     bridge/leaf role.  The role needs no removal of its own: the bridge
     test compares the component counts of the state and of its child.
-    One lattice belongs to one map instance (see ``history_lattice``).
+    One lattice belongs to one map instance (see ``history_lattice``).  It
+    serves the checks that need residual maps; history weights do not
+    build it (see ``history_weight``).
     """
 
     __slots__ = ("_bits", "_states", "_kinds", "_roles")
@@ -117,19 +124,19 @@ def history_lattice(m: NonOrientedMap) -> HistoryLattice:
 
 def history_weight(m: NonOrientedMap, history: Sequence) -> GammaPoly:
     """Product of edge weights along a removal order."""
-    return _history_weight(history_lattice(m), _check_history(m, history))
+    return _history_weight(m, _check_history(m, history))
 
 
-def _history_weight(lattice: HistoryLattice, edges) -> GammaPoly:
-    # the weights are 1, gamma and 1/2, so the product is a monomial
-    twisted = interfaces = mask = 0
-    for e in edges:
-        kind = lattice.kind(mask, e)
-        if kind is EdgeKind.TWISTED:
-            twisted += 1
-        elif kind is EdgeKind.INTERFACE:
-            interfaces += 1
-        mask = lattice.child(mask, e)
+def _history_weight(m: NonOrientedMap, edges) -> GammaPoly:
+    return _monomial(*kernels.removal_counts(
+        m._b, m._w, [_edge_index(m, e) for e in edges]))
+
+
+@lru_cache(maxsize=None)
+def _monomial(twisted: int, interfaces: int) -> GammaPoly:
+    """gamma^twisted / 2^interfaces: the weights are 1, gamma and 1/2, so a
+    history weight is a monomial.  Kept per count pair because building the
+    polynomial costs more than the removal walk."""
     return GammaPoly((0,) * twisted + (Fraction(1, 2 ** interfaces),))
 
 
@@ -257,7 +264,7 @@ def lemma_equivalence_check(m: NonOrientedMap, history: Sequence) -> Equivalence
     lattice = history_lattice(m)
     cond_a = _failing_prefix(lattice, edges) is None
     cond_b = _removals_admissible(lattice, edges)
-    weight = _history_weight(lattice, edges)
+    weight = _history_weight(m, edges)
     st = structure(m)
     target = st.faces + st.edges - st.vertices
     cond_c = weight.degree == target

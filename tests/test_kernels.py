@@ -49,6 +49,48 @@ class TestPurePython:
         assert kernels.face_data((), ()) == ([], [], 0)
 
 
+def _sides(m, order):
+    """A removal order of label pairs as the index pairs of their sides."""
+    return [(m.labels.index(a), m.labels.index(b)) for a, b in order]
+
+
+class TestRemovalCounts:
+    """(twisted, interface) counts of removal orders, checked by hand."""
+
+    def test_klein_straight_first(self, klein):
+        order = _sides(klein, [(3, 6), (1, 5), (2, 4)])
+        assert kernels.removal_counts(klein._b, klein._w, order) == (0, 1)
+
+    def test_klein_twisted_first(self, klein):
+        order = _sides(klein, [(1, 5), (2, 4), (3, 6)])
+        assert kernels.removal_counts(klein._b, klein._w, order) == (2, 0)
+
+    def test_interface_edge(self, projective):
+        order = _sides(projective, [(6, 13)])
+        assert kernels.removal_counts(
+            projective._b, projective._w, order) == (0, 1)
+
+    def test_single_edge(self):
+        swap = (1, 0)
+        assert kernels.removal_counts(swap, swap, [(0, 1)]) == (0, 0)
+
+    def test_leaf_edge(self):
+        # B=[[1,2],[3,4]], W=[[1,3],[2,4]], E=[[1,2],[3,4]]: beta pairs the
+        # two sides of edge {1,2}, so the walk meets j in one step
+        beta = (1, 0, 3, 2)
+        omega = (2, 3, 0, 1)
+        assert kernels.removal_counts(beta, omega, [(0, 1)]) == (0, 0)
+
+    def test_empty_order(self, klein):
+        assert kernels.removal_counts(klein._b, klein._w, []) == (0, 0)
+
+    def test_inputs_unchanged(self, klein):
+        beta, omega = list(klein._b), list(klein._w)
+        order = _sides(klein, [(1, 5), (2, 4), (3, 6)])
+        kernels.removal_counts(beta, omega, order)
+        assert beta == list(klein._b) and omega == list(klein._w)
+
+
 def _reference_orbits(labels, *pairings):
     """Orbit id per label (first-visit order over sorted labels), the orbit
     count, and whether the graph with these adjacencies is bipartite."""

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monmap import kernels
 from monmap.algebra import GAMMA, ONE, GammaPoly
 from monmap.enumeration import all_maps
-from monmap.maps import (MapError, NonOrientedMap, classify_edge, edge_role,
-                         remove_edge, structure)
+from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _edge_index,
+                         classify_edge, edge_role, load_fixture, remove_edge,
+                         structure)
 from monmap.mon import (edge_weight, failing_prefix, history_lattice,
                         history_weight, is_top_degree_map, is_top_degree_pair,
                         lemma_equivalence_check, mon, mon_top,
@@ -105,6 +107,48 @@ class TestHistoryLattice:
     def test_one_lattice_per_map(self, klein):
         assert history_lattice(klein) is history_lattice(klein)
         assert history_lattice(klein).state(0) is klein
+
+
+def walk_counts(m, history):
+    """(twisted, interface) counts of the in-place removal walk."""
+    return kernels.removal_counts(
+        m._b, m._w, [_edge_index(m, e) for e in history])
+
+
+def lattice_counts(m, history):
+    """(twisted, interface) counts of the lattice's kinds along a history."""
+    lattice = history_lattice(m)
+    kinds = []
+    mask = 0
+    for e in history:
+        kinds.append(lattice.kind(mask, e))
+        mask = lattice.child(mask, e)
+    return kinds.count(EdgeKind.TWISTED), kinds.count(EdgeKind.INTERFACE)
+
+
+class TestRemovalWalkAgainstLattice:
+    """The walk of ``history_weight`` against the lattice's residual maps."""
+
+    def test_all_maps_up_to_two_edges(self):
+        for n in (1, 2):
+            for m in all_maps(n):
+                for h in permutations(m.edges()):
+                    assert walk_counts(m, h) == lattice_counts(m, h)
+
+    @settings(max_examples=100, deadline=None)
+    @given(map_strategy(1, 4), st.data())
+    def test_rooted_and_residual_maps(self, m, data):
+        rooted = m.with_root(data.draw(st.sampled_from(m.labels)))
+        # the residual map has labels with gaps, as every lattice state does
+        residual = remove_edge(m, data.draw(st.sampled_from(m.edges())))
+        for current in (m, rooted, residual):
+            for h in permutations(current.edges()):
+                assert walk_counts(current, h) == lattice_counts(current, h)
+
+    def test_history_weight_builds_no_lattice(self):
+        m = load_fixture("klein")
+        history_weight(m, m.edges())
+        assert "_history_lattice" not in m.__dict__
 
 
 class TestMon:
