@@ -8,8 +8,7 @@ into Young diagrams, a desk-scale Jack character oracle, and a batch
 verification CLI tying them together.
 """
 
-from .algebra import (GAMMA, ONE, ZERO, GammaPoly, MultiPoly, Sqrt2, SQRT2,
-                      gamma_of)
+from .algebra import GAMMA, ONE, ZERO, GammaPoly, Sqrt2, SQRT2, gamma_of
 from .bijection import BijectionResult, phi, phi_inverse
 from .diagrams import (MultiRect, Partition, YoungDiagram, chtop_map_sum,
                        count_embeddings, normalized_embeddings, ogs_full,

@@ -1,23 +1,20 @@
 """Exact scalar and polynomial arithmetic shared by the whole package.
 
-Rationals are ``fractions.Fraction`` throughout.  This module adds the three
+Rationals are ``fractions.Fraction`` throughout.  This module adds the two
 algebraic structures the map sums need on top of that: dense univariate
-polynomials in the deformation variable ``gamma``, sparse multivariate
-polynomials (for the closed-form character polynomials in gamma, p_i, q_i),
-and the quadratic extension Q[sqrt(2)] used for the alpha in {2, 1/2}
-special-value checks.  No floating point is used anywhere.
+polynomials, in the deformation variable ``gamma`` for the map sums and in
+a grading variable when the closed character polynomials are split into
+homogeneous parts, and the quadratic extension Q[sqrt(2)] used for the
+alpha in {2, 1/2} special-value checks.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 NEG_INF = float("-inf")
-
-
-class MissingVariable(KeyError):
-    """Raised when a polynomial is evaluated without a value for a variable."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -136,7 +133,10 @@ def gamma_of(a):
 
 
 class GammaPoly:
-    """Dense univariate polynomial in gamma with Fraction coefficients.
+    """Dense univariate polynomial with Fraction coefficients.
+
+    The variable is gamma in the map sums, and a grading variable t in
+    ``jack.ch_stanley``.
 
     Trailing zero coefficients are trimmed; the zero polynomial has degree
     -inf.  Instances are immutable and hashable.
@@ -212,36 +212,12 @@ class GammaPoly:
             return ZERO
         return GammaPoly(tuple(c * x for x in self.coeffs))
 
-    def homogeneous_part(self, d: int) -> "GammaPoly":
-        c = self.coefficient(d)
-        if c == 0:
-            return ZERO
-        return GammaPoly((0,) * d + (c,))
-
     def evaluate(self, x):
         """Horner evaluation; works for Fraction and Sqrt2 arguments."""
         out = x * 0
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
-
-    def to_json_obj(self):
-        return {
-            "terms": [
-                {"exp": {"g": k}, "num": c.numerator, "den": c.denominator}
-                for k, c in enumerate(self.coeffs)
-                if c
-            ]
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "GammaPoly":
-        coeffs: dict[int, Fraction] = {}
-        for term in obj["terms"]:
-            k = int(term["exp"].get("g", 0))
-            coeffs[k] = Fraction(term["num"], term["den"])
-        size = max(coeffs, default=-1) + 1
-        return cls(tuple(coeffs.get(i, Fraction(0)) for i in range(size)))
 
     def __eq__(self, other):
         if isinstance(other, GammaPoly):
@@ -264,134 +240,3 @@ ZERO = GammaPoly()
 ONE = GammaPoly((1,))
 GAMMA = GammaPoly((0, 1))
 HALF = GammaPoly((Fraction(1, 2),))
-
-
-class MultiPoly:
-    """Sparse multivariate polynomial over Fraction with named variables.
-
-    Terms map a sorted tuple of (variable, power) pairs to a nonzero
-    coefficient; the constant term has the empty key.  Total degree counts
-    every variable (including gamma) with degree one.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping = ()):
-        clean = {}
-        for key, c in dict(terms).items():
-            c = _as_fraction(c)
-            if c == 0:
-                continue
-            key = tuple(sorted((str(v), int(e)) for v, e in key if e))
-            clean[key] = clean.get(key, Fraction(0)) + c
-        object.__setattr__(
-            self, "terms", {k: v for k, v in clean.items() if v != 0}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly values are immutable")
-
-    @classmethod
-    def const(cls, c) -> "MultiPoly":
-        return cls({(): c})
-
-    @classmethod
-    def variable(cls, name: str) -> "MultiPoly":
-        return cls({((name, 1),): 1})
-
-    @property
-    def degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(sum(e for _, e in key) for key in self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return MultiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return MultiPoly.const(other) + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(other)
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                exps = dict(k1)
-                for v, e in k2:
-                    exps[v] = exps.get(v, 0) + e
-                key = tuple(sorted(exps.items()))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "MultiPoly":
-        c = _as_fraction(c)
-        return MultiPoly({k: c * v for k, v in self.terms.items()})
-
-    def homogeneous_part(self, d: int) -> "MultiPoly":
-        return MultiPoly(
-            {k: c for k, c in self.terms.items() if sum(e for _, e in k) == d}
-        )
-
-    def evaluate(self, assignment: Mapping):
-        out = Fraction(0)
-        for key, c in self.terms.items():
-            term = c
-            for v, e in key:
-                if v not in assignment:
-                    raise MissingVariable(v)
-                term = term * assignment[v] ** e
-            out = out + term
-        return out
-
-    def to_json_obj(self):
-        return {
-            "terms": [
-                {"exp": dict(key), "num": c.numerator, "den": c.denominator}
-                for key, c in sorted(self.terms.items())
-            ]
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "MultiPoly":
-        terms = {}
-        for term in obj["terms"]:
-            key = tuple(sorted(term["exp"].items()))
-            terms[key] = Fraction(term["num"], term["den"])
-        return cls(terms)
-
-    def __eq__(self, other):
-        if isinstance(other, MultiPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == MultiPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "MultiPoly(0)"
-        bits = []
-        for key, c in sorted(self.terms.items()):
-            mono = "*".join(f"{v}^{e}" for v, e in key) or "1"
-            bits.append(f"{c}*{mono}")
-        return "MultiPoly(" + " + ".join(bits) + ")"

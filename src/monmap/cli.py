@@ -35,7 +35,16 @@ FIXTURES = ("klein", "projective")
 MAX_MON_EDGES = 12
 
 
-def _parse_rational(text: str):
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot parse rational {text!r}") \
+            from exc
+
+
+def _parse_scalar(text: str):
+    """A rational, or one of the Q[sqrt2] values +-sqrt2 and +-1/sqrt2."""
     text = text.strip()
     if "sqrt2" in text:
         sign = -1 if text.startswith("-") else 1
@@ -46,11 +55,7 @@ def _parse_rational(text: str):
             return Sqrt2(0, Fraction(sign, 2))
         raise argparse.ArgumentTypeError(
             f"cannot parse {text!r}; sqrt2 values are sqrt2 or 1/sqrt2")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse rational {text!r}") \
-            from exc
+    return _parse_rational(text)
 
 
 def _positive_int(text: str) -> int:
@@ -330,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--P", type=_parse_rational_list, required=True)
     p.add_argument("--Q", type=_parse_rational_list, required=True)
-    p.add_argument("--A", type=_parse_rational, required=True)
+    p.add_argument("--A", type=_parse_scalar, required=True)
     p.add_argument("--force", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_chtop)
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ch", help="normalized Jack character at a parameter")
     p.add_argument("--pi", type=_parse_int_list, required=True)
     p.add_argument("--lambda", dest="lam", type=_parse_int_list, required=True)
-    p.add_argument("--A", type=_parse_rational, required=True)
+    p.add_argument("--A", type=_parse_scalar, required=True)
     p.add_argument("--force", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_ch)

@@ -7,10 +7,12 @@ linear extension of dominance produces it.  Coefficients are kept in the
 power-sum basis throughout; theta_{1^n} = 1 fixes the normalization.
 
 This module also carries the independent alpha = 1 oracle (symmetric-group
-characters via Murnaghan-Nakayama), literal transcriptions of the closed
+characters via Murnaghan-Nakayama), a literal transcription of the closed
 multirectangular polynomials for the first three characters, and the
 special-value identities at alpha in {1, 2, 1/2} that tie characters to
-map sums.
+map sums.  The closed forms are never expanded into monomials: they are
+evaluated at one point with every argument times a grading variable t, and
+the powers of t in the result separate the homogeneous parts.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence, Union
 
-from .algebra import SQRT2, MultiPoly, Sqrt2
+from .algebra import SQRT2, GammaPoly, Sqrt2
 from .diagrams import Partition, YoungDiagram, normalized_embeddings
 from .enumeration import conservative_maps
 from .maps import bicolored_graph
@@ -278,58 +281,56 @@ def normalized_sn_character(pi, lam) -> Fraction:
 # -- closed multirectangular polynomials for Ch_1, Ch_2, Ch_3 ---------------
 
 
-def stanley_ch_poly(n: int, ell: int) -> MultiPoly:
-    """The closed polynomial in (gamma; p_1..p_ell; q_1..q_ell) for Ch_n."""
+def stanley_closed_form(n: int, g, p: Sequence, q: Sequence):
+    """The closed Ch_n polynomial in (gamma; p_1..p_ell; q_1..q_ell) at a point.
+
+    Uses only +, - and * among the arguments and with integer constants, so
+    it evaluates over any commutative ring whose elements support them.
+    """
     if n not in (1, 2, 3):
         raise ValueError("closed form available only for n in {1, 2, 3}")
-    g = MultiPoly.variable("g")
-    p = [None] + [MultiPoly.variable(f"p{i}") for i in range(1, ell + 1)]
-    q = [None] + [MultiPoly.variable(f"q{i}") for i in range(1, ell + 1)]
-    idx = range(1, ell + 1)
+    idx = range(len(p))
+    out = g * 0
     if n == 1:
-        out = MultiPoly()
         for i in idx:
             out = out + p[i] * q[i]
         return out
     if n == 2:
-        out = MultiPoly()
         for i in idx:
             out = out + p[i] * q[i] * (q[i] - p[i] + g)
-        for i in idx:
-            for j in idx:
-                if i < j:
-                    out = out - 2 * (p[i] * p[j] * q[j])
+        for i, j in combinations(idx, 2):
+            out = out - 2 * (p[i] * p[j] * q[j])
         return out
-    out = MultiPoly()
     for i in idx:
         bracket = (q[i] * q[i] - 3 * (p[i] * q[i]) + p[i] * p[i]
                    + 3 * (g * (q[i] - p[i])) + 2 * (g * g) + 1)
         out = out + p[i] * q[i] * bracket
-    for i in idx:
-        for j in idx:
-            if i < j:
-                out = out - 3 * (p[i] * p[j] * q[j]
-                                 * ((q[i] - p[i] + g) + (q[j] - p[j] + g)))
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                if i < j < k:
-                    out = out + 6 * (p[i] * p[j] * p[k] * q[k])
+    for i, j in combinations(idx, 2):
+        out = out - 3 * (p[i] * p[j] * q[j]
+                         * ((q[i] - p[i] + g) + (q[j] - p[j] + g)))
+    for i, j, k in combinations(idx, 3):
+        out = out + 6 * (p[i] * p[j] * p[k] * q[k])
     return out
 
 
 def ch_stanley(n: int, gamma, P: Sequence, Q: Sequence):
-    """(full value, top-homogeneous value) of the closed Ch_n polynomial."""
+    """(full value, top-homogeneous value) of the closed Ch_n polynomial.
+
+    The polynomial f is evaluated at (t*gamma, t*P, t*Q) in Q[t], with
+    ``GammaPoly`` serving as Q[t]; t is a grading variable, not gamma.  Then
+    f(t*gamma, t*P, t*Q) = sum_d t^d * f_d(gamma, P, Q), where f_d is the
+    degree-d homogeneous part of f.  The full value is the sum of the
+    coefficients and the top part, of degree n + 1, is coefficient n + 1.
+    """
     if len(P) != len(Q):
         raise ValueError("P and Q must have the same length")
-    ell = len(P)
-    poly = stanley_ch_poly(n, ell)
-    assignment = {"g": Fraction(gamma)}
-    for i, (pv, qv) in enumerate(zip(P, Q), start=1):
-        assignment[f"p{i}"] = Fraction(pv)
-        assignment[f"q{i}"] = Fraction(qv)
-    return (poly.evaluate(assignment),
-            poly.homogeneous_part(n + 1).evaluate(assignment))
+
+    def graded(x) -> GammaPoly:
+        return GammaPoly((0, Fraction(x)))
+
+    value = stanley_closed_form(n, graded(gamma), [graded(x) for x in P],
+                                [graded(x) for x in Q])
+    return sum(value.coeffs, Fraction(0)), value.coefficient(n + 1)
 
 
 # -- special-value identities (Stanley formulas) ----------------------------

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from monmap.algebra import (GAMMA, ONE, SQRT2, ZERO, GammaPoly,
-                            MissingVariable, MultiPoly, Sqrt2, gamma_of)
+from monmap.algebra import GAMMA, ONE, SQRT2, ZERO, GammaPoly, Sqrt2, gamma_of
 
 F = Fraction
 
@@ -43,57 +42,12 @@ class TestGammaPoly:
         v = p.evaluate(Sqrt2(0, 1))
         assert v == Sqrt2(F(1, 6) + F(4, 3), 0)
 
-    def test_homogeneous_part(self):
-        p = GammaPoly((F(1, 6), 0, F(2, 3)))
-        assert p.homogeneous_part(2) == GammaPoly((0, 0, F(2, 3)))
-        assert p.homogeneous_part(1) == ZERO
-        assert p.homogeneous_part(0) + p.homogeneous_part(2) == p
-
-    def test_json_round_trip(self):
-        p = GammaPoly((F(1, 6), 0, F(-2, 3)))
-        assert GammaPoly.from_json_obj(p.to_json_obj()) == p
-
     @given(st.lists(st.fractions(), max_size=5),
            st.lists(st.fractions(), max_size=5), st.fractions())
     def test_evaluate_is_ring_morphism(self, a, b, x):
         p, q = GammaPoly(a), GammaPoly(b)
         assert (p + q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
         assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
-
-
-class TestMultiPoly:
-    def test_sum_pq_evaluation(self):
-        poly = (MultiPoly.variable("p1") * MultiPoly.variable("q1")
-                + MultiPoly.variable("p2") * MultiPoly.variable("q2"))
-        value = poly.evaluate({"p1": 2, "q1": 3, "p2": 1, "q2": 1})
-        assert value == 7
-
-    def test_missing_variable(self):
-        poly = MultiPoly.variable("p1")
-        with pytest.raises(MissingVariable):
-            poly.evaluate({"q1": 1})
-
-    def test_degree_and_homogeneous(self):
-        g = MultiPoly.variable("g")
-        p = MultiPoly.variable("p1")
-        poly = p * p * g + p + MultiPoly.const(5)
-        assert poly.degree == 3
-        assert poly.homogeneous_part(3) == p * p * g
-        total = MultiPoly()
-        for d in range(4):
-            total = total + poly.homogeneous_part(d)
-        assert total == poly
-
-    def test_ring_identities(self):
-        x = MultiPoly.variable("x")
-        y = MultiPoly.variable("y")
-        assert (x + y) * (x - y) == x * x - y * y
-        assert x * MultiPoly.const(0) == MultiPoly()
-
-    def test_json_round_trip(self):
-        x = MultiPoly.variable("x")
-        poly = x * x - MultiPoly.const(F(1, 3))
-        assert MultiPoly.from_json_obj(poly.to_json_obj()) == poly
 
 
 class TestSqrt2:

@@ -203,6 +203,22 @@ class TestEnumerateCommand:
         assert code == 2
         assert "rational A" in err
 
+    @pytest.mark.parametrize("argv,option", [
+        (("jack", "--lambda", "2", "--alpha", "sqrt2"), "--alpha"),
+        (("jack", "--lambda", "2", "--alpha", "1/sqrt2"), "--alpha"),
+        (("chtop", "--n", "1", "--P", "sqrt2", "--Q", "1", "--A", "1"), "--P"),
+        (("chtop", "--n", "1", "--P", "1", "--Q", "1/sqrt2", "--A", "1"),
+         "--Q")],
+        ids=["jack-alpha", "jack-alpha-inverse", "chtop-P", "chtop-Q"])
+    def test_sqrt2_rejected_for_rational_options(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {option}:" in errors[0]
+        assert "Traceback" not in err
+
 
 class TestBijectionCommand:
     def test_apply_and_invert(self, capsys):

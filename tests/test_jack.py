@@ -2,14 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from monmap.algebra import SQRT2, Sqrt2
+from monmap.algebra import SQRT2, GammaPoly, Sqrt2
 from monmap.diagrams import MultiRect, YoungDiagram
 from monmap.jack import (JackGuardError, JackParams, ch, ch_stanley,
                          conjugate, dominance_leq, jack_in_p,
                          jack_inner_product, normalized_sn_character,
                          partitions_of, sn_character, sn_dimension,
-                         stanley_ch_poly, stanley_special)
+                         stanley_closed_form, stanley_special)
 
 F = Fraction
 
@@ -162,10 +163,42 @@ class TestStanleyPolynomials:
             full, top = ch_stanley(3, F(0), (F(1),), (q,))
             assert full - top == q  # the p*q * 1 term
 
+    def test_pinned_values(self):
+        # values of the expanded polynomials; the first point has three
+        # rectangles, so it reaches the i < j < k term of Ch_3
+        assert ch_stanley(3, F(1, 2), (1, 2, 3), (5, 3, 1)) == (-20, -34)
+        assert ch_stanley(2, F(-3, 2), (1, 2), (4, 1)) == (-3, -3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_diagram(self, n):
+        assert ch_stanley(n, F(5, 7), (), ()) == (0, 0)
+
+    @given(st.sampled_from([1, 2, 3]), st.fractions(max_denominator=9),
+           st.fractions(max_denominator=9),
+           st.lists(st.tuples(st.fractions(max_denominator=9),
+                              st.fractions(max_denominator=9)), max_size=3))
+    def test_top_part_is_homogeneous(self, n, c, gamma, pq):
+        P = [p for p, _ in pq]
+        Q = [q for _, q in pq]
+        _, top = ch_stanley(n, gamma, P, Q)
+        _, scaled = ch_stanley(n, c * gamma, [c * p for p in P],
+                               [c * q for q in Q])
+        assert scaled == c ** (n + 1) * top
+
     def test_poly_degrees(self):
-        assert stanley_ch_poly(1, 2).degree == 2
-        assert stanley_ch_poly(2, 2).degree == 3
-        assert stanley_ch_poly(3, 2).degree == 4
+        # graded evaluation at a generic point: t * (gamma, P, Q) in Q[t]
+        def graded(x):
+            return GammaPoly((0, F(x)))
+
+        g = graded(F(1, 3))
+        p = [graded(2), graded(F(-5, 2))]
+        q = [graded(7), graded(F(3, 4))]
+        for n in (1, 2, 3):
+            assert stanley_closed_form(n, g, p, q).degree == n + 1
+
+    def test_only_first_three_characters(self):
+        with pytest.raises(ValueError):
+            ch_stanley(4, F(0), (F(1),), (F(1),))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
