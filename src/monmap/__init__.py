@@ -18,11 +18,10 @@ from .enumeration import (all_maps, all_pairs, conservative_maps,
                           liberal_one_face, transitive_pairs)
 from .jack import (JackParams, ch, ch_stanley, jack_in_p, stanley_special)
 from .maps import (BicoloredGraph, BicoloredGraphClass, EdgeKind, EdgeRole,
-                   MapError, MapStructure, NonOrientedMap, Pairing,
-                   bicolored_graph, canonical_form, classify_edge, edge_role,
-                   faces, graph_class, is_orientable, load_fixture,
-                   map_from_json_obj, map_to_json_obj, remove_edge, structure,
-                   twist, twist_many)
+                   MapError, MapStructure, NonOrientedMap, bicolored_graph,
+                   canonical_form, classify_edge, edge_role, faces,
+                   graph_class, is_orientable, load_fixture, map_from_json_obj,
+                   map_to_json_obj, remove_edge, structure, twist, twist_many)
 from .mon import (edge_weight, history_weight, is_top_degree_map,
                   is_top_degree_pair, lemma_equivalence_check, mon, mon_top)
 from .oriented import (OrientedMap, is_transitive, oriented_structure,

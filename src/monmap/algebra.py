@@ -125,8 +125,8 @@ SQRT2 = Sqrt2(0, 1)
 
 def gamma_of(a):
     """Deformation parameter 1/A - A for a nonzero A (rational or Q[sqrt2])."""
-    if isinstance(a, int):
-        a = Fraction(a)
+    if not isinstance(a, Sqrt2):
+        a = _as_fraction(a)
     if not a:
         raise ZeroDivisionError("gamma is undefined at A = 0")
     return 1 / a - a

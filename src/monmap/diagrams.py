@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Union
 
-from .algebra import Sqrt2, gamma_of
+from .algebra import Sqrt2, _as_fraction, gamma_of
 from .enumeration import (FORCE_HINT, conservative_maps, conservative_one_face,
                           transitive_pairs_by_class)
 from .maps import BicoloredGraph, bicolored_graph, canonical_graph_class
@@ -149,9 +149,9 @@ class MultiRect:
     A: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "P", tuple(Fraction(p) for p in self.P))
-        object.__setattr__(self, "Q", tuple(Fraction(q) for q in self.Q))
-        object.__setattr__(self, "A", Fraction(self.A))
+        object.__setattr__(self, "P", tuple(map(_as_fraction, self.P)))
+        object.__setattr__(self, "Q", tuple(map(_as_fraction, self.Q)))
+        object.__setattr__(self, "A", _as_fraction(self.A))
         if len(self.P) != len(self.Q):
             raise DiagramError("P and Q must have the same length")
         if self.A == 0:
@@ -159,9 +159,9 @@ class MultiRect:
 
     @classmethod
     def from_primes(cls, p_prime, q_prime, a) -> "MultiRect":
-        a = Fraction(a)
-        return cls(tuple(Fraction(p) / a for p in p_prime),
-                   tuple(Fraction(q) * a for q in q_prime), a)
+        a = _as_fraction(a)
+        return cls(tuple(p / a for p in p_prime),
+                   tuple(q * a for q in q_prime), a)
 
     @property
     def p_prime(self) -> tuple[int, ...]:
@@ -242,9 +242,18 @@ def normalized_embeddings(g: BicoloredGraph, lam: YoungDiagram,
     return a ** (g.whites - g.blacks) * (sign * n)
 
 
-def _check_n_guard(n: int, force: bool):
+MAX_EMBEDDING_SEARCH = 10 ** 6  # row assignments; about 2 s
+
+
+def _check_map_sum_guard(n: int, lam: YoungDiagram, force: bool):
+    """At most 5 edges, and at most MAX_EMBEDDING_SEARCH row assignments
+    per embedding count: a graph has at most n black vertices."""
     if n > 5 and not force:
         raise DiagramError(f"n={n} exceeds the map-sum guard (5); "
+                           f"{FORCE_HINT}")
+    if not force and len(lam.rows) ** n > MAX_EMBEDDING_SEARCH:
+        raise DiagramError(f"{len(lam.rows)} rows ** n={n} exceed the "
+                           f"embedding guard ({MAX_EMBEDDING_SEARCH}); "
                            f"{FORCE_HINT}")
 
 
@@ -258,8 +267,8 @@ def chtop_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
     runs over one sigma1 per cycle type, each pair weighted by the size of
     its class (:func:`~monmap.enumeration.transitive_pairs_by_class`).
     """
-    _check_n_guard(n, force)
     lam = mr.diagram()
+    _check_map_sum_guard(n, lam, force)
     g = mr.gamma
     a = mr.A
     total = Fraction(0)
@@ -277,8 +286,8 @@ def ogs_top_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
     verification suites check it against :func:`chtop_map_sum` under the
     documented reconciliation chtop = (-1) * this sum.
     """
-    _check_n_guard(n, force)
     lam = mr.diagram()
+    _check_map_sum_guard(n, lam, force)
     g = mr.gamma
     a = mr.A
     total = Fraction(0)

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence, Union
 
-from .algebra import SQRT2, GammaPoly, Sqrt2
+from .algebra import SQRT2, GammaPoly, Sqrt2, _as_fraction
 from .diagrams import Partition, YoungDiagram, normalized_embeddings
 from .enumeration import conservative_maps
 from .maps import bicolored_graph
@@ -175,7 +175,7 @@ def jack_in_p(lam, alpha, force: bool = False,
     The table covers every partition mu of |lam|, explicit zeros included.
     """
     lam = tuple(Partition(lam).parts)
-    alpha = Fraction(alpha)
+    alpha = _as_fraction(alpha)
     if sum(lam) > JACK_SIZE_GUARD and not force:
         raise JackGuardError(f"|lambda| = {sum(lam)} exceeds the guard "
                              f"({JACK_SIZE_GUARD})")
@@ -185,7 +185,7 @@ def jack_in_p(lam, alpha, force: bool = False,
 
 
 def jack_inner_product(f: dict, g: dict, alpha) -> Fraction:
-    return _inner(f, g, Fraction(alpha))
+    return _inner(f, g, _as_fraction(alpha))
 
 
 @dataclass(frozen=True)
@@ -196,15 +196,15 @@ class JackParams:
     A: Scalar
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "alpha", _as_fraction(self.alpha))
         if not isinstance(self.A, Sqrt2):
-            object.__setattr__(self, "A", Fraction(self.A))
+            object.__setattr__(self, "A", _as_fraction(self.A))
         if self.A * self.A != self.alpha:
             raise ValueError("A^2 must equal alpha")
 
     @classmethod
     def from_A(cls, a: Scalar) -> "JackParams":
-        a = a if isinstance(a, Sqrt2) else Fraction(a)
+        a = a if isinstance(a, Sqrt2) else _as_fraction(a)
         alpha = a * a
         if isinstance(alpha, Sqrt2):
             alpha = alpha.to_fraction()
@@ -325,11 +325,9 @@ def ch_stanley(n: int, gamma, P: Sequence, Q: Sequence):
     if len(P) != len(Q):
         raise ValueError("P and Q must have the same length")
 
-    def graded(x) -> GammaPoly:
-        return GammaPoly((0, Fraction(x)))
-
-    value = stanley_closed_form(n, graded(gamma), [graded(x) for x in P],
-                                [graded(x) for x in Q])
+    t = GammaPoly((0, 1))
+    value = stanley_closed_form(n, t * gamma, [t * x for x in P],
+                                [t * x for x in Q])
     return sum(value.coeffs, Fraction(0)), value.coefficient(n + 1)
 
 
@@ -365,7 +363,7 @@ def stanley_special(pi, lam, alpha, force: bool = False):
     """
     pi = Partition(pi)
     lam = Partition(lam)
-    alpha = Fraction(alpha)
+    alpha = _as_fraction(alpha)
     if pi.size + pi.length > 6 and not force:
         raise JackGuardError("|pi| + l(pi) exceeds the guard (6)")
     if lam.size > JACK_SIZE_GUARD and not force:

@@ -15,8 +15,9 @@ each involution as a tuple of partner indices into it.  Maps are built from
 such arrays by one validating constructor, :meth:`NonOrientedMap.from_arrays`.
 The orbit kernels, edge removal, twisting and canonical forms all run on
 the index arrays; a label is found by bisection on the sorted tuple, and
-labels appear only at the API and JSON boundary, as label pairs or as the
-:class:`Pairing` values that the ``beta``/``omega``/``eps`` views return.
+labels appear only at the API and JSON boundary, as sorted label pairs:
+:meth:`NonOrientedMap.from_pairs` takes them in, and the
+``beta``/``omega``/``eps`` views give them back.
 
 All values are immutable; every operation is a pure function returning new
 values, so instances are safe to share and to use as cache keys.
@@ -64,42 +65,6 @@ def checked_pairs(pairs, what: str) -> list[tuple[int, int]]:
         _check_label(b, what)
         out.append(_normalize_edge(pair))
     return out
-
-
-@dataclass(frozen=True)
-class Pairing:
-    """Fixed-point-free involution on a finite label set (perfect matching).
-
-    A label-level value for the API and JSON boundary, held as its sorted
-    pairs (a, b) with a < b.  Maps do not store it: they hold partner-index
-    tuples, and their ``beta``/``omega``/``eps`` views build it on demand.
-    """
-
-    pairs: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        # valid exactly when the map with all three involutions equal to it is
-        pairs = checked_pairs(self.pairs, "pairing")
-        m = NonOrientedMap.from_pairs(pairs, pairs, pairs)
-        object.__setattr__(self, "pairs", m.edges())
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[int, int]) -> "Pairing":
-        return cls([(a, b) for a, b in mapping.items() if a < b])
-
-    @property
-    def mapping(self) -> dict[int, int]:
-        """A fresh dict from each label to its partner."""
-        return {**dict(self.pairs), **{b: a for a, b in self.pairs}}
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        return _normalize_edge(pair) in self.pairs
 
 
 class EdgeKind(enum.Enum):
@@ -227,20 +192,16 @@ class NonOrientedMap:
     edge-side.
 
     Every map built from scratch goes through :meth:`from_arrays`, the one
-    validating constructor; ``NonOrientedMap(beta, omega, eps, root)`` and
-    :meth:`from_pairs` convert label pairs and call it.  Maps derived by
-    :func:`remove_edge` and :func:`twist_many` are built straight from
-    arrays by ``_new_map``, since they are valid by construction.
-    ``beta``, ``omega`` and ``eps`` are :class:`Pairing` views built on
-    access; kernel outputs, canonical forms and the history lattice of
-    ``monmap.mon`` are cached per instance.
+    validating constructor; :meth:`from_pairs` converts label pairs and
+    calls it.  Maps derived by :func:`remove_edge` and :func:`twist_many`
+    are built straight from arrays by ``_new_map``, since they are valid by
+    construction.  ``beta``, ``omega`` and ``eps`` view the involutions as
+    sorted label pairs (a, b) with a < b.  These views, kernel outputs,
+    canonical forms and the history lattice of ``monmap.mon`` are built on
+    first access and cached per instance.
     """
 
     __slots__ = ("labels", "_b", "_w", "_e", "root", "__dict__")
-
-    def __new__(cls, beta: Pairing, omega: Pairing, eps: Pairing,
-                root: Optional[int] = None):
-        return cls.from_pairs(beta.pairs, omega.pairs, eps.pairs, root)
 
     def __setattr__(self, name, value):
         raise AttributeError("NonOrientedMap values are immutable")
@@ -289,29 +250,26 @@ class NonOrientedMap:
         """Number of edges."""
         return len(self.labels) // 2
 
-    def _label_pairs(self, partner) -> list[tuple[int, int]]:
+    def _label_pairs(self, partner) -> tuple[tuple[int, int], ...]:
         labels = self.labels
-        return [(labels[i], labels[j]) for i, j in enumerate(partner) if i < j]
+        return tuple([(labels[i], labels[j])
+                      for i, j in enumerate(partner) if i < j])
 
     @_cached
-    def beta(self) -> Pairing:
-        return Pairing(self._label_pairs(self._b))
+    def beta(self) -> tuple[tuple[int, int], ...]:
+        return self._label_pairs(self._b)
 
     @_cached
-    def omega(self) -> Pairing:
-        return Pairing(self._label_pairs(self._w))
+    def omega(self) -> tuple[tuple[int, int], ...]:
+        return self._label_pairs(self._w)
 
     @_cached
-    def eps(self) -> Pairing:
-        return Pairing(self._label_pairs(self._e))
-
-    @_cached
-    def _edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self._label_pairs(self._e))
+    def eps(self) -> tuple[tuple[int, int], ...]:
+        return self._label_pairs(self._e)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The edges as sorted label pairs (a, b) with a < b."""
-        return self._edges
+        return self.eps
 
     def with_root(self, root: Optional[int]) -> "NonOrientedMap":
         _check_root(self.labels, root)
@@ -362,9 +320,9 @@ class NonOrientedMap:
 
     def __repr__(self):
         root = f", root={self.root}" if self.root is not None else ""
-        return (f"NonOrientedMap(B={list(map(list, self.beta.pairs))}, "
-                f"W={list(map(list, self.omega.pairs))}, "
-                f"E={list(map(list, self.eps.pairs))}{root})")
+        return (f"NonOrientedMap(B={list(map(list, self.beta))}, "
+                f"W={list(map(list, self.omega))}, "
+                f"E={list(map(list, self.eps))}{root})")
 
 
 # The slot setters write past the immutability guard in __setattr__.
@@ -604,9 +562,9 @@ def graph_class(m: NonOrientedMap) -> BicoloredGraphClass:
 def map_to_json_obj(m: NonOrientedMap) -> dict:
     obj = {
         "labels": list(m.labels),
-        "B": [list(p) for p in m._label_pairs(m._b)],
-        "W": [list(p) for p in m._label_pairs(m._w)],
-        "E": [list(p) for p in m._label_pairs(m._e)],
+        "B": [list(p) for p in m.beta],
+        "W": [list(p) for p in m.omega],
+        "E": [list(p) for p in m.eps],
     }
     if m.root is not None:
         obj["root"] = m.root

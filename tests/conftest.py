@@ -14,6 +14,11 @@ def projective():
     return load_fixture("projective")
 
 
+def partner_dict(pairs):
+    """The label dict of an involution view: each label to its partner."""
+    return {**dict(pairs), **{b: a for a, b in pairs}}
+
+
 def _uniform_matching(rng, size):
     """Partner indices of a uniform perfect matching of range(size)."""
     order = list(range(size))

@@ -39,7 +39,7 @@ class TestPhi:
         for m in all_maps(2):
             if not is_orientable(m):
                 continue
-            for h in permutations(m.eps.pairs):
+            for h in permutations(m.eps):
                 if is_top_degree_pair(m, h):
                     assert is_orientable(phi(m, h).map)
 
@@ -57,7 +57,7 @@ class TestPhiInverse:
         from monmap.maps import structure
 
         nm = side_label(TORUS)
-        h = list(nm.eps.pairs)
+        h = list(nm.eps)
         res = phi_inverse(nm, h)
         assert is_top_degree_pair(res.map, h)
         assert graph_class(res.map) == graph_class(nm)
@@ -73,7 +73,7 @@ class TestExhaustiveSmall:
         orientable_histories = 0
         for m in all_maps(2):
             orientable = is_orientable(m)
-            for h in permutations(m.eps.pairs):
+            for h in permutations(m.eps):
                 if is_top_degree_pair(m, h):
                     pairs += 1
                     res = phi(m, h)
@@ -91,17 +91,15 @@ class TestExhaustiveSmall:
 
     def test_twists_subset_of_edges(self):
         for m in all_maps(2):
-            for h in permutations(m.eps.pairs):
+            for h in permutations(m.eps):
                 if is_top_degree_pair(m, h):
                     res = phi(m, h)
-                    assert set(res.twists) <= set(m.eps.pairs)
+                    assert set(res.twists) <= set(m.eps)
 
 
 class TestSampledN4:
     def test_random_maps_round_trip(self):
         import random
-
-        from monmap.maps import Pairing
 
         rng = random.Random(2024)
         labels = list(range(1, 9))
@@ -109,12 +107,13 @@ class TestSampledN4:
         def rand_pairing():
             labs = labels[:]
             rng.shuffle(labs)
-            return Pairing((labs[i], labs[i + 1]) for i in range(0, 8, 2))
+            return [(labs[i], labs[i + 1]) for i in range(0, 8, 2)]
 
         forward = backward = 0
         while forward < 60 or backward < 60:
-            m = NonOrientedMap(rand_pairing(), rand_pairing(), rand_pairing())
-            h = list(m.eps.pairs)
+            m = NonOrientedMap.from_pairs(rand_pairing(), rand_pairing(),
+                                          rand_pairing())
+            h = list(m.eps)
             rng.shuffle(h)
             if forward < 60 and is_top_degree_pair(m, h):
                 res = phi(m, h)
@@ -133,7 +132,7 @@ class TestSampledN4:
         from monmap.enumeration import conservative_one_face
 
         for m in list(conservative_one_face(3))[:6]:
-            h = list(m.eps.pairs)
+            h = list(m.eps)
             if not is_top_degree_pair(m, h):
                 continue
             out = phi(m, h).map

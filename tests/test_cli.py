@@ -189,8 +189,9 @@ class TestEnumerateCommand:
 
     @pytest.mark.parametrize("argv", [
         ("verify", "liberation-oriented", "--n", "4"),
-        ("chtop", "--n", "6", "--P", "1", "--Q", "4", "--A", "2")],
-        ids=["verify", "chtop"])
+        ("chtop", "--n", "6", "--P", "1", "--Q", "4", "--A", "2"),
+        ("chtop", "--n", "5", "--P", "60", "--Q", "1", "--A", "1")],
+        ids=["verify", "chtop", "chtop-tall-diagram"])
     def test_guard_message_names_flag(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""

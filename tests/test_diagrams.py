@@ -142,6 +142,13 @@ class TestChTopMapSum:
         with pytest.raises(DiagramError):
             chtop_map_sum(6, mr)
 
+    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum])
+    def test_tall_diagram_guard(self, map_sum):
+        # 101 ** 3 row assignments; 100 ** 3 is the largest search allowed
+        mr = MultiRect.from_primes((101,), (1,), F(1))
+        with pytest.raises(DiagramError, match="embedding guard.*force=True"):
+            map_sum(3, mr)
+
 
 class TestOgsTopMapSum:
     def test_n1_sign_reconciliation(self):

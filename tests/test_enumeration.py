@@ -9,8 +9,8 @@ from monmap.enumeration import (GuardExceeded, all_maps, all_pairs,
                                 group_by, involutions, liberal_one_face,
                                 polygon_pairings, single_polygon_pairs,
                                 transitive_pairs, transitive_pairs_by_class)
-from monmap.maps import (NonOrientedMap, Pairing, canonical_form, faces,
-                         graph_class, structure)
+from monmap.maps import (NonOrientedMap, canonical_form, faces, graph_class,
+                         structure)
 from monmap.mon import mon_top
 from monmap.oriented import (bicolored_graph_oriented, graph_class_oriented,
                              side_label)
@@ -34,9 +34,8 @@ class TestInvolutions:
         assert len(items) == 3
         views = {NonOrientedMap.from_arrays(labels, p, p, p).eps
                  for p in items}
-        assert views == {Pairing([(4, 7), (9, 12)]),
-                         Pairing([(4, 9), (7, 12)]),
-                         Pairing([(4, 12), (7, 9)])}
+        assert views == {((4, 7), (9, 12)), ((4, 9), (7, 12)),
+                         ((4, 12), (7, 9))}
 
 
 class TestConservative:

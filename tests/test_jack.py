@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from monmap.algebra import SQRT2, GammaPoly, Sqrt2
+from monmap.algebra import SQRT2, GammaPoly, Sqrt2, gamma_of
 from monmap.diagrams import MultiRect, YoungDiagram
 from monmap.jack import (JackGuardError, JackParams, ch, ch_stanley,
                          conjugate, dominance_leq, jack_in_p,
@@ -239,3 +239,25 @@ class TestStanleySpecial:
     def test_unknown_alpha_rejected(self):
         with pytest.raises(ValueError):
             stanley_special((1,), (1,), F(3))
+
+
+class TestFloatsRejected:
+    @pytest.mark.parametrize("call", [
+        lambda: ch_stanley(1, 0, [0.1], [1]),
+        lambda: ch_stanley(1, 0.5, [1], [1]),
+        lambda: jack_in_p((2,), 0.1),
+        lambda: jack_inner_product({(1,): F(1)}, {(1,): F(1)}, 0.5),
+        lambda: JackParams(0.25, 0.5),
+        lambda: JackParams(F(1, 4), 0.5),
+        lambda: JackParams.from_A(0.5),
+        lambda: MultiRect([0.5], [2], 2),
+        lambda: MultiRect.from_primes([1], [2], 0.5),
+        lambda: gamma_of(0.5),
+        lambda: stanley_special((1,), (2, 1), 2.0),
+    ], ids=["ch_stanley-P", "ch_stanley-gamma", "jack_in_p",
+            "jack_inner_product", "JackParams", "JackParams-A",
+            "JackParams.from_A", "MultiRect", "MultiRect.from_primes",
+            "gamma_of", "stanley_special"])
+    def test_float_scalar_raises(self, call):
+        with pytest.raises(TypeError, match="exact rational"):
+            call()

@@ -10,7 +10,7 @@ from monmap.enumeration import all_maps, conservative_maps
 from monmap.jack import partitions_of
 from monmap.maps import bicolored_graph, is_orientable, structure
 
-from conftest import map_strategy
+from conftest import map_strategy, partner_dict
 
 
 class TestPurePython:
@@ -105,7 +105,7 @@ def _reference_orbits(labels, *pairings):
         while queue:
             x = queue.popleft()
             for p in pairings:
-                y = p(x)
+                y = p[x]
                 if y not in ids:
                     ids[y], cols[y] = count, 1 - cols[x]
                     queue.append(y)
@@ -117,16 +117,16 @@ def _reference_orbits(labels, *pairings):
 
 def _check_against_reference(m):
     labels = m.labels
-    black_ids, blacks, _ = _reference_orbits(labels, m.beta, m.eps)
-    white_ids, whites, _ = _reference_orbits(labels, m.omega, m.eps)
-    _, components, orientable = _reference_orbits(
-        labels, m.beta, m.omega, m.eps)
+    beta, omega, eps = (partner_dict(p) for p in (m.beta, m.omega, m.eps))
+    black_ids, blacks, _ = _reference_orbits(labels, beta, eps)
+    white_ids, whites, _ = _reference_orbits(labels, omega, eps)
+    _, components, orientable = _reference_orbits(labels, beta, omega, eps)
     s = structure(m)
     assert (s.blacks, s.whites, s.components) == (blacks, whites, components)
     g = bicolored_graph(m)
     assert (g.blacks, g.whites) == (blacks, whites)
     assert g.edges == tuple(sorted(
-        (black_ids[a], white_ids[a]) for a, _ in m.eps.pairs))
+        (black_ids[a], white_ids[a]) for a, _ in m.eps))
     assert is_orientable(m) == orientable
 
 

@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monmap.enumeration import (all_maps, conservative_one_face,
-                                liberal_one_face)
+from monmap.enumeration import all_maps, conservative_one_face
 from monmap.maps import (BicoloredGraph, EdgeKind, MapError, NonOrientedMap,
-                         Pairing, bicolored_graph, canonical_form,
+                         bicolored_graph, canonical_form,
                          canonical_graph_class, classify_edge, edge_role,
-                         faces, graph_class, is_orientable, load_fixture,
-                         map_from_json_obj, map_to_json_obj, remove_edge,
-                         structure, twist, twist_many)
+                         faces, graph_class, is_orientable, map_from_json_obj,
+                         map_to_json_obj, remove_edge, structure, twist,
+                         twist_many)
 from monmap.oriented import OrientedMap, side_label
-from monmap.verify import run_suite
 
-from conftest import map_strategy
+from conftest import map_strategy, partner_dict
 
 F = Fraction
 
@@ -24,22 +22,6 @@ SINGLE_EDGE = NonOrientedMap.from_pairs([[1, 2]], [[1, 2]], [[1, 2]])
 # two edges meeting at one white vertex, black endpoints distinct
 PATH2 = NonOrientedMap.from_pairs(
     [[1, 2], [3, 4]], [[2, 3], [4, 1]], [[1, 2], [3, 4]])
-
-
-class TestPairing:
-    def test_validation(self):
-        with pytest.raises(MapError):
-            Pairing([(1, 1)])
-        with pytest.raises(MapError):
-            Pairing([(1, 2), (2, 3)])
-
-    def test_involution(self):
-        p = Pairing([(1, 5), (2, 4), (3, 6)])
-        for x in (1, 2, 3, 4, 5, 6):
-            assert p(p(x)) == x
-            assert p(x) != x
-        assert len(p) == 3
-        assert (4, 2) in p
 
 
 # a valid 2-edge triple on the labels 1..4, as partner positions
@@ -85,14 +67,17 @@ class TestConstructor:
             NonOrientedMap.from_pairs([[bad, 7]], [[bad, 7]], [[bad, 7]])
         with pytest.raises(MapError):
             NonOrientedMap.from_pairs([[1, 2]], [[1, 2]], [[bad, 1]])
-        with pytest.raises(MapError):
-            Pairing([(bad, 7)])
 
     def test_rejects_labels_int_would_accept(self):
         with pytest.raises(MapError):
             NonOrientedMap.from_pairs([[1.5, 2]], [[1, 2.2]], [[True, 2]])
         with pytest.raises(MapError):
-            Pairing([("3", True)])
+            NonOrientedMap.from_pairs([("3", True)], [[1, 2]], [[1, 2]])
+
+    def test_rejects_invalid_pairs(self):
+        for pairs in ([(1, 1)], [(1, 2), (2, 3)]):
+            with pytest.raises(MapError):
+                NonOrientedMap.from_pairs(pairs, pairs, pairs)
 
 
 class TestFaces:
@@ -165,7 +150,7 @@ class TestClassifyEdge:
     @settings(max_examples=60, deadline=None)
     @given(map_strategy(max_n=3))
     def test_total_and_exclusive(self, m):
-        for e in m.eps.pairs:
+        for e in m.eps:
             assert classify_edge(m, e) in EdgeKind
 
 
@@ -194,11 +179,12 @@ class TestRemoveEdge:
         # relabel x -> 2x, then x -> x+1 on odd results: any injection works
         relabel = {x: 3 * x + 1 for x in m.labels}
 
-        def apply(p):
-            return Pairing((relabel[a], relabel[b]) for a, b in p.pairs)
+        def apply(pairs):
+            return [(relabel[a], relabel[b]) for a, b in pairs]
 
-        image = NonOrientedMap(apply(m.beta), apply(m.omega), apply(m.eps))
-        for a, b in m.eps.pairs:
+        image = NonOrientedMap.from_pairs(apply(m.beta), apply(m.omega),
+                                          apply(m.eps))
+        for a, b in m.eps:
             lhs = canonical_form(remove_edge(m, (a, b)))
             rhs = canonical_form(remove_edge(image, (relabel[a], relabel[b])))
             assert lhs == rhs
@@ -211,7 +197,7 @@ class TestTwist:
             [[1, 3], [2, 4], [5, 6]], [[2, 5], [1, 6], [3, 4]],
             [[1, 2], [3, 5], [4, 6]])
         t = twist(m, (1, 2))
-        assert t.omega == Pairing([(1, 5), (2, 6), (3, 4)])
+        assert t.omega == ((1, 5), (2, 6), (3, 4))
         assert t.beta == m.beta and t.eps == m.eps
 
     def test_white_leaf_fixed(self):
@@ -223,7 +209,7 @@ class TestTwist:
     @settings(max_examples=60, deadline=None)
     @given(map_strategy(max_n=3))
     def test_preserves_graph_class_not_necessarily_faces(self, m):
-        e = m.eps.pairs[0]
+        e = m.eps[0]
         assert graph_class(twist(m, e)) == graph_class(m)
 
     def test_twist_many_matches_sequential(self, klein):
@@ -248,7 +234,7 @@ class TestEdgeRole:
         assert structure(remove_edge(klein, (2, 4))).components == 1
 
     def test_path_edges_are_leaves_not_bridges(self):
-        for e in PATH2.eps.pairs:
+        for e in PATH2.eps:
             role = edge_role(PATH2, e)
             assert role.is_leaf and not role.is_bridge
 
@@ -257,7 +243,7 @@ class TestEdgeRole:
         m = NonOrientedMap.from_pairs(
             [[1, 2], [3, 4], [5, 6]], [[2, 3], [4, 5], [6, 1]],
             [[1, 2], [3, 6], [4, 5]])
-        roles = {e: edge_role(m, e) for e in m.eps.pairs}
+        roles = {e: edge_role(m, e) for e in m.eps}
         assert any(r.is_bridge for r in roles.values())
         for e, r in roles.items():
             if r.is_bridge:
@@ -279,11 +265,12 @@ class TestCanonicalForm:
     def test_relabeling_invariance(self, klein):
         relabel = {1: 10, 2: 20, 3: 31, 4: 44, 5: 5, 6: 16}
 
-        def apply(p):
-            return Pairing((relabel[a], relabel[b]) for a, b in p.pairs)
+        def apply(pairs):
+            return [(relabel[a], relabel[b]) for a, b in pairs]
 
-        other = NonOrientedMap(apply(klein.beta), apply(klein.omega),
-                               apply(klein.eps))
+        other = NonOrientedMap.from_pairs(apply(klein.beta),
+                                          apply(klein.omega),
+                                          apply(klein.eps))
         assert canonical_form(other) == canonical_form(klein)
 
     def test_distinguishes_fixtures(self, klein, projective):
@@ -346,7 +333,7 @@ class TestExhaustiveInvariants:
         # orientability version over every map on up to 6 labels
         for n in (1, 2, 3):
             for m in all_maps(n):
-                for e in m.eps.pairs:
+                for e in m.eps:
                     if not is_orientable(remove_edge(m, e)):
                         continue
                     role = edge_role(m, e)
@@ -402,7 +389,7 @@ class TestCanonicalMatrixGuard:
 
 # -- reference implementation over label dicts ----------------------------
 # The map core works on index arrays; these are the label-level definitions
-# it must agree with, written over ``Pairing.mapping``.
+# it must agree with, written over the label dicts of ``partner_dict``.
 
 
 def _ref_heal(mapping, a, b):
@@ -415,13 +402,18 @@ def _ref_heal(mapping, a, b):
     return out
 
 
+def _pairs(mapping):
+    return [(x, y) for x, y in mapping.items() if x < y]
+
+
 def ref_remove_edge(m, e):
     a, b = sorted(e)
-    eps = {x: y for x, y in m.eps.mapping.items() if x not in (a, b)}
-    return NonOrientedMap(Pairing.from_mapping(_ref_heal(m.beta.mapping, a, b)),
-                          Pairing.from_mapping(_ref_heal(m.omega.mapping, a, b)),
-                          Pairing.from_mapping(eps),
-                          m.root if m.root not in (a, b) else None)
+    eps = {x: y for x, y in partner_dict(m.eps).items() if x not in (a, b)}
+    return NonOrientedMap.from_pairs(
+        _pairs(_ref_heal(partner_dict(m.beta), a, b)),
+        _pairs(_ref_heal(partner_dict(m.omega), a, b)),
+        _pairs(eps),
+        m.root if m.root not in (a, b) else None)
 
 
 def ref_twist_many(m, edges):
@@ -429,29 +421,30 @@ def ref_twist_many(m, edges):
     for a, b in edges:
         swap[a], swap[b] = b, a
     omega = {swap.get(x, x): swap.get(y, y)
-             for x, y in m.omega.mapping.items()}
-    return NonOrientedMap(m.beta, Pairing.from_mapping(omega), m.eps, m.root)
+             for x, y in partner_dict(m.omega).items()}
+    return NonOrientedMap.from_pairs(m.beta, _pairs(omega), m.eps, m.root)
 
 
-def _ref_trace(m, start):
+def _ref_trace(invs, start):
     pos = {start: 0}
     order = [start]
     for x in order:
-        for y in (m.beta(x), m.omega(x), m.eps(x)):
+        for y in (p[x] for p in invs):
             if y not in pos:
                 pos[y] = len(order)
                 order.append(y)
-    return tuple(pos[p(x)] for x in order for p in (m.beta, m.omega, m.eps))
+    return tuple(pos[p[x]] for x in order for p in invs)
 
 
 def ref_canonical_form(m, rooted):
+    invs = [partner_dict(v) for v in (m.beta, m.omega, m.eps)]
     seen, comps = set(), []
     for s in m.labels:
         if s not in seen:
             comp = [s]
             seen.add(s)
             for x in comp:
-                for y in (m.beta(x), m.omega(x), m.eps(x)):
+                for y in (p[x] for p in invs):
                     if y not in seen:
                         seen.add(y)
                         comp.append(y)
@@ -459,9 +452,9 @@ def ref_canonical_form(m, rooted):
     root_trace, rest = None, []
     for comp in comps:
         if rooted and m.root in comp:
-            root_trace = _ref_trace(m, m.root)
+            root_trace = _ref_trace(invs, m.root)
         else:
-            rest.append(min(_ref_trace(m, s) for s in comp))
+            rest.append(min(_ref_trace(invs, s) for s in comp))
     rest.sort()
     payload = ("R", root_trace, tuple(rest)) if rooted else ("U", tuple(rest))
     return repr(payload).encode()
@@ -482,45 +475,7 @@ class TestArrayCoreMatchesReference:
     def test_views_round_trip(self, projective):
         for e in projective.edges():
             for m in (remove_edge(projective, e), twist(projective, e)):
-                rebuilt = NonOrientedMap(m.beta, m.omega, m.eps, m.root)
+                rebuilt = NonOrientedMap.from_pairs(m.beta, m.omega, m.eps,
+                                                    m.root)
                 assert rebuilt == m and hash(rebuilt) == hash(m)
-                assert m.edges() == m.eps.pairs
-
-    def test_construction_builds_no_pairing(self, monkeypatch):
-        built = []
-        init = Pairing.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Pairing, "__init__", counting_init)
-        for family in (all_maps(2), conservative_one_face(3),
-                       liberal_one_face(2)):
-            for m in family:
-                canonical_form(m)
-        torus = side_label(OrientedMap((1, 2, 0), (1, 2, 0)))
-        assert structure(torus).genus == 1
-        run_suite("degree-bounds", n_exhaustive=1, sampled=(4,), samples=30)
-        assert built == []
-
-    def test_operations_build_no_pairing(self, monkeypatch):
-        m = load_fixture("projective").with_root(1)
-        built = []
-        init = Pairing.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Pairing, "__init__", counting_init)
-        for e in m.edges():
-            smaller = remove_edge(m, e)
-            structure(smaller)
-            canonical_form(smaller)
-            canonical_form(twist_many(m, [e]), rooted=True)
-            classify_edge(m, e)
-            edge_role(m, e)
-        structure(m)
-        canonical_form(m)
-        assert built == []
+                assert m.edges() == m.eps

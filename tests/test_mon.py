@@ -160,7 +160,7 @@ class TestMon:
 
     def test_two_disjoint_edges(self):
         # oracle: both histories explicitly
-        histories = list(permutations(TWO_LOOPS.eps.pairs))
+        histories = list(permutations(TWO_LOOPS.eps))
         total = GammaPoly()
         for h in histories:
             total = total + history_weight(TWO_LOOPS, h)
@@ -177,7 +177,7 @@ class TestMon:
     def test_recursion_matches_history_enumeration(self, m):
         total = GammaPoly()
         count = 0
-        for h in permutations(m.eps.pairs):
+        for h in permutations(m.eps):
             total = total + history_weight(m, h)
             count += 1
         assert mon(m) == total.scale(F(1, count))
@@ -201,7 +201,7 @@ class TestTopDegree:
     @given(map_strategy(max_n=3))
     def test_probability_matches_history_count(self, m):
         hits = total = 0
-        for h in permutations(m.eps.pairs):
+        for h in permutations(m.eps):
             total += 1
             hits += is_top_degree_pair(m, h)
         prob, coeff = mon_top_detail(m)
@@ -234,7 +234,7 @@ class TestDegreeBounds:
         for n in (1, 2):
             for m in all_maps(n):
                 st = structure(m)
-                for h in permutations(m.eps.pairs):
+                for h in permutations(m.eps):
                     assert history_weight(m, h).degree <= 2 * st.genus
                 assert mon(m).degree <= mon_top_degree_target(m)
 
@@ -273,7 +273,7 @@ class TestBruteForceOracleN4:
                                           rand_pairing())
             total = GammaPoly()
             hits = count = 0
-            for h in permutations(m.eps.pairs):
+            for h in permutations(m.eps):
                 total = total + history_weight(m, h)
                 hits += is_top_degree_pair(m, h)
                 count += 1

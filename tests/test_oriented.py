@@ -73,7 +73,7 @@ class TestSideLabel:
     def test_single_edge(self):
         m = side_label(OrientedMap((0,), (0,)))
         assert structure(m).vertices == 2
-        assert m.eps.pairs == ((1, 2),)
+        assert m.eps == ((1, 2),)
 
     def test_torus_any_labeling(self):
         rng = random.Random(7)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from monmap.maps import NonOrientedMap, Pairing
+from monmap.maps import NonOrientedMap
 from monmap.verify import (Check, Report, SUITES, report_from_json,
                            report_render, run_suite)
 
@@ -51,10 +51,10 @@ def label_level_samples(seed, ns, samples):
         def pairing():
             labs = labels[:]
             rng.shuffle(labs)
-            return Pairing((labs[i], labs[i + 1]) for i in range(0, 2 * n, 2))
+            return [(labs[i], labs[i + 1]) for i in range(0, 2 * n, 2)]
 
         for _ in range(samples):
-            m = NonOrientedMap(pairing(), pairing(), pairing())
+            m = NonOrientedMap.from_pairs(pairing(), pairing(), pairing())
             rng.shuffle(list(m.edges()))
             maps.append(m)
     return maps
