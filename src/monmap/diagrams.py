@@ -192,7 +192,8 @@ class MultiRect:
     def diagram(self) -> YoungDiagram:
         rows: list[int] = []
         for p, q in zip(self.p_prime, self.q_prime):
-            rows.extend([q] * p)
+            if q:
+                rows.extend([q] * p)
         return YoungDiagram(rows)
 
 
@@ -245,16 +246,20 @@ def normalized_embeddings(g: BicoloredGraph, lam: YoungDiagram,
 MAX_EMBEDDING_SEARCH = 10 ** 6  # row assignments; about 2 s
 
 
-def _check_map_sum_guard(n: int, lam: YoungDiagram, force: bool):
-    """At most 5 edges, and at most MAX_EMBEDDING_SEARCH row assignments
-    per embedding count: a graph has at most n black vertices."""
+def _map_sum_diagram(n: int, mr: MultiRect, force: bool) -> YoungDiagram:
+    """The diagram of mr, once the guards pass: at most 5 edges, and at
+    most MAX_EMBEDDING_SEARCH row assignments per embedding count (a graph
+    has at most n black vertices).  The rows are counted on the
+    coordinates, so a refused diagram is never expanded."""
     if n > 5 and not force:
         raise DiagramError(f"n={n} exceeds the map-sum guard (5); "
                            f"{FORCE_HINT}")
-    if not force and len(lam.rows) ** n > MAX_EMBEDDING_SEARCH:
-        raise DiagramError(f"{len(lam.rows)} rows ** n={n} exceed the "
+    rows = sum(p for p, q in zip(mr.p_prime, mr.q_prime) if q)
+    if not force and rows ** n > MAX_EMBEDDING_SEARCH:
+        raise DiagramError(f"{rows} rows ** n={n} exceed the "
                            f"embedding guard ({MAX_EMBEDDING_SEARCH}); "
                            f"{FORCE_HINT}")
+    return mr.diagram()
 
 
 def chtop_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
@@ -267,8 +272,7 @@ def chtop_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
     runs over one sigma1 per cycle type, each pair weighted by the size of
     its class (:func:`~monmap.enumeration.transitive_pairs_by_class`).
     """
-    lam = mr.diagram()
-    _check_map_sum_guard(n, lam, force)
+    lam = _map_sum_diagram(n, mr, force)
     g = mr.gamma
     a = mr.A
     total = Fraction(0)
@@ -286,8 +290,7 @@ def ogs_top_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
     verification suites check it against :func:`chtop_map_sum` under the
     documented reconciliation chtop = (-1) * this sum.
     """
-    lam = mr.diagram()
-    _check_map_sum_guard(n, lam, force)
+    lam = _map_sum_diagram(n, mr, force)
     g = mr.gamma
     a = mr.A
     total = Fraction(0)

@@ -61,9 +61,10 @@ def checked_pairs(pairs, what: str) -> list[tuple[int, int]]:
         except (TypeError, ValueError):
             raise MapError(f"{what}: {pair!r} is not a pair of labels") \
                 from None
-        _check_label(a, what)
-        _check_label(b, what)
-        out.append(_normalize_edge(pair))
+        if type(a) is not int or type(b) is not int:  # plain ints need no call
+            _check_label(a, what)
+            _check_label(b, what)
+        out.append((a, b) if a <= b else (b, a))
     return out
 
 
@@ -196,9 +197,8 @@ class NonOrientedMap:
     calls it.  Maps derived by :func:`remove_edge` and :func:`twist_many`
     are built straight from arrays by ``_new_map``, since they are valid by
     construction.  ``beta``, ``omega`` and ``eps`` view the involutions as
-    sorted label pairs (a, b) with a < b.  These views, kernel outputs,
-    canonical forms and the history lattice of ``monmap.mon`` are built on
-    first access and cached per instance.
+    sorted label pairs (a, b) with a < b.  These views, kernel outputs and
+    canonical forms are built on first access and cached per instance.
     """
 
     __slots__ = ("labels", "_b", "_w", "_e", "root", "__dict__")
@@ -292,12 +292,6 @@ class NonOrientedMap:
         black_ids, _, blacks = kernels.face_data(self._b, self._e)
         white_ids, _, whites = kernels.face_data(self._w, self._e)
         return (black_ids, blacks), (white_ids, whites)
-
-    @_cached
-    def _history_lattice(self):
-        """Residual states of this map for the checks that need them."""
-        from .mon import HistoryLattice  # mon builds on this module
-        return HistoryLattice(self)
 
     @_cached
     def _canonical(self) -> bytes:

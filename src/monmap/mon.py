@@ -15,7 +15,9 @@ by a face walk and removing it in place.  The per-history checks that do
 need residual maps (top-degree prefixes, admissible removals, and the twist
 bijection in ``monmap.bijection``) walk one ``HistoryLattice`` per map: the
 residual maps after each set of removed edges, built once and shared by
-every removal order.
+every removal order.  This module keeps that lattice on the map instance
+(see ``_lattice``); edge kinds and roles are read from its states, never
+stored.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from typing import Optional, Sequence
 from . import kernels
 from .algebra import GAMMA, HALF, ONE, GammaPoly
 from .maps import (EdgeKind, EdgeRole, MapError, NonOrientedMap,
-                   _edge_index, canonical_form, classify_edge, remove_edge,
-                   structure)
+                   _edge_index, canonical_form, checked_pairs, classify_edge,
+                   remove_edge, structure)
 
 _WEIGHTS = {
     EdgeKind.STRAIGHT: ONE,
@@ -50,12 +52,16 @@ def edge_weight(m: NonOrientedMap, e) -> GammaPoly:
     return _WEIGHTS[classify_edge(m, e)]
 
 
-def _check_history(m: NonOrientedMap, history: Sequence) -> tuple[tuple[int, int], ...]:
-    """The history as sorted edge pairs; it must order every edge once."""
-    edges = tuple(tuple(sorted(e)) for e in history)
-    if tuple(sorted(edges)) != m.edges():
+def _check_history(m: NonOrientedMap, history: Sequence):
+    """A removal order as (edges, sides): its edges as sorted label pairs
+    and the side positions (i, j), i < j, of each.  Every entry must be a
+    pair of integer labels, and the order must list every edge of m once.
+    """
+    edges = checked_pairs(history, "history")
+    sides = [_edge_index(m, e) for e in edges]
+    if len(sides) != m.n or len(set(sides)) != m.n:
         raise MapError("history is not a permutation of the edge set")
-    return edges
+    return tuple(edges), sides
 
 
 class HistoryLattice:
@@ -68,21 +74,18 @@ class HistoryLattice:
     the state the walk comes from (any parent gives an equal map), so a
     single history costs n removals, as a walk without the lattice does.
 
-    Per (state, edge) the lattice also keeps the edge's kind and its
-    bridge/leaf role.  The role needs no removal of its own: the bridge
-    test compares the component counts of the state and of its child.
-    One lattice belongs to one map instance (see ``history_lattice``).  It
-    serves the checks that need residual maps; history weights do not
-    build it (see ``history_weight``).
+    The lattice stores nothing but these states.  An edge's kind is
+    ``classify_edge`` of its state, and its bridge/leaf role (``role``)
+    compares the component counts of the state and of its child, so it
+    needs no removal of its own.  History weights do not build a lattice
+    (see ``history_weight``).
     """
 
-    __slots__ = ("_bits", "_states", "_kinds", "_roles")
+    __slots__ = ("_bits", "_states")
 
     def __init__(self, m: NonOrientedMap):
         self._bits = {e: 1 << k for k, e in enumerate(m.edges())}
         self._states = {0: m}
-        self._kinds: dict[tuple, EdgeKind] = {}
-        self._roles: dict[tuple, EdgeRole] = {}
 
     def state(self, mask: int) -> NonOrientedMap:
         """The residual map of a mask reached by the walks so far."""
@@ -95,41 +98,33 @@ class HistoryLattice:
             self._states[child] = remove_edge(self._states[mask], e)
         return child
 
-    def kind(self, mask: int, e) -> EdgeKind:
-        """``classify_edge`` of e in the state of mask."""
-        key = (mask, e)
-        kind = self._kinds.get(key)
-        if kind is None:
-            kind = self._kinds[key] = classify_edge(self._states[mask], e)
-        return kind
-
     def role(self, mask: int, e) -> EdgeRole:
         """``edge_role`` of e in the state of mask."""
-        key = (mask, e)
-        role = self._roles.get(key)
-        if role is None:
-            m = self._states[mask]
-            after = self._states[self.child(mask, e)]
-            i, j = _edge_index(m, e)
-            role = self._roles[key] = EdgeRole(
-                is_bridge=after._component_data[1] > m._component_data[1],
-                is_leaf=m._b[i] == j or m._w[i] == j)
-        return role
+        m = self._states[mask]
+        after = self._states[self.child(mask, e)]
+        i, j = _edge_index(m, e)
+        return EdgeRole(
+            is_bridge=after._component_data[1] > m._component_data[1],
+            is_leaf=m._b[i] == j or m._w[i] == j)
 
 
-def history_lattice(m: NonOrientedMap) -> HistoryLattice:
-    """The lattice of m, built lazily and kept on the map instance."""
-    return m._history_lattice
+def _lattice(m: NonOrientedMap) -> HistoryLattice:
+    """The lattice of m, built on first use and kept on the map instance
+    (maps are immutable), so that every history of one map shares its
+    states."""
+    lattice = m.__dict__.get("_lattice")
+    if lattice is None:
+        lattice = m.__dict__["_lattice"] = HistoryLattice(m)
+    return lattice
 
 
 def history_weight(m: NonOrientedMap, history: Sequence) -> GammaPoly:
     """Product of edge weights along a removal order."""
-    return _history_weight(m, _check_history(m, history))
+    return _history_weight(m, _check_history(m, history)[1])
 
 
-def _history_weight(m: NonOrientedMap, edges) -> GammaPoly:
-    return _monomial(*kernels.removal_counts(
-        m._b, m._w, [_edge_index(m, e) for e in edges]))
+def _history_weight(m: NonOrientedMap, sides) -> GammaPoly:
+    return _monomial(*kernels.removal_counts(m._b, m._w, sides))
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +142,7 @@ def is_top_degree_map(m: NonOrientedMap) -> bool:
 
 def failing_prefix(m: NonOrientedMap, history: Sequence) -> Optional[int]:
     """Index i such that M_i is not top-degree, or None if the pair is."""
-    return _failing_prefix(history_lattice(m), _check_history(m, history))
+    return _failing_prefix(_lattice(m), _check_history(m, history)[0])
 
 
 def _failing_prefix(lattice: HistoryLattice, edges) -> Optional[int]:
@@ -163,7 +158,7 @@ def _removals_admissible(lattice: HistoryLattice, edges) -> bool:
     """Each removed edge is twisted, a bridge or a leaf where it is removed."""
     mask = 0
     for e in edges:
-        if lattice.kind(mask, e) is not EdgeKind.TWISTED:
+        if classify_edge(lattice.state(mask), e) is not EdgeKind.TWISTED:
             role = lattice.role(mask, e)
             if not (role.is_bridge or role.is_leaf):
                 return False
@@ -260,11 +255,11 @@ class EquivalenceReport:
 
 
 def lemma_equivalence_check(m: NonOrientedMap, history: Sequence) -> EquivalenceReport:
-    edges = _check_history(m, history)
-    lattice = history_lattice(m)
+    edges, sides = _check_history(m, history)
+    lattice = _lattice(m)
     cond_a = _failing_prefix(lattice, edges) is None
     cond_b = _removals_admissible(lattice, edges)
-    weight = _history_weight(m, edges)
+    weight = _history_weight(m, sides)
     st = structure(m)
     target = st.faces + st.edges - st.vertices
     cond_c = weight.degree == target

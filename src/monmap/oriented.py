@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .maps import (BicoloredGraph, BicoloredGraphClass, MapError,
-                   NonOrientedMap, canonical_graph_class)
+                   NonOrientedMap, _cached, canonical_graph_class)
 
 
 def _perm_from_cycles(n: int, cycles) -> tuple[int, ...]:
@@ -149,15 +149,15 @@ class OrientedMap:
         return cls(_perm_from_cycles(n, cycles1), _perm_from_cycles(n, cycles2),
                    root)
 
-    @cached_property
+    @_cached
     def white_cycles(self):
         return perm_cycles(self.sigma1)
 
-    @cached_property
+    @_cached
     def black_cycles(self):
         return perm_cycles(self.sigma2)
 
-    @cached_property
+    @_cached
     def face_cycles(self):
         return perm_cycles(_compose(self.sigma2, self.sigma1))
 

@@ -273,6 +273,15 @@ def suite_main_theorem(ns=(1, 2, 3, 4, 5), force: bool = False) -> Report:
     return Report("main-theorem", {"ns": str(list(ns))}, checks)
 
 
+def _phi_round_trip(m, h) -> bool:
+    """phi sends the top-degree pair (m, h) to an orientable map on the
+    same graph, and phi_inverse brings it back with the same twists."""
+    res = phi(m, h)
+    back = phi_inverse(res.map, h)
+    return (is_orientable(res.map) and graph_class(res.map) == graph_class(m)
+            and back.map == m and back.twists == res.twists)
+
+
 def suite_key_bijection(ns=(1, 2, 3), conservative_n: int = 4,
                         force: bool = False) -> Report:
     checks = []
@@ -286,11 +295,7 @@ def suite_key_bijection(ns=(1, 2, 3), conservative_n: int = 4,
             for h in permutations(m.edges()):
                 if is_top_degree_pair(m, h):
                     pairs += 1
-                    res = phi(m, h)
-                    back = phi_inverse(res.map, h)
-                    if (not is_orientable(res.map)
-                            or graph_class(res.map) != graph_class(m)
-                            or back.map != m or back.twists != res.twists):
+                    if not _phi_round_trip(m, h):
                         ok = False
                 if orientable:
                     res = phi_inverse(m, h)
@@ -314,11 +319,7 @@ def suite_key_bijection(ns=(1, 2, 3), conservative_n: int = 4,
             if not is_top_degree_pair(m, h):
                 continue
             count += 1
-            res = phi(m, h)
-            back = phi_inverse(res.map, h)
-            if (not is_orientable(res.map)
-                    or graph_class(res.map) != graph_class(m)
-                    or back.map != m):
+            if not _phi_round_trip(m, h):
                 ok = False
     checks.append(Check(
         f"n={n}: conservative one-face family, all histories, round trip",

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -148,6 +149,32 @@ class TestChTopMapSum:
         mr = MultiRect.from_primes((101,), (1,), F(1))
         with pytest.raises(DiagramError, match="embedding guard.*force=True"):
             map_sum(3, mr)
+
+    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum])
+    def test_tall_diagram_refused_before_its_rows_exist(self, map_sum,
+                                                         monkeypatch):
+        # 10^9 rows would take gigabytes as a row list
+        def expand(mr):
+            raise AssertionError("rows built before the guard ran")
+
+        monkeypatch.setattr(MultiRect, "diagram", expand)
+        mr = MultiRect.from_primes((10 ** 9,), (1,), F(1))
+        with pytest.raises(DiagramError, match="embedding guard"):
+            map_sum(1, mr)
+
+    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum])
+    def test_zero_length_rows_are_not_built(self, map_sum):
+        # p' = 10^6 rows of length 0 are no rows; as a list they take 8 MB
+        mr = MultiRect.from_primes((1, 10 ** 6), (1, 0), F(1))
+        tracemalloc.start()
+        try:
+            value = map_sum(2, mr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mr.diagram().rows == (1,)
+        assert value == map_sum(2, MultiRect.from_primes((1,), (1,), F(1)))
+        assert peak < 10 ** 6
 
 
 class TestOgsTopMapSum:

@@ -12,7 +12,7 @@ from monmap.enumeration import all_maps
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _edge_index,
                          classify_edge, edge_role, load_fixture, remove_edge,
                          structure)
-from monmap.mon import (edge_weight, failing_prefix, history_lattice,
+from monmap.mon import (HistoryLattice, _lattice, edge_weight, failing_prefix,
                         history_weight, is_top_degree_map, is_top_degree_pair,
                         lemma_equivalence_check, mon, mon_top,
                         mon_top_degree_target, mon_top_detail)
@@ -57,6 +57,17 @@ class TestHistoryWeight:
         with pytest.raises(MapError):
             history_weight(klein, [(1, 5), (1, 5), (2, 4)])
 
+    @pytest.mark.parametrize("history", [
+        [1, 2, 3],                   # entries that are not pairs
+        [(1, 5, 0), (2, 4), (3, 6)],
+        [(1.0, 5), (2, 4), (3, 6)],  # labels that are not integers
+        [(3.0, 6), (1, 5), (2, 4)],
+        [(True, 5), (2, 4), (3, 6)],
+    ])
+    def test_malformed_entries(self, klein, history):
+        with pytest.raises(MapError):
+            history_weight(klein, history)
+
 
 def ref_history_weight(m, history):
     """Product of edge weights along the history, one removal at a time."""
@@ -85,7 +96,7 @@ class TestHistoryLattice:
     @given(map_strategy(1, 4), st.data())
     def test_states_match_sequential_removal(self, m, data):
         m = m.with_root(data.draw(st.sampled_from(m.labels)))
-        lattice = history_lattice(m)
+        lattice = _lattice(m)
         # a first walk builds states from its own parents ...
         mask = 0
         for e in data.draw(st.permutations(m.edges())):
@@ -98,15 +109,14 @@ class TestHistoryLattice:
         current = m
         for e in subset:
             assert lattice.state(mask) == current
-            assert lattice.kind(mask, e) == classify_edge(current, e)
             assert lattice.role(mask, e) == edge_role(current, e)
             mask = lattice.child(mask, e)
             current = remove_edge(current, e)
         assert lattice.state(mask) == current
 
     def test_one_lattice_per_map(self, klein):
-        assert history_lattice(klein) is history_lattice(klein)
-        assert history_lattice(klein).state(0) is klein
+        assert _lattice(klein) is _lattice(klein)
+        assert _lattice(klein).state(0) is klein
 
 
 def walk_counts(m, history):
@@ -116,12 +126,13 @@ def walk_counts(m, history):
 
 
 def lattice_counts(m, history):
-    """(twisted, interface) counts of the lattice's kinds along a history."""
-    lattice = history_lattice(m)
+    """(twisted, interface) counts of the kinds in the lattice's states
+    along a history."""
+    lattice = _lattice(m)
     kinds = []
     mask = 0
     for e in history:
-        kinds.append(lattice.kind(mask, e))
+        kinds.append(classify_edge(lattice.state(mask), e))
         mask = lattice.child(mask, e)
     return kinds.count(EdgeKind.TWISTED), kinds.count(EdgeKind.INTERFACE)
 
@@ -148,7 +159,7 @@ class TestRemovalWalkAgainstLattice:
     def test_history_weight_builds_no_lattice(self):
         m = load_fixture("klein")
         history_weight(m, m.edges())
-        assert "_history_lattice" not in m.__dict__
+        assert not any(isinstance(v, HistoryLattice) for v in vars(m).values())
 
 
 class TestMon:
