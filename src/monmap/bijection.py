@@ -7,12 +7,14 @@ Both preserve the underlying bicolored multigraph on the nose (a twist
 changes only which surface the graph is drawn on).
 
 The induction settles the history's edges from the last one back to the
-first.  The map left after removing edges 1..k-1 gets the twist set found
-for the smaller map left after removing edge k as well; then, if edge k is
-a bridge or a leaf there, it is kept as is, otherwise it is twisted exactly
-when needed.  That this choice is always available and unique is the
-one-of-two dichotomy; a violation would be an implementation bug and
-aborts with the history up to the failing edge.
+first, over the chain of residual maps left after each prefix of the
+history (``mon._states``, which the per-history checks read too).  The map
+left after removing edges 1..k-1 gets the twist set found for the smaller
+map left after removing edge k as well; then, if edge k is a bridge or a
+leaf there, it is kept as is, otherwise it is twisted exactly when needed.
+That this choice is always available and unique is the one-of-two
+dichotomy; a violation would be an implementation bug and aborts with the
+history up to the failing edge.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .maps import MapError, NonOrientedMap, is_orientable, twist, twist_many
-from .mon import _check_history, _failing_prefix, _lattice, is_top_degree_map
+from .mon import (_check_history, _failing_prefix, _role, _states,
+                  is_top_degree_map)
 
 
 class NotInDomainError(MapError):
@@ -41,27 +44,27 @@ class BijectionResult:
 
 def phi(m: NonOrientedMap, history: Sequence) -> BijectionResult:
     """Top-degree pair -> (orientable map, same history, twist set)."""
-    edges, _ = _check_history(m, history)
-    lattice = _lattice(m)
-    bad = _failing_prefix(lattice, edges)
+    edges = _check_history(m, history)
+    states = _states(m, edges)
+    bad = _failing_prefix(states)
     if bad is not None:
         raise NotInDomainError(
             f"(map, history) is not a top-degree pair: prefix {bad} "
             f"(after removing {list(edges[:bad])}) is not top-degree")
-    out, twists = _settle(lattice, edges, is_orientable)
+    out, twists = _settle(states, edges, is_orientable)
     return BijectionResult(out, edges, twists)
 
 
 def phi_inverse(m: NonOrientedMap, history: Sequence) -> BijectionResult:
     """(orientable map, history) -> top-degree pair on the same graph."""
-    edges, _ = _check_history(m, history)
+    edges = _check_history(m, history)
     if not is_orientable(m):
         raise NotInDomainError("phi_inverse requires an orientable map")
-    out, twists = _settle(_lattice(m), edges, is_top_degree_map)
+    out, twists = _settle(_states(m, edges), edges, is_top_degree_map)
     return BijectionResult(out, edges, twists)
 
 
-def _settle(lattice, edges, target):
+def _settle(states, edges, target):
     """Both directions; `target` is the property the output must satisfy.
 
     They are the same induction with the roles of "orientable" and
@@ -70,17 +73,13 @@ def _settle(lattice, edges, target):
     then its first remaining edge is settled by the bridge/leaf rule or the
     dichotomy.
     """
-    masks = [0]
-    for e in edges:
-        masks.append(lattice.child(masks[-1], e))
-    out, twists = lattice.state(masks[-1]), ()
-    for k in range(len(edges) - 1, -1, -1):
-        e, mask = edges[k], masks[k]
-        candidate = twist_many(lattice.state(mask), twists)
+    out, twists = states[-1], ()
+    for k, e in reversed(list(enumerate(edges))):
+        candidate = twist_many(states[k], twists)
         # a twist changes neither the graph nor the beta/omega/eps adjacency
         # of an edge's two sides, so the role in the state is the role in
         # the candidate
-        role = lattice.role(mask, e)
+        role = _role(states[k], states[k + 1], e)
         if role.is_bridge or role.is_leaf:
             if not target(candidate):
                 raise DichotomyError(

@@ -30,13 +30,23 @@ class DiagramError(ValueError):
     """Invalid partition/diagram data or unrealizable coordinates."""
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple; non-int values are refused, not coerced."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise DiagramError(f"{what} must be integers, "
+                               f"not {type(v).__name__}")
+    return values
+
+
 class Partition:
     """Weakly decreasing sequence of positive integer parts."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts)
+        ps = _integers(parts, "partition parts")
         if any(p <= 0 for p in ps):
             raise DiagramError("partition parts must be positive")
         if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
@@ -90,7 +100,7 @@ class YoungDiagram:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[int] = ()):
-        rs = tuple(int(r) for r in rows if int(r) != 0)
+        rs = tuple(r for r in _integers(rows, "row lengths") if r != 0)
         if any(r < 0 for r in rs):
             raise DiagramError("row lengths must be nonnegative")
         if any(rs[i] < rs[i + 1] for i in range(len(rs) - 1)):

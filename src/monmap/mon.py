@@ -13,10 +13,10 @@ A history weight needs no residual map: ``kernels.removal_counts`` walks
 the history on one copy of the map's partner arrays, classifying each edge
 by a face walk and removing it in place.  The per-history checks that do
 need residual maps (top-degree prefixes, admissible removals, and the twist
-bijection in ``monmap.bijection``) walk one ``HistoryLattice`` per map: the
-residual maps after each set of removed edges, built once and shared by
-every removal order.  This module keeps that lattice on the map instance
-(see ``_lattice``); edge kinds and roles are read from its states, never
+bijection in ``monmap.bijection``) read the chain M = M_0, M_1, ..., M_n
+left after each prefix of the history (see ``_states``).  Each removal is
+kept on the map it was taken from, so the histories of one map share their
+common prefixes; edge kinds and roles are read from the states, never
 stored.
 """
 
@@ -46,6 +46,7 @@ _TOP_CACHE: dict[bytes, Fraction] = {}
 def clear_caches():
     _MON_CACHE.clear()
     _TOP_CACHE.clear()
+    _monomial.cache_clear()
 
 
 def edge_weight(m: NonOrientedMap, e) -> GammaPoly:
@@ -53,77 +54,52 @@ def edge_weight(m: NonOrientedMap, e) -> GammaPoly:
 
 
 def _check_history(m: NonOrientedMap, history: Sequence):
-    """A removal order as (edges, sides): its edges as sorted label pairs
-    and the side positions (i, j), i < j, of each.  Every entry must be a
-    pair of integer labels, and the order must list every edge of m once.
+    """A removal order as a tuple of edges, each a sorted label pair.  Every
+    entry must be a pair of integer labels, and the order must list every
+    edge of m once (``m.eps`` is the sorted tuple of its edges).
     """
-    edges = checked_pairs(history, "history")
-    sides = [_edge_index(m, e) for e in edges]
-    if len(sides) != m.n or len(set(sides)) != m.n:
+    edges = tuple(checked_pairs(history, "history"))
+    if tuple(sorted(edges)) != m.eps:
+        for e in edges:
+            _edge_index(m, e)  # names the first entry that is not an edge
         raise MapError("history is not a permutation of the edge set")
-    return tuple(edges), sides
+    return edges
 
 
-class HistoryLattice:
-    """The residual maps of one map, keyed by the set of removed edges.
+def _states(m: NonOrientedMap, edges) -> list[NonOrientedMap]:
+    """The residual maps along a history: ``states[k]`` is m with
+    ``edges[:k]`` removed.
 
-    Bit k of a mask stands for the k-th edge of ``m.edges()``.  The map
-    left after removing some edges depends only on which edges were
-    removed, not on their order, so the 2^n states serve all n! removal
-    histories.  A state is built on first use by removing one edge from
-    the state the walk comes from (any parent gives an equal map), so a
-    single history costs n removals, as a walk without the lattice does.
-
-    The lattice stores nothing but these states.  An edge's kind is
-    ``classify_edge`` of its state, and its bridge/leaf role (``role``)
-    compares the component counts of the state and of its child, so it
-    needs no removal of its own.  History weights do not build a lattice
-    (see ``history_weight``).
+    Each removal is kept on the map instance it was taken from (maps are
+    immutable), so all histories of one map share every common prefix,
+    whatever order they come in.
     """
-
-    __slots__ = ("_bits", "_states")
-
-    def __init__(self, m: NonOrientedMap):
-        self._bits = {e: 1 << k for k, e in enumerate(m.edges())}
-        self._states = {0: m}
-
-    def state(self, mask: int) -> NonOrientedMap:
-        """The residual map of a mask reached by the walks so far."""
-        return self._states[mask]
-
-    def child(self, mask: int, e) -> int:
-        """The mask after also removing edge e, building its state once."""
-        child = mask | self._bits[e]
-        if child not in self._states:
-            self._states[child] = remove_edge(self._states[mask], e)
-        return child
-
-    def role(self, mask: int, e) -> EdgeRole:
-        """``edge_role`` of e in the state of mask."""
-        m = self._states[mask]
-        after = self._states[self.child(mask, e)]
-        i, j = _edge_index(m, e)
-        return EdgeRole(
-            is_bridge=after._component_data[1] > m._component_data[1],
-            is_leaf=m._b[i] == j or m._w[i] == j)
+    states = [m]
+    for e in edges:
+        removed = m.__dict__.setdefault("_removed", {})
+        if e not in removed:
+            removed[e] = remove_edge(m, e)
+        m = removed[e]
+        states.append(m)
+    return states
 
 
-def _lattice(m: NonOrientedMap) -> HistoryLattice:
-    """The lattice of m, built on first use and kept on the map instance
-    (maps are immutable), so that every history of one map shares its
-    states."""
-    lattice = m.__dict__.get("_lattice")
-    if lattice is None:
-        lattice = m.__dict__["_lattice"] = HistoryLattice(m)
-    return lattice
+def _role(before: NonOrientedMap, after: NonOrientedMap, e) -> EdgeRole:
+    """``edge_role`` of e in ``before``, where ``after`` is ``before`` with
+    e removed: the component counts of the two give the bridge test."""
+    i, j = _edge_index(before, e)
+    return EdgeRole(
+        is_bridge=after._component_data[1] > before._component_data[1],
+        is_leaf=before._b[i] == j or before._w[i] == j)
 
 
 def history_weight(m: NonOrientedMap, history: Sequence) -> GammaPoly:
     """Product of edge weights along a removal order."""
-    return _history_weight(m, _check_history(m, history)[1])
+    return _history_weight(m, _check_history(m, history))
 
 
-def _history_weight(m: NonOrientedMap, sides) -> GammaPoly:
+def _history_weight(m: NonOrientedMap, edges) -> GammaPoly:
+    sides = [_edge_index(m, e) for e in edges]
     return _monomial(*kernels.removal_counts(m._b, m._w, sides))
 
 
@@ -142,27 +118,21 @@ def is_top_degree_map(m: NonOrientedMap) -> bool:
 
 def failing_prefix(m: NonOrientedMap, history: Sequence) -> Optional[int]:
     """Index i such that M_i is not top-degree, or None if the pair is."""
-    return _failing_prefix(_lattice(m), _check_history(m, history)[0])
+    return _failing_prefix(_states(m, _check_history(m, history)))
 
 
-def _failing_prefix(lattice: HistoryLattice, edges) -> Optional[int]:
-    mask = 0
-    for i, e in enumerate(edges):
-        if not is_top_degree_map(lattice.state(mask)):
-            return i
-        mask = lattice.child(mask, e)
-    return None if is_top_degree_map(lattice.state(mask)) else len(edges)
+def _failing_prefix(states) -> Optional[int]:
+    return next((i for i, state in enumerate(states)
+                 if not is_top_degree_map(state)), None)
 
 
-def _removals_admissible(lattice: HistoryLattice, edges) -> bool:
+def _removals_admissible(states, edges) -> bool:
     """Each removed edge is twisted, a bridge or a leaf where it is removed."""
-    mask = 0
-    for e in edges:
-        if classify_edge(lattice.state(mask), e) is not EdgeKind.TWISTED:
-            role = lattice.role(mask, e)
+    for before, after, e in zip(states, states[1:], edges):
+        if classify_edge(before, e) is not EdgeKind.TWISTED:
+            role = _role(before, after, e)
             if not (role.is_bridge or role.is_leaf):
                 return False
-        mask = lattice.child(mask, e)
     return True
 
 
@@ -255,13 +225,12 @@ class EquivalenceReport:
 
 
 def lemma_equivalence_check(m: NonOrientedMap, history: Sequence) -> EquivalenceReport:
-    edges, sides = _check_history(m, history)
-    lattice = _lattice(m)
-    cond_a = _failing_prefix(lattice, edges) is None
-    cond_b = _removals_admissible(lattice, edges)
-    weight = _history_weight(m, sides)
-    st = structure(m)
-    target = st.faces + st.edges - st.vertices
+    edges = _check_history(m, history)
+    states = _states(m, edges)
+    cond_a = _failing_prefix(states) is None
+    cond_b = _removals_admissible(states, edges)
+    weight = _history_weight(m, edges)
+    target = mon_top_degree_target(m)  # |F| + |E| - |V|
     cond_c = weight.degree == target
 
     leading = None

@@ -273,13 +273,16 @@ def suite_main_theorem(ns=(1, 2, 3, 4, 5), force: bool = False) -> Report:
     return Report("main-theorem", {"ns": str(list(ns))}, checks)
 
 
-def _phi_round_trip(m, h) -> bool:
-    """phi sends the top-degree pair (m, h) to an orientable map on the
-    same graph, and phi_inverse brings it back with the same twists."""
-    res = phi(m, h)
-    back = phi_inverse(res.map, h)
-    return (is_orientable(res.map) and graph_class(res.map) == graph_class(m)
-            and back.map == m and back.twists == res.twists)
+def _round_trip(m, h, forward: bool) -> bool:
+    """phi (forward) or phi_inverse sends (m, h) into the other domain on
+    the same graph, and the other map brings it back with the same twists."""
+    there, back = (phi, phi_inverse) if forward else (phi_inverse, phi)
+    res = there(m, h)
+    again = back(res.map, h)
+    landed = (is_orientable(res.map) if forward
+              else is_top_degree_pair(res.map, h))
+    return (landed and graph_class(res.map) == graph_class(m)
+            and again.map == m and again.twists == res.twists)
 
 
 def suite_key_bijection(ns=(1, 2, 3), conservative_n: int = 4,
@@ -295,15 +298,9 @@ def suite_key_bijection(ns=(1, 2, 3), conservative_n: int = 4,
             for h in permutations(m.edges()):
                 if is_top_degree_pair(m, h):
                     pairs += 1
-                    if not _phi_round_trip(m, h):
-                        ok = False
+                    ok = _round_trip(m, h, forward=True) and ok
                 if orientable:
-                    res = phi_inverse(m, h)
-                    again = phi(res.map, h)
-                    if (not is_top_degree_pair(res.map, h)
-                            or graph_class(res.map) != graph_class(m)
-                            or again.map != m):
-                        ok = False
+                    ok = _round_trip(m, h, forward=False) and ok
         checks.append(Check(
             f"n={n}: phi and phi_inverse mutually inverse, graph-preserving",
             ok, {"top_degree_pairs": str(pairs)}))
@@ -319,8 +316,7 @@ def suite_key_bijection(ns=(1, 2, 3), conservative_n: int = 4,
             if not is_top_degree_pair(m, h):
                 continue
             count += 1
-            if not _phi_round_trip(m, h):
-                ok = False
+            ok = _round_trip(m, h, forward=True) and ok
     checks.append(Check(
         f"n={n}: conservative one-face family, all histories, round trip",
         ok, {"top_degree_pairs": str(count)}))

@@ -9,7 +9,7 @@ from monmap.diagrams import (DiagramError, MultiRect, Partition, YoungDiagram,
                              chtop_map_sum, count_embeddings,
                              normalized_embeddings, ogs_full, ogs_top_map_sum)
 from monmap.enumeration import conservative_maps, conservative_one_face
-from monmap.jack import ch_stanley
+from monmap.jack import JackParams, ch, ch_stanley, jack_in_p
 from monmap.maps import BicoloredGraph, bicolored_graph, canonical_form, structure
 from monmap.mon import mon, mon_top
 
@@ -32,6 +32,23 @@ class TestPartition:
             Partition((1, 2))
         with pytest.raises(DiagramError):
             Partition((2, 0))
+
+
+class TestNonIntegerPartsRefused:
+    """A float, str or bool part is refused, never truncated or coerced."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: jack_in_p((2.5,), 1),
+        lambda: ch((1.5,), (2,), JackParams.from_A(1)),
+        lambda: YoungDiagram((2.5, 1.9)),
+        lambda: Partition(("3", True)),
+        lambda: Partition((3, 1.0)),
+        lambda: YoungDiagram((2, True)),
+    ], ids=["jack_in_p", "ch", "YoungDiagram", "Partition",
+            "Partition-whole-float", "YoungDiagram-bool"])
+    def test_refused(self, call):
+        with pytest.raises(DiagramError, match="must be integers"):
+            call()
 
 
 class TestYoungDiagram:

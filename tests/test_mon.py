@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from monmap import kernels
 from monmap.algebra import GAMMA, ONE, GammaPoly
+from monmap.bijection import phi
 from monmap.enumeration import all_maps
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _edge_index,
                          classify_edge, edge_role, load_fixture, remove_edge,
                          structure)
-from monmap.mon import (HistoryLattice, _lattice, edge_weight, failing_prefix,
-                        history_weight, is_top_degree_map, is_top_degree_pair,
-                        lemma_equivalence_check, mon, mon_top,
-                        mon_top_degree_target, mon_top_detail)
+from monmap.mon import (_monomial, _role, _states, clear_caches, edge_weight,
+                        failing_prefix, history_weight, is_top_degree_map,
+                        is_top_degree_pair, lemma_equivalence_check, mon,
+                        mon_top, mon_top_degree_target, mon_top_detail)
 
 from conftest import map_strategy
 
@@ -91,32 +92,50 @@ class TestHistoryWeightReference:
             assert history_weight(m, h) == ref_history_weight(m, h)
 
 
-class TestHistoryLattice:
+class TestHistoryStates:
     @settings(max_examples=150, deadline=None)
     @given(map_strategy(1, 4), st.data())
     def test_states_match_sequential_removal(self, m, data):
         m = m.with_root(data.draw(st.sampled_from(m.labels)))
-        lattice = _lattice(m)
-        # a first walk builds states from its own parents ...
-        mask = 0
-        for e in data.draw(st.permutations(m.edges())):
-            mask = lattice.child(mask, e)
-        # ... which a second walk, in another order, must find equal to
+        # a first history leaves its removals on the maps ...
+        _states(m, data.draw(st.permutations(m.edges())))
+        # ... which a second history, in another order, must find equal to
         # the maps it reaches by removing edges one at a time
         order = data.draw(st.permutations(m.edges()))
-        subset = order[:data.draw(st.integers(0, m.n))]
-        mask = 0
+        subset = tuple(order[:data.draw(st.integers(0, m.n))])
+        states = _states(m, subset)
+        assert len(states) == len(subset) + 1
         current = m
-        for e in subset:
-            assert lattice.state(mask) == current
-            assert lattice.role(mask, e) == edge_role(current, e)
-            mask = lattice.child(mask, e)
+        for k, e in enumerate(subset):
+            assert states[k] == current
+            role = _role(states[k], states[k + 1], e)
+            assert role == edge_role(states[k], e)
             current = remove_edge(current, e)
-        assert lattice.state(mask) == current
+        assert states[-1] == current
 
-    def test_one_lattice_per_map(self, klein):
-        assert _lattice(klein) is _lattice(klein)
-        assert _lattice(klein).state(0) is klein
+    def test_histories_share_prefix_states(self, klein):
+        a, b, c = klein.edges()
+        first = _states(klein, (a, b, c))
+        second = _states(klein, (a, c, b))
+        assert first[0] is second[0] is klein
+        assert first[1] is second[1]
+        assert first[2] is not second[2]
+        again = _states(klein, (a, b, c))
+        assert all(x is y for x, y in zip(again, first))
+
+    @pytest.mark.parametrize("check", [
+        history_weight, failing_prefix, lemma_equivalence_check, phi])
+    def test_non_edge_entry_is_named(self, klein, check):
+        with pytest.raises(MapError,
+                           match=r"^\{3,7\} is not an edge of the map$"):
+            check(klein, [(1, 5), (2, 4), (7, 3)])
+
+    def test_history_weight_leaves_no_states(self):
+        m = load_fixture("klein")
+        history_weight(m, m.edges())
+        assert "_removed" not in vars(m)
+        lemma_equivalence_check(m, m.edges())
+        assert "_removed" in vars(m)
 
 
 def walk_counts(m, history):
@@ -125,41 +144,33 @@ def walk_counts(m, history):
         m._b, m._w, [_edge_index(m, e) for e in history])
 
 
-def lattice_counts(m, history):
-    """(twisted, interface) counts of the kinds in the lattice's states
-    along a history."""
-    lattice = _lattice(m)
-    kinds = []
-    mask = 0
-    for e in history:
-        kinds.append(classify_edge(lattice.state(mask), e))
-        mask = lattice.child(mask, e)
+def state_counts(m, history):
+    """(twisted, interface) counts of the kinds in the residual maps along
+    a history."""
+    kinds = [classify_edge(state, e)
+             for state, e in zip(_states(m, history), history)]
     return kinds.count(EdgeKind.TWISTED), kinds.count(EdgeKind.INTERFACE)
 
 
 class TestRemovalWalkAgainstLattice:
-    """The walk of ``history_weight`` against the lattice's residual maps."""
+    """The walk of ``history_weight`` against the residual maps along each
+    history (``mon._states``)."""
 
     def test_all_maps_up_to_two_edges(self):
         for n in (1, 2):
             for m in all_maps(n):
                 for h in permutations(m.edges()):
-                    assert walk_counts(m, h) == lattice_counts(m, h)
+                    assert walk_counts(m, h) == state_counts(m, h)
 
     @settings(max_examples=100, deadline=None)
     @given(map_strategy(1, 4), st.data())
     def test_rooted_and_residual_maps(self, m, data):
         rooted = m.with_root(data.draw(st.sampled_from(m.labels)))
-        # the residual map has labels with gaps, as every lattice state does
+        # the residual map has labels with gaps, as every prefix state does
         residual = remove_edge(m, data.draw(st.sampled_from(m.edges())))
         for current in (m, rooted, residual):
             for h in permutations(current.edges()):
-                assert walk_counts(current, h) == lattice_counts(current, h)
-
-    def test_history_weight_builds_no_lattice(self):
-        m = load_fixture("klein")
-        history_weight(m, m.edges())
-        assert not any(isinstance(v, HistoryLattice) for v in vars(m).values())
+                assert walk_counts(current, h) == state_counts(current, h)
 
 
 class TestMon:
@@ -177,6 +188,11 @@ class TestMon:
             total = total + history_weight(TWO_LOOPS, h)
         assert total.scale(F(1, 2)) == ONE
         assert mon(TWO_LOOPS) == ONE
+
+    def test_clear_caches_clears_monomials(self, klein):
+        history_weight(klein, klein.edges())
+        clear_caches()
+        assert _monomial.cache_info().currsize == 0
 
     def test_empty_map(self):
         empty = NonOrientedMap.from_pairs([], [], [])

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import random
@@ -26,6 +27,7 @@ def clear_every_cache():
     importlib.import_module("monmap.mon").clear_caches()
     importlib.import_module("monmap.maps")._MATRIX_CANON_CACHE.clear()
     importlib.import_module("monmap.diagrams")._EMBED_CACHE.clear()
+    importlib.import_module("monmap.oriented").partitions_of.cache_clear()
     for obj in vars(importlib.import_module("monmap.jack")).values():
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
@@ -123,6 +125,17 @@ class TestRunSuite:
         clear_every_cache()
         backward = render(reversed(ORDER_CASES))
         assert forward == backward
+
+    @pytest.mark.parametrize("name, params, digest", [
+        ("lemma-equivalence", {"n": 2},
+         "66c6699a5da0aebc96c7e01b2903b1b9a11673ac035e9d99046ff8e45cf72f76"),
+        ("key-bijection", {"ns": (1, 2), "conservative_n": 3},
+         "91742f5cce17053975d8b2b21221037d6748791b6fbacb62fd94fdefe4634229"),
+    ], ids=["lemma-equivalence", "key-bijection"])
+    def test_history_suite_bytes(self, name, params, digest):
+        # pins the counts in the reports, not only their pass/fail
+        blob = report_render(run_suite(name, **params), "json")
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_seeded_suite_deterministic(self):
         kwargs = dict(n_exhaustive=1, sampled=(4,), samples=30, seed=5)
