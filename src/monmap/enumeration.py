@@ -66,8 +66,10 @@ def polygon_pairings(face_type) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     beta = []
     omega = []
-    for part in face_type:
-        k = int(part)
+    for k in face_type:
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ValueError(f"face-type parts must be integers, "
+                             f"not {type(k).__name__}")
         if k < 1:
             raise ValueError("face-type parts must be positive")
         first = len(beta)

@@ -23,22 +23,28 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .maps import (BicoloredGraph, BicoloredGraphClass, MapError,
-                   NonOrientedMap, _cached, canonical_graph_class)
+                   NonOrientedMap, _cached, _check_label,
+                   canonical_graph_class)
 
 
 def _perm_from_cycles(n: int, cycles) -> tuple[int, ...]:
-    """Build a 0-based image tuple from 1-based cycles."""
+    """Build a 0-based image tuple from 1-based cycles.  n and the entries
+    must be ints (bool, float and str are refused, not coerced)."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise MapError(f"n must be an integer, not {type(n).__name__}")
     img = list(range(n))
     seen = set()
     for cyc in cycles:
-        for i, a in enumerate(cyc):
-            a = int(a)
+        cyc = tuple(cyc)
+        for a in cyc:
+            _check_label(a, "cycles")
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             if not 1 <= a <= n:
                 raise MapError(f"cycle entry {a} outside 1..{n}")
             if a in seen:
                 raise MapError(f"label {a} repeated in cycles")
             seen.add(a)
-            img[a - 1] = int(cyc[(i + 1) % len(cyc)]) - 1
+            img[a - 1] = b - 1
     return tuple(img)
 
 
@@ -133,8 +139,10 @@ class OrientedMap:
         for s in (s1, s2):
             if sorted(s) != list(range(n)):
                 raise MapError("not a permutation of 0..n-1")
-        if root is not None and not 1 <= root <= n:
-            raise MapError(f"root edge {root} outside 1..{n}")
+        if root is not None:
+            _check_label(root, "root")
+            if not 1 <= root <= n:
+                raise MapError(f"root edge {root} outside 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "sigma1", s1)
         object.__setattr__(self, "sigma2", s2)
@@ -300,5 +308,5 @@ def oriented_to_json_obj(m: OrientedMap) -> dict:
 
 
 def oriented_from_json_obj(obj: dict) -> OrientedMap:
-    return OrientedMap.from_cycles(int(obj["n"]), obj["sigma1"], obj["sigma2"],
+    return OrientedMap.from_cycles(obj["n"], obj["sigma1"], obj["sigma2"],
                                    obj.get("root"))

@@ -67,6 +67,14 @@ class TestConservative:
         assert len(hits) >= 1
         assert any(m.eps == klein.eps for m in hits)
 
+    @pytest.mark.parametrize("face_type", [(2.5,), (2.0,), ("2",),
+                                           (True, 1), (1, False)])
+    def test_non_int_face_type_parts_refused(self, face_type):
+        with pytest.raises(ValueError, match="must be integers"):
+            polygon_pairings(face_type)
+        with pytest.raises(ValueError, match="must be integers"):
+            next(conservative_maps(face_type))
+
     def test_multi_polygon_face_type(self):
         ms = list(conservative_maps((2, 1)))
         assert len(ms) == 15  # pairings of 6 labels

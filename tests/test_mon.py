@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 
 from monmap import kernels
 from monmap.algebra import GAMMA, ONE, GammaPoly
-from monmap.bijection import phi
+from monmap.bijection import phi, phi_inverse
 from monmap.enumeration import all_maps
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _edge_index,
                          classify_edge, edge_role, load_fixture, remove_edge,
-                         structure)
-from monmap.mon import (_monomial, _role, _states, clear_caches, edge_weight,
-                        failing_prefix, history_weight, is_top_degree_map,
-                        is_top_degree_pair, lemma_equivalence_check, mon,
-                        mon_top, mon_top_degree_target, mon_top_detail)
+                         structure, twist)
+from monmap.mon import (_STATES, _monomial, _role, _states, clear_caches,
+                        edge_weight, failing_prefix, history_weight,
+                        is_top_degree_map, is_top_degree_pair,
+                        lemma_equivalence_check, mon, mon_top,
+                        mon_top_degree_target, mon_top_detail)
+from monmap.verify import suite_lemma_equivalence
 
 from conftest import map_strategy
 
@@ -129,6 +131,39 @@ class TestHistoryStates:
         with pytest.raises(MapError,
                            match=r"^\{3,7\} is not an edge of the map$"):
             check(klein, [(1, 5), (2, 4), (7, 3)])
+
+    def test_equal_residuals_of_different_maps_are_one_state(self, klein):
+        e = (1, 5)
+        other = twist(klein, e)
+        assert other != klein
+        mine, theirs = _states(klein, (e,)), _states(other, (e,))
+        assert mine[1] is theirs[1]
+        # the removals taken from it serve both maps
+        f = mine[1].edges()[0]
+        assert _states(klein, (e, f))[2] is _states(other, (e, f))[2]
+
+    def test_clear_caches_empties_the_state_table(self, klein):
+        _states(klein, klein.edges())
+        assert _STATES
+        clear_caches()
+        assert not _STATES
+
+    def test_state_table_holds_the_distinct_proper_residuals(self):
+        # at n = 3: 15 eps pairs to remove times 3^3 maps on the other four
+        # labels, 15 single-edge maps and the empty map
+        clear_caches()
+        suite_lemma_equivalence(3)
+        assert len(_STATES) == 15 * 27 + 15 + 1
+
+    def test_state_table_interns_no_inputs_or_candidates(self, klein):
+        clear_caches()
+        history = klein.edges()
+        out = phi(klein, history).map
+        phi_inverse(out, history)
+        lemma_equivalence_check(klein, history)
+        assert _STATES
+        assert all(state.n < klein.n for state in _STATES.values())
+        assert klein._key() not in _STATES
 
     def test_history_weight_leaves_no_states(self):
         m = load_fixture("klein")

@@ -134,6 +134,27 @@ class TestJsonAndGraph:
         with pytest.raises(MapError):
             OrientedMap((0,), (0,), root=2)
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, "1", True])
+    def test_non_int_cycle_entries_refused(self, bad):
+        with pytest.raises(MapError, match="must be integers"):
+            OrientedMap.from_cycles(2, [[bad, 2]], [[1, 2]])
+        with pytest.raises(MapError, match="must be integers"):
+            OrientedMap.from_cycles(2, [[1, 2]], [[2, bad]])
+
+    @pytest.mark.parametrize("bad", [2.0, "2", True])
+    def test_non_int_n_refused(self, bad):
+        with pytest.raises(MapError, match="n must be an integer"):
+            OrientedMap.from_cycles(bad, [[1]], [[1]])
+
+    def test_json_refuses_non_int_fields(self):
+        good = {"n": 2, "sigma1": [[1, 2]], "sigma2": [[1, 2]]}
+        assert oriented_from_json_obj(good).n == 2
+        for key, value in (("n", "2"), ("sigma1", [["1", 2]]),
+                           ("sigma2", [[True, 2]]), ("root", 1.5),
+                           ("root", True)):
+            with pytest.raises(MapError):
+                oriented_from_json_obj({**good, key: value})
+
 
 def canonical_form_key(m):
     from monmap.maps import graph_class
