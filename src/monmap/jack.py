@@ -61,7 +61,6 @@ def dominance_leq(a: Sequence[int], b: Sequence[int]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def _p_in_exponents(d: int):
     """Full expansion of each p_mu (mu |- d) in d variables.
 

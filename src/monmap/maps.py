@@ -46,10 +46,11 @@ def _normalize_edge(e) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def _check_label(x, what: str) -> None:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise MapError(f"{what}: labels must be integers, "
-                       f"not {type(x).__name__}")
+def _check_labels(xs, what: str) -> None:
+    for x in xs:
+        if type(x) is not int and (type(x) is bool or not isinstance(x, int)):
+            raise MapError(f"{what}: labels must be integers, "
+                           f"not {type(x).__name__}")
 
 
 def checked_pairs(pairs, what: str) -> list[tuple[int, int]]:
@@ -62,8 +63,7 @@ def checked_pairs(pairs, what: str) -> list[tuple[int, int]]:
             raise MapError(f"{what}: {pair!r} is not a pair of labels") \
                 from None
         if type(a) is not int or type(b) is not int:  # plain ints need no call
-            _check_label(a, what)
-            _check_label(b, what)
+            _check_labels((a, b), what)
         out.append((a, b) if a <= b else (b, a))
     return out
 
@@ -128,7 +128,6 @@ class BicoloredGraphClass:
         return repr((self.blacks, self.whites, self.matrix)).encode()
 
 
-_MATRIX_CANON_CACHE: dict = {}
 MAX_CANONICAL_ROWS = 8
 
 
@@ -139,23 +138,18 @@ def _canonical_matrix(rows: tuple[tuple[int, ...], ...]):
     rows (black vertices); for a fixed row order the best column order is
     just the ascending sort of column vectors.
     """
-    cached = _MATRIX_CANON_CACHE.get(rows)
-    if cached is not None:
-        return cached
     if len(rows) > MAX_CANONICAL_ROWS:
         raise MapError(
             f"graph class of a graph with {len(rows)} black vertices exceeds "
             f"the guard of {MAX_CANONICAL_ROWS} (it tries every row order)")
     if not rows or not rows[0]:
-        best = rows
-    else:
-        best = None
-        for perm in permutations(rows):
-            cols = sorted(zip(*perm))
-            cand = tuple(zip(*cols))
-            if best is None or cand < best:
-                best = cand
-    _MATRIX_CANON_CACHE[rows] = best
+        return rows
+    best = None
+    for perm in permutations(rows):
+        cols = sorted(zip(*perm))
+        cand = tuple(zip(*cols))
+        if best is None or cand < best:
+            best = cand
     return best
 
 
@@ -213,8 +207,7 @@ class NonOrientedMap:
         order, three fixed-point-free involutions of their positions as
         partner-index sequences, and an optional root label."""
         labels = tuple(labels)
-        for x in labels:
-            _check_label(x, "labels")
+        _check_labels(labels, "labels")
         if not all(map(lt, labels, labels[1:])):
             raise MapError("labels must be distinct and in increasing order")
         _check_root(labels, root)
@@ -341,7 +334,7 @@ def _new_map(labels, b, w, e, root) -> NonOrientedMap:
 
 def _check_root(labels: tuple[int, ...], root) -> None:
     if root is not None:
-        _check_label(root, "root")
+        _check_labels((root,), "root")
         if _position(labels, root) < 0:
             raise MapError(f"root {root} is not a label of the map")
 
@@ -577,8 +570,7 @@ def map_from_json_obj(obj) -> NonOrientedMap:
     if labels is not None:
         if not isinstance(labels, list):
             raise MapError("'labels' must be a list of integers")
-        for x in labels:
-            _check_label(x, "labels")
+        _check_labels(labels, "labels")
     m = NonOrientedMap.from_pairs(obj["B"], obj["W"], obj["E"],
                                   obj.get("root"))
     if labels is not None and tuple(sorted(labels)) != m.labels:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .maps import (BicoloredGraph, BicoloredGraphClass, MapError,
-                   NonOrientedMap, _cached, _check_label,
+                   NonOrientedMap, _cached, _check_labels,
                    canonical_graph_class)
 
 
@@ -36,8 +36,7 @@ def _perm_from_cycles(n: int, cycles) -> tuple[int, ...]:
     seen = set()
     for cyc in cycles:
         cyc = tuple(cyc)
-        for a in cyc:
-            _check_label(a, "cycles")
+        _check_labels(cyc, "cycles")
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             if not 1 <= a <= n:
                 raise MapError(f"cycle entry {a} outside 1..{n}")
@@ -136,11 +135,12 @@ class OrientedMap:
         n = len(s1)
         if len(s2) != n:
             raise MapError("sigma1 and sigma2 must act on the same set")
-        for s in (s1, s2):
+        for s, name in ((s1, "sigma1"), (s2, "sigma2")):
+            _check_labels(s, name)
             if sorted(s) != list(range(n)):
                 raise MapError("not a permutation of 0..n-1")
         if root is not None:
-            _check_label(root, "root")
+            _check_labels((root,), "root")
             if not 1 <= root <= n:
                 raise MapError(f"root edge {root} outside 1..{n}")
         object.__setattr__(self, "n", n)

@@ -19,15 +19,16 @@ from fractions import Fraction
 from itertools import permutations
 
 from .algebra import GammaPoly, Sqrt2
-from .bijection import phi, phi_inverse
+from .bijection import DichotomyError, NotInDomainError, phi, phi_inverse
 from .diagrams import (MultiRect, YoungDiagram, chtop_map_sum, ogs_top_map_sum)
 from .enumeration import (all_maps, conservative_one_face, group_by,
                           involutions, liberal_one_face,
                           transitive_pairs_by_class)
 from .jack import (JackParams, ch, ch_stanley, jack_in_p, jack_inner_product,
                    partitions_of, stanley_special)
-from .maps import (EdgeKind, NonOrientedMap, canonical_form, classify_edge,
-                   graph_class, is_orientable, load_fixture, structure)
+from .maps import (EdgeKind, NonOrientedMap, bicolored_graph, canonical_form,
+                   classify_edge, graph_class, is_orientable, load_fixture,
+                   structure)
 from .mon import (history_weight, is_top_degree_pair, lemma_equivalence_check,
                   mon, mon_top, mon_top_detail, mon_top_degree_target)
 from .oriented import graph_class_oriented, side_label
@@ -275,13 +276,19 @@ def suite_main_theorem(ns=(1, 2, 3, 4, 5), force: bool = False) -> Report:
 
 def _round_trip(m, h, forward: bool) -> bool:
     """phi (forward) or phi_inverse sends (m, h) into the other domain on
-    the same graph, and the other map brings it back with the same twists."""
+    the same labelled graph, and the other map brings it back with the same
+    twists; a refusal or an abort fails.  A twist conjugates omega by swaps
+    of eps-partners, so every <omega, eps> orbit keeps its label set, and
+    ``face_data`` numbers the vertex orbits of both maps identically."""
     there, back = (phi, phi_inverse) if forward else (phi_inverse, phi)
-    res = there(m, h)
-    again = back(res.map, h)
+    try:
+        res = there(m, h)
+        again = back(res.map, h)
+    except (NotInDomainError, DichotomyError):
+        return False
     landed = (is_orientable(res.map) if forward
               else is_top_degree_pair(res.map, h))
-    return (landed and graph_class(res.map) == graph_class(m)
+    return (landed and bicolored_graph(res.map) == bicolored_graph(m)
             and again.map == m and again.twists == res.twists)
 
 

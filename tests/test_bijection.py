@@ -5,8 +5,8 @@ import pytest
 from monmap.bijection import (BijectionResult, NotInDomainError, phi,
                               phi_inverse)
 from monmap.enumeration import all_maps
-from monmap.maps import (NonOrientedMap, graph_class, is_orientable,
-                         twist_many)
+from monmap.maps import (NonOrientedMap, bicolored_graph, graph_class,
+                         is_orientable, twist_many)
 from monmap.mon import is_top_degree_pair
 from monmap.oriented import OrientedMap, side_label
 
@@ -26,6 +26,7 @@ class TestPhi:
         res = phi(klein, h)
         assert is_orientable(res.map)
         assert graph_class(res.map) == graph_class(klein)
+        assert bicolored_graph(res.map) == bicolored_graph(klein)
         assert res.map == twist_many(klein, res.twists)
         back = phi_inverse(res.map, h)
         assert back.map == klein and back.twists == res.twists
@@ -61,6 +62,7 @@ class TestPhiInverse:
         res = phi_inverse(nm, h)
         assert is_top_degree_pair(res.map, h)
         assert graph_class(res.map) == graph_class(nm)
+        assert bicolored_graph(res.map) == bicolored_graph(nm)
         # connected input, so the top-degree image has exactly one face
         assert structure(res.map).faces == 1
         again = phi(res.map, h)
@@ -79,6 +81,7 @@ class TestExhaustiveSmall:
                     res = phi(m, h)
                     assert is_orientable(res.map)
                     assert graph_class(res.map) == graph_class(m)
+                    assert bicolored_graph(res.map) == bicolored_graph(m)
                     back = phi_inverse(res.map, h)
                     assert back.map == m and back.twists == res.twists
                 if orientable:
@@ -119,6 +122,7 @@ class TestSampledN4:
                 res = phi(m, h)
                 assert is_orientable(res.map)
                 assert graph_class(res.map) == graph_class(m)
+                assert bicolored_graph(res.map) == bicolored_graph(m)
                 assert phi_inverse(res.map, h).map == m
                 forward += 1
             if backward < 60 and is_orientable(m):

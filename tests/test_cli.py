@@ -299,6 +299,18 @@ class TestVerifyCommand:
         assert "first counterexample" in err
         assert "deliberately failing" in err
 
+    def test_broken_bijection_reports_fail(self, capsys, monkeypatch):
+        import importlib
+
+        from monmap.bijection import BijectionResult
+
+        monkeypatch.setattr(importlib.import_module("monmap.verify"), "phi",
+                            lambda m, h: BijectionResult(m, tuple(h), ()))
+        code, _, err = run(capsys, "verify", "key-bijection", "--n", "2")
+        assert code == 1
+        assert "key-bijection: FAIL" in err
+        assert "first counterexample" in err
+
     def test_force_on_suite_without_guards(self, capsys):
         code, _, err = run(capsys, "verify", "mon-examples", "--force")
         assert code == 0

@@ -141,6 +141,16 @@ class TestJsonAndGraph:
         with pytest.raises(MapError, match="must be integers"):
             OrientedMap.from_cycles(2, [[1, 2]], [[2, bad]])
 
+    @pytest.mark.parametrize("sigma1, sigma2", [
+        ((0.0, 1.0), (1, 0)),
+        ((True, 0), (0, 1)),
+        ((0, 1), (1, 0.0)),
+        ((0, "1"), (1, 0)),
+    ], ids=["float", "bool", "float-in-sigma2", "str"])
+    def test_non_int_permutation_entries_refused(self, sigma1, sigma2):
+        with pytest.raises(MapError, match="must be integers"):
+            OrientedMap(sigma1, sigma2)
+
     @pytest.mark.parametrize("bad", [2.0, "2", True])
     def test_non_int_n_refused(self, bad):
         with pytest.raises(MapError, match="n must be an integer"):

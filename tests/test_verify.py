@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from monmap.bijection import BijectionResult
 from monmap.maps import NonOrientedMap
 from monmap.verify import (Check, Report, SUITES, report_from_json,
                            report_render, run_suite)
@@ -25,7 +26,6 @@ ORDER_CASES = (
 def clear_every_cache():
     # import_module: the package re-exports the function mon as monmap.mon
     importlib.import_module("monmap.mon").clear_caches()
-    importlib.import_module("monmap.maps")._MATRIX_CANON_CACHE.clear()
     importlib.import_module("monmap.diagrams")._EMBED_CACHE.clear()
     importlib.import_module("monmap.oriented").partitions_of.cache_clear()
     for obj in vars(importlib.import_module("monmap.jack")).values():
@@ -144,6 +144,29 @@ class TestRunSuite:
             run_suite(warm_up[0], **warm_up[1])
         blob = report_render(run_suite(name, **params), "json")
         assert hashlib.sha256(blob).hexdigest() == digest
+
+    def test_broken_bijection_fails_without_raising(self, monkeypatch):
+        # phi that twists nothing: its output of a non-orientable pair is
+        # outside phi_inverse's domain, which must read as FAIL
+        verify = importlib.import_module("monmap.verify")
+        monkeypatch.setattr(verify, "phi",
+                            lambda m, h: BijectionResult(m, tuple(h), ()))
+        report = run_suite("key-bijection", ns=(1, 2), conservative_n=2)
+        assert report.passed is False
+        assert report.first_failure.name.startswith("n=2: phi and phi_inverse")
+
+    def test_key_bijection_canonicalises_no_graph(self, monkeypatch):
+        # the round trip compares labelled graphs: no class is computed
+        def refuse(rows):
+            raise AssertionError("graph canonicalised on the per-pair path")
+
+        monkeypatch.setattr(importlib.import_module("monmap.maps"),
+                            "_canonical_matrix", refuse)
+        clear_every_cache()
+        blob = report_render(run_suite("key-bijection", ns=(1, 2),
+                                       conservative_n=3), "json")
+        assert hashlib.sha256(blob).hexdigest() == (
+            "91742f5cce17053975d8b2b21221037d6748791b6fbacb62fd94fdefe4634229")
 
     def test_seeded_suite_deterministic(self):
         kwargs = dict(n_exhaustive=1, sampled=(4,), samples=30, seed=5)
