@@ -233,11 +233,7 @@ def count_embeddings(g: BicoloredGraph, lam: YoungDiagram) -> int:
     for assignment in product(range(len(rows)), repeat=g.blacks):
         term = 1
         for adj in white_adj:
-            cols = min(rows[assignment[b]] for b in adj)
-            if cols == 0:
-                term = 0
-                break
-            term *= cols
+            term *= min(rows[assignment[b]] for b in adj)
         total += term
     _EMBED_CACHE[key] = total
     return total

@@ -4,7 +4,10 @@ The deformed power-sum inner product <p_lam, p_mu> = delta * z_lam *
 alpha^{l(lam)} makes the Jack basis the unique orthogonal family that is
 dominance-triangular over the monomial basis, so Gram-Schmidt along any
 linear extension of dominance produces it.  Coefficients are kept in the
-power-sum basis throughout; theta_{1^n} = 1 fixes the normalization.
+power-sum basis throughout; theta_{1^n} = 1 fixes the normalization.  Each
+starting m_lam is written in that basis by back substitution: the
+coefficient of m_lam in p_mu counts the ways to fill the rows of lam with
+the parts of mu, and these counts are triangular for dominance.
 
 This module also carries the independent alpha = 1 oracle (symmetric-group
 characters via Murnaghan-Nakayama), a literal transcription of the closed
@@ -26,7 +29,7 @@ from typing import Sequence, Union
 
 from .algebra import SQRT2, GammaPoly, Sqrt2, _as_fraction
 from .diagrams import Partition, YoungDiagram, normalized_embeddings
-from .enumeration import conservative_maps
+from .enumeration import FORCE_HINT, conservative_maps
 from .maps import bicolored_graph
 from .oriented import (OrientedMap, bicolored_graph_oriented,
                        cycle_type_permutation, partitions_of, z_of)
@@ -61,65 +64,48 @@ def dominance_leq(a: Sequence[int], b: Sequence[int]) -> bool:
     return True
 
 
-def _p_in_exponents(d: int):
-    """Full expansion of each p_mu (mu |- d) in d variables.
+def _fillings(parts: tuple[int, ...], rows: tuple[int, ...]) -> int:
+    """R(mu, lam): the ways to put the parts of mu into rows of lengths lam
+    so that every row is filled exactly, i.e. the coefficient of m_lam in p_mu.
 
-    Returns {mu: {sorted exponent tuple: integer coefficient}}; the
-    coefficient of m_lam in p_mu is the entry at the exponent tuple lam
-    padded with zeros.
+    Parts are placed one at a time; rows of equal remaining length are
+    interchangeable, so each length is tried once and counted with its
+    multiplicity.  |mu| = |lam| is assumed.
     """
-    out = {}
-    for mu in partitions_of(d):
-        poly = {(0,) * d: 1}
-        for part in mu:
-            nxt: dict[tuple[int, ...], int] = {}
-            for exps, c in poly.items():
-                for i in range(d):
-                    e = list(exps)
-                    e[i] += part
-                    key = tuple(e)
-                    nxt[key] = nxt.get(key, 0) + c
-            poly = nxt
-        out[mu] = poly
-    return out
+    if not parts:
+        return 1
+    first, rest = parts[0], parts[1:]
+    total = 0
+    for r in set(rows):
+        if r >= first:
+            left = list(rows)
+            left.remove(r)
+            if r > first:
+                left.append(r - first)
+            total += rows.count(r) * _fillings(rest, tuple(left))
+    return total
 
 
 @lru_cache(maxsize=None)
 def _m_to_p(d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
     """Expansion of each monomial symmetric function in the p basis.
 
-    Obtained by inverting the (p -> m) coefficient matrix over the
-    partitions of d; exact Gaussian elimination.
+    p_mu = sum of R(mu, lam) m_lam over the lam dominating mu (Macdonald
+    I.6), and lexicographic order refines dominance.  So, going from (d)
+    down in reverse lexicographic order, m_mu = (p_mu - sum over lam >lex mu
+    of R(mu, lam) m_lam) / R(mu, mu) uses only expansions already found:
+    exact back substitution on a triangular matrix of counts.
     """
-    parts = list(partitions_of(d))
-    index = {lam: i for i, lam in enumerate(parts)}
-    k = len(parts)
-    p_exp = _p_in_exponents(d)
-    # matrix[i][j] = coefficient of m_{parts[j]} in p_{parts[i]}
-    mat = [[Fraction(0)] * k for _ in range(k)]
-    for i, mu in enumerate(parts):
-        poly = p_exp[mu]
-        for lam in parts:
-            key = tuple(sorted(lam + (0,) * (d - len(lam)), reverse=True))
-            c = poly.get(key)
-            if c:
-                mat[i][index[lam]] = Fraction(c)
-    # invert: solve mat^T x = e_lam for each lam, i.e. m_lam = sum x_mu p_mu
-    aug = [[mat[j][i] for j in range(k)] + [Fraction(int(i == c)) for c in range(k)]
-           for i in range(k)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pc = aug[col][col]
-        aug[col] = [x / pc for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = {}
-    for j, lam in enumerate(parts):
-        out[lam] = {parts[i]: aug[i][k + j] for i in range(k)
-                    if aug[i][k + j] != 0}
+    out: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+    for mu in partitions_of(d):
+        m_mu = {mu: Fraction(1)}
+        for lam, m_lam in out.items():
+            r = _fillings(mu, lam)
+            if r:
+                for nu, c in m_lam.items():
+                    m_mu[nu] = m_mu.get(nu, 0) - r * c
+        diag = _fillings(mu, mu)
+        out[mu] = {nu: c / diag for nu, c in m_mu.items() if c}
     return out
 
 
@@ -177,7 +163,7 @@ def jack_in_p(lam, alpha, force: bool = False,
     alpha = _as_fraction(alpha)
     if sum(lam) > JACK_SIZE_GUARD and not force:
         raise JackGuardError(f"|lambda| = {sum(lam)} exceeds the guard "
-                             f"({JACK_SIZE_GUARD})")
+                             f"({JACK_SIZE_GUARD}); {FORCE_HINT}")
     sparse = _jack_family(sum(lam), alpha, extension)[lam]
     return {mu: sparse.get(mu, Fraction(0))
             for mu in partitions_of(sum(lam))}
@@ -364,9 +350,10 @@ def stanley_special(pi, lam, alpha, force: bool = False):
     lam = Partition(lam)
     alpha = _as_fraction(alpha)
     if pi.size + pi.length > 6 and not force:
-        raise JackGuardError("|pi| + l(pi) exceeds the guard (6)")
+        raise JackGuardError(
+            f"|pi| + l(pi) exceeds the guard (6); {FORCE_HINT}")
     if lam.size > JACK_SIZE_GUARD and not force:
-        raise JackGuardError("|lambda| exceeds the guard (6)")
+        raise JackGuardError(f"|lambda| exceeds the guard (6); {FORCE_HINT}")
     diagram = YoungDiagram(lam.parts)
     sign = -1 if pi.length % 2 else 1
 

@@ -2,20 +2,27 @@
 
 Each test prints a single status line (visible with pytest -s and in the
 captured output); every numeric comparison is exact rational or Q[sqrt2]
-arithmetic, and each criterion asserts its wall-clock budget.
+arithmetic, and each criterion asserts its wall-clock budget.  A criterion
+that runs a suite at its default parameters also pins the report's JSON
+bytes to the suite's digest in perfbench/golden.json.
 """
 
+import hashlib
+import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from monmap.algebra import GammaPoly
 from monmap.enumeration import conservative_one_face, involutions
 from monmap.maps import EdgeKind, classify_edge, load_fixture
 from monmap.mon import mon, mon_top
-from monmap.verify import SECOND_THEOREM_POINTS, run_suite
+from monmap.verify import SECOND_THEOREM_POINTS, report_render, run_suite
 
 F = Fraction
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                     / "golden.json").read_text())["sha256"]
 
 
 def _criterion(number, name, passed, elapsed, budget):
@@ -24,6 +31,12 @@ def _criterion(number, name, passed, elapsed, budget):
           f"({elapsed:.1f}s, budget {budget}s)")
     assert passed, f"criterion {number} failed: {name}"
     assert elapsed < budget, f"criterion {number} exceeded {budget}s budget"
+
+
+def _assert_golden(report):
+    blob = report_render(report, "json")
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN[report.suite], (
+        f"{report.suite} report bytes differ from perfbench/golden.json")
 
 
 def test_criterion_01_mon_examples():
@@ -50,6 +63,7 @@ def test_criterion_03_lemma_equivalence():
     report = run_suite("lemma-equivalence", n=3)
     _criterion(3, "A<=>B<=>C plus monic leading coefficient, all 15^3 maps",
                report.passed, time.perf_counter() - start, 60)
+    _assert_golden(report)
 
 
 def test_criterion_04_degree_bounds():
@@ -59,6 +73,7 @@ def test_criterion_04_degree_bounds():
     _criterion(4, "history/mon degree bounds, exhaustive n<=3 and 10^4 "
                "samples at n=4,5", report.passed,
                time.perf_counter() - start, 120)
+    _assert_golden(report)
 
 
 def test_criterion_05_liberation_nonoriented():
@@ -66,6 +81,7 @@ def test_criterion_05_liberation_nonoriented():
     report = run_suite("liberation-nonoriented", ns=(1, 2, 3))
     _criterion(5, "liberal = (2n-1)! x conservative histograms, n<=3",
                report.passed, time.perf_counter() - start, 120)
+    _assert_golden(report)
 
 
 def test_criterion_06_liberation_oriented():
@@ -73,6 +89,7 @@ def test_criterion_06_liberation_oriented():
     report = run_suite("liberation-oriented", ns=(1, 2, 3))
     _criterion(6, "oriented edge-liberation multisets, n<=3",
                report.passed, time.perf_counter() - start, 120)
+    _assert_golden(report)
 
 
 def test_criterion_07_main_theorem():
@@ -80,6 +97,7 @@ def test_criterion_07_main_theorem():
     report = run_suite("main-theorem", ns=(1, 2, 3, 4, 5))
     _criterion(7, "per-graph-class main identity, n=1..5",
                report.passed, time.perf_counter() - start, 60)
+    _assert_golden(report)
 
 
 def test_criterion_08_key_bijection():
@@ -88,6 +106,7 @@ def test_criterion_08_key_bijection():
     _criterion(8, "twist bijection round trip, n<=3 exhaustive and n=4 "
                "one-face family", report.passed,
                time.perf_counter() - start, 300)
+    _assert_golden(report)
 
 
 def test_criterion_09_second_main_theorem():
@@ -98,6 +117,7 @@ def test_criterion_09_second_main_theorem():
     _criterion(9, f"top-degree map-sum equality at {points} points per n, "
                "plus closed-form grid", report.passed,
                time.perf_counter() - start, 300)
+    _assert_golden(report)
 
 
 def test_criterion_10_jack_oracle():
@@ -105,6 +125,7 @@ def test_criterion_10_jack_oracle():
     report = run_suite("jack-oracle")
     _criterion(10, "theta normalization, orthogonality, ch vs closed forms",
                report.passed, time.perf_counter() - start, 300)
+    _assert_golden(report)
 
 
 def test_criterion_11_stanley_special_values():
@@ -112,6 +133,7 @@ def test_criterion_11_stanley_special_values():
     report = run_suite("stanley-special")
     _criterion(11, "special-value identities at alpha = 1, 2, 1/2",
                report.passed, time.perf_counter() - start, 600)
+    _assert_golden(report)
 
 
 def test_criterion_12_counting_sanity():

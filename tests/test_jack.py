@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from monmap.algebra import SQRT2, GammaPoly, Sqrt2, gamma_of
 from monmap.diagrams import MultiRect, YoungDiagram
-from monmap.jack import (JackGuardError, JackParams, ch, ch_stanley,
+from monmap.jack import (JackGuardError, JackParams, _m_to_p, ch, ch_stanley,
                          conjugate, dominance_leq, jack_in_p,
                          jack_inner_product, normalized_sn_character,
                          partitions_of, sn_character, sn_dimension,
@@ -42,6 +43,21 @@ class TestPartitionHelpers:
     def test_conjugate(self):
         assert conjugate((3, 1)) == (2, 1, 1)
         assert conjugate(()) == ()
+
+
+class TestMonomialToPowerSums:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_expansion_evaluates_to_the_monomial(self, d):
+        x = [F(i + 2, 2 * i + 3) for i in range(d)]  # d distinct rationals
+        for lam, expansion in _m_to_p(d).items():
+            padded = lam + (0,) * (d - len(lam))
+            monomial = sum(math.prod(xi ** e for xi, e in zip(x, exps))
+                           for exps in set(permutations(padded)))
+            value = sum(c * math.prod(sum(xi ** part for xi in x)
+                                      for part in mu)
+                        for mu, c in expansion.items())
+            assert value == monomial
+            assert all(dominance_leq(lam, mu) for mu in expansion)
 
 
 class TestJackInP:
@@ -235,6 +251,11 @@ class TestStanleySpecial:
                     oracle, mapsum = stanley_special(pi, lam, alpha)
                     assert oracle == mapsum
                     assert isinstance(oracle, Sqrt2)
+
+    @pytest.mark.parametrize("pi,lam", [((3, 1, 1), (2,)), ((1,), (7,))])
+    def test_guards_name_force(self, pi, lam):
+        with pytest.raises(JackGuardError, match="force=True"):
+            stanley_special(pi, lam, 1)
 
     def test_unknown_alpha_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -154,6 +155,15 @@ class TestRunSuite:
         report = run_suite("key-bijection", ns=(1, 2), conservative_n=2)
         assert report.passed is False
         assert report.first_failure.name.startswith("n=2: phi and phi_inverse")
+
+    @pytest.mark.parametrize("name,params", [
+        ("mon-examples", {}), ("main-theorem", {"ns": (1, 2)})])
+    def test_mon_top_route_mismatch_fails_without_raising(
+            self, monkeypatch, name, params):
+        # a probability that is not mon's top coefficient must read as FAIL
+        monkeypatch.setattr(importlib.import_module("monmap.mon"),
+                            "_top_probability", lambda m: Fraction(1, 3))
+        assert run_suite(name, **params).passed is False
 
     def test_key_bijection_canonicalises_no_graph(self, monkeypatch):
         # the round trip compares labelled graphs: no class is computed
