@@ -20,9 +20,9 @@ from .enumeration import (FORCE_HINT, MAX_ONE_FACE_N, GuardExceeded, all_maps,
                           all_pairs, check_guard, conservative_one_face,
                           involutions, liberal_one_face)
 from .jack import JackGuardError, JackParams, ch, ch_stanley, jack_in_p
-from .maps import (MapError, checked_pairs, load_fixture, map_from_json_obj,
-                   map_to_json_obj, structure, graph_class, is_orientable,
-                   faces)
+from .maps import (MapError, bicolored_graph, checked_pairs, load_fixture,
+                   map_from_json_obj, map_to_json_obj, structure, graph_class,
+                   is_orientable, faces)
 from .mon import mon, mon_top_detail
 from .oriented import oriented_to_json_obj
 from .verify import SUITES, SUITE_ALIASES, report_render, run_suite
@@ -198,6 +198,7 @@ def cmd_bijection(args) -> int:
         "checks": {
             "output_orientable": is_orientable(res.map),
             "output_top_degree_pair": is_top_degree_pair(res.map, history),
+            "graph_preserved": bicolored_graph(res.map) == bicolored_graph(m),
             "graph_class_preserved": graph_class(res.map) == graph_class(m),
         },
     }, args.out)

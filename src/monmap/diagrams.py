@@ -20,7 +20,7 @@ from .algebra import Sqrt2, _as_fraction, gamma_of
 from .enumeration import (FORCE_HINT, conservative_maps, conservative_one_face,
                           transitive_pairs_by_class)
 from .maps import BicoloredGraph, bicolored_graph, canonical_graph_class
-from .mon import mon, mon_top
+from .mon import mon, mon_top_detail
 from .oriented import bicolored_graph_oriented, z_of
 
 Scalar = Union[Fraction, Sqrt2]
@@ -268,6 +268,58 @@ def _map_sum_diagram(n: int, mr: MultiRect, force: bool) -> YoungDiagram:
     return mr.diagram()
 
 
+def _class_table(weighted: Iterable[tuple[BicoloredGraph, Fraction]]
+                 ) -> list[tuple[BicoloredGraph, Fraction]]:
+    """The (graph, weight) pairs summed by bicolored graph class: one graph
+    of each class, with the total weight of the class, nonzero totals only.
+
+    A map-sum summand is w * gamma^(n+1-|V|) * N~_G(lambda), and |V| and
+    N~_G depend only on the class of G, so the sum over the table equals
+    the sum over the pairs with one embedding count per class.
+    """
+    table: dict[bytes, list] = {}
+    for graph, weight in weighted:
+        entry = table.setdefault(canonical_graph_class(graph).key, [graph, 0])
+        entry[1] += weight
+    return [(graph, weight) for graph, weight in table.values() if weight]
+
+
+def _oriented_table(n: int, force: bool = False
+                    ) -> list[tuple[BicoloredGraph, Fraction]]:
+    """The class sizes of :func:`transitive_pairs_by_class` summed by the
+    bicolored graph class of each pair (one walk of the stream), each
+    divided by (n-1)!, the number of edge labelings of an unlabeled rooted
+    connected oriented map."""
+    labelings = math.factorial(n - 1)
+    pairs = transitive_pairs_by_class(n, force=force)
+    return _class_table((bicolored_graph_oriented(om),
+                         Fraction(size, labelings)) for om, size in pairs)
+
+
+def _one_face_table(n: int, force: bool = False
+                    ) -> tuple[list[tuple[BicoloredGraph, Fraction]], bool]:
+    """mon_top summed by bicolored graph class over
+    :func:`conservative_one_face` (one walk of the stream), and whether
+    mon_top's probability and coefficient agree on every map.  The weights
+    are the probabilities."""
+    details = [(bicolored_graph(m), *mon_top_detail(m))
+               for m in conservative_one_face(n, force=force)]
+    table = _class_table((graph, prob) for graph, prob, _ in details)
+    return table, all(prob == coeff for _, prob, coeff in details)
+
+
+def _table_sum(table, n: int, mr: MultiRect, lam: YoungDiagram) -> Fraction:
+    """Sum of w * gamma^(n+1-|V|) * N~_G(lam) over the (G, w) of a class
+    table, at the point mr whose diagram is lam."""
+    g = mr.gamma
+    total = Fraction(0)
+    for graph, weight in table:
+        v = graph.blacks + graph.whites
+        total += (weight * g ** (n + 1 - v)
+                  * normalized_embeddings(graph, lam, mr.A))
+    return total
+
+
 def chtop_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
     """Oriented-side formula for the top-degree character at a lattice point.
 
@@ -276,36 +328,35 @@ def chtop_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
     number of edge labelings of an unlabeled rooted connected oriented
     map).  The summand depends only on the bicolored graph, so the sum
     runs over one sigma1 per cycle type, each pair weighted by the size of
-    its class (:func:`~monmap.enumeration.transitive_pairs_by_class`).
+    its class (:func:`~monmap.enumeration.transitive_pairs_by_class`), and
+    then over one graph per bicolored graph class, weighted by the summed
+    sizes of its pairs over (n-1)! (:func:`_oriented_table`).  The guards
+    run before the stream is walked.
     """
     lam = _map_sum_diagram(n, mr, force)
-    g = mr.gamma
-    a = mr.A
-    total = Fraction(0)
-    for om, size in transitive_pairs_by_class(n, force=force):
-        graph = bicolored_graph_oriented(om)
-        v = graph.blacks + graph.whites
-        total += size * g ** (n + 1 - v) * normalized_embeddings(graph, lam, a)
-    return -total / math.factorial(n - 1)
+    return -_table_sum(_oriented_table(n, force), n, mr, lam)
 
 
 def ogs_top_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
     """One-face-side formula: sum of mon_top(M) gamma^(n+1-|V|) N~_M.
+
+    The summand depends only on mon_top(M) and the bicolored graph of M,
+    so the sum runs over one graph per bicolored graph class, weighted by
+    the summed mon_top of its maps (:func:`_one_face_table`).  The guards
+    run before the stream is walked, and a map on which mon_top's two
+    routes disagree raises ``AssertionError``, as :func:`mon_top` does.
 
     Returned as the bare sum, with no global sign folded in; the
     verification suites check it against :func:`chtop_map_sum` under the
     documented reconciliation chtop = (-1) * this sum.
     """
     lam = _map_sum_diagram(n, mr, force)
-    g = mr.gamma
-    a = mr.A
-    total = Fraction(0)
-    for m in conservative_one_face(n, force=force):
-        graph = bicolored_graph(m)
-        v = graph.blacks + graph.whites
-        total += (mon_top(m) * g ** (n + 1 - v)
-                  * normalized_embeddings(graph, lam, a))
-    return total
+    table, agree = _one_face_table(n, force)
+    if not agree:
+        raise AssertionError(
+            f"mon_top mismatch: probability and coefficient differ on a "
+            f"one-face map with n={n}")
+    return _table_sum(table, n, mr, lam)
 
 
 def ogs_full(pi, lam: YoungDiagram, a: Scalar, force: bool = False) -> Scalar:

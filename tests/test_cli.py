@@ -224,15 +224,27 @@ class TestEnumerateCommand:
 
 
 class TestBijectionCommand:
-    def test_apply_and_invert(self, capsys):
+    def test_apply_and_invert(self, capsys, tmp_path):
         history = "[[1,5],[2,4],[3,6]]"
         code, out, _ = run(capsys, "bijection", "apply", "--map", "klein",
                            "--history", history)
         assert code == 0
         data = json.loads(out)
         assert data["checks"]["output_orientable"] is True
+        assert data["checks"]["graph_preserved"] is True
         assert data["checks"]["graph_class_preserved"] is True
         assert sorted(map(tuple, data["twists"])) == [(1, 5), (2, 4)]
+        # the orientable image goes back to klein on the same labelled graph
+        path = tmp_path / "image.json"
+        path.write_text(json.dumps(data["map"]))
+        code, out, _ = run(capsys, "bijection", "invert", "--map", str(path),
+                           "--history", history)
+        assert code == 0
+        back = json.loads(out)
+        assert back["checks"]["output_top_degree_pair"] is True
+        assert back["checks"]["graph_preserved"] is True
+        assert back["checks"]["graph_class_preserved"] is True
+        assert back["twists"] == data["twists"]
 
 
     @pytest.mark.parametrize("history", [

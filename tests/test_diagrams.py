@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -12,6 +13,7 @@ from monmap.enumeration import conservative_maps, conservative_one_face
 from monmap.jack import JackParams, ch, ch_stanley, jack_in_p
 from monmap.maps import BicoloredGraph, bicolored_graph, canonical_form, structure
 from monmap.mon import mon, mon_top
+from monmap.verify import SECOND_THEOREM_POINTS, _printed_grid, run_suite
 
 F = Fraction
 
@@ -194,7 +196,73 @@ class TestChTopMapSum:
         assert peak < 10 ** 6
 
 
+def brute_ogs_top(n, mr):
+    """ogs_top_map_sum with one summand per one-face map, no class table."""
+    lam, g, a = mr.diagram(), mr.gamma, mr.A
+    total = F(0)
+    for m in conservative_one_face(n):
+        graph = bicolored_graph(m)
+        v = graph.blacks + graph.whites
+        total += (mon_top(m) * g ** (n + 1 - v)
+                  * normalized_embeddings(graph, lam, a))
+    return total
+
+
+class TestMapSumGuardsBeforeWalk:
+    """Both map sums refuse a guarded call before walking either stream."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        walked = []
+
+        def refuse(n, force=False):
+            walked.append(n)
+            raise AssertionError("stream walked before the guards ran")
+
+        diagrams = importlib.import_module("monmap.diagrams")
+        monkeypatch.setattr(diagrams, "transitive_pairs_by_class", refuse)
+        monkeypatch.setattr(diagrams, "conservative_one_face", refuse)
+        return walked
+
+    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum])
+    def test_n_guard(self, map_sum, walks):
+        mr = MultiRect.from_primes((1,), (1,), F(1))
+        with pytest.raises(DiagramError, match="map-sum guard"):
+            map_sum(6, mr)
+        assert walks == []
+
+    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum])
+    def test_row_guard(self, map_sum, walks):
+        mr = MultiRect.from_primes((101,), (1,), F(1))
+        with pytest.raises(DiagramError, match="embedding guard"):
+            map_sum(3, mr)
+        assert walks == []
+
+    def test_suite_n_guard(self, walks):
+        with pytest.raises(DiagramError, match="map-sum guard"):
+            run_suite("second-main-theorem", ns=(6,))
+        assert walks == []
+
+
 class TestOgsTopMapSum:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_per_map_sum(self, n):
+        points = [MultiRect.from_primes(*pt) for pt in SECOND_THEOREM_POINTS]
+        if n <= 3:
+            points += [MultiRect.from_primes(*pt) for pt in _printed_grid()]
+        for mr in points:
+            assert ogs_top_map_sum(n, mr) == brute_ogs_top(n, mr)
+
+    def test_coefficient_mismatch_raises(self, monkeypatch):
+        # library callers get mon_top's AssertionError, not a wrong sum
+        mon_module = importlib.import_module("monmap.mon")
+        real = mon_module.mon_top_degree_target
+        monkeypatch.setattr(mon_module, "mon_top_degree_target",
+                            lambda m: real(m) + 1)
+        mr = MultiRect.from_primes((1,), (2,), F(1))
+        with pytest.raises(AssertionError, match="mon_top mismatch"):
+            ogs_top_map_sum(2, mr)
+
     def test_n1_sign_reconciliation(self):
         mr = MultiRect.from_primes((2,), (3,), F(1))
         assert ogs_top_map_sum(1, mr) == -chtop_map_sum(1, mr)

@@ -24,6 +24,14 @@ ORDER_CASES = (
 )
 
 
+# The suites that read mon_top through mon_top_detail.
+MON_TOP_SUITES = (
+    ("mon-examples", {}),
+    ("main-theorem", {"ns": (1, 2)}),
+    ("second-main-theorem", {"ns": (1, 2)}),
+)
+
+
 def clear_every_cache():
     # import_module: the package re-exports the function mon as monmap.mon
     importlib.import_module("monmap.mon").clear_caches()
@@ -156,14 +164,44 @@ class TestRunSuite:
         assert report.passed is False
         assert report.first_failure.name.startswith("n=2: phi and phi_inverse")
 
-    @pytest.mark.parametrize("name,params", [
-        ("mon-examples", {}), ("main-theorem", {"ns": (1, 2)})])
+    @pytest.mark.parametrize("name,params", MON_TOP_SUITES)
     def test_mon_top_route_mismatch_fails_without_raising(
             self, monkeypatch, name, params):
         # a probability that is not mon's top coefficient must read as FAIL
         monkeypatch.setattr(importlib.import_module("monmap.mon"),
                             "_top_probability", lambda m: Fraction(1, 3))
         assert run_suite(name, **params).passed is False
+
+    @pytest.mark.parametrize("name,params", MON_TOP_SUITES)
+    def test_mon_top_coefficient_mismatch_fails_without_raising(
+            self, monkeypatch, name, params):
+        # only the coefficient route breaks: the map sums, weighted by the
+        # probabilities, still agree, so only the agreement flag catches it
+        mon_module = importlib.import_module("monmap.mon")
+        real = mon_module.mon_top_degree_target
+        monkeypatch.setattr(mon_module, "mon_top_degree_target",
+                            lambda m: real(m) + 1)
+        assert run_suite(name, **params).passed is False
+
+    def test_second_main_theorem_walks_each_stream_once_per_n(
+            self, monkeypatch):
+        diagrams = importlib.import_module("monmap.diagrams")
+        walks = {"transitive_pairs_by_class": 0, "conservative_one_face": 0}
+
+        def counted(name):
+            real = getattr(diagrams, name)
+
+            def stream(*args, **kwargs):
+                walks[name] += 1
+                return real(*args, **kwargs)
+            return stream
+
+        for name in walks:
+            monkeypatch.setattr(diagrams, name, counted(name))
+        report = run_suite("second-main-theorem")
+        assert report.passed
+        assert walks == {"transitive_pairs_by_class": 4,
+                         "conservative_one_face": 4}
 
     def test_key_bijection_canonicalises_no_graph(self, monkeypatch):
         # the round trip compares labelled graphs: no class is computed
