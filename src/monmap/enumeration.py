@@ -22,6 +22,7 @@ class GuardExceeded(ValueError):
 
 MAX_ONE_FACE_N = 7  # (2n-1)!! = 135 135 one-polygon maps or involutions
 MAX_CLASS_PAIRS_N = 6  # p(6) * 6! = 7 920 candidate pairs
+MAX_FACE_TYPE_N = 4  # p(4) * 7!! = 525 representatives, 12 600 histories
 FORCE_HINT = "pass force=True to override"
 
 
@@ -95,6 +96,40 @@ def conservative_one_face(n: int,
     check_guard("n", n, MAX_ONE_FACE_N, force)
     for m in conservative_maps((n,)):
         yield m.with_root(1)
+
+
+def maps_by_face_type(
+        n: int, force: bool = False) -> Iterator[tuple[NonOrientedMap, int]]:
+    """:func:`all_maps` up to relabelling, with weights.
+
+    For each partition mu of n, yields ``(m, (2n-1)!! * 2^n n! / (z_mu *
+    2^l(mu)))`` for every map m of :func:`conservative_maps` of mu: sum
+    over mu of (2n-1)!! representatives instead of ((2n-1)!!)^3 triples.
+
+    The sum is exact for every summand f(beta, omega, eps) that relabelling
+    (simultaneous conjugation of the three involutions) leaves unchanged:
+    the genus, mon, both routes of mon_top, the multiset of history
+    weights, the unrooted canonical form.  Every fixed-point-free
+    involution beta is conjugate to beta0 = (1 2)(3 4)..., and a
+    relabelling taking beta0 to beta maps the triples (beta0, ., .)
+    bijectively onto the triples (beta, ., .) and keeps f, so each of the
+    (2n-1)!! involutions beta contributes the sum over (beta0, ., .).  The
+    centraliser H_n of beta0 (order 2^n n!) sorts omega by the face type
+    mu of <beta0, omega>.  The class of mu holds 2^n n! / z_(2mu)
+    involutions, with z_(2mu) = 2^l(mu) z_mu (Macdonald, Symmetric
+    Functions, VII.2), and contains the omega of ``polygon_pairings(mu)``.
+    If tau in H_n conjugates that omega to another omega' of the class,
+    eps -> tau eps tau^-1 maps the triples (beta0, omega, .) bijectively
+    onto (beta0, omega', .) and keeps f, so each omega' of the class
+    contributes the sum over ``conservative_maps(mu)``.
+    """
+    check_guard("n", n, MAX_FACE_TYPE_N, force)
+    betas = math.prod(range(1, 2 * n, 2))
+    hyperoctahedral = 2 ** n * math.factorial(n)
+    for mu in partitions_of(n):
+        weight = betas * hyperoctahedral // (z_of(mu) * 2 ** len(mu))
+        for m in conservative_maps(mu):
+            yield m, weight
 
 
 def single_polygon_pairs(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -467,33 +467,47 @@ def edge_role(m: NonOrientedMap, e) -> EdgeRole:
     return EdgeRole(is_bridge=comps_after > comps_before, is_leaf=leaf)
 
 
-def _component_trace(b, w, e, start: int) -> tuple[int, ...]:
+def _component_trace(b, w, e, start: int, best=None):
     """Renumber the component of position `start` by BFS over (B, W, E).
 
     The trace lists, for each discovered position in discovery order, the
     discovery indices of its three partners.  Two starts yield equal traces
     exactly when some label bijection maps one rooted component to the
     other, which is what canonical forms minimize over.
+
+    A position's triple is known when the BFS dequeues it, so the trace is
+    built as the BFS runs.  Given ``best``, a trace of the same component,
+    it returns None at the first triple that makes the trace larger.
     """
     pos = [-1] * len(b)
     pos[start] = 0
     order = [start]
+    out = []
     for x in order:  # the loop also visits positions appended below
         y = b[x]
-        if pos[y] < 0:
-            pos[y] = len(order)
+        pb = pos[y]
+        if pb < 0:
+            pb = pos[y] = len(order)
             order.append(y)
         y = w[x]
-        if pos[y] < 0:
-            pos[y] = len(order)
+        pw = pos[y]
+        if pw < 0:
+            pw = pos[y] = len(order)
             order.append(y)
         y = e[x]
-        if pos[y] < 0:
-            pos[y] = len(order)
+        pe = pos[y]
+        if pe < 0:
+            pe = pos[y] = len(order)
             order.append(y)
-    out = []
-    for x in order:
-        out += (pos[b[x]], pos[w[x]], pos[e[x]])
+        if best is not None:
+            k = len(out)
+            head = best[k:k + 3]
+            triple = (pb, pw, pe)
+            if triple != head:
+                if triple > head:
+                    return None
+                best = None  # smaller already: no more comparing
+        out += (pb, pw, pe)
     return tuple(out)
 
 
@@ -521,8 +535,11 @@ def _canonical_bytes(m: NonOrientedMap, rooted: bool) -> bytes:
     for comp in comps:
         if root in comp:
             root_trace = _component_trace(b, w, e, root)
-        else:
-            rest.append(min(_component_trace(b, w, e, s) for s in comp))
+            continue
+        best = None
+        for s in comp:
+            best = _component_trace(b, w, e, s, best) or best
+        rest.append(best)
     rest.sort()
     if rooted:
         payload = ("R", root_trace, tuple(rest))

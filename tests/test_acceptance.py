@@ -154,3 +154,13 @@ def test_criterion_13_main_theorem_n6():
     report = run_suite("main-theorem", ns=(6,))
     _criterion(13, "per-graph-class main identity at n=6, one sigma1 per "
                "cycle type", report.passed, time.perf_counter() - start, 15)
+
+
+def test_criterion_14_degree_bounds_exhaustive_n4():
+    start = time.perf_counter()
+    report = run_suite("degree-bounds", n_exhaustive=4, sampled=())
+    counts = {c.values["maps"] for c in report.checks}
+    _criterion(14, "history/mon degree bounds over every map with n<=4, one "
+               "representative per face type and eps",
+               report.passed and counts == {"1161028"},
+               time.perf_counter() - start, 10)

@@ -189,11 +189,13 @@ class TestEnumerateCommand:
 
     @pytest.mark.parametrize("argv", [
         ("verify", "liberation-oriented", "--n", "4"),
+        ("verify", "degree-bounds", "--n", "5"),
         ("chtop", "--n", "6", "--P", "1", "--Q", "4", "--A", "2"),
         ("chtop", "--n", "5", "--P", "60", "--Q", "1", "--A", "1"),
         ("jack", "--lambda", "7", "--alpha", "1"),
         ("ch", "--pi", "1", "--lambda", "7", "--A", "1")],
-        ids=["verify", "chtop", "chtop-tall-diagram", "jack", "ch"])
+        ids=["verify", "verify-degree-bounds", "chtop", "chtop-tall-diagram",
+             "jack", "ch"])
     def test_guard_message_names_flag(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""

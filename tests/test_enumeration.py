@@ -7,8 +7,9 @@ from monmap.diagrams import MultiRect, chtop_map_sum, normalized_embeddings
 from monmap.enumeration import (GuardExceeded, all_maps, all_pairs,
                                 conservative_maps, conservative_one_face,
                                 group_by, involutions, liberal_one_face,
-                                polygon_pairings, single_polygon_pairs,
-                                transitive_pairs, transitive_pairs_by_class)
+                                maps_by_face_type, polygon_pairings,
+                                single_polygon_pairs, transitive_pairs,
+                                transitive_pairs_by_class)
 from monmap.maps import (NonOrientedMap, canonical_form, faces, graph_class,
                          structure)
 from monmap.mon import mon_top
@@ -182,6 +183,29 @@ class TestPairsByClass:
         for pp, qq, a in SECOND_THEOREM_POINTS:
             mr = MultiRect.from_primes(pp, qq, a)
             assert chtop_map_sum(n, mr) == brute_chtop(n, mr, brute_pairs[n])
+
+
+class TestMapsByFaceType:
+    """The weighted face-type stream against the brute-force triples."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_weights_count_all_triples(self, n):
+        total = sum(weight for _, weight in maps_by_face_type(n))
+        assert total == math.prod(range(1, 2 * n, 2)) ** 3
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_canonical_histogram(self, n):
+        weighted: dict[bytes, int] = {}
+        for m, weight in maps_by_face_type(n):
+            k = canonical_form(m)
+            weighted[k] = weighted.get(k, 0) + weight
+        assert weighted == group_by(all_maps(n))
+
+    def test_guard(self):
+        with pytest.raises(GuardExceeded):
+            next(maps_by_face_type(5))
+        m, weight = next(maps_by_face_type(5, force=True))
+        assert m.n == 5 and weight == 945 * 3840 // (5 * 2)
 
 
 class TestGroupBy:

@@ -472,6 +472,19 @@ class TestArrayCoreMatchesReference:
         for rooted in (False, True):
             assert canonical_form(m, rooted) == ref_canonical_form(m, rooted)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_canonical_form_every_small_map(self, n):
+        # the cut-off trace stops at the first larger triple: it must pick
+        # the same minimum as the full traces
+        for m in all_maps(n):
+            assert canonical_form(m) == ref_canonical_form(m, False)
+
+    def test_canonical_form_one_face_n4(self):
+        for m in conservative_one_face(4):
+            for rooted in (False, True):
+                assert (canonical_form(m, rooted)
+                        == ref_canonical_form(m, rooted))
+
     def test_views_round_trip(self, projective):
         for e in projective.edges():
             for m in (remove_edge(projective, e), twist(projective, e)):

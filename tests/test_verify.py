@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from monmap.bijection import BijectionResult
-from monmap.maps import NonOrientedMap
+from monmap.maps import NonOrientedMap, canonical_form
 from monmap.verify import (Check, Report, SUITES, report_from_json,
                            report_render, run_suite)
 
@@ -224,14 +225,49 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sampled_maps_match_label_level_draws(self, monkeypatch, seed):
+        # history_weight runs once per sample; structure once per class
         verify = importlib.import_module("monmap.verify")
         drawn = []
-        real = verify.structure
-        monkeypatch.setattr(verify, "structure",
-                            lambda m: drawn.append(m) or real(m))
+        real = verify.history_weight
+        monkeypatch.setattr(verify, "history_weight",
+                            lambda m, h: drawn.append(m) or real(m, h))
         verify.suite_degree_bounds(n_exhaustive=0, sampled=(3, 4),
                                    samples=25, seed=seed)
         assert drawn == label_level_samples(seed, (3, 4), 25)
+
+    def test_sampled_part_decides_each_class_once(self, monkeypatch):
+        verify = importlib.import_module("monmap.verify")
+        calls = []
+        real = verify.structure
+        monkeypatch.setattr(verify, "structure",
+                            lambda m: calls.append(m) or real(m))
+        report = verify.suite_degree_bounds(n_exhaustive=0, sampled=(3, 4),
+                                            samples=200, seed=0)
+        assert report.passed
+        classes = {canonical_form(m)
+                   for m in label_level_samples(0, (3, 4), 200)}
+        assert len(calls) == len(classes) < 400
+
+    def test_genus_off_by_one_fails(self, monkeypatch):
+        # a larger genus loosens deg <= 2*genus; the top-degree maps, where
+        # n + |F| - |V| is 2*genus, must catch it
+        verify = importlib.import_module("monmap.verify")
+        real = verify.structure
+        monkeypatch.setattr(verify, "structure", lambda m: dataclasses.replace(
+            real(m), genus=real(m).genus + 1))
+        report = verify.suite_degree_bounds(n_exhaustive=2, sampled=(3, 4),
+                                            samples=50)
+        assert report.passed is False
+        assert [c.passed for c in report.checks] == [True, False, False, False]
+
+    def test_degree_bounds_route_mismatch_fails_without_raising(
+            self, monkeypatch):
+        verify = importlib.import_module("monmap.verify")
+        monkeypatch.setattr(verify, "mon_top_detail",
+                            lambda m: (Fraction(1, 3), Fraction(0)))
+        report = verify.suite_degree_bounds(n_exhaustive=2, sampled=(3, 4),
+                                            samples=50)
+        assert [c.passed for c in report.checks] == [True, False, False, False]
 
     def test_main_theorem_small(self):
         report = run_suite("main-theorem", ns=(1, 2))
