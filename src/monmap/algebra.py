@@ -20,7 +20,7 @@ NEG_INF = float("-inf")
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
@@ -96,9 +96,10 @@ class Sqrt2:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Sqrt2)):
-            other = Sqrt2.of(other)
+        if isinstance(other, Sqrt2):
             return self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
         return NotImplemented
 
     def __hash__(self):
@@ -223,7 +224,7 @@ class GammaPoly:
         if isinstance(other, GammaPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == GammaPoly.const(other)
+            return len(self.coeffs) <= 1 and self.coefficient(0) == other
         return NotImplemented
 
     def __hash__(self):

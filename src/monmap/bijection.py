@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .maps import MapError, NonOrientedMap, is_orientable, twist, twist_many
-from .mon import (_check_history, _failing_prefix, _role, _states,
-                  is_top_degree_map)
+from .maps import (MapError, NonOrientedMap, _role, is_orientable, twist,
+                   twist_many)
+from .mon import _check_history, _failing_prefix, _states, is_top_degree_map
 
 
 class NotInDomainError(MapError):

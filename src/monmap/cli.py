@@ -15,7 +15,7 @@ from itertools import chain
 
 from .algebra import Sqrt2
 from .bijection import phi, phi_inverse
-from .diagrams import DiagramError, MultiRect, chtop_map_sum, ogs_top_map_sum
+from .diagrams import DiagramError, MultiRect, top_map_sums
 from .enumeration import (FORCE_HINT, MAX_ONE_FACE_N, GuardExceeded, all_maps,
                           all_pairs, check_guard, conservative_one_face,
                           involutions, liberal_one_face)
@@ -211,8 +211,7 @@ def cmd_chtop(args) -> int:
             "chtop needs rational A (multirectangular coordinates must "
             "realize an integer diagram)")
     mr = MultiRect(args.P, args.Q, args.A)
-    oriented_sum = chtop_map_sum(args.n, mr, force=args.force)
-    one_face = ogs_top_map_sum(args.n, mr, force=args.force)
+    oriented_sum, one_face = top_map_sums(args.n, mr, force=args.force)
     payload = {
         "n": args.n,
         "gamma": _frac_obj(mr.gamma),

@@ -118,9 +118,6 @@ class YoungDiagram:
         """1-based box query."""
         return 1 <= row <= len(self.rows) and 1 <= col <= self.rows[row - 1]
 
-    def partition(self) -> Partition:
-        return Partition(self.rows)
-
     def prime_coordinates(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(P', Q'): distinct row lengths with multiplicities, largest first."""
         p_prime: list[int] = []
@@ -207,9 +204,6 @@ class MultiRect:
         return YoungDiagram(rows)
 
 
-_EMBED_CACHE: dict = {}
-
-
 def count_embeddings(g: BicoloredGraph, lam: YoungDiagram) -> int:
     """Number of incidence-preserving embeddings of g into lam.
 
@@ -221,10 +215,6 @@ def count_embeddings(g: BicoloredGraph, lam: YoungDiagram) -> int:
     touched_white = {w for _, w in g.edges}
     if len(touched_black) != g.blacks or len(touched_white) != g.whites:
         raise DiagramError("graph has an isolated vertex")
-    key = (canonical_graph_class(g).key, lam.rows)
-    hit = _EMBED_CACHE.get(key)
-    if hit is not None:
-        return hit
     rows = lam.rows
     white_adj: list[list[int]] = [[] for _ in range(g.whites)]
     for b, w in g.edges:
@@ -235,7 +225,6 @@ def count_embeddings(g: BicoloredGraph, lam: YoungDiagram) -> int:
         for adj in white_adj:
             term *= min(rows[assignment[b]] for b in adj)
         total += term
-    _EMBED_CACHE[key] = total
     return total
 
 
@@ -268,24 +257,26 @@ def _map_sum_diagram(n: int, mr: MultiRect, force: bool) -> YoungDiagram:
     return mr.diagram()
 
 
-def _class_table(weighted: Iterable[tuple[BicoloredGraph, Fraction]]
-                 ) -> list[tuple[BicoloredGraph, Fraction]]:
-    """The (graph, weight) pairs summed by bicolored graph class: one graph
-    of each class, with the total weight of the class, nonzero totals only.
+def _class_table(weighted: Iterable[tuple[BicoloredGraph, Scalar]]
+                 ) -> dict[bytes, tuple[BicoloredGraph, Scalar]]:
+    """The (graph, weight) pairs summed by bicolored graph class:
+    {class key: (one graph of the class, total weight)}, nonzero totals
+    only.
 
-    A map-sum summand is w * gamma^(n+1-|V|) * N~_G(lambda), and |V| and
-    N~_G depend only on the class of G, so the sum over the table equals
-    the sum over the pairs with one embedding count per class.
+    A map-sum summand is w * base^(top-|V|) * N~_G(lambda), and |V| and
+    N~_G depend only on the class of G, so :func:`_class_sums` over the
+    table equals the sum over the pairs with one embedding count per class.
     """
     table: dict[bytes, list] = {}
     for graph, weight in weighted:
         entry = table.setdefault(canonical_graph_class(graph).key, [graph, 0])
         entry[1] += weight
-    return [(graph, weight) for graph, weight in table.values() if weight]
+    return {key: (graph, weight)
+            for key, (graph, weight) in table.items() if weight}
 
 
 def _oriented_table(n: int, force: bool = False
-                    ) -> list[tuple[BicoloredGraph, Fraction]]:
+                    ) -> dict[bytes, tuple[BicoloredGraph, Fraction]]:
     """The class sizes of :func:`transitive_pairs_by_class` summed by the
     bicolored graph class of each pair (one walk of the stream), each
     divided by (n-1)!, the number of edge labelings of an unlabeled rooted
@@ -297,27 +288,45 @@ def _oriented_table(n: int, force: bool = False
 
 
 def _one_face_table(n: int, force: bool = False
-                    ) -> tuple[list[tuple[BicoloredGraph, Fraction]], bool]:
+                    ) -> tuple[dict[bytes, tuple[BicoloredGraph, Fraction]],
+                               set[bytes]]:
     """mon_top summed by bicolored graph class over
-    :func:`conservative_one_face` (one walk of the stream), and whether
-    mon_top's probability and coefficient agree on every map.  The weights
-    are the probabilities."""
+    :func:`conservative_one_face` (one walk of the stream), and the keys of
+    the classes holding a map on which mon_top's probability and
+    coefficient differ.  The weights are the probabilities."""
     details = [(bicolored_graph(m), *mon_top_detail(m))
                for m in conservative_one_face(n, force=force)]
     table = _class_table((graph, prob) for graph, prob, _ in details)
-    return table, all(prob == coeff for _, prob, coeff in details)
+    return table, {canonical_graph_class(graph).key
+                   for graph, prob, coeff in details if prob != coeff}
 
 
-def _table_sum(table, n: int, mr: MultiRect, lam: YoungDiagram) -> Fraction:
-    """Sum of w * gamma^(n+1-|V|) * N~_G(lam) over the (G, w) of a class
-    table, at the point mr whose diagram is lam."""
-    g = mr.gamma
-    total = Fraction(0)
-    for graph, weight in table:
-        v = graph.blacks + graph.whites
-        total += (weight * g ** (n + 1 - v)
-                  * normalized_embeddings(graph, lam, mr.A))
-    return total
+def _agreeing_one_face_table(n: int, force: bool):
+    """:func:`_one_face_table`, raising ``AssertionError`` (as
+    :func:`mon_top` does) when mon_top's two routes disagree on a map."""
+    table, mismatched = _one_face_table(n, force)
+    if mismatched:
+        raise AssertionError(
+            f"mon_top mismatch: probability and coefficient differ on a "
+            f"one-face map with n={n}")
+    return table
+
+
+def _class_sums(tables, lam: YoungDiagram, a: Scalar, base: Scalar,
+                top: int) -> list[Scalar]:
+    """For each class table, the sum of w * base^(top-|V|) * N~_G(lam) at
+    scale a over its (G, w), with one embedding count per class of the
+    union of the tables."""
+    sums = [a * 0] * len(tables)
+    union = {key: graph
+             for table in tables for key, (graph, _) in table.items()}
+    for key, graph in union.items():
+        term = (base ** (top - graph.blacks - graph.whites)
+                * normalized_embeddings(graph, lam, a))
+        for i, table in enumerate(tables):
+            if key in table:
+                sums[i] += table[key][1] * term
+    return sums
 
 
 def chtop_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
@@ -334,7 +343,8 @@ def chtop_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
     run before the stream is walked.
     """
     lam = _map_sum_diagram(n, mr, force)
-    return -_table_sum(_oriented_table(n, force), n, mr, lam)
+    table = _oriented_table(n, force)
+    return -_class_sums([table], lam, mr.A, mr.gamma, n + 1)[0]
 
 
 def ogs_top_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
@@ -351,27 +361,34 @@ def ogs_top_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
     documented reconciliation chtop = (-1) * this sum.
     """
     lam = _map_sum_diagram(n, mr, force)
-    table, agree = _one_face_table(n, force)
-    if not agree:
-        raise AssertionError(
-            f"mon_top mismatch: probability and coefficient differ on a "
-            f"one-face map with n={n}")
-    return _table_sum(table, n, mr, lam)
+    table = _agreeing_one_face_table(n, force)
+    return _class_sums([table], lam, mr.A, mr.gamma, n + 1)[0]
+
+
+def top_map_sums(n: int, mr: MultiRect,
+                 force: bool = False) -> tuple[Fraction, Fraction]:
+    """(:func:`chtop_map_sum`, :func:`ogs_top_map_sum`) at mr, from one
+    walk of each stream and one embedding count per class of the two
+    tables together; the guards and the mon_top check are those of the
+    two sums."""
+    lam = _map_sum_diagram(n, mr, force)
+    tables = [_oriented_table(n, force), _agreeing_one_face_table(n, force)]
+    oriented, one_face = _class_sums(tables, lam, mr.A, mr.gamma, n + 1)
+    return -oriented, one_face
 
 
 def ogs_full(pi, lam: YoungDiagram, a: Scalar, force: bool = False) -> Scalar:
     """Full orientability generating series at a point:
     (-1)^{l(pi)} sum over conservative maps of face-type pi of
-    mon_M(gamma) * normalized embeddings."""
+    mon_M(gamma) * normalized embeddings, with mon_M(gamma) summed by
+    bicolored graph class first (:func:`_class_table`)."""
     pi = Partition(pi)
     if pi.size + pi.length > 8 and not force:
         raise DiagramError(
             f"|pi| + l(pi) = {pi.size + pi.length} exceeds the guard (8); "
             f"{FORCE_HINT}")
     g = gamma_of(a)
-    total = a * 0
-    for m in conservative_maps(pi.parts):
-        graph = bicolored_graph(m)
-        total = total + mon(m).evaluate(g) * normalized_embeddings(graph, lam, a)
+    table = _class_table((bicolored_graph(m), mon(m).evaluate(g))
+                         for m in conservative_maps(pi.parts))
     sign = -1 if pi.length % 2 else 1
-    return sign * total
+    return sign * _class_sums([table], lam, a, Fraction(1), 0)[0]

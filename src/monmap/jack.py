@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Sequence, Union
 
 from .algebra import SQRT2, GammaPoly, Sqrt2, _as_fraction
-from .diagrams import Partition, YoungDiagram, normalized_embeddings
+from .diagrams import Partition, YoungDiagram, _class_sums, _class_table
 from .enumeration import FORCE_HINT, conservative_maps
 from .maps import bicolored_graph
 from .oriented import (OrientedMap, bicolored_graph_oriented,
@@ -344,7 +344,8 @@ def stanley_special(pi, lam, alpha, force: bool = False):
     alpha = 1: signed embedding sum over oriented maps with face-type pi.
     alpha = 2 (A = sqrt2) and 1/2 (A = 1/sqrt2): weighted embedding sums
     over non-oriented conservative maps of face-type pi, computed exactly
-    in Q[sqrt(2)].
+    in Q[sqrt(2)].  Each sum counts the maps of a bicolored graph class
+    first and embeds one graph per class.
     """
     pi = Partition(pi)
     lam = Partition(lam)
@@ -360,11 +361,10 @@ def stanley_special(pi, lam, alpha, force: bool = False):
     if alpha == 1:
         a = Fraction(1)
         oracle = ch(pi.parts, lam, JackParams.from_A(a), force=force)
-        total = Fraction(0)
-        for om in oriented_face_type_maps(pi):
-            total += normalized_embeddings(bicolored_graph_oriented(om),
-                                           diagram, a)
-        return oracle, sign * total
+        table = _class_table((bicolored_graph_oriented(om), 1)
+                             for om in oriented_face_type_maps(pi))
+        return oracle, sign * _class_sums([table], diagram, a,
+                                          Fraction(1), 0)[0]
 
     if alpha == 2:
         a = SQRT2
@@ -376,13 +376,10 @@ def stanley_special(pi, lam, alpha, force: bool = False):
         raise ValueError("alpha must be one of 1, 2, 1/2")
 
     oracle = ch(pi.parts, lam, JackParams.from_A(a), force=force)
-    total = a * 0
-    for m in conservative_maps(pi.parts):
-        graph = bicolored_graph(m)
-        v = graph.blacks + graph.whites
-        weight = base ** (pi.size + pi.length - v)
-        total = total + weight * normalized_embeddings(graph, diagram, a)
-    mapsum = sign * total
+    table = _class_table((bicolored_graph(m), 1)
+                         for m in conservative_maps(pi.parts))
+    mapsum = sign * _class_sums([table], diagram, a, base,
+                                pi.size + pi.length)[0]
     if isinstance(oracle, Sqrt2) and not isinstance(mapsum, Sqrt2):
         mapsum = Sqrt2.of(mapsum)
     return oracle, mapsum

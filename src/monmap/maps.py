@@ -460,11 +460,16 @@ def edge_role(m: NonOrientedMap, e) -> EdgeRole:
     a second component, so a leaf is never a bridge here; the single-edge
     component counts as a leaf.
     """
-    i, j = _edge_index(m, e)
-    leaf = m._b[i] == j or m._w[i] == j
-    comps_before = m._component_data[1]
-    comps_after = remove_edge(m, e)._component_data[1]
-    return EdgeRole(is_bridge=comps_after > comps_before, is_leaf=leaf)
+    return _role(m, remove_edge(m, e), e)
+
+
+def _role(before: NonOrientedMap, after: NonOrientedMap, e) -> EdgeRole:
+    """``edge_role`` of e in ``before``, where ``after`` is ``before`` with
+    e removed: the component counts of the two give the bridge test."""
+    i, j = _edge_index(before, e)
+    return EdgeRole(
+        is_bridge=after._component_data[1] > before._component_data[1],
+        is_leaf=before._b[i] == j or before._w[i] == j)
 
 
 def _component_trace(b, w, e, start: int, best=None):

@@ -33,9 +33,9 @@ from typing import Optional, Sequence
 
 from . import kernels
 from .algebra import GAMMA, HALF, ONE, GammaPoly
-from .maps import (EdgeKind, EdgeRole, MapError, NonOrientedMap,
-                   _edge_index, canonical_form, checked_pairs, classify_edge,
-                   remove_edge, structure)
+from .maps import (EdgeKind, MapError, NonOrientedMap, _edge_index, _role,
+                   canonical_form, checked_pairs, classify_edge, remove_edge,
+                   structure)
 
 _WEIGHTS = {
     EdgeKind.STRAIGHT: ONE,
@@ -98,15 +98,6 @@ def _states(m: NonOrientedMap, edges) -> list[NonOrientedMap]:
         m = child
         states.append(m)
     return states
-
-
-def _role(before: NonOrientedMap, after: NonOrientedMap, e) -> EdgeRole:
-    """``edge_role`` of e in ``before``, where ``after`` is ``before`` with
-    e removed: the component counts of the two give the bridge test."""
-    i, j = _edge_index(before, e)
-    return EdgeRole(
-        is_bridge=after._component_data[1] > before._component_data[1],
-        is_leaf=before._b[i] == j or before._w[i] == j)
 
 
 def history_weight(m: NonOrientedMap, history: Sequence) -> GammaPoly:

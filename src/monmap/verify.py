@@ -20,20 +20,19 @@ from itertools import permutations
 
 from .algebra import GammaPoly, Sqrt2
 from .bijection import DichotomyError, NotInDomainError, phi, phi_inverse
-from .diagrams import (MultiRect, YoungDiagram, _map_sum_diagram,
-                       _one_face_table, _oriented_table, _table_sum)
+from .diagrams import (MultiRect, YoungDiagram, _class_sums, _map_sum_diagram,
+                       _one_face_table, _oriented_table)
 from .enumeration import (all_maps, conservative_one_face, group_by,
                           involutions, liberal_one_face, maps_by_face_type,
                           transitive_pairs_by_class)
 from .jack import (JackParams, ch, ch_stanley, jack_in_p, jack_inner_product,
                    partitions_of, stanley_special)
 from .maps import (EdgeKind, NonOrientedMap, bicolored_graph, canonical_form,
-                   classify_edge, graph_class, is_orientable, load_fixture,
-                   structure)
+                   classify_edge, is_orientable, load_fixture, structure)
 from .mon import (history_weight, is_top_degree_map, is_top_degree_pair,
                   lemma_equivalence_check, mon, mon_top_detail,
                   mon_top_degree_target)
-from .oriented import graph_class_oriented, side_label
+from .oriented import side_label
 
 
 @dataclass(frozen=True)
@@ -269,23 +268,11 @@ def suite_liberation_oriented(ns=(1, 2, 3), force: bool = False) -> Report:
 def suite_main_theorem(ns=(1, 2, 3, 4, 5), force: bool = False) -> Report:
     checks = []
     for n in ns:
-        lhs: dict[bytes, Fraction] = {}
-        labelings = math.factorial(n - 1)
-        for om, size in transitive_pairs_by_class(n, force=force):
-            k = graph_class_oriented(om).key
-            lhs[k] = lhs.get(k, Fraction(0)) + Fraction(size, labelings)
-        rhs: dict[bytes, Fraction] = {}
-        mismatched: set[bytes] = set()  # mon_top's two routes disagree
-        for m in conservative_one_face(n, force=force):
-            k = graph_class(m).key
-            prob, coeff = mon_top_detail(m)
-            if prob != coeff:
-                mismatched.add(k)
-            rhs[k] = rhs.get(k, Fraction(0)) + prob
-        rhs = {k: v for k, v in rhs.items() if v}
+        lhs = _oriented_table(n, force)
+        rhs, mismatched = _one_face_table(n, force)
         for key in sorted(set(lhs) | set(rhs) | mismatched):
-            l = lhs.get(key, Fraction(0))
-            r = rhs.get(key, Fraction(0))
+            l = lhs.get(key, (None, Fraction(0)))[1]
+            r = rhs.get(key, (None, Fraction(0)))[1]
             checks.append(Check(
                 f"n={n} class {key.decode()}",
                 l == r and key not in mismatched,
@@ -377,33 +364,28 @@ def _printed_grid():
     return grid
 
 
-def _top_sums(n: int, mr: MultiRect, tables, force: bool):
-    """chtop_map_sum and (-1) * ogs_top_map_sum at mr, from n's two class
-    tables."""
-    lam = _map_sum_diagram(n, mr, force)
-    oriented, one_face = tables
-    return (-_table_sum(oriented, n, mr, lam),
-            -_table_sum(one_face, n, mr, lam))
-
-
 def suite_second_main_theorem(ns=(1, 2, 3, 4), force: bool = False) -> Report:
     """Both top-degree map sums, from one class table per n and side that
-    every point reuses; a mon_top route mismatch fails that n's checks."""
+    every point reuses; a mon_top route mismatch fails that n's checks.
+
+    chtop_map_sum is minus the oriented table's sum and ogs_top_map_sum is
+    the one-face table's sum, so the documented reconciliation
+    chtop = (-1) * ogs_top holds when the two table sums are equal."""
     points = [MultiRect.from_primes(*pt) for pt in SECOND_THEOREM_POINTS]
     checks = []
     tables = {}
     agree = {}
     for n in ns:
-        for mr in points:  # the guards run before any stream is walked
-            _map_sum_diagram(n, mr, force)
-        one_face, agree[n] = _one_face_table(n, force)
+        # the guards run before any stream is walked
+        lams = [_map_sum_diagram(n, mr, force) for mr in points]
+        one_face, mismatched = _one_face_table(n, force)
         tables[n] = (_oriented_table(n, force), one_face)
+        agree[n] = not mismatched
         ok = agree[n]
-        for mr in points:
-            # documented sign reconciliation: ogs_top_map_sum returns the
-            # bare sum; equality holds against (-1) times it
-            lhs, rhs = _top_sums(n, mr, tables[n], force)
-            if lhs != rhs:
+        for mr, lam in zip(points, lams):
+            oriented_sum, one_face_sum = _class_sums(tables[n], lam, mr.A,
+                                                     mr.gamma, n + 1)
+            if oriented_sum != one_face_sum:
                 ok = False
         checks.append(Check(
             f"n={n}: oriented sum == (-1) * one-face mon_top sum "
@@ -416,9 +398,11 @@ def suite_second_main_theorem(ns=(1, 2, 3, 4), force: bool = False) -> Report:
             continue
         ok = agree[n]
         for mr in grid:
-            lhs, rhs = _top_sums(n, mr, tables[n], force)
+            lam = _map_sum_diagram(n, mr, force)
+            oriented_sum, one_face_sum = _class_sums(tables[n], lam, mr.A,
+                                                     mr.gamma, n + 1)
             _, top = ch_stanley(n, mr.gamma, mr.P, mr.Q)
-            if not lhs == rhs == top:
+            if not -oriented_sum == -one_face_sum == top:
                 ok = False
         checks.append(Check(
             f"n={n}: both map sums equal the closed-form top part "

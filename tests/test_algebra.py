@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monmap.algebra import GAMMA, ONE, SQRT2, ZERO, GammaPoly, Sqrt2, gamma_of
+from monmap.diagrams import MultiRect
+from monmap.jack import jack_in_p
 
 F = Fraction
 
@@ -97,3 +99,27 @@ class TestGammaOf:
     def test_sqrt2_points(self):
         assert gamma_of(SQRT2) == Sqrt2(0, F(-1, 2))
         assert gamma_of(Sqrt2(0, F(1, 2))) == Sqrt2(0, F(1, 2))
+
+
+class TestBoolRejected:
+    """A bool is refused wherever a float is, as every exact input check
+    does; comparing a value with a bool still answers."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: MultiRect((True,), (1,), 1),
+        lambda: GammaPoly((True,)),
+        lambda: jack_in_p((2,), True),
+        lambda: Sqrt2(0, False),
+        lambda: gamma_of(True),
+    ], ids=["MultiRect", "GammaPoly", "jack_in_p", "Sqrt2", "gamma_of"])
+    def test_bool_scalar_raises(self, call):
+        with pytest.raises(TypeError, match="exact rational, got bool"):
+            call()
+
+    def test_equality_with_bool(self):
+        assert Sqrt2(1) == True  # noqa: E712
+        assert Sqrt2(0) == False  # noqa: E712
+        assert SQRT2 != True  # noqa: E712
+        assert ONE == True  # noqa: E712
+        assert ZERO == False  # noqa: E712
+        assert GAMMA != True  # noqa: E712

@@ -6,13 +6,19 @@ from itertools import product
 import pytest
 
 from monmap.algebra import SQRT2, Sqrt2, gamma_of
+from monmap.cli import main
 from monmap.diagrams import (DiagramError, MultiRect, Partition, YoungDiagram,
                              chtop_map_sum, count_embeddings,
-                             normalized_embeddings, ogs_full, ogs_top_map_sum)
-from monmap.enumeration import conservative_maps, conservative_one_face
-from monmap.jack import JackParams, ch, ch_stanley, jack_in_p
-from monmap.maps import BicoloredGraph, bicolored_graph, canonical_form, structure
+                             normalized_embeddings, ogs_full, ogs_top_map_sum,
+                             top_map_sums)
+from monmap.enumeration import (conservative_maps, conservative_one_face,
+                                transitive_pairs_by_class)
+from monmap.jack import (JackParams, ch, ch_stanley, jack_in_p,
+                         oriented_face_type_maps, stanley_special)
+from monmap.maps import (BicoloredGraph, bicolored_graph, canonical_form,
+                         canonical_graph_class, graph_class, structure)
 from monmap.mon import mon, mon_top
+from monmap.oriented import graph_class_oriented
 from monmap.verify import SECOND_THEOREM_POINTS, _printed_grid, run_suite
 
 F = Fraction
@@ -110,6 +116,12 @@ class TestCountEmbeddings:
     def test_empty_diagram(self):
         assert count_embeddings(SINGLE_EDGE_GRAPH, YoungDiagram(())) == 0
 
+    def test_no_graph_class_is_computed(self):
+        # a star on 9 black vertices is past the class guard of 8 rows,
+        # and its one embedding into a single box needs no class
+        star = BicoloredGraph(9, 1, tuple((b, 0) for b in range(9)))
+        assert count_embeddings(star, YoungDiagram([1])) == 1
+
 
 class TestNormalizedEmbeddings:
     def test_single_edge_at_various_a(self):
@@ -145,6 +157,13 @@ class TestChTopMapSum:
         mr = MultiRect.from_primes((2, 1), (3, 1), F(1))
         expected = sum(p * q for p, q in zip(mr.P, mr.Q))
         assert chtop_map_sum(1, mr) == expected
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_top_map_sums_gives_both_sums(self, n):
+        for pt in SECOND_THEOREM_POINTS:
+            mr = MultiRect.from_primes(*pt)
+            assert top_map_sums(n, mr) == (chtop_map_sum(n, mr),
+                                           ogs_top_map_sum(n, mr))
 
     def test_n2_reference_point(self):
         mr = MultiRect((F(1),), (F(4),), F(2))
@@ -224,14 +243,16 @@ class TestMapSumGuardsBeforeWalk:
         monkeypatch.setattr(diagrams, "conservative_one_face", refuse)
         return walked
 
-    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum])
+    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum,
+                                         top_map_sums])
     def test_n_guard(self, map_sum, walks):
         mr = MultiRect.from_primes((1,), (1,), F(1))
         with pytest.raises(DiagramError, match="map-sum guard"):
             map_sum(6, mr)
         assert walks == []
 
-    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum])
+    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum,
+                                         top_map_sums])
     def test_row_guard(self, map_sum, walks):
         mr = MultiRect.from_primes((101,), (1,), F(1))
         with pytest.raises(DiagramError, match="embedding guard"):
@@ -242,6 +263,65 @@ class TestMapSumGuardsBeforeWalk:
         with pytest.raises(DiagramError, match="map-sum guard"):
             run_suite("second-main-theorem", ns=(6,))
         assert walks == []
+
+
+@pytest.fixture
+def embedded_classes(monkeypatch):
+    """The class key of every graph that count_embeddings is called on."""
+    diagrams = importlib.import_module("monmap.diagrams")
+    real = diagrams.count_embeddings
+    keys = []
+
+    def spy(g, lam):
+        keys.append(canonical_graph_class(g).key)
+        return real(g, lam)
+
+    monkeypatch.setattr(diagrams, "count_embeddings", spy)
+    return keys
+
+
+def top_degree_classes(n):
+    """Class keys of the transitive pairs and one-face maps with n edges."""
+    return ({graph_class_oriented(om).key
+             for om, _ in transitive_pairs_by_class(n)}
+            | {graph_class(m).key for m in conservative_one_face(n)})
+
+
+class TestOneCountPerClass:
+    """Every map sum embeds one graph per bicolored graph class."""
+
+    def test_chtop_command(self, embedded_classes, capsys):
+        assert main(["chtop", "--n", "5", "--P", "15", "--Q", "1",
+                     "--A", "1"]) == 0
+        assert len(embedded_classes) == len(set(embedded_classes))
+        assert set(embedded_classes) == top_degree_classes(5)
+
+    def test_second_main_theorem_point(self, embedded_classes, monkeypatch):
+        verify = importlib.import_module("monmap.verify")
+        monkeypatch.setattr(verify, "SECOND_THEOREM_POINTS",
+                            SECOND_THEOREM_POINTS[-1:])
+        assert run_suite("second-main-theorem", ns=(4,)).passed
+        assert len(embedded_classes) == len(set(embedded_classes))
+        assert set(embedded_classes) == top_degree_classes(4)
+
+    @pytest.mark.parametrize("a", [F(2), SQRT2])
+    def test_ogs_full(self, embedded_classes, a):
+        ogs_full((2, 1), YoungDiagram((2, 1)), a)
+        maps = list(conservative_maps((2, 1)))
+        assert len(embedded_classes) == len(set(embedded_classes)) > 1
+        assert len(embedded_classes) < len(maps)
+        assert set(embedded_classes) <= {graph_class(m).key for m in maps}
+
+    @pytest.mark.parametrize("alpha", [F(1), F(2), F(1, 2)])
+    def test_stanley_special(self, embedded_classes, alpha):
+        stanley_special((2, 1), (2, 1), alpha)
+        if alpha == 1:
+            expected = {graph_class_oriented(om).key
+                        for om in oriented_face_type_maps((2, 1))}
+        else:
+            expected = {graph_class(m).key for m in conservative_maps((2, 1))}
+        assert len(embedded_classes) == len(set(embedded_classes))
+        assert set(embedded_classes) == expected
 
 
 class TestOgsTopMapSum:

@@ -36,7 +36,6 @@ MON_TOP_SUITES = (
 def clear_every_cache():
     # import_module: the package re-exports the function mon as monmap.mon
     importlib.import_module("monmap.mon").clear_caches()
-    importlib.import_module("monmap.diagrams")._EMBED_CACHE.clear()
     importlib.import_module("monmap.oriented").partitions_of.cache_clear()
     for obj in vars(importlib.import_module("monmap.jack")).values():
         if callable(getattr(obj, "cache_clear", None)):
