@@ -15,15 +15,22 @@ leaf there, it is kept as is, otherwise it is twisted exactly when needed.
 That this choice is always available and unique is the one-of-two
 dichotomy; a violation would be an implementation bug and aborts with the
 history up to the failing edge.
+
+The induction runs on side positions.  The twist set is kept as label
+pairs, which stay fixed across the states; at each level the sides of edge
+k and of the twist set are found once, by bisection on that state's
+labels, and both candidates are twisted at those positions
+(``maps._twist_sides``, the one twist, which ``twist_many`` also calls).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .maps import (MapError, NonOrientedMap, _role, is_orientable, twist,
-                   twist_many)
+from .maps import (MapError, NonOrientedMap, _bridge_or_leaf, _twist_sides,
+                   is_orientable)
 from .mon import _check_history, _failing_prefix, _states, is_top_degree_map
 
 
@@ -72,22 +79,33 @@ def _settle(states, edges, target):
     the last back to the first: each state takes the twists found so far,
     then its first remaining edge is settled by the bridge/leaf rule or the
     dichotomy.
+
+    The sides of edge e and of the twist set (label pairs, which every
+    state shares) are found once per level, by bisection on the state's
+    labels; the history's edges are validated, so each is there.  A twist
+    changes neither the graph nor the beta/omega/eps adjacency of an
+    edge's two sides, so the bridge/leaf test reads the state and the state
+    left after removing e, not the candidate.
     """
     out, twists = states[-1], ()
-    for k, e in reversed(list(enumerate(edges))):
-        candidate = twist_many(states[k], twists)
-        # a twist changes neither the graph nor the beta/omega/eps adjacency
-        # of an edge's two sides, so the role in the state is the role in
-        # the candidate
-        role = _role(states[k], states[k + 1], e)
-        if role.is_bridge or role.is_leaf:
+    for k in range(len(edges) - 1, -1, -1):
+        state = states[k]
+        labels = state.labels
+        e = edges[k]
+        i = bisect_left(labels, e[0])
+        j = state._e[i]
+        sides = [(bisect_left(labels, a), bisect_left(labels, b))
+                 for a, b in twists]
+        candidate = _twist_sides(state, sides)
+        if _bridge_or_leaf(state, states[k + 1], i, j):
             if not target(candidate):
                 raise DichotomyError(
                     f"bridge/leaf case failed target at edge {e}; "
                     f"trace={list(edges[:k + 1])}")
             out = candidate
             continue
-        twisted = twist(candidate, e)
+        sides.append((i, j))
+        twisted = _twist_sides(state, sides)
         ok_plain = target(candidate)
         ok_twisted = target(twisted)
         if ok_plain == ok_twisted:

@@ -387,7 +387,11 @@ def is_orientable(m: NonOrientedMap) -> bool:
 
 
 def classify_edge(m: NonOrientedMap, e) -> EdgeKind:
-    i, j = _edge_index(m, e)
+    return _edge_kind(m, *_edge_index(m, e))
+
+
+def _edge_kind(m: NonOrientedMap, i: int, j: int) -> EdgeKind:
+    """``classify_edge`` of the edge whose sides sit at positions i and j."""
     ids, cols, _ = m._face_data
     if ids[i] != ids[j]:
         return EdgeKind.INTERFACE
@@ -435,18 +439,21 @@ def twist(m: NonOrientedMap, e) -> NonOrientedMap:
 
 def twist_many(m: NonOrientedMap, edges) -> NonOrientedMap:
     """Twist a set of (necessarily disjoint) edges; order is irrelevant."""
-    swap = None
-    for e in edges:
-        i, j = _edge_index(m, e)
-        if swap is None:
-            swap = list(range(len(m.labels)))
-        elif swap[i] != i:
+    return _twist_sides(m, [_edge_index(m, e) for e in edges])
+
+
+def _twist_sides(m: NonOrientedMap, sides) -> NonOrientedMap:
+    """``twist_many`` of the edges whose sides sit at the position pairs
+    ``sides``; m itself when there are none."""
+    if not sides:
+        return m
+    swap = list(range(len(m.labels)))
+    for i, j in sides:
+        if swap[i] != i:
             raise MapError(f"edge {{{m.labels[i]},{m.labels[j]}}} listed "
                            f"twice in the twist set")
         swap[i] = j
         swap[j] = i
-    if swap is None:
-        return m
     w = m._w
     # omega' = s . omega . s with s the product of the swaps (an involution)
     return _new_map(
@@ -460,16 +467,20 @@ def edge_role(m: NonOrientedMap, e) -> EdgeRole:
     a second component, so a leaf is never a bridge here; the single-edge
     component counts as a leaf.
     """
-    return _role(m, remove_edge(m, e), e)
-
-
-def _role(before: NonOrientedMap, after: NonOrientedMap, e) -> EdgeRole:
-    """``edge_role`` of e in ``before``, where ``after`` is ``before`` with
-    e removed: the component counts of the two give the bridge test."""
-    i, j = _edge_index(before, e)
+    i, j = _edge_index(m, e)
     return EdgeRole(
-        is_bridge=after._component_data[1] > before._component_data[1],
-        is_leaf=before._b[i] == j or before._w[i] == j)
+        is_bridge=(remove_edge(m, e)._component_data[1]
+                   > m._component_data[1]),
+        is_leaf=m._b[i] == j or m._w[i] == j)
+
+
+def _bridge_or_leaf(before: NonOrientedMap, after: NonOrientedMap,
+                    i: int, j: int) -> bool:
+    """Whether the edge at positions i, j of ``before`` is a bridge or a
+    leaf there (``edge_role``), where ``after`` is ``before`` with it
+    removed: the component counts of the two give the bridge test."""
+    return (before._b[i] == j or before._w[i] == j
+            or after._component_data[1] > before._component_data[1])
 
 
 def _component_trace(b, w, e, start: int, best=None):

@@ -21,11 +21,16 @@ equal removals from different maps are one object: the histories of every
 map checked share their common residual maps, their removals and their
 cached kernel data.  The table holds the distinct proper residuals of the
 maps checked, 1 598 at the default parameters of ``verify all``.  Edge
-kinds and roles are read from the states, never stored.
+kinds and roles are read from the states, never stored: condition B finds
+each removed edge's two sides once per state, by bisection on its labels,
+and reads the kind and the bridge/leaf test at those positions.  The
+degree target n + |F| - |V| comes from the face and vertex counts cached on
+the map.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,9 +38,9 @@ from typing import Optional, Sequence
 
 from . import kernels
 from .algebra import GAMMA, HALF, ONE, GammaPoly
-from .maps import (EdgeKind, MapError, NonOrientedMap, _edge_index, _role,
-                   canonical_form, checked_pairs, classify_edge, remove_edge,
-                   structure)
+from .maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
+                   _edge_index, _edge_kind, canonical_form, checked_pairs,
+                   classify_edge, remove_edge)
 
 _WEIGHTS = {
     EdgeKind.STRAIGHT: ONE,
@@ -134,12 +139,15 @@ def _failing_prefix(states) -> Optional[int]:
 
 
 def _removals_admissible(states, edges) -> bool:
-    """Each removed edge is twisted, a bridge or a leaf where it is removed."""
-    for before, after, e in zip(states, states[1:], edges):
-        if classify_edge(before, e) is not EdgeKind.TWISTED:
-            role = _role(before, after, e)
-            if not (role.is_bridge or role.is_leaf):
-                return False
+    """Each removed edge is twisted, a bridge or a leaf where it is removed.
+    The edges are ``_check_history``'s, so each is found by one bisection
+    on the labels of the state it is removed from."""
+    for before, after, (a, _) in zip(states, states[1:], edges):
+        i = bisect_left(before.labels, a)
+        j = before._e[i]
+        if (_edge_kind(before, i, j) is not EdgeKind.TWISTED
+                and not _bridge_or_leaf(before, after, i, j)):
+            return False
     return True
 
 
@@ -169,9 +177,10 @@ def mon(m: NonOrientedMap) -> GammaPoly:
 
 
 def mon_top_degree_target(m: NonOrientedMap) -> int:
-    """The degree n + |F| - |V| at which mon's leading term may sit."""
-    st = structure(m)
-    return m.n + st.faces - st.vertices
+    """The degree n + |F| - |V| at which mon's leading term may sit, from
+    the face and vertex counts cached on m."""
+    (_, blacks), (_, whites) = m._vertex_data
+    return m.n + m._face_data[2] - blacks - whites
 
 
 def _top_probability(m: NonOrientedMap) -> Fraction:

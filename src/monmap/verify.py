@@ -29,9 +29,9 @@ from .jack import (JackParams, ch, ch_stanley, jack_in_p, jack_inner_product,
                    partitions_of, stanley_special)
 from .maps import (EdgeKind, NonOrientedMap, bicolored_graph, canonical_form,
                    classify_edge, is_orientable, load_fixture, structure)
-from .mon import (history_weight, is_top_degree_map, is_top_degree_pair,
-                  lemma_equivalence_check, mon, mon_top_detail,
-                  mon_top_degree_target)
+from .mon import (_failing_prefix, _states, history_weight,
+                  is_top_degree_map, lemma_equivalence_check, mon,
+                  mon_top_detail, mon_top_degree_target)
 from .oriented import side_label
 
 
@@ -282,12 +282,13 @@ def suite_main_theorem(ns=(1, 2, 3, 4, 5), force: bool = False) -> Report:
     return Report("main-theorem", {"ns": str(list(ns))}, checks)
 
 
-def _round_trip(m, h, forward: bool) -> bool:
+def _round_trip(m, h, graph, forward: bool) -> bool:
     """phi (forward) or phi_inverse sends (m, h) into the other domain on
-    the same labelled graph, and the other map brings it back with the same
-    twists; a refusal or an abort fails.  A twist conjugates omega by swaps
-    of eps-partners, so every <omega, eps> orbit keeps its label set, and
-    ``face_data`` numbers the vertex orbits of both maps identically."""
+    the same labelled graph (``graph`` is m's), and the other map brings it
+    back with the same twists; a refusal or an abort fails.  A twist
+    conjugates omega by swaps of eps-partners, so every <omega, eps> orbit
+    keeps its label set, and ``face_data`` numbers the vertex orbits of
+    both maps identically."""
     there, back = (phi, phi_inverse) if forward else (phi_inverse, phi)
     try:
         res = there(m, h)
@@ -295,8 +296,8 @@ def _round_trip(m, h, forward: bool) -> bool:
     except (NotInDomainError, DichotomyError):
         return False
     landed = (is_orientable(res.map) if forward
-              else is_top_degree_pair(res.map, h))
-    return (landed and bicolored_graph(res.map) == bicolored_graph(m)
+              else _failing_prefix(_states(res.map, res.history)) is None)
+    return (landed and bicolored_graph(res.map) == graph
             and again.map == m and again.twists == res.twists)
 
 
@@ -310,12 +311,14 @@ def suite_key_bijection(ns=(1, 2, 3), conservative_n: int = 4,
             orientable = is_orientable(m)
             if orientable:
                 orient_hists += math.factorial(n)
+            graph = bicolored_graph(m)
+            # m's own edges as sorted label pairs: a valid history as is
             for h in permutations(m.edges()):
-                if is_top_degree_pair(m, h):
+                if _failing_prefix(_states(m, h)) is None:
                     pairs += 1
-                    ok = _round_trip(m, h, forward=True) and ok
+                    ok = _round_trip(m, h, graph, forward=True) and ok
                 if orientable:
-                    ok = _round_trip(m, h, forward=False) and ok
+                    ok = _round_trip(m, h, graph, forward=False) and ok
         checks.append(Check(
             f"n={n}: phi and phi_inverse mutually inverse, graph-preserving",
             ok, {"top_degree_pairs": str(pairs)}))
@@ -327,11 +330,12 @@ def suite_key_bijection(ns=(1, 2, 3), conservative_n: int = 4,
     ok = True
     count = 0
     for m in conservative_one_face(n, force=force):
+        graph = bicolored_graph(m)
         for h in permutations(m.edges()):
-            if not is_top_degree_pair(m, h):
+            if _failing_prefix(_states(m, h)) is not None:
                 continue
             count += 1
-            ok = _round_trip(m, h, forward=True) and ok
+            ok = _round_trip(m, h, graph, forward=True) and ok
     checks.append(Check(
         f"n={n}: conservative one-face family, all histories, round trip",
         ok, {"top_degree_pairs": str(count)}))

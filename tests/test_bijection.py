@@ -1,14 +1,21 @@
+import importlib
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monmap.bijection import (BijectionResult, NotInDomainError, phi,
-                              phi_inverse)
+from monmap.bijection import (BijectionResult, DichotomyError,
+                              NotInDomainError, _settle, phi, phi_inverse)
 from monmap.enumeration import all_maps
-from monmap.maps import (NonOrientedMap, bicolored_graph, graph_class,
-                         is_orientable, twist_many)
-from monmap.mon import is_top_degree_pair
+from monmap.maps import (NonOrientedMap, bicolored_graph, edge_role,
+                         graph_class, is_orientable, remove_edge, twist,
+                         twist_many)
+from monmap.mon import (_check_history, _states, is_top_degree_map,
+                        is_top_degree_pair)
 from monmap.oriented import OrientedMap, side_label
+
+from conftest import map_strategy
 
 SINGLE_EDGE = NonOrientedMap.from_pairs([[1, 2]], [[1, 2]], [[1, 2]])
 TORUS = OrientedMap.from_cycles(
@@ -149,3 +156,115 @@ class TestResultShape:
         res = phi(klein, h)
         assert isinstance(res, BijectionResult)
         assert res.history == tuple(tuple(e) for e in h)
+
+
+def ref_settle(m, history, target):
+    """The induction at the label level: residual maps by remove_edge, the
+    candidate by twist_many of the twist set and the role by edge_role, at
+    every level."""
+    edges = [tuple(sorted(e)) for e in history]
+    states = [m]
+    for e in edges:
+        states.append(remove_edge(states[-1], e))
+    out, twists = states[-1], ()
+    for k in range(len(edges) - 1, -1, -1):
+        e = edges[k]
+        candidate = twist_many(states[k], twists)
+        role = edge_role(states[k], e)
+        if role.is_bridge or role.is_leaf:
+            if not target(candidate):
+                raise DichotomyError(
+                    f"bridge/leaf case failed target at edge {e}; "
+                    f"trace={edges[:k + 1]}")
+            out = candidate
+            continue
+        twisted = twist(candidate, e)
+        ok_plain, ok_twisted = target(candidate), target(twisted)
+        if ok_plain == ok_twisted:
+            raise DichotomyError(
+                f"dichotomy violated at edge {e} (plain={ok_plain}, "
+                f"twisted={ok_twisted}); trace={edges[:k + 1]}")
+        if ok_plain:
+            out = candidate
+        else:
+            out, twists = twisted, twists + (e,)
+    return out, twists
+
+
+def outcome(settle, *args):
+    """(map, twists), or the text of the DichotomyError raised."""
+    try:
+        return settle(*args)
+    except DichotomyError as err:
+        return str(err)
+
+
+class TestMatchesLabelLevelReference:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_pair(self, n):
+        forward = backward = 0
+        for m in all_maps(n):
+            orientable = is_orientable(m)
+            for h in permutations(m.eps):
+                if is_top_degree_pair(m, h):
+                    res = phi(m, h)
+                    assert ((res.map, res.twists)
+                            == ref_settle(m, h, is_orientable))
+                    forward += 1
+                if orientable:
+                    res = phi_inverse(m, h)
+                    assert ((res.map, res.twists)
+                            == ref_settle(m, h, is_top_degree_map))
+                    backward += 1
+        assert forward == backward > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(map_strategy(2, 5), st.data())
+    def test_rooted_maps_with_label_gaps(self, m, data):
+        m = remove_edge(m, data.draw(st.sampled_from(m.eps)))
+        m = m.with_root(data.draw(st.sampled_from(m.labels)))
+        h = data.draw(st.permutations(m.eps))
+        edges = _check_history(m, h)
+        # outside the domains too, both make the same choices and fail alike
+        for target in (is_orientable, is_top_degree_map):
+            assert (outcome(_settle, _states(m, edges), edges, target)
+                    == outcome(ref_settle, m, h, target))
+        if is_top_degree_pair(m, h):
+            res = phi(m, h)
+            assert (res.map, res.twists) == ref_settle(m, h, is_orientable)
+            m = res.map
+        if is_orientable(m):
+            res = phi_inverse(m, h)
+            assert ((res.map, res.twists)
+                    == ref_settle(m, h, is_top_degree_map))
+
+
+class TestDichotomyErrors:
+    H = [(1, 5), (2, 4), (3, 6)]
+
+    @pytest.mark.parametrize("verdict,text", [
+        (False, "bridge/leaf case failed target at edge (3, 6); "
+                "trace=[(1, 5), (2, 4), (3, 6)]"),
+        (True, "dichotomy violated at edge (2, 4) (plain=True, "
+               "twisted=True); trace=[(1, 5), (2, 4)]"),
+    ], ids=["bridge-leaf", "dichotomy"])
+    def test_texts(self, klein, monkeypatch, verdict, text):
+        bijection = importlib.import_module("monmap.bijection")
+        orientable = phi(klein, self.H).map
+
+        def target(m):
+            return verdict
+
+        with pytest.raises(DichotomyError) as ref:
+            ref_settle(klein, self.H, target)
+        assert str(ref.value) == text
+        monkeypatch.setattr(bijection, "is_orientable", target)
+        with pytest.raises(DichotomyError) as err:
+            phi(klein, self.H)
+        assert str(err.value) == text
+        monkeypatch.undo()
+        monkeypatch.setattr(bijection, "is_top_degree_map", target)
+        with pytest.raises(DichotomyError) as err:
+            phi_inverse(orientable, self.H)
+        assert str(err.value) == outcome(ref_settle, orientable, self.H,
+                                         target)

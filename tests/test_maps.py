@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from monmap.enumeration import all_maps, conservative_one_face
 from monmap.maps import (BicoloredGraph, EdgeKind, MapError, NonOrientedMap,
-                         bicolored_graph, canonical_form,
-                         canonical_graph_class, classify_edge, edge_role,
-                         faces, graph_class, is_orientable, map_from_json_obj,
-                         map_to_json_obj, remove_edge, structure, twist,
-                         twist_many)
+                         _edge_index, _twist_sides, bicolored_graph,
+                         canonical_form, canonical_graph_class, classify_edge,
+                         edge_role, faces, graph_class, is_orientable,
+                         map_from_json_obj, map_to_json_obj, remove_edge,
+                         structure, twist, twist_many)
 from monmap.oriented import OrientedMap, side_label
 
 from conftest import map_strategy, partner_dict
@@ -468,7 +468,10 @@ class TestArrayCoreMatchesReference:
         for a, b in m.edges():
             assert remove_edge(m, (b, a)) == ref_remove_edge(m, (a, b))
         subset = data.draw(st.lists(st.sampled_from(m.edges()), unique=True))
-        assert twist_many(m, subset) == ref_twist_many(m, subset)
+        expected = ref_twist_many(m, subset)
+        assert twist_many(m, subset) == expected
+        sides = [_edge_index(m, e) for e in subset]
+        assert _twist_sides(m, sides) == expected
         for rooted in (False, True):
             assert canonical_form(m, rooted) == ref_canonical_form(m, rooted)
 

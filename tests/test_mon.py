@@ -10,10 +10,10 @@ from monmap import kernels
 from monmap.algebra import GAMMA, ONE, GammaPoly
 from monmap.bijection import phi, phi_inverse
 from monmap.enumeration import all_maps
-from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _edge_index,
-                         classify_edge, edge_role, load_fixture, remove_edge,
-                         structure, twist)
-from monmap.mon import (_STATES, _monomial, _role, _states, clear_caches,
+from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
+                         _edge_index, classify_edge, edge_role, load_fixture,
+                         remove_edge, structure, twist)
+from monmap.mon import (_STATES, _monomial, _states, clear_caches,
                         edge_weight, failing_prefix, history_weight,
                         is_top_degree_map, is_top_degree_pair,
                         lemma_equivalence_check, mon, mon_top,
@@ -110,8 +110,10 @@ class TestHistoryStates:
         current = m
         for k, e in enumerate(subset):
             assert states[k] == current
-            role = _role(states[k], states[k + 1], e)
-            assert role == edge_role(states[k], e)
+            role = edge_role(states[k], e)
+            assert (_bridge_or_leaf(states[k], states[k + 1],
+                                    *_edge_index(states[k], e))
+                    == (role.is_bridge or role.is_leaf))
             current = remove_edge(current, e)
         assert states[-1] == current
 

@@ -216,6 +216,38 @@ class TestRunSuite:
         assert hashlib.sha256(blob).hexdigest() == (
             "91742f5cce17053975d8b2b21221037d6748791b6fbacb62fd94fdefe4634229")
 
+    def test_public_calls_per_pair_match_the_reports(self, monkeypatch):
+        # the benchmark's traced self-check counts these calls against the
+        # pair counts the reports state: one lemma_equivalence_check per
+        # (map, history), one phi and one phi_inverse per round trip
+        verify = importlib.import_module("monmap.verify")
+        calls = {"phi": 0, "phi_inverse": 0, "lemma_equivalence_check": 0}
+
+        def counted(name):
+            real = getattr(verify, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(verify, name, counted(name))
+        clear_every_cache()
+        lemma = run_suite("lemma-equivalence", n=2)
+        assert calls["lemma_equivalence_check"] == int(
+            lemma.checks[0].values["pairs"])
+        bijection = run_suite("key-bijection", ns=(1, 2), conservative_n=3)
+        assert bijection.passed
+        expected = 0
+        for c in bijection.checks:
+            if "mutually inverse" in c.name:
+                expected += 2 * int(c.values["top_degree_pairs"])
+            elif "conservative one-face" in c.name:
+                expected += int(c.values["top_degree_pairs"])
+        assert expected > 0
+        assert calls["phi"] == calls["phi_inverse"] == expected
+
     def test_seeded_suite_deterministic(self):
         kwargs = dict(n_exhaustive=1, sampled=(4,), samples=30, seed=5)
         a = report_render(run_suite("degree-bounds", **kwargs), "json")
