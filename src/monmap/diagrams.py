@@ -17,7 +17,7 @@ from itertools import product
 from typing import Iterable, Union
 
 from .algebra import Sqrt2, _as_fraction, gamma_of
-from .enumeration import (FORCE_HINT, conservative_maps, conservative_one_face,
+from .enumeration import (FORCE_HINT, conservative_maps, one_face_orbits,
                           transitive_pairs_by_class)
 from .maps import BicoloredGraph, bicolored_graph, canonical_graph_class
 from .mon import mon, mon_top_detail
@@ -290,15 +290,20 @@ def _oriented_table(n: int, force: bool = False
 def _one_face_table(n: int, force: bool = False
                     ) -> tuple[dict[bytes, tuple[BicoloredGraph, Fraction]],
                                set[bytes]]:
-    """mon_top summed by bicolored graph class over
-    :func:`conservative_one_face` (one walk of the stream), and the keys of
-    the classes holding a map on which mon_top's probability and
-    coefficient differ.  The weights are the probabilities."""
-    details = [(bicolored_graph(m), *mon_top_detail(m))
-               for m in conservative_one_face(n, force=force)]
-    table = _class_table((graph, prob) for graph, prob, _ in details)
+    """mon_top summed by bicolored graph class over the one-face maps of
+    :func:`~monmap.enumeration.conservative_one_face`, and the keys of the
+    classes holding a map on which mon_top's probability and coefficient
+    differ.  The weights are the probabilities.
+
+    Both routes of mon_top and the graph class are constant on the orbits
+    of :func:`~monmap.enumeration.one_face_orbits`, so the table walks
+    that stream once and weighs each representative by its orbit size."""
+    details = [(bicolored_graph(m), size, *mon_top_detail(m))
+               for m, size in one_face_orbits(n, force=force)]
+    table = _class_table((graph, size * prob)
+                         for graph, size, prob, _ in details)
     return table, {canonical_graph_class(graph).key
-                   for graph, prob, coeff in details if prob != coeff}
+                   for graph, _, prob, coeff in details if prob != coeff}
 
 
 def _agreeing_one_face_table(n: int, force: bool):

@@ -98,6 +98,63 @@ def conservative_one_face(n: int,
         yield m.with_root(1)
 
 
+def one_face_orbits(
+        n: int, force: bool = False) -> Iterator[tuple[NonOrientedMap, int]]:
+    """:func:`conservative_one_face` up to the symmetries of the 2n-gon,
+    with weights.
+
+    Yields ``(m, size)`` with one map m per orbit of the gluings eps under
+    conjugation by the dihedral group D_n: m carries the orbit's least eps
+    (as a partner-index tuple), rooted at side 1, and size is the number
+    of gluings in the orbit.  Representatives: 1, 3, 7, 30, 137, 1 065 and
+    10 307 for n = 1..7, with sizes summing to (2n-1)!!.
+
+    The sum is exact for every summand f(beta0, omega_n, eps) that
+    relabelling (simultaneous conjugation of the three involutions) leaves
+    unchanged and that ignores the root: mon_top by either route, the
+    bicolored graph class, the unrooted canonical form.  On the positions
+    0..2n-1 of the standard 2n-gon, beta0 pairs (2k, 2k+1) and omega_n
+    pairs (2k+1, 2k+2) mod 2n.  The rotation x -> x+2 and the reflection
+    x -> -x-1 (mod 2n) each send beta0 pairs to beta0 pairs and omega_n
+    pairs to omega_n pairs, so the group D_n of order 2n they generate
+    centralises both.  For tau in D_n, eps -> tau eps tau^-1 then
+    relabels the triple (beta0, omega_n, eps) into (beta0, omega_n,
+    tau eps tau^-1) and keeps f, so f is constant on each orbit, and by
+    orbit-stabiliser an orbit holds 2n / |stabiliser| gluings.  A gluing
+    is yielded when no element of D_n conjugates it to a smaller tuple;
+    the elements that conjugate it to itself form its stabiliser.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    check_guard("n", n, MAX_ONE_FACE_N, force)
+    beta, omega = polygon_pairings((n,))
+    size = 2 * n
+    labels = tuple(range(1, size + 1))
+    positions = range(size)
+    group = []  # (tau, tau^-1) over the positions
+    for k in range(0, size, 2):
+        group.append((tuple((x + k) % size for x in positions),
+                      tuple((x - k) % size for x in positions)))
+        reflection = tuple((k - 1 - x) % size for x in positions)
+        group.append((reflection, reflection))
+    for eps in involutions(labels):
+        fixed = 0
+        for tau, tau_inv in group:
+            # compare tau eps tau^-1 with eps, position by position
+            for y in positions:
+                d = tau[eps[tau_inv[y]]] - eps[y]
+                if d:
+                    break
+            else:
+                fixed += 1
+                continue
+            if d < 0:
+                break
+        else:
+            yield (NonOrientedMap.from_arrays(labels, beta, omega, eps, 1),
+                   size // fixed)
+
+
 def maps_by_face_type(
         n: int, force: bool = False) -> Iterator[tuple[NonOrientedMap, int]]:
     """:func:`all_maps` up to relabelling, with weights.

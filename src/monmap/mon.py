@@ -7,7 +7,9 @@ gives mon(M), a polynomial in gamma.  Its coefficient at the top admissible
 degree n + |F| - |V| equals the probability that a uniformly random removal
 order keeps every intermediate map "top-degree" (each connected component a
 single face); both quantities are computed independently here and checked
-against each other.
+against each other.  The two recursions take a map's one-edge removals
+from one tuple kept on that map (``_children``), so each residual map is
+built and canonicalised once for both.
 
 A history weight needs no residual map: ``kernels.removal_counts`` walks
 the history on one copy of the map's partner arrays, classifying each edge
@@ -111,7 +113,13 @@ def history_weight(m: NonOrientedMap, history: Sequence) -> GammaPoly:
 
 
 def _history_weight(m: NonOrientedMap, edges) -> GammaPoly:
-    sides = [_edge_index(m, e) for e in edges]
+    """The edges are ``_check_history``'s, so each is found by one
+    bisection on m's labels."""
+    labels, partner = m.labels, m._e
+    sides = []
+    for a, _ in edges:
+        i = bisect_left(labels, a)
+        sides.append((i, partner[i]))
     return _monomial(*kernels.removal_counts(m._b, m._w, sides))
 
 
@@ -155,6 +163,20 @@ def is_top_degree_pair(m: NonOrientedMap, history: Sequence) -> bool:
     return failing_prefix(m, history) is None
 
 
+def _children(m: NonOrientedMap) -> tuple[NonOrientedMap, ...]:
+    """m with each edge removed, in the order of ``m.edges()``.
+
+    Built on first use and kept on m (maps are immutable), so the two
+    recursions of :func:`mon_top_detail` through one map share its residual
+    maps, and with them each residual's cached canonical form.
+    """
+    children = m.__dict__.get("_children")
+    if children is None:
+        children = tuple([remove_edge(m, e) for e in m.edges()])
+        m.__dict__["_children"] = children
+    return children
+
+
 def mon(m: NonOrientedMap) -> GammaPoly:
     """Average history weight, via the edge-removal recursion.
 
@@ -169,8 +191,8 @@ def mon(m: NonOrientedMap) -> GammaPoly:
     if hit is not None:
         return hit
     total = GammaPoly()
-    for e in m.edges():
-        total = total + _WEIGHTS[classify_edge(m, e)] * mon(remove_edge(m, e))
+    for e, child in zip(m.edges(), _children(m)):
+        total = total + _WEIGHTS[classify_edge(m, e)] * mon(child)
     value = total.scale(Fraction(1, m.n))
     _MON_CACHE[key] = value
     return value
@@ -193,8 +215,8 @@ def _top_probability(m: NonOrientedMap) -> Fraction:
     if hit is not None:
         return hit
     total = Fraction(0)
-    for e in m.edges():
-        total += _top_probability(remove_edge(m, e))
+    for child in _children(m):
+        total += _top_probability(child)
     value = total / m.n
     _TOP_CACHE[key] = value
     return value

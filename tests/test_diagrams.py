@@ -8,16 +8,16 @@ import pytest
 from monmap.algebra import SQRT2, Sqrt2, gamma_of
 from monmap.cli import main
 from monmap.diagrams import (DiagramError, MultiRect, Partition, YoungDiagram,
-                             chtop_map_sum, count_embeddings,
-                             normalized_embeddings, ogs_full, ogs_top_map_sum,
-                             top_map_sums)
+                             _class_table, _one_face_table, chtop_map_sum,
+                             count_embeddings, normalized_embeddings, ogs_full,
+                             ogs_top_map_sum, top_map_sums)
 from monmap.enumeration import (conservative_maps, conservative_one_face,
                                 transitive_pairs_by_class)
 from monmap.jack import (JackParams, ch, ch_stanley, jack_in_p,
                          oriented_face_type_maps, stanley_special)
 from monmap.maps import (BicoloredGraph, bicolored_graph, canonical_form,
                          canonical_graph_class, graph_class, structure)
-from monmap.mon import mon, mon_top
+from monmap.mon import mon, mon_top, mon_top_detail
 from monmap.oriented import graph_class_oriented
 from monmap.verify import SECOND_THEOREM_POINTS, _printed_grid, run_suite
 
@@ -240,7 +240,7 @@ class TestMapSumGuardsBeforeWalk:
 
         diagrams = importlib.import_module("monmap.diagrams")
         monkeypatch.setattr(diagrams, "transitive_pairs_by_class", refuse)
-        monkeypatch.setattr(diagrams, "conservative_one_face", refuse)
+        monkeypatch.setattr(diagrams, "one_face_orbits", refuse)
         return walked
 
     @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum,
@@ -361,6 +361,36 @@ class TestOgsTopMapSum:
     def test_n2_reference_point(self):
         mr = MultiRect((F(1),), (F(4),), F(2))
         assert -ogs_top_map_sum(2, mr) == 6
+
+
+def per_map_one_face_table(n):
+    """_one_face_table with one mon_top_detail per one-face map of
+    conservative_one_face, no orbits."""
+    details = [(bicolored_graph(m), *mon_top_detail(m))
+               for m in conservative_one_face(n)]
+    table = _class_table((graph, prob) for graph, prob, _ in details)
+    return table, {canonical_graph_class(graph).key
+                   for graph, prob, coeff in details if prob != coeff}
+
+
+class TestOneFaceTable:
+    """The orbit-weighted table against one summand per one-face map."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_per_map_table(self, n):
+        table, mismatched = _one_face_table(n)
+        assert (table, mismatched) == per_map_one_face_table(n)
+        assert not mismatched
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_mismatched_keys_match_per_map_table(self, n, monkeypatch):
+        mon_module = importlib.import_module("monmap.mon")
+        real = mon_module.mon_top_degree_target
+        monkeypatch.setattr(mon_module, "mon_top_degree_target",
+                            lambda m: real(m) + 1)
+        table, mismatched = _one_face_table(n)
+        assert (table, mismatched) == per_map_one_face_table(n)
+        assert mismatched
 
 
 class TestOgsFull:

@@ -7,8 +7,8 @@ from monmap.diagrams import MultiRect, chtop_map_sum, normalized_embeddings
 from monmap.enumeration import (GuardExceeded, all_maps, all_pairs,
                                 conservative_maps, conservative_one_face,
                                 group_by, involutions, liberal_one_face,
-                                maps_by_face_type, polygon_pairings,
-                                single_polygon_pairs, transitive_pairs,
+                                maps_by_face_type, one_face_orbits,
+                                polygon_pairings, single_polygon_pairs, transitive_pairs,
                                 transitive_pairs_by_class)
 from monmap.maps import (NonOrientedMap, canonical_form, faces, graph_class,
                          structure)
@@ -206,6 +206,76 @@ class TestMapsByFaceType:
             next(maps_by_face_type(5))
         m, weight = next(maps_by_face_type(5, force=True))
         assert m.n == 5 and weight == 945 * 3840 // (5 * 2)
+
+
+def dihedral_group(n):
+    """D_n on the positions of the 2n-gon, as the closure of its two
+    generators x -> x+2 and x -> -x-1 (mod 2n) under composition."""
+    size = 2 * n
+    gens = [tuple((x + 2) % size for x in range(size)),
+            tuple((-x - 1) % size for x in range(size))]
+    group = {tuple(range(size))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            gh = tuple(g[h[x]] for x in range(size))
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return group
+
+
+def conjugate(tau, eps):
+    """tau eps tau^-1 on partner-index tuples."""
+    out = [0] * len(eps)
+    for x, y in enumerate(eps):
+        out[tau[x]] = tau[y]
+    return tuple(out)
+
+
+class TestOneFaceOrbits:
+    """The dihedral orbit stream against the brute-force one-face stream."""
+
+    def test_representative_counts(self):
+        counts = [sum(1 for _ in one_face_orbits(n)) for n in range(1, 6)]
+        assert counts == [1, 3, 7, 30, 137]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_weights_count_all_gluings(self, n):
+        total = sum(weight for _, weight in one_face_orbits(n))
+        assert total == math.prod(range(1, 2 * n, 2))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_weight_is_orbit_size(self, n):
+        group = dihedral_group(n)
+        assert len(group) == 2 * n
+        seen = set()
+        for m, weight in one_face_orbits(n):
+            orbit = {conjugate(tau, m._e) for tau in group}
+            assert weight == len(orbit)
+            assert m._e == min(orbit)
+            assert orbit.isdisjoint(seen)
+            seen |= orbit
+            assert (m._b, m._w) == polygon_pairings((n,))
+            assert m.root == 1
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_canonical_histogram(self, n):
+        weighted: dict[bytes, int] = {}
+        for m, weight in one_face_orbits(n):
+            k = canonical_form(m)
+            weighted[k] = weighted.get(k, 0) + weight
+        assert weighted == group_by(conservative_one_face(n))
+
+    def test_guard(self):
+        stream = one_face_orbits(8)  # lazy: nothing runs before next()
+        with pytest.raises(GuardExceeded):
+            next(stream)
+        with pytest.raises(ValueError):
+            next(one_face_orbits(0))
+        m, weight = next(one_face_orbits(8, force=True))
+        assert m.n == 8 and m.root == 1 and 16 % weight == 0
 
 
 class TestGroupBy:

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from monmap import kernels
 from monmap.algebra import GAMMA, ONE, GammaPoly
 from monmap.bijection import phi, phi_inverse
-from monmap.enumeration import all_maps
+from monmap.enumeration import all_maps, conservative_one_face
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
                          _edge_index, classify_edge, edge_role, load_fixture,
                          remove_edge, structure, twist)
@@ -272,6 +273,90 @@ class TestTopDegree:
         assert prob == F(hits, total)
         assert coeff == prob
         assert 0 <= prob <= 1
+
+
+def unshared_mon_top_detail(m):
+    """mon_top_detail by two recursions with no memo and no shared
+    residual maps."""
+    def mon_ref(m):
+        if m.n == 0:
+            return ONE
+        total = GammaPoly()
+        for e in m.edges():
+            total = total + edge_weight(m, e) * mon_ref(remove_edge(m, e))
+        return total.scale(F(1, m.n))
+
+    def top_ref(m):
+        if m.n == 0:
+            return F(1)
+        if not is_top_degree_map(m):
+            return F(0)
+        return sum((top_ref(remove_edge(m, e)) for e in m.edges()),
+                   F(0)) / m.n
+
+    return top_ref(m), mon_ref(m).coefficient(mon_top_degree_target(m))
+
+
+def fresh(maps):
+    """New instances of the maps, with nothing cached on them."""
+    return [NonOrientedMap.from_arrays(m.labels, m._b, m._w, m._e, m.root)
+            for m in maps]
+
+
+def one_face_and_n2_families():
+    return [list(conservative_one_face(n)) for n in range(1, 5)] + [
+        list(all_maps(2))]
+
+
+@pytest.fixture
+def removals(monkeypatch):
+    """(map, edge) of every remove_edge call the mon module makes; the
+    maps are kept, so their ids stay distinct."""
+    calls = []
+
+    def spy(m, e):
+        calls.append((m, e))
+        return remove_edge(m, e)
+
+    monkeypatch.setattr(importlib.import_module("monmap.mon"),
+                        "remove_edge", spy)
+    return calls
+
+
+class TestSharedResiduals:
+    """mon and _top_probability take a map's residuals from one tuple."""
+
+    def test_each_residual_is_removed_once(self, removals, klein,
+                                           projective):
+        for maps in one_face_and_n2_families() + [[klein], [projective]]:
+            for m in fresh(maps):
+                clear_caches()
+                removals.clear()
+                mon_top_detail(m)
+                keys = [(id(parent), e) for parent, e in removals]
+                assert len(keys) == len(set(keys))
+
+    def test_detail_removes_no_more_than_mon_alone(self, removals, klein,
+                                                   projective):
+        # per family from cold caches: on a single map the two routes may
+        # first reach an isomorphism class at different residual instances
+        for maps in one_face_and_n2_families() + [[klein], [projective]]:
+            clear_caches()
+            removals.clear()
+            for m in fresh(maps):
+                mon(m)
+            alone = len(removals)
+            clear_caches()
+            removals.clear()
+            for m in fresh(maps):
+                mon_top_detail(m)
+            assert 0 < len(removals) <= alone
+
+    def test_matches_unshared_recursion(self, klein):
+        clear_caches()
+        for maps in one_face_and_n2_families() + [[klein]]:
+            for m in maps:
+                assert mon_top_detail(m) == unshared_mon_top_detail(m)
 
 
 class TestLemmaEquivalence:

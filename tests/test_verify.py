@@ -186,7 +186,7 @@ class TestRunSuite:
     def test_second_main_theorem_walks_each_stream_once_per_n(
             self, monkeypatch):
         diagrams = importlib.import_module("monmap.diagrams")
-        walks = {"transitive_pairs_by_class": 0, "conservative_one_face": 0}
+        walks = {"transitive_pairs_by_class": 0, "one_face_orbits": 0}
 
         def counted(name):
             real = getattr(diagrams, name)
@@ -201,7 +201,7 @@ class TestRunSuite:
         report = run_suite("second-main-theorem")
         assert report.passed
         assert walks == {"transitive_pairs_by_class": 4,
-                         "conservative_one_face": 4}
+                         "one_face_orbits": 4}
 
     def test_key_bijection_canonicalises_no_graph(self, monkeypatch):
         # the round trip compares labelled graphs: no class is computed
