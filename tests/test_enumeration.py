@@ -238,15 +238,15 @@ class TestOneFaceOrbits:
     """The dihedral orbit stream against the brute-force one-face stream."""
 
     def test_representative_counts(self):
-        counts = [sum(1 for _ in one_face_orbits(n)) for n in range(1, 6)]
-        assert counts == [1, 3, 7, 30, 137]
+        counts = [sum(1 for _ in one_face_orbits(n)) for n in range(1, 7)]
+        assert counts == [1, 3, 7, 30, 137, 1065]
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_weights_count_all_gluings(self, n):
         total = sum(weight for _, weight in one_face_orbits(n))
         assert total == math.prod(range(1, 2 * n, 2))
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_weight_is_orbit_size(self, n):
         group = dihedral_group(n)
         assert len(group) == 2 * n
@@ -260,7 +260,7 @@ class TestOneFaceOrbits:
             assert (m._b, m._w) == polygon_pairings((n,))
             assert m.root == 1
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_canonical_histogram(self, n):
         weighted: dict[bytes, int] = {}
         for m, weight in one_face_orbits(n):

@@ -14,7 +14,7 @@ from monmap.enumeration import all_maps, conservative_one_face
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
                          _edge_index, classify_edge, edge_role, load_fixture,
                          remove_edge, structure, twist)
-from monmap.mon import (_STATES, _monomial, _states, clear_caches,
+from monmap.mon import (_MON_CACHE, _STATES, _monomial, _states, clear_caches,
                         edge_weight, failing_prefix, history_weight,
                         is_top_degree_map, is_top_degree_pair,
                         lemma_equivalence_check, mon, mon_top,
@@ -229,8 +229,10 @@ class TestMon:
 
     def test_clear_caches_clears_monomials(self, klein):
         history_weight(klein, klein.edges())
+        mon(klein)
         clear_caches()
         assert _monomial.cache_info().currsize == 0
+        assert _MON_CACHE == {}
 
     def test_empty_map(self):
         empty = NonOrientedMap.from_pairs([], [], [])
@@ -324,7 +326,8 @@ def removals(monkeypatch):
 
 
 class TestSharedResiduals:
-    """mon and _top_probability take a map's residuals from one tuple."""
+    """mon and mon_top's probability come from one recursion, which
+    removes each edge of a map once."""
 
     def test_each_residual_is_removed_once(self, removals, klein,
                                            projective):
@@ -336,21 +339,20 @@ class TestSharedResiduals:
                 keys = [(id(parent), e) for parent, e in removals]
                 assert len(keys) == len(set(keys))
 
-    def test_detail_removes_no_more_than_mon_alone(self, removals, klein,
-                                                   projective):
-        # per family from cold caches: on a single map the two routes may
-        # first reach an isomorphism class at different residual instances
-        for maps in one_face_and_n2_families() + [[klein], [projective]]:
+    def test_detail_removes_as_many_as_mon_alone(self, removals, klein,
+                                                 projective):
+        # per map, each route on a new instance from cold caches
+        def removed(route, m):
             clear_caches()
             removals.clear()
-            for m in fresh(maps):
-                mon(m)
-            alone = len(removals)
-            clear_caches()
-            removals.clear()
-            for m in fresh(maps):
-                mon_top_detail(m)
-            assert 0 < len(removals) <= alone
+            route(fresh([m])[0])
+            return len(removals)
+
+        families = one_face_and_n2_families() + [
+            list(conservative_one_face(5)), [klein], [projective]]
+        for maps in families:
+            for m in maps:
+                assert removed(mon_top_detail, m) == removed(mon, m) > 0
 
     def test_matches_unshared_recursion(self, klein):
         clear_caches()

@@ -167,10 +167,20 @@ class TestRunSuite:
     @pytest.mark.parametrize("name,params", MON_TOP_SUITES)
     def test_mon_top_route_mismatch_fails_without_raising(
             self, monkeypatch, name, params):
-        # a probability that is not mon's top coefficient must read as FAIL
-        monkeypatch.setattr(importlib.import_module("monmap.mon"),
-                            "_top_probability", lambda m: Fraction(1, 3))
-        assert run_suite(name, **params).passed is False
+        # a probability that is not mon's top coefficient must read as FAIL.
+        # Only the probability asks whether a map is top-degree; ">" fails
+        # on the single edge, where ">=" would pass every one-face map with
+        # n <= 2 (all have mon_top 1).  The memo is emptied on both sides,
+        # so no other test sees the mutant.
+        mon_module = importlib.import_module("monmap.mon")
+        monkeypatch.setattr(
+            mon_module, "is_top_degree_map",
+            lambda m: m._face_data[2] > m._component_data[1])
+        mon_module.clear_caches()
+        try:
+            assert run_suite(name, **params).passed is False
+        finally:
+            mon_module.clear_caches()
 
     @pytest.mark.parametrize("name,params", MON_TOP_SUITES)
     def test_mon_top_coefficient_mismatch_fails_without_raising(
