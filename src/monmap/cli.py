@@ -267,6 +267,13 @@ def _suite_params(name: str, args) -> dict:
                 params[key] = value
     if args.seed is not None and "seed" in accepted:
         params["seed"] = args.seed
+    if args.suite != "all":  # verify all runs every suite, taker or not
+        for option, value, keys in (
+                ("--n", args.n, ("n", "n_exhaustive", "ns")),
+                ("--seed", args.seed, ("seed",))):
+            if value is not None and accepted.keys().isdisjoint(keys):
+                print(f"warning: suite {name} ignores {option}",
+                      file=sys.stderr)
     return params
 
 

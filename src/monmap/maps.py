@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import json
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -517,14 +518,31 @@ def _component_trace(b, w, e, start: int, best=None):
             order.append(y)
         if best is not None:
             k = len(out)
-            head = best[k:k + 3]
-            triple = (pb, pw, pe)
-            if triple != head:
-                if triple > head:
+            # element by element: slicing ``best`` at every step costs more
+            if pb != best[k] or pw != best[k + 1] or pe != best[k + 2]:
+                if (pb, pw, pe) > best[k:k + 3]:
                     return None
                 best = None  # smaller already: no more comparing
         out += (pb, pw, pe)
     return tuple(out)
+
+
+def _side_trace(m: NonOrientedMap) -> Optional[bytes]:
+    """The trace from side 0 (position 0) as bytes, or None when m is not
+    connected.
+
+    For a connected map the trace reaches every side, so equal keys mean a
+    label bijection sending one map onto the other: the same unrooted class.
+    A disconnected map's trace covers side 0's component only, so it has no
+    key.  One byte per entry up to 256 sides, four beyond; the two never
+    collide, since their lengths differ.  The empty map's key is empty.
+    """
+    if not m._b:
+        return b""
+    trace = _component_trace(m._b, m._w, m._e, 0)
+    if len(trace) < 3 * len(m._b):
+        return None
+    return bytes(trace) if len(m._b) <= 256 else array("I", trace).tobytes()
 
 
 def canonical_form(m: NonOrientedMap, rooted: bool = False) -> bytes:

@@ -27,8 +27,9 @@ from .enumeration import (all_maps, conservative_one_face, group_by,
                           transitive_pairs_by_class)
 from .jack import (JackParams, ch, ch_stanley, jack_in_p, jack_inner_product,
                    partitions_of, stanley_special)
-from .maps import (EdgeKind, NonOrientedMap, bicolored_graph, canonical_form,
-                   classify_edge, is_orientable, load_fixture, structure)
+from .maps import (EdgeKind, NonOrientedMap, _side_trace, bicolored_graph,
+                   canonical_form, classify_edge, is_orientable, load_fixture,
+                   structure)
 from .mon import (_failing_prefix, _states, history_weight,
                   is_top_degree_map, lemma_equivalence_check, mon,
                   mon_top_detail, mon_top_degree_target)
@@ -175,9 +176,14 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
     """Every check depends on a map only up to relabelling, so each class is
     decided once: the exhaustive part walks one representative per face
     type and eps (``maps_by_face_type``, weights summed into ``maps``), and
-    the sampled part keeps one verdict per canonical form.  On a top-degree
-    map (one face per component) n + |F| - |V| is 2 * genus, which gives
-    the genus a second route."""
+    the sampled part keeps one verdict per canonical form.  A sample looks
+    its verdict up first by its trace from side 0 (``maps._side_trace``),
+    one BFS where the canonical form runs about one per side: equal traces
+    of connected maps mean an isomorphism, so the same class.  A
+    disconnected map's trace covers side 0's component only, so it has no
+    key and, like a new trace, goes through the canonical form.  On a
+    top-degree map (one face per component) n + |F| - |V| is 2 * genus,
+    which gives the genus a second route."""
     checks = []
     # exhaustive regime: every map class and every history
     hist_ok = mon_ok = True
@@ -203,24 +209,30 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
 
     rng = random.Random(seed)
     verdicts: dict[bytes, tuple] = {}  # canonical form -> (bound, class ok)
+    by_trace: dict[bytes, tuple] = {}  # _side_trace -> the same verdict
     for n in sampled:
         ok = True
         labels = tuple(range(1, 2 * n + 1))
         for _ in range(samples):
             m = NonOrientedMap.from_arrays(
                 labels, *(_random_pairing(rng, 2 * n) for _ in range(3)))
-            key = canonical_form(m)
-            verdict = verdicts.get(key)
+            trace = _side_trace(m)
+            verdict = by_trace.get(trace)
             if verdict is None:
-                bound = 2 * structure(m).genus
-                prob, coeff = mon_top_detail(m)
-                # positivity of all weight coefficients makes deg mon the
-                # max history degree, so this also bounds every history
-                # weight
-                verdict = verdicts[key] = (bound, (
-                    mon(m).degree <= bound and prob == coeff
-                    and (not is_top_degree_map(m)
-                         or mon_top_degree_target(m) == bound)))
+                key = canonical_form(m)
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    bound = 2 * structure(m).genus
+                    prob, coeff = mon_top_detail(m)
+                    # positivity of all weight coefficients makes deg mon
+                    # the max history degree, so this also bounds every
+                    # history weight
+                    verdict = verdicts[key] = (bound, (
+                        mon(m).degree <= bound and prob == coeff
+                        and (not is_top_degree_map(m)
+                             or mon_top_degree_target(m) == bound)))
+                if trace is not None:
+                    by_trace[trace] = verdict
             bound, class_ok = verdict
             h = list(m.edges())
             rng.shuffle(h)

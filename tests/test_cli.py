@@ -332,6 +332,34 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in err
 
+    @pytest.mark.parametrize("argv, warnings", [
+        (["counting", "--n", "2"], ["counting ignores --n"]),
+        (["mon-examples", "--n", "2", "--seed", "1"],
+         ["mon-examples ignores --n", "mon-examples ignores --seed"]),
+        (["bijection", "--n", "1", "--seed", "1"],
+         ["key-bijection ignores --seed"]),
+        (["degree-bounds", "--n", "1", "--seed", "1"], []),
+        (["counting"], []),
+    ])
+    def test_warns_on_ignored_options(self, capsys, argv, warnings):
+        _suite_params(argv[0], build_parser().parse_args(["verify", *argv]))
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: suite {w}" for w in warnings]
+
+    def test_ignored_option_leaves_report_bytes(self, capsys):
+        code, out, err = run(capsys, "verify", "counting", "--n", "2",
+                             "--format", "json")
+        assert code == 0
+        assert "warning: suite counting ignores --n" in err
+        assert out == run(capsys, "verify", "counting", "--format", "json")[1]
+
+    def test_verify_all_stays_quiet(self, capsys, monkeypatch):
+        for name in set(SUITES) - {"counting", "mon-examples"}:
+            monkeypatch.delitem(SUITES, name)
+        code, _, err = run(capsys, "verify", "all", "--n", "2", "--seed", "1")
+        assert code == 0
+        assert "warning" not in err and err.count("PASS") == 2
+
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_suite_params_fit_signature(self, name):
         args = build_parser().parse_args(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -7,14 +8,15 @@ from hypothesis import strategies as st
 
 from monmap.enumeration import all_maps, conservative_one_face
 from monmap.maps import (BicoloredGraph, EdgeKind, MapError, NonOrientedMap,
-                         _edge_index, _twist_sides, bicolored_graph,
-                         canonical_form, canonical_graph_class, classify_edge,
-                         edge_role, faces, graph_class, is_orientable,
-                         map_from_json_obj, map_to_json_obj, remove_edge,
-                         structure, twist, twist_many)
+                         _component_trace, _edge_index, _side_trace,
+                         _twist_sides, bicolored_graph, canonical_form,
+                         canonical_graph_class, classify_edge, edge_role,
+                         faces, graph_class, is_orientable, map_from_json_obj,
+                         map_to_json_obj, remove_edge, structure, twist,
+                         twist_many)
 from monmap.oriented import OrientedMap, side_label
 
-from conftest import map_strategy, partner_dict
+from conftest import _uniform_matching, map_strategy, partner_dict
 
 F = Fraction
 
@@ -295,6 +297,62 @@ class TestCanonicalForm:
         assert a != b
         c = canonical_form(klein.with_root(2), rooted=True)
         assert a == c
+
+
+def _permuted(m, p):
+    """m with side i moved to position p[i]: the same map up to labels."""
+    arrays = []
+    for partner in (m._b, m._w, m._e):
+        out = [0] * len(p)
+        for i, j in enumerate(partner):
+            out[p[i]] = p[j]
+        arrays.append(out)
+    return NonOrientedMap.from_arrays(m.labels, *arrays)
+
+
+class TestSideTrace:
+    """``_side_trace`` keys a connected map by its trace from side 0."""
+
+    @staticmethod
+    def check_sound(family):
+        by_key = {}  # key -> canonical form
+        for m in family:
+            key = _side_trace(m)
+            assert (key is None) == (m._component_data[1] > 1)
+            if key is not None:
+                assert by_key.setdefault(key, canonical_form(m)) \
+                    == canonical_form(m)
+        return by_key
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sound_on_every_small_map(self, n):
+        self.check_sound(all_maps(n))
+
+    def test_sound_on_one_face_n4(self):
+        self.check_sound(conservative_one_face(4))
+
+    def test_empty_map(self):
+        assert _side_trace(NonOrientedMap.from_arrays((), (), (), ())) == b""
+
+    def test_exact_past_128_edges(self):
+        # sides past 255 need more than one byte per trace entry
+        rng = random.Random(0)
+        n = 130
+        family = []
+        for _ in range(3):
+            m = NonOrientedMap.from_arrays(
+                range(1, 2 * n + 1),
+                *(_uniform_matching(rng, 2 * n) for _ in range(3)))
+            fixed = list(range(1, 2 * n))
+            rng.shuffle(fixed)
+            moved = list(range(2 * n))
+            rng.shuffle(moved)
+            family += [m, _permuted(m, [0, *fixed]), _permuted(m, moved)]
+        by_key = self.check_sound(family)
+        traces = {_component_trace(m._b, m._w, m._e, 0) for m in family}
+        # the relabelling that keeps side 0 keeps the key
+        assert len(by_key) == len(traces) == 6
+        assert len(set(by_key.values())) == 3
 
 
 class TestGraphClass:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from monmap.bijection import BijectionResult
-from monmap.maps import NonOrientedMap, canonical_form
+from monmap.maps import NonOrientedMap, _component_trace, canonical_form
 from monmap.verify import (Check, Report, SUITES, report_from_json,
                            report_render, run_suite)
 
@@ -288,6 +288,31 @@ class TestRunSuite:
         classes = {canonical_form(m)
                    for m in label_level_samples(0, (3, 4), 200)}
         assert len(calls) == len(classes) < 400
+
+    def test_sampled_part_looks_classes_up_by_side_trace(self, monkeypatch):
+        # a canonical form only for a sample whose trace from side 0 is new,
+        # or which is disconnected, so that the trace is no key
+        verify = importlib.import_module("monmap.verify")
+        calls = []
+        real = verify.canonical_form
+        monkeypatch.setattr(verify, "canonical_form",
+                            lambda m: calls.append(m) or real(m))
+        report = verify.suite_degree_bounds(n_exhaustive=0, sampled=(3, 4),
+                                            samples=200, seed=0)
+        assert report.passed
+        keys, disconnected = set(), 0
+        for m in label_level_samples(0, (3, 4), 200):
+            if m._component_data[1] > 1:
+                disconnected += 1
+            else:
+                keys.add(_component_trace(m._b, m._w, m._e, 0))
+        assert disconnected > 0
+        assert len(calls) == len(keys) + disconnected < 400
+
+    def test_sampled_part_takes_empty_and_one_edge_maps(self):
+        report = run_suite("degree-bounds", n_exhaustive=0, sampled=(0, 1),
+                           samples=5)
+        assert report.passed
 
     def test_genus_off_by_one_fails(self, monkeypatch):
         # a larger genus loosens deg <= 2*genus; the top-degree maps, where
