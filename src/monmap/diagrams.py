@@ -266,10 +266,18 @@ def _class_table(weighted: Iterable[tuple[BicoloredGraph, Scalar]]
     A map-sum summand is w * base^(top-|V|) * N~_G(lambda), and |V| and
     N~_G depend only on the class of G, so :func:`_class_sums` over the
     table equals the sum over the pairs with one embedding count per class.
+    A stream repeats its labelled graphs (the 5 408 transitive pairs of
+    :func:`_oriented_table` at n = 6 have 445 distinct ones), so each
+    distinct graph is canonicalised once, through a dict that lives for
+    one call.
     """
+    keys: dict[BicoloredGraph, bytes] = {}  # labelled graph -> class key
     table: dict[bytes, list] = {}
     for graph, weight in weighted:
-        entry = table.setdefault(canonical_graph_class(graph).key, [graph, 0])
+        key = keys.get(graph)
+        if key is None:
+            key = keys[graph] = canonical_graph_class(graph).key
+        entry = table.setdefault(key, [graph, 0])
         entry[1] += weight
     return {key: (graph, weight)
             for key, (graph, weight) in table.items() if weight}

@@ -12,8 +12,9 @@ from typing import Iterable, Iterator
 
 from . import kernels
 from .maps import NonOrientedMap, canonical_form, graph_class
-from .oriented import (OrientedMap, cycle_type_permutation, is_transitive,
-                       partitions_of, z_of)
+from .oriented import (OrientedMap, _connected, _oriented_map, cycle_ids,
+                       cycle_type_permutation, is_transitive, partitions_of,
+                       z_of)
 
 
 class GuardExceeded(ValueError):
@@ -251,16 +252,24 @@ def transitive_pairs_by_class(
     tau^-1 maps the pairs (rho, .) bijectively onto the pairs (sigma1, .)
     and keeps f, so the n!/z_lambda elements sigma1 of the class of rho
     each contribute the sum over (rho, .).
+
+    The cycle ids of rho (the white vertex of each edge) are found once per
+    lambda, and those of each sigma2 (the black vertex) once per call, by
+    :func:`~monmap.oriented.cycle_ids`.  A candidate is transitive when its
+    edges connect the white and black vertices, which a union-find over
+    the vertices decides (there are fewer vertices than edges).  The maps
+    yielded carry both id tuples and are built without validating the
+    permutations, which are built here.
     """
     check_guard("n", n, MAX_CLASS_PAIRS_N, force)
-    perms = list(permutations(range(n)))
+    perms = [(s2, cycle_ids(s2)) for s2 in permutations(range(n))]
     for lam in partitions_of(n):
         rho = cycle_type_permutation(lam)
+        white_ids = cycle_ids(rho)
         size = math.factorial(n) // z_of(lam)
-        for s2 in perms:
-            m = OrientedMap(rho, s2)
-            if is_transitive(m):
-                yield m, size
+        for s2, black_ids in perms:
+            if _connected(white_ids, black_ids):
+                yield _oriented_map(rho, s2, white_ids, black_ids), size
 
 
 _GROUP_KEYS = {

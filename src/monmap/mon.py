@@ -3,13 +3,20 @@
 An edge removed from a map contributes a factor depending on how it sits in
 the current map: 1 if straight, gamma if twisted, 1/2 if it separates two
 faces.  Averaging the product of these factors over all n! removal orders
-gives mon(M), a polynomial in gamma.  Its coefficient at the top admissible
-degree n + |F| - |V| equals the probability that a uniformly random removal
-order keeps every intermediate map "top-degree" (each connected component a
-single face).  One memoised recursion (``_mon_pair``) computes both, each
-by its own formula over the same residual maps, and ``mon_top`` checks one
-against the other.  Its residual maps are built afresh and never interned:
-the memo on canonical forms already shares the work between isomorphic
+gives mon(M), a polynomial in gamma (La Croix's measure of
+non-orientability).  Its coefficient at the top admissible degree
+n + |F| - |V| equals the probability that a uniformly random removal order
+keeps every intermediate map "top-degree" (each connected component a
+single face).  One memoised recursion (``_mon_pair``) computes both as
+integer history counts, each by its own formula over the same residual
+maps: T = 2^n n! mon(M), whose edge weights 2, 2 gamma and 1 need no
+fractions, and K = n! times the probability, the number of top-degree
+histories.  ``mon``, ``mon_top_detail`` and ``mon_top`` divide by 2^n n!
+and by n! only when they return, and ``mon_top`` checks one route against
+the other.  The memo holds one entry per canonical form; a connected
+residual is looked up first by its trace from side 0, one BFS where the
+canonical form runs one per side.  The residual maps are built afresh and
+never interned: the memo already shares the work between isomorphic
 residuals, and interning them in ``_STATES`` as well raised the peak RSS
 of an in-process ``degree-bounds`` run from 20.7 to 23.3 MB (+12%).
 
@@ -38,13 +45,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Optional, Sequence
 
 from . import kernels
 from .algebra import GAMMA, HALF, ONE, GammaPoly
 from .maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
-                   _edge_index, _edge_kind, canonical_form, checked_pairs,
-                   classify_edge, remove_edge)
+                   _edge_index, _edge_kind, _side_trace, canonical_form,
+                   checked_pairs, classify_edge, remove_edge)
 
 _WEIGHTS = {
     EdgeKind.STRAIGHT: ONE,
@@ -52,14 +60,18 @@ _WEIGHTS = {
     EdgeKind.INTERFACE: HALF,
 }
 
-# unrooted canonical form -> (mon, top-degree probability)
-_MON_CACHE: dict[bytes, tuple[GammaPoly, Fraction]] = {}
+# unrooted canonical form -> _mon_pair's integer counts (T, K)
+_MON_CACHE: dict[bytes, tuple[tuple[int, ...], int]] = {}
+# side-0 trace of a connected map -> the same _MON_CACHE entry
+_MON_TRACES: dict[bytes, tuple[tuple[int, ...], int]] = {}
+_EMPTY_COUNTS = ((1,), 1)
 # residual map key (NonOrientedMap._key) -> the one state object for it
 _STATES: dict[tuple, NonOrientedMap] = {}
 
 
 def clear_caches():
     _MON_CACHE.clear()
+    _MON_TRACES.clear()
     _STATES.clear()
     _monomial.cache_clear()
 
@@ -164,37 +176,78 @@ def is_top_degree_pair(m: NonOrientedMap, history: Sequence) -> bool:
     return failing_prefix(m, history) is None
 
 
-def _mon_pair(m: NonOrientedMap) -> tuple[GammaPoly, Fraction]:
-    """(mon(m), probability that a random history of m is top-degree), by
-    one edge-removal recursion.
+def _mon_pair(m: NonOrientedMap) -> tuple[tuple[int, ...], int]:
+    """(T, K): the history counts of m, as integers.
 
-    mon(M) = (1/n) * sum over edges e of weight(M, e) * mon(M \\ e), and the
-    probability is (1/n) * sum over e of its value on M \\ e if M is
-    top-degree, else 0; both are 1 on the empty map.  The two sums share
-    only the residual maps: the probability reads no edge weight and mon
-    never asks whether a map is top-degree.  Memoized on the unrooted
-    canonical form, so isomorphic residual maps share work.
+    T = 2^n n! mon(m), as its coefficients of gamma^0 .. gamma^n, and K =
+    n! times the probability that a random history of m is top-degree: the
+    number of top-degree histories.  Both are 1 on the empty map, and
+
+        T(M) = sum over edges e of c(M, e) * T(M \\ e),
+        K(M) = sum over edges e of K(M \\ e) if M is top-degree, else 0,
+
+    with c = 2, 2 gamma or 1 for a straight, twisted or interface edge (the
+    recursion mon(M) = (1/n) sum_e weight(M, e) mon(M \\ e) times 2^n n!).
+    T sums the children of each kind first, then T = 2S + 2 gamma W + I.
+    The two counts share only the residual maps: K reads no edge kind and T
+    never asks whether a map is top-degree.
+
+    Memoized in ``_MON_CACHE`` on the unrooted canonical form, so isomorphic
+    residual maps share work.  A connected map is looked up first by its
+    trace from side 0 (``maps._side_trace``, one BFS where the canonical
+    form runs one per side): equal traces mean isomorphic maps, so the
+    trace is a second key to the same entry, kept in ``_MON_TRACES``.  A
+    disconnected map has no trace key, and a new trace goes through the
+    canonical form.
     """
     if m.n == 0:
-        return ONE, Fraction(1)
+        return _EMPTY_COUNTS
+    trace = _side_trace(m)
+    if trace is not None:
+        hit = _MON_TRACES.get(trace)
+        if hit is not None:
+            return hit
     key = canonical_form(m)
-    hit = _MON_CACHE.get(key)
-    if hit is not None:
-        return hit
-    poly, prob = GammaPoly(), Fraction(0)
-    for e in m.edges():
-        child_poly, child_prob = _mon_pair(remove_edge(m, e))
-        poly = poly + _WEIGHTS[classify_edge(m, e)] * child_poly
-        prob += child_prob
-    value = _MON_CACHE[key] = (
-        poly.scale(Fraction(1, m.n)),
-        prob / m.n if is_top_degree_map(m) else Fraction(0))
+    value = _MON_CACHE.get(key)
+    if value is None:
+        value = _MON_CACHE[key] = _history_counts(m)
+    if trace is not None:
+        _MON_TRACES[trace] = value
     return value
+
+
+def _history_counts(m: NonOrientedMap) -> tuple[tuple[int, ...], int]:
+    """``_mon_pair`` of a nonempty map from those of its one-edge removals."""
+    n = m.n
+    by_kind = {kind: [0] * n for kind in EdgeKind}
+    top = 0
+    labels = m.labels
+    for i, j in enumerate(m._e):
+        if i < j:
+            t, k = _mon_pair(remove_edge(m, (labels[i], labels[j])))
+            acc = by_kind[_edge_kind(m, i, j)]
+            for d, c in enumerate(t):
+                acc[d] += c
+            top += k
+    straight, twisted, interface = (
+        by_kind[EdgeKind.STRAIGHT], by_kind[EdgeKind.TWISTED],
+        by_kind[EdgeKind.INTERFACE])
+    t = [2 * s + i for s, i in zip(straight, interface)] + [0]
+    for d, w in enumerate(twisted, 1):
+        t[d] += 2 * w
+    return tuple(t), top if is_top_degree_map(m) else 0
+
+
+def _scales(n: int) -> tuple[int, int]:
+    """(2^n n!, n!): the denominators of mon and of the probability."""
+    labelings = factorial(n)
+    return labelings << n, labelings
 
 
 def mon(m: NonOrientedMap) -> GammaPoly:
     """Average history weight, via the edge-removal recursion."""
-    return _mon_pair(m)[0]
+    scale = _scales(m.n)[0]
+    return GammaPoly([Fraction(c, scale) for c in _mon_pair(m)[0]])
 
 
 def mon_top_degree_target(m: NonOrientedMap) -> int:
@@ -206,8 +259,11 @@ def mon_top_degree_target(m: NonOrientedMap) -> int:
 
 def mon_top_detail(m: NonOrientedMap) -> tuple[Fraction, Fraction]:
     """(probability over random histories, top coefficient of mon)."""
-    poly, prob = _mon_pair(m)
-    return prob, poly.coefficient(mon_top_degree_target(m))
+    t, k = _mon_pair(m)
+    scale, labelings = _scales(m.n)
+    target = mon_top_degree_target(m)
+    coeff = t[target] if 0 <= target < len(t) else 0
+    return Fraction(k, labelings), Fraction(coeff, scale)
 
 
 def mon_top(m: NonOrientedMap) -> Fraction:

@@ -47,6 +47,22 @@ def _perm_from_cycles(n: int, cycles) -> tuple[int, ...]:
     return tuple(img)
 
 
+def cycle_ids(perm: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The cycle id of each point of a 0-based image tuple, and the cycle
+    count.  Cycles are numbered in the order :func:`perm_cycles` lists
+    them (by least point)."""
+    ids = [-1] * len(perm)
+    count = 0
+    for s in range(len(perm)):
+        if ids[s] < 0:
+            x = s
+            while ids[x] < 0:
+                ids[x] = count
+                x = perm[x]
+            count += 1
+    return tuple(ids), count
+
+
 def perm_cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Disjoint cycles of an image tuple, 1-based, fixed points included."""
     seen = [False] * len(perm)
@@ -169,6 +185,16 @@ class OrientedMap:
     def face_cycles(self):
         return perm_cycles(_compose(self.sigma2, self.sigma1))
 
+    @_cached
+    def _white_ids(self):
+        """(white vertex of each edge, white count), by :func:`cycle_ids`."""
+        return cycle_ids(self.sigma1)
+
+    @_cached
+    def _black_ids(self):
+        """(black vertex of each edge, black count), by :func:`cycle_ids`."""
+        return cycle_ids(self.sigma2)
+
     def __eq__(self, other):
         if isinstance(other, OrientedMap):
             return (self.sigma1, self.sigma2, self.root) == (
@@ -183,11 +209,46 @@ class OrientedMap:
                 f"sigma2={self.black_cycles}, root={self.root})")
 
 
+def _oriented_map(sigma1, sigma2, white_ids, black_ids) -> OrientedMap:
+    """Private constructor, with no validation, for callers that built the
+    two permutations themselves and hold their :func:`cycle_ids`, which it
+    caches on the map."""
+    m = object.__new__(OrientedMap)
+    for name, value in (("n", len(sigma1)), ("sigma1", sigma1),
+                        ("sigma2", sigma2), ("root", None)):
+        object.__setattr__(m, name, value)
+    m.__dict__.update(_white_ids=white_ids, _black_ids=black_ids)
+    return m
+
+
 def is_transitive(m: OrientedMap) -> bool:
     """True iff <sigma1, sigma2> has a single orbit on the edge set."""
     if m.n == 0:
         raise MapError("transitivity needs at least one edge")
-    return len(_component_edge_sets(m)) == 1
+    return _connected(m._white_ids, m._black_ids)
+
+
+def _connected(white_ids, black_ids) -> bool:
+    """Whether the graph whose edge k joins white vertex ``white_ids[0][k]``
+    to black vertex ``black_ids[0][k]`` is connected (the arguments are
+    :func:`cycle_ids` of sigma1 and sigma2): an edge orbit of <sigma1,
+    sigma2> is the edge set of one component.  Union-find over the
+    vertices, which are fewer than the edges."""
+    whites, blacks = white_ids[1], black_ids[1]
+    parent = list(range(whites + blacks))
+    merges = 0
+    for x, y in zip(white_ids[0], black_ids[0]):
+        y += whites
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x != y:
+            parent[x] = y
+            merges += 1
+    return merges == whites + blacks - 1
 
 
 def oriented_structure(m: OrientedMap) -> OrientedStructure:
@@ -280,16 +341,11 @@ def side_label(m: OrientedMap, f=None) -> NonOrientedMap:
 
 
 def bicolored_graph_oriented(m: OrientedMap) -> BicoloredGraph:
-    white_of = {}
-    for i, cyc in enumerate(m.white_cycles):
-        for x in cyc:
-            white_of[x] = i
-    black_of = {}
-    for i, cyc in enumerate(m.black_cycles):
-        for x in cyc:
-            black_of[x] = i
-    edges = tuple(sorted((black_of[k], white_of[k]) for k in range(1, m.n + 1)))
-    return BicoloredGraph(len(m.black_cycles), len(m.white_cycles), edges)
+    """Vertices are numbered as :func:`perm_cycles` lists the cycles."""
+    white_ids, whites = m._white_ids
+    black_ids, blacks = m._black_ids
+    return BicoloredGraph(blacks, whites,
+                          tuple(sorted(zip(black_ids, white_ids))))
 
 
 def graph_class_oriented(m: OrientedMap) -> BicoloredGraphClass:

@@ -164,3 +164,11 @@ def test_criterion_14_degree_bounds_exhaustive_n4():
                "representative per face type and eps",
                report.passed and counts == {"1161028"},
                time.perf_counter() - start, 10)
+
+
+def test_criterion_15_main_theorem_n7():
+    start = time.perf_counter()
+    report = run_suite("main-theorem", ns=(7,), force=True)
+    _criterion(15, "per-graph-class main identity at n=7, past the "
+               "oriented stream's guard of 6", report.passed,
+               time.perf_counter() - start, 10)

@@ -1,16 +1,18 @@
 import importlib
+import math
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from monmap.algebra import SQRT2, Sqrt2, gamma_of
 from monmap.cli import main
 from monmap.diagrams import (DiagramError, MultiRect, Partition, YoungDiagram,
-                             _class_table, _one_face_table, chtop_map_sum,
-                             count_embeddings, normalized_embeddings, ogs_full,
-                             ogs_top_map_sum, top_map_sums)
+                             _class_table, _one_face_table, _oriented_table,
+                             chtop_map_sum, count_embeddings,
+                             normalized_embeddings, ogs_full, ogs_top_map_sum,
+                             top_map_sums)
 from monmap.enumeration import (conservative_maps, conservative_one_face,
                                 transitive_pairs_by_class)
 from monmap.jack import (JackParams, ch, ch_stanley, jack_in_p,
@@ -18,7 +20,9 @@ from monmap.jack import (JackParams, ch, ch_stanley, jack_in_p,
 from monmap.maps import (BicoloredGraph, bicolored_graph, canonical_form,
                          canonical_graph_class, graph_class, structure)
 from monmap.mon import mon, mon_top, mon_top_detail
-from monmap.oriented import graph_class_oriented
+from monmap.oriented import (OrientedMap, cycle_type_permutation,
+                             graph_class_oriented, oriented_structure,
+                             partitions_of, z_of)
 from monmap.verify import SECOND_THEOREM_POINTS, _printed_grid, run_suite
 
 F = Fraction
@@ -361,6 +365,39 @@ class TestOgsTopMapSum:
     def test_n2_reference_point(self):
         mr = MultiRect((F(1),), (F(4),), F(2))
         assert -ogs_top_map_sum(2, mr) == 6
+
+
+def reference_oriented_table(n):
+    """{class key: weight} of _oriented_table from the validated
+    OrientedMap of every candidate (rho, sigma2): transitivity from its
+    edge components, its graph from its cycles, and one class per pair."""
+    labelings = math.factorial(n - 1)
+    table = {}
+    perms = list(permutations(range(n)))
+    for lam in partitions_of(n):
+        rho = cycle_type_permutation(lam)
+        size = math.factorial(n) // z_of(lam)
+        for s2 in perms:
+            om = OrientedMap(rho, s2)
+            if oriented_structure(om).components != 1:
+                continue
+            white_of = {x: i for i, cyc in enumerate(om.white_cycles)
+                        for x in cyc}
+            black_of = {x: i for i, cyc in enumerate(om.black_cycles)
+                        for x in cyc}
+            graph = BicoloredGraph(
+                len(om.black_cycles), len(om.white_cycles),
+                tuple(sorted((black_of[k], white_of[k])
+                             for k in range(1, n + 1))))
+            key = canonical_graph_class(graph).key
+            table[key] = table.get(key, 0) + Fraction(size, labelings)
+    return table
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_oriented_table_matches_reference(n):
+    assert ({key: weight for key, (_, weight) in _oriented_table(n).items()}
+            == reference_oriented_table(n))
 
 
 def per_map_one_face_table(n):

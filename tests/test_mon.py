@@ -1,4 +1,5 @@
 import importlib
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -12,13 +13,14 @@ from monmap.algebra import GAMMA, ONE, GammaPoly
 from monmap.bijection import phi, phi_inverse
 from monmap.enumeration import all_maps, conservative_one_face
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
-                         _edge_index, classify_edge, edge_role, load_fixture,
-                         remove_edge, structure, twist)
-from monmap.mon import (_MON_CACHE, _STATES, _monomial, _states, clear_caches,
-                        edge_weight, failing_prefix, history_weight,
-                        is_top_degree_map, is_top_degree_pair,
-                        lemma_equivalence_check, mon, mon_top,
-                        mon_top_degree_target, mon_top_detail)
+                         _edge_index, _side_trace, canonical_form,
+                         classify_edge, edge_role, load_fixture, remove_edge,
+                         structure, twist)
+from monmap.mon import (_MON_CACHE, _MON_TRACES, _STATES, _mon_pair,
+                        _monomial, _states, clear_caches, edge_weight,
+                        failing_prefix, history_weight, is_top_degree_map,
+                        is_top_degree_pair, lemma_equivalence_check, mon,
+                        mon_top, mon_top_degree_target, mon_top_detail)
 from monmap.verify import suite_lemma_equivalence
 
 from conftest import map_strategy
@@ -230,9 +232,11 @@ class TestMon:
     def test_clear_caches_clears_monomials(self, klein):
         history_weight(klein, klein.edges())
         mon(klein)
+        assert _MON_CACHE and _MON_TRACES
         clear_caches()
         assert _monomial.cache_info().currsize == 0
         assert _MON_CACHE == {}
+        assert _MON_TRACES == {}
 
     def test_empty_map(self):
         empty = NonOrientedMap.from_pairs([], [], [])
@@ -359,6 +363,115 @@ class TestSharedResiduals:
         for maps in one_face_and_n2_families() + [[klein]]:
             for m in maps:
                 assert mon_top_detail(m) == unshared_mon_top_detail(m)
+
+
+def fraction_counts(m):
+    """(mon's coefficients, top-degree probability) by the recursion over
+    Fractions, with its own edge weights and top-degree test.
+
+    The residuals of m are shared by their labels, which name the edges
+    left (a recursion over the subsets of m's edges, 2^n residuals where
+    the plain recursion visits n! histories); nothing is shared between
+    calls or looked up by canonical form.
+    """
+    seen = {}
+
+    def rec(r):
+        hit = seen.get(r.labels)
+        if hit is not None:
+            return hit
+        if r.n == 0:
+            return [F(1)], F(1)
+        poly = [F(0)] * (r.n + 1)
+        prob = F(0)
+        for e in r.edges():
+            child, child_prob = rec(remove_edge(r, e))
+            kind = classify_edge(r, e)
+            shift = 1 if kind is EdgeKind.TWISTED else 0  # times gamma
+            half = kind is EdgeKind.INTERFACE
+            for d, c in enumerate(child):
+                if c:
+                    poly[d + shift] += c / 2 if half else c
+            prob += child_prob
+        st = structure(r)
+        value = seen[r.labels] = (
+            [c / r.n for c in poly],
+            prob / r.n if st.faces == st.components else F(0))
+        return value
+
+    return rec(m)
+
+
+def disconnecting_map():
+    """A connected map with n = 3, an edge of which is a bridge but not a
+    leaf, so that removing it leaves a disconnected residual."""
+    for m in all_maps(3):
+        if structure(m).components != 1:
+            continue
+        for e in m.edges():
+            if structure(remove_edge(m, e)).components > 1:
+                return m, e
+    raise AssertionError("no connected n = 3 map with a splitting edge")
+
+
+class TestIntegerCounts:
+    """``_mon_pair`` returns T = 2^n n! mon and K = n! times the top-degree
+    probability, as integers, memoised by canonical form and side-0
+    trace."""
+
+    def test_against_fraction_recursion(self, klein, projective):
+        clear_caches()
+        maps = [m for n in range(1, 6) for m in conservative_one_face(n)]
+        for m in maps + list(all_maps(2)) + [klein, projective]:
+            t, k = _mon_pair(m)
+            poly, prob = fraction_counts(m)
+            scale = math.factorial(m.n)
+            assert all(type(c) is int for c in t) and type(k) is int
+            assert list(t) == [c * (scale << m.n) for c in poly]
+            assert k == prob * scale
+
+    def test_empty_map(self):
+        assert _mon_pair(NonOrientedMap.from_arrays((), (), (), ())) == (
+            (1,), 1)
+
+    def test_disconnected_residual_goes_through_canonical_form(
+            self, monkeypatch):
+        m, e = disconnecting_map()
+        residual = remove_edge(m, e)
+        assert _side_trace(residual) is None
+        clear_caches()
+        mon(m)
+        traces = dict(_MON_TRACES)
+        assert canonical_form(residual) in _MON_CACHE
+        forms = []
+
+        def spy(x):
+            forms.append(x)
+            return canonical_form(x)
+
+        monkeypatch.setattr(importlib.import_module("monmap.mon"),
+                            "canonical_form", spy)
+        # warm: the trace lookup misses and the canonical form hits ...
+        fresh_residual, = fresh([residual])
+        assert _mon_pair(fresh_residual) == _MON_CACHE[
+            canonical_form(residual)]
+        assert forms == [fresh_residual]
+        assert _MON_TRACES == traces
+        # ... while a connected map is found by its trace alone
+        forms.clear()
+        _mon_pair(fresh([m])[0])
+        assert forms == []
+
+    def test_detail_does_not_depend_on_cache_state(self):
+        maps = [m for n in range(1, 5) for m in conservative_one_face(n)]
+        cold = []
+        for m in fresh(maps):
+            clear_caches()
+            cold.append(mon_top_detail(m))
+        clear_caches()
+        for m in fresh(maps)[::-1]:
+            mon_top_detail(m)
+        assert [mon_top_detail(m) for m in fresh(maps)] == cold
 
 
 class TestLemmaEquivalence:

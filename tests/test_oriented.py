@@ -5,10 +5,10 @@ import pytest
 
 from monmap.maps import MapError, is_orientable, structure
 from monmap.oriented import (OrientedMap, bicolored_graph_oriented,
-                             default_side_labeling, graph_class_oriented,
-                             is_transitive, oriented_from_json_obj,
-                             oriented_structure, oriented_to_json_obj,
-                             perm_cycles, side_label)
+                             cycle_ids, default_side_labeling,
+                             graph_class_oriented, is_transitive,
+                             oriented_from_json_obj, oriented_structure,
+                             oriented_to_json_obj, perm_cycles, side_label)
 
 TORUS = OrientedMap.from_cycles(
     9, [[1, 4, 9, 5, 7], [2, 6], [3, 8]], [[1, 9], [2, 3, 5], [4, 7], [6, 8]])
@@ -39,6 +39,17 @@ class TestTransitivity:
             for s2 in permutations(range(3)):
                 m = OrientedMap(s1, s2)
                 assert is_transitive(m) == (oriented_structure(m).components == 1)
+
+
+class TestCycleIds:
+    @pytest.mark.parametrize("n", range(6))
+    def test_numbered_as_perm_cycles_lists_them(self, n):
+        for perm in permutations(range(n)):
+            ids, count = cycle_ids(perm)
+            cycles = perm_cycles(perm)
+            assert count == len(cycles)
+            assert ids == tuple(next(i for i, cyc in enumerate(cycles)
+                                     if x + 1 in cyc) for x in range(n))
 
 
 class TestOrientedStructure:
