@@ -529,13 +529,9 @@ def _component_trace(b, w, e, start: int, best=None):
 
 def _side_trace(m: NonOrientedMap) -> Optional[bytes]:
     """The trace from side 0 (position 0) as bytes, or None when m is not
-    connected.
-
-    For a connected map the trace reaches every side, so equal keys mean a
-    label bijection sending one map onto the other: the same unrooted class.
-    A disconnected map's trace covers side 0's component only, so it has no
-    key.  One byte per entry up to 256 sides, four beyond; the two never
-    collide, since their lengths differ.  The empty map's key is empty.
+    connected: ``by_class``'s second key.  One byte per entry up to 256
+    sides, four beyond; the two never collide, since their lengths differ.
+    The empty map's key is empty.
     """
     if not m._b:
         return b""
@@ -555,6 +551,32 @@ def canonical_form(m: NonOrientedMap, rooted: bool = False) -> bytes:
     if rooted and m.root is None:
         raise MapError("rooted canonical form requires a root")
     return m._canonical_rooted if rooted else m._canonical
+
+
+def by_class(m: NonOrientedMap, by_form: dict, by_trace: dict, compute):
+    """``compute(m)``, kept once per isomorphism class of m, for a value
+    that depends on m only up to relabelling.  ``by_form`` maps the
+    unrooted canonical form to the value, and ``by_trace`` maps the trace
+    from side 0 (``_side_trace``) to the same value.
+
+    m is looked up first by its trace, one BFS where the canonical form
+    runs about one per side.  A connected map's trace reaches every side,
+    so equal traces mean a label bijection sending one map onto the other:
+    the same class, and the trace is a second key to its entry.  A
+    disconnected map's trace covers side 0's component only, so it is no
+    key: such a map, like one with a new trace, goes through the canonical
+    form, and it leaves ``by_trace`` as it was.
+    """
+    trace = _side_trace(m)
+    value = by_trace.get(trace)  # None, a disconnected map's, is no key
+    if value is None:
+        key = canonical_form(m)
+        value = by_form.get(key)
+        if value is None:
+            value = by_form[key] = compute(m)
+        if trace is not None:
+            by_trace[trace] = value
+    return value
 
 
 def _canonical_bytes(m: NonOrientedMap, rooted: bool) -> bytes:

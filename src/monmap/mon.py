@@ -13,9 +13,8 @@ maps: T = 2^n n! mon(M), whose edge weights 2, 2 gamma and 1 need no
 fractions, and K = n! times the probability, the number of top-degree
 histories.  ``mon``, ``mon_top_detail`` and ``mon_top`` divide by 2^n n!
 and by n! only when they return, and ``mon_top`` checks one route against
-the other.  The memo holds one entry per canonical form; a connected
-residual is looked up first by its trace from side 0, one BFS where the
-canonical form runs one per side.  The residual maps are built afresh and
+the other.  The memo holds one entry per isomorphism class, looked up by
+``maps.by_class``.  The residual maps are built afresh and
 never interned: the memo already shares the work between isomorphic
 residuals, and interning them in ``_STATES`` as well raised the peak RSS
 of an in-process ``degree-bounds`` run from 20.7 to 23.3 MB (+12%).
@@ -51,8 +50,8 @@ from typing import Optional, Sequence
 from . import kernels
 from .algebra import GAMMA, HALF, ONE, GammaPoly
 from .maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
-                   _edge_index, _edge_kind, _side_trace, canonical_form,
-                   checked_pairs, classify_edge, remove_edge)
+                   _edge_index, _edge_kind, by_class, checked_pairs,
+                   classify_edge, remove_edge)
 
 _WEIGHTS = {
     EdgeKind.STRAIGHT: ONE,
@@ -192,28 +191,13 @@ def _mon_pair(m: NonOrientedMap) -> tuple[tuple[int, ...], int]:
     The two counts share only the residual maps: K reads no edge kind and T
     never asks whether a map is top-degree.
 
-    Memoized in ``_MON_CACHE`` on the unrooted canonical form, so isomorphic
-    residual maps share work.  A connected map is looked up first by its
-    trace from side 0 (``maps._side_trace``, one BFS where the canonical
-    form runs one per side): equal traces mean isomorphic maps, so the
-    trace is a second key to the same entry, kept in ``_MON_TRACES``.  A
-    disconnected map has no trace key, and a new trace goes through the
-    canonical form.
+    Memoised per isomorphism class by ``maps.by_class``, so isomorphic
+    residual maps share work: ``_MON_CACHE`` is keyed by canonical form and
+    ``_MON_TRACES`` by side-0 trace.  The empty map stays out of both.
     """
     if m.n == 0:
         return _EMPTY_COUNTS
-    trace = _side_trace(m)
-    if trace is not None:
-        hit = _MON_TRACES.get(trace)
-        if hit is not None:
-            return hit
-    key = canonical_form(m)
-    value = _MON_CACHE.get(key)
-    if value is None:
-        value = _MON_CACHE[key] = _history_counts(m)
-    if trace is not None:
-        _MON_TRACES[trace] = value
-    return value
+    return by_class(m, _MON_CACHE, _MON_TRACES, _history_counts)
 
 
 def _history_counts(m: NonOrientedMap) -> tuple[tuple[int, ...], int]:

@@ -27,7 +27,7 @@ from .enumeration import (all_maps, conservative_one_face, group_by,
                           transitive_pairs_by_class)
 from .jack import (JackParams, ch, ch_stanley, jack_in_p, jack_inner_product,
                    partitions_of, stanley_special)
-from .maps import (EdgeKind, NonOrientedMap, _side_trace, bicolored_graph,
+from .maps import (EdgeKind, NonOrientedMap, bicolored_graph, by_class,
                    canonical_form, classify_edge, is_orientable, load_fixture,
                    structure)
 from .mon import (_failing_prefix, _states, history_weight,
@@ -170,35 +170,39 @@ def _random_pairing(rng: random.Random, size: int) -> list[int]:
     return partner
 
 
+def _class_verdict(m: NonOrientedMap) -> tuple[Fraction, bool]:
+    """(2 * genus, whether m keeps the degree laws): deg mon is at most
+    n + |F| - |V| and 2 * genus, the two routes to mon_top agree, and on a
+    top-degree map (one face per component) n + |F| - |V| is 2 * genus,
+    which gives the genus a second route.  Positivity of all weight
+    coefficients makes deg mon the max history degree, so 2 * genus also
+    bounds every history weight."""
+    bound = 2 * structure(m).genus
+    prob, coeff = mon_top_detail(m)
+    target = mon_top_degree_target(m)
+    return bound, (mon(m).degree <= min(bound, target) and prob == coeff
+                   and (not is_top_degree_map(m) or target == bound))
+
+
 def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
                         samples: int = 10000, seed: int = 0,
                         force: bool = False) -> Report:
     """Every check depends on a map only up to relabelling, so each class is
-    decided once: the exhaustive part walks one representative per face
-    type and eps (``maps_by_face_type``, weights summed into ``maps``), and
-    the sampled part keeps one verdict per canonical form.  A sample looks
-    its verdict up first by its trace from side 0 (``maps._side_trace``),
-    one BFS where the canonical form runs about one per side: equal traces
-    of connected maps mean an isomorphism, so the same class.  A
-    disconnected map's trace covers side 0's component only, so it has no
-    key and, like a new trace, goes through the canonical form.  On a
-    top-degree map (one face per component) n + |F| - |V| is 2 * genus,
-    which gives the genus a second route."""
+    decided once, by ``_class_verdict``: the exhaustive part walks one
+    representative per face type and eps (``maps_by_face_type``, weights
+    summed into ``maps``), and the sampled part keeps one verdict per
+    class, looked up by ``maps.by_class``."""
     checks = []
     # exhaustive regime: every map class and every history
     hist_ok = mon_ok = True
     count = 0
     for n in range(1, n_exhaustive + 1):
         for m, weight in maps_by_face_type(n, force=force):
-            bound = 2 * structure(m).genus
+            bound, class_ok = _class_verdict(m)
+            mon_ok = mon_ok and class_ok
             for h in permutations(m.edges()):
                 if history_weight(m, h).degree > bound:
                     hist_ok = False
-            prob, coeff = mon_top_detail(m)
-            target = mon_top_degree_target(m)
-            if (mon(m).degree > target or prob != coeff
-                    or (is_top_degree_map(m) and target != bound)):
-                mon_ok = False
             count += weight
     checks.append(Check(
         f"exhaustive n<={n_exhaustive}: deg weight <= 2*genus (all histories)",
@@ -208,32 +212,15 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
         mon_ok, {"maps": str(count)}))
 
     rng = random.Random(seed)
-    verdicts: dict[bytes, tuple] = {}  # canonical form -> (bound, class ok)
-    by_trace: dict[bytes, tuple] = {}  # _side_trace -> the same verdict
+    verdicts: dict[bytes, tuple] = {}  # canonical form -> _class_verdict
+    by_trace: dict[bytes, tuple] = {}  # side-0 trace -> the same verdict
     for n in sampled:
         ok = True
         labels = tuple(range(1, 2 * n + 1))
         for _ in range(samples):
             m = NonOrientedMap.from_arrays(
                 labels, *(_random_pairing(rng, 2 * n) for _ in range(3)))
-            trace = _side_trace(m)
-            verdict = by_trace.get(trace)
-            if verdict is None:
-                key = canonical_form(m)
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    bound = 2 * structure(m).genus
-                    prob, coeff = mon_top_detail(m)
-                    # positivity of all weight coefficients makes deg mon
-                    # the max history degree, so this also bounds every
-                    # history weight
-                    verdict = verdicts[key] = (bound, (
-                        mon(m).degree <= bound and prob == coeff
-                        and (not is_top_degree_map(m)
-                             or mon_top_degree_target(m) == bound)))
-                if trace is not None:
-                    by_trace[trace] = verdict
-            bound, class_ok = verdict
+            bound, class_ok = by_class(m, verdicts, by_trace, _class_verdict)
             h = list(m.edges())
             rng.shuffle(h)
             if not class_ok or history_weight(m, h).degree > bound:
@@ -313,24 +300,33 @@ def _round_trip(m, h, graph, forward: bool) -> bool:
             and again.map == m and again.twists == res.twists)
 
 
+def _round_trips(maps, inverse: bool) -> tuple[int, int, bool]:
+    """(top-degree pairs, orientable (map, history) pairs, ok) over every
+    history of the maps: each top-degree pair round-trips through phi and,
+    when ``inverse`` is set, each orientable pair through phi_inverse."""
+    pairs = orient_hists = 0
+    ok = True
+    for m in maps:
+        orientable = inverse and is_orientable(m)
+        if orientable:
+            orient_hists += math.factorial(m.n)
+        graph = bicolored_graph(m)
+        # m's own edges as sorted label pairs: a valid history as is
+        for h in permutations(m.edges()):
+            if _failing_prefix(_states(m, h)) is None:
+                pairs += 1
+                ok = _round_trip(m, h, graph, forward=True) and ok
+            if orientable:
+                ok = _round_trip(m, h, graph, forward=False) and ok
+    return pairs, orient_hists, ok
+
+
 def suite_key_bijection(ns=(1, 2, 3), conservative_n: int = 4,
                         force: bool = False) -> Report:
     checks = []
     for n in ns:
-        pairs = orient_hists = 0
-        ok = True
-        for m in all_maps(n, force=force):
-            orientable = is_orientable(m)
-            if orientable:
-                orient_hists += math.factorial(n)
-            graph = bicolored_graph(m)
-            # m's own edges as sorted label pairs: a valid history as is
-            for h in permutations(m.edges()):
-                if _failing_prefix(_states(m, h)) is None:
-                    pairs += 1
-                    ok = _round_trip(m, h, graph, forward=True) and ok
-                if orientable:
-                    ok = _round_trip(m, h, graph, forward=False) and ok
+        pairs, orient_hists, ok = _round_trips(all_maps(n, force=force),
+                                               inverse=True)
         checks.append(Check(
             f"n={n}: phi and phi_inverse mutually inverse, graph-preserving",
             ok, {"top_degree_pairs": str(pairs)}))
@@ -339,15 +335,8 @@ def suite_key_bijection(ns=(1, 2, 3), conservative_n: int = 4,
             pairs == orient_hists,
             {"pairs": str(pairs), "orientable_histories": str(orient_hists)}))
     n = conservative_n
-    ok = True
-    count = 0
-    for m in conservative_one_face(n, force=force):
-        graph = bicolored_graph(m)
-        for h in permutations(m.edges()):
-            if _failing_prefix(_states(m, h)) is not None:
-                continue
-            count += 1
-            ok = _round_trip(m, h, graph, forward=True) and ok
+    count, _, ok = _round_trips(conservative_one_face(n, force=force),
+                                inverse=False)
     checks.append(Check(
         f"n={n}: conservative one-face family, all histories, round trip",
         ok, {"top_degree_pairs": str(count)}))

@@ -13,7 +13,7 @@ from monmap.algebra import GAMMA, ONE, GammaPoly
 from monmap.bijection import phi, phi_inverse
 from monmap.enumeration import all_maps, conservative_one_face
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
-                         _edge_index, _side_trace, canonical_form,
+                         _edge_index, _side_trace, by_class, canonical_form,
                          classify_edge, edge_role, load_fixture, remove_edge,
                          structure, twist)
 from monmap.mon import (_MON_CACHE, _MON_TRACES, _STATES, _mon_pair,
@@ -449,7 +449,7 @@ class TestIntegerCounts:
             forms.append(x)
             return canonical_form(x)
 
-        monkeypatch.setattr(importlib.import_module("monmap.mon"),
+        monkeypatch.setattr(importlib.import_module("monmap.maps"),
                             "canonical_form", spy)
         # warm: the trace lookup misses and the canonical form hits ...
         fresh_residual, = fresh([residual])
@@ -472,6 +472,49 @@ class TestIntegerCounts:
         for m in fresh(maps)[::-1]:
             mon_top_detail(m)
         assert [mon_top_detail(m) for m in fresh(maps)] == cold
+
+
+class TestByClass:
+    """``maps.by_class`` computes once per isomorphism class, finds a
+    connected map again by its side-0 trace alone, and keys no disconnected
+    map by its trace."""
+
+    def test_once_per_class(self, monkeypatch):
+        m, e = disconnecting_map()
+        family = [x for n in (1, 2, 3) for x in all_maps(n)] + list(
+            conservative_one_face(4)) + [m, remove_edge(m, e)]
+        by_form, by_trace, computed = {}, {}, []
+
+        def compute(x):
+            computed.append(x)
+            return object()
+
+        for x in family:
+            traces = dict(by_trace)
+            value = by_class(x, by_form, by_trace, compute)
+            assert value is by_form[canonical_form(x)]
+            if x._component_data[1] > 1:
+                assert by_trace == traces
+            else:
+                assert by_trace[_side_trace(x)] is value
+        classes = {canonical_form(x) for x in family}
+        assert any(x._component_data[1] > 1 for x in family)
+        assert len(computed) == len(classes) == len(by_form)
+
+        forms = []
+        real = importlib.import_module("monmap.maps").canonical_form
+        monkeypatch.setattr(importlib.import_module("monmap.maps"),
+                            "canonical_form",
+                            lambda x: forms.append(x) or real(x))
+        for x, again in zip(family, fresh(family)):
+            traces = dict(by_trace)
+            forms.clear()
+            value = by_class(again, by_form, by_trace, compute)
+            assert value is by_form[canonical_form(x)]
+            connected = x._component_data[1] == 1
+            assert forms == ([] if connected else [again])
+            assert by_trace == traces
+        assert len(computed) == len(classes)
 
 
 class TestLemmaEquivalence:

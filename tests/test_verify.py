@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from monmap.algebra import GammaPoly
 from monmap.bijection import BijectionResult
 from monmap.maps import NonOrientedMap, _component_trace, canonical_form
 from monmap.verify import (Check, Report, SUITES, report_from_json,
@@ -291,15 +292,21 @@ class TestRunSuite:
 
     def test_sampled_part_looks_classes_up_by_side_trace(self, monkeypatch):
         # a canonical form only for a sample whose trace from side 0 is new,
-        # or which is disconnected, so that the trace is no key
+        # or which is disconnected, so that the trace is no key; mon
+        # canonicalises the sample it is handed too, so count instances
         verify = importlib.import_module("monmap.verify")
-        calls = []
-        real = verify.canonical_form
-        monkeypatch.setattr(verify, "canonical_form",
+        maps = importlib.import_module("monmap.maps")
+        calls, drawn = [], []
+        real = maps.canonical_form
+        monkeypatch.setattr(maps, "canonical_form",
                             lambda m: calls.append(m) or real(m))
+        real_weight = verify.history_weight
+        monkeypatch.setattr(verify, "history_weight",
+                            lambda m, h: drawn.append(m) or real_weight(m, h))
         report = verify.suite_degree_bounds(n_exhaustive=0, sampled=(3, 4),
                                             samples=200, seed=0)
         assert report.passed
+        canonicalised = {id(m) for m in calls} & {id(m) for m in drawn}
         keys, disconnected = set(), 0
         for m in label_level_samples(0, (3, 4), 200):
             if m._component_data[1] > 1:
@@ -307,7 +314,7 @@ class TestRunSuite:
             else:
                 keys.add(_component_trace(m._b, m._w, m._e, 0))
         assert disconnected > 0
-        assert len(calls) == len(keys) + disconnected < 400
+        assert len(canonicalised) == len(keys) + disconnected < 400
 
     def test_sampled_part_takes_empty_and_one_edge_maps(self):
         report = run_suite("degree-bounds", n_exhaustive=0, sampled=(0, 1),
@@ -324,6 +331,16 @@ class TestRunSuite:
         report = verify.suite_degree_bounds(n_exhaustive=2, sampled=(3, 4),
                                             samples=50)
         assert report.passed is False
+        assert [c.passed for c in report.checks] == [True, False, False, False]
+
+    def test_exhaustive_part_bounds_mon_by_genus(self, monkeypatch):
+        # deg mon at n + |F| - |V| keeps that bound but passes 2 * genus on
+        # every map with more faces than components
+        verify = importlib.import_module("monmap.verify")
+        monkeypatch.setattr(verify, "mon", lambda m: GammaPoly(
+            (0,) * verify.mon_top_degree_target(m) + (1,)))
+        report = verify.suite_degree_bounds(n_exhaustive=2, sampled=(3, 4),
+                                            samples=50)
         assert [c.passed for c in report.checks] == [True, False, False, False]
 
     def test_degree_bounds_route_mismatch_fails_without_raising(
