@@ -10,9 +10,8 @@ verification CLI tying them together.
 
 from .algebra import GAMMA, ONE, ZERO, GammaPoly, Sqrt2, SQRT2, gamma_of
 from .bijection import BijectionResult, phi, phi_inverse
-from .diagrams import (MultiRect, Partition, YoungDiagram, chtop_map_sum,
-                       count_embeddings, normalized_embeddings, ogs_full,
-                       ogs_top_map_sum)
+from .diagrams import (MultiRect, Partition, count_embeddings,
+                       normalized_embeddings, ogs_full, top_map_sums)
 from .enumeration import (all_maps, all_pairs, conservative_maps,
                           conservative_one_face, group_by, involutions,
                           liberal_one_face, transitive_pairs)

@@ -217,7 +217,7 @@ def cmd_chtop(args) -> int:
     payload = {
         "n": args.n,
         "gamma": _frac_obj(mr.gamma),
-        "diagram": list(mr.diagram().rows),
+        "diagram": list(mr.diagram().parts),
         "oriented_sum": _frac_obj(oriented_sum),
         "one_face_sum_displayed": _frac_obj(one_face),
         "one_face_sum_reconciled": _frac_obj(-one_face),

@@ -1,4 +1,4 @@
-"""Young diagrams, embedding counts, and the two top-degree map sums.
+"""Partitions as Young diagrams, embedding counts, and the top-degree map sums.
 
 An embedding of a bicolored graph into a Young diagram sends white vertices
 to columns, black vertices to rows and edges to boxes, preserving
@@ -30,23 +30,18 @@ class DiagramError(ValueError):
     """Invalid partition/diagram data or unrealizable coordinates."""
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """The values as a tuple; non-int values are refused, not coerced."""
-    values = tuple(values)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise DiagramError(f"{what} must be integers, "
-                               f"not {type(v).__name__}")
-    return values
-
-
 class Partition:
-    """Weakly decreasing sequence of positive integer parts."""
+    """Weakly decreasing sequence of positive integer parts, read also as
+    the Young diagram whose row lengths are the parts."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = _integers(parts, "partition parts")
+        ps = tuple(parts)
+        for p in ps:  # refused, not coerced
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise DiagramError(f"partition parts must be integers, "
+                                   f"not {type(p).__name__}")
         if any(p <= 0 for p in ps):
             raise DiagramError("partition parts must be positive")
         if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
@@ -71,6 +66,22 @@ class Partition:
     def z(self) -> int:
         return z_of(self.parts)
 
+    def contains(self, row: int, col: int) -> bool:
+        """1-based box query."""
+        return 1 <= row <= len(self.parts) and 1 <= col <= self.parts[row - 1]
+
+    def prime_coordinates(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(P', Q'): distinct row lengths with multiplicities, largest first."""
+        p_prime: list[int] = []
+        q_prime: list[int] = []
+        for r in self.parts:
+            if q_prime and q_prime[-1] == r:
+                p_prime[-1] += 1
+            else:
+                q_prime.append(r)
+                p_prime.append(1)
+        return tuple(p_prime), tuple(q_prime)
+
     def __iter__(self):
         return iter(self.parts)
 
@@ -92,54 +103,6 @@ class Partition:
 
     def __repr__(self):
         return f"Partition({list(self.parts)!r})"
-
-
-class YoungDiagram:
-    """A partition read as row lengths, with a box membership query."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[int] = ()):
-        rs = tuple(r for r in _integers(rows, "row lengths") if r != 0)
-        if any(r < 0 for r in rs):
-            raise DiagramError("row lengths must be nonnegative")
-        if any(rs[i] < rs[i + 1] for i in range(len(rs) - 1)):
-            raise DiagramError("row lengths must be weakly decreasing")
-        object.__setattr__(self, "rows", rs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("YoungDiagram values are immutable")
-
-    @property
-    def size(self) -> int:
-        return sum(self.rows)
-
-    def contains(self, row: int, col: int) -> bool:
-        """1-based box query."""
-        return 1 <= row <= len(self.rows) and 1 <= col <= self.rows[row - 1]
-
-    def prime_coordinates(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(P', Q'): distinct row lengths with multiplicities, largest first."""
-        p_prime: list[int] = []
-        q_prime: list[int] = []
-        for r in self.rows:
-            if q_prime and q_prime[-1] == r:
-                p_prime[-1] += 1
-            else:
-                q_prime.append(r)
-                p_prime.append(1)
-        return tuple(p_prime), tuple(q_prime)
-
-    def __eq__(self, other):
-        if isinstance(other, YoungDiagram):
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"YoungDiagram({list(self.rows)!r})"
 
 
 @dataclass(frozen=True)
@@ -196,15 +159,15 @@ class MultiRect:
     def gamma(self) -> Fraction:
         return gamma_of(self.A)
 
-    def diagram(self) -> YoungDiagram:
+    def diagram(self) -> Partition:
         rows: list[int] = []
         for p, q in zip(self.p_prime, self.q_prime):
             if q:
                 rows.extend([q] * p)
-        return YoungDiagram(rows)
+        return Partition(rows)
 
 
-def count_embeddings(g: BicoloredGraph, lam: YoungDiagram) -> int:
+def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
     """Number of incidence-preserving embeddings of g into lam.
 
     Backtracks over row assignments of the black vertices; given those,
@@ -215,7 +178,7 @@ def count_embeddings(g: BicoloredGraph, lam: YoungDiagram) -> int:
     touched_white = {w for _, w in g.edges}
     if len(touched_black) != g.blacks or len(touched_white) != g.whites:
         raise DiagramError("graph has an isolated vertex")
-    rows = lam.rows
+    rows = lam.parts
     white_adj: list[list[int]] = [[] for _ in range(g.whites)]
     for b, w in g.edges:
         white_adj[w].append(b)
@@ -228,7 +191,7 @@ def count_embeddings(g: BicoloredGraph, lam: YoungDiagram) -> int:
     return total
 
 
-def normalized_embeddings(g: BicoloredGraph, lam: YoungDiagram,
+def normalized_embeddings(g: BicoloredGraph, lam: Partition,
                           a: Scalar) -> Scalar:
     """A^{#white} / (-A)^{#black} times the embedding count."""
     if not a:
@@ -241,7 +204,7 @@ def normalized_embeddings(g: BicoloredGraph, lam: YoungDiagram,
 MAX_EMBEDDING_SEARCH = 10 ** 6  # row assignments; about 2 s
 
 
-def _map_sum_diagram(n: int, mr: MultiRect, force: bool) -> YoungDiagram:
+def _map_sum_diagram(n: int, mr: MultiRect, force: bool) -> Partition:
     """The diagram of mr, once the guards pass: at most 5 edges, and at
     most MAX_EMBEDDING_SEARCH row assignments per embedding count (a graph
     has at most n black vertices).  The rows are counted on the
@@ -314,18 +277,7 @@ def _one_face_table(n: int, force: bool = False
                    for graph, _, prob, coeff in details if prob != coeff}
 
 
-def _agreeing_one_face_table(n: int, force: bool):
-    """:func:`_one_face_table`, raising ``AssertionError`` (as
-    :func:`mon_top` does) when mon_top's two routes disagree on a map."""
-    table, mismatched = _one_face_table(n, force)
-    if mismatched:
-        raise AssertionError(
-            f"mon_top mismatch: probability and coefficient differ on a "
-            f"one-face map with n={n}")
-    return table
-
-
-def _class_sums(tables, lam: YoungDiagram, a: Scalar, base: Scalar,
+def _class_sums(tables, lam: Partition, a: Scalar, base: Scalar,
                 top: int) -> list[Scalar]:
     """For each class table, the sum of w * base^(top-|V|) * N~_G(lam) at
     scale a over its (G, w), with one embedding count per class of the
@@ -342,55 +294,41 @@ def _class_sums(tables, lam: YoungDiagram, a: Scalar, base: Scalar,
     return sums
 
 
-def chtop_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
-    """Oriented-side formula for the top-degree character at a lattice point.
-
-    (-1) * sum over transitive (sigma1, sigma2) of
-    gamma^(n+1-|V|) * normalized embeddings, divided by (n-1)! (the
-    number of edge labelings of an unlabeled rooted connected oriented
-    map).  The summand depends only on the bicolored graph, so the sum
-    runs over one sigma1 per cycle type, each pair weighted by the size of
-    its class (:func:`~monmap.enumeration.transitive_pairs_by_class`), and
-    then over one graph per bicolored graph class, weighted by the summed
-    sizes of its pairs over (n-1)! (:func:`_oriented_table`).  The guards
-    run before the stream is walked.
-    """
-    lam = _map_sum_diagram(n, mr, force)
-    table = _oriented_table(n, force)
-    return -_class_sums([table], lam, mr.A, mr.gamma, n + 1)[0]
-
-
-def ogs_top_map_sum(n: int, mr: MultiRect, force: bool = False) -> Fraction:
-    """One-face-side formula: sum of mon_top(M) gamma^(n+1-|V|) N~_M.
-
-    The summand depends only on mon_top(M) and the bicolored graph of M,
-    so the sum runs over one graph per bicolored graph class, weighted by
-    the summed mon_top of its maps (:func:`_one_face_table`).  The guards
-    run before the stream is walked, and a map on which mon_top's two
-    routes disagree raises ``AssertionError``, as :func:`mon_top` does.
-
-    Returned as the bare sum, with no global sign folded in; the
-    verification suites check it against :func:`chtop_map_sum` under the
-    documented reconciliation chtop = (-1) * this sum.
-    """
-    lam = _map_sum_diagram(n, mr, force)
-    table = _agreeing_one_face_table(n, force)
-    return _class_sums([table], lam, mr.A, mr.gamma, n + 1)[0]
-
-
 def top_map_sums(n: int, mr: MultiRect,
                  force: bool = False) -> tuple[Fraction, Fraction]:
-    """(:func:`chtop_map_sum`, :func:`ogs_top_map_sum`) at mr, from one
-    walk of each stream and one embedding count per class of the two
-    tables together; the guards and the mon_top check are those of the
-    two sums."""
+    """The two top-degree character map sums at the lattice point mr:
+    (chtop, ogs_top), with lambda = mr.diagram() and gamma = mr.gamma.
+
+    chtop, the oriented side, is (-1) * the sum over transitive
+    (sigma1, sigma2) of gamma^(n+1-|V|) * N~_G(lambda), divided by (n-1)!
+    (the number of edge labelings of an unlabeled rooted connected
+    oriented map).  ogs_top, the one-face side, is the sum over the
+    one-face maps M of mon_top(M) * gamma^(n+1-|V|) * N~_M(lambda),
+    returned bare, with no global sign folded in: the identity holds as
+    chtop = (-1) * ogs_top, and the suites state that reconciliation in
+    their reports.  N~ is :func:`normalized_embeddings` at scale mr.A.
+
+    Each summand depends only on the bicolored graph (and on mon_top(M)),
+    so each side walks its stream once (:func:`_oriented_table`,
+    :func:`_one_face_table`) and sums the weights of each graph class,
+    and one graph per class of the two tables together is embedded.  The
+    guards run before either stream is walked, and a one-face map on
+    which mon_top's two routes disagree raises ``AssertionError``, as
+    :func:`mon_top` does.
+    """
     lam = _map_sum_diagram(n, mr, force)
-    tables = [_oriented_table(n, force), _agreeing_one_face_table(n, force)]
-    oriented, one_face = _class_sums(tables, lam, mr.A, mr.gamma, n + 1)
-    return -oriented, one_face
+    oriented = _oriented_table(n, force)
+    one_face, mismatched = _one_face_table(n, force)
+    if mismatched:
+        raise AssertionError(
+            f"mon_top mismatch: probability and coefficient differ on a "
+            f"one-face map with n={n}")
+    oriented_sum, one_face_sum = _class_sums([oriented, one_face], lam, mr.A,
+                                             mr.gamma, n + 1)
+    return -oriented_sum, one_face_sum
 
 
-def ogs_full(pi, lam: YoungDiagram, a: Scalar, force: bool = False) -> Scalar:
+def ogs_full(pi, lam: Partition, a: Scalar, force: bool = False) -> Scalar:
     """Full orientability generating series at a point:
     (-1)^{l(pi)} sum over conservative maps of face-type pi of
     mon_M(gamma) * normalized embeddings, with mon_M(gamma) summed by

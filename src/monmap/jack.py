@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Sequence, Union
 
 from .algebra import SQRT2, GammaPoly, Sqrt2, _as_fraction
-from .diagrams import Partition, YoungDiagram, _class_sums, _class_table
+from .diagrams import Partition, _class_sums, _class_table
 from .enumeration import FORCE_HINT, conservative_maps
 from .maps import bicolored_graph
 from .oriented import (OrientedMap, bicolored_graph_oriented,
@@ -159,7 +159,7 @@ def jack_in_p(lam, alpha, force: bool = False,
 
     The table covers every partition mu of |lam|, explicit zeros included.
     """
-    lam = tuple(Partition(lam).parts)
+    lam = Partition(lam).parts
     alpha = _as_fraction(alpha)
     if sum(lam) > JACK_SIZE_GUARD and not force:
         raise JackGuardError(f"|lambda| = {sum(lam)} exceeds the guard "
@@ -247,7 +247,7 @@ def sn_character(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
 
 
 def sn_dimension(lam) -> int:
-    lam = tuple(Partition(lam).parts)
+    lam = Partition(lam).parts
     return sn_character(lam, (1,) * sum(lam))
 
 
@@ -355,7 +355,6 @@ def stanley_special(pi, lam, alpha, force: bool = False):
             f"|pi| + l(pi) exceeds the guard (6); {FORCE_HINT}")
     if lam.size > JACK_SIZE_GUARD and not force:
         raise JackGuardError(f"|lambda| exceeds the guard (6); {FORCE_HINT}")
-    diagram = YoungDiagram(lam.parts)
     sign = -1 if pi.length % 2 else 1
 
     if alpha == 1:
@@ -363,7 +362,7 @@ def stanley_special(pi, lam, alpha, force: bool = False):
         oracle = ch(pi.parts, lam, JackParams.from_A(a), force=force)
         table = _class_table((bicolored_graph_oriented(om), 1)
                              for om in oriented_face_type_maps(pi))
-        return oracle, sign * _class_sums([table], diagram, a,
+        return oracle, sign * _class_sums([table], lam, a,
                                           Fraction(1), 0)[0]
 
     if alpha == 2:
@@ -378,7 +377,7 @@ def stanley_special(pi, lam, alpha, force: bool = False):
     oracle = ch(pi.parts, lam, JackParams.from_A(a), force=force)
     table = _class_table((bicolored_graph(m), 1)
                          for m in conservative_maps(pi.parts))
-    mapsum = sign * _class_sums([table], diagram, a, base,
+    mapsum = sign * _class_sums([table], lam, a, base,
                                 pi.size + pi.length)[0]
     if isinstance(oracle, Sqrt2) and not isinstance(mapsum, Sqrt2):
         mapsum = Sqrt2.of(mapsum)

@@ -192,8 +192,9 @@ class NonOrientedMap:
     calls it.  Maps derived by :func:`remove_edge` and :func:`twist_many`
     are built straight from arrays by ``_new_map``, since they are valid by
     construction.  ``beta``, ``omega`` and ``eps`` view the involutions as
-    sorted label pairs (a, b) with a < b.  These views, kernel outputs and
-    canonical forms are built on first access and cached per instance.
+    sorted label pairs (a, b) with a < b.  These views, kernel outputs,
+    canonical forms and the side-0 trace are built on first access and
+    cached per instance.
     """
 
     __slots__ = ("labels", "_b", "_w", "_e", "root", "__dict__")
@@ -294,6 +295,21 @@ class NonOrientedMap:
     @_cached
     def _canonical_rooted(self) -> bytes:
         return _canonical_bytes(self, rooted=True)
+
+    @_cached
+    def _side_trace(self) -> Optional[bytes]:
+        """The trace from side 0 (position 0) as bytes, or None when the
+        map is not connected: ``by_class``'s second key.  One byte per
+        entry up to 256 sides, four beyond; the two never collide, since
+        their lengths differ.  The empty map's key is empty.
+        """
+        b = self._b
+        if not b:
+            return b""
+        trace = _component_trace(b, self._w, self._e, 0)
+        if len(trace) < 3 * len(b):
+            return None
+        return bytes(trace) if len(b) <= 256 else array("I", trace).tobytes()
 
     def _key(self):
         return self.labels, self._b, self._w, self._e, self.root
@@ -527,20 +543,6 @@ def _component_trace(b, w, e, start: int, best=None):
     return tuple(out)
 
 
-def _side_trace(m: NonOrientedMap) -> Optional[bytes]:
-    """The trace from side 0 (position 0) as bytes, or None when m is not
-    connected: ``by_class``'s second key.  One byte per entry up to 256
-    sides, four beyond; the two never collide, since their lengths differ.
-    The empty map's key is empty.
-    """
-    if not m._b:
-        return b""
-    trace = _component_trace(m._b, m._w, m._e, 0)
-    if len(trace) < 3 * len(m._b):
-        return None
-    return bytes(trace) if len(m._b) <= 256 else array("I", trace).tobytes()
-
-
 def canonical_form(m: NonOrientedMap, rooted: bool = False) -> bytes:
     """Canonical byte string: equal iff the maps are label-isomorphic.
 
@@ -557,7 +559,7 @@ def by_class(m: NonOrientedMap, by_form: dict, by_trace: dict, compute):
     """``compute(m)``, kept once per isomorphism class of m, for a value
     that depends on m only up to relabelling.  ``by_form`` maps the
     unrooted canonical form to the value, and ``by_trace`` maps the trace
-    from side 0 (``_side_trace``) to the same value.
+    from side 0 (``m._side_trace``, kept on the map) to the same value.
 
     m is looked up first by its trace, one BFS where the canonical form
     runs about one per side.  A connected map's trace reaches every side,
@@ -567,7 +569,7 @@ def by_class(m: NonOrientedMap, by_form: dict, by_trace: dict, compute):
     key: such a map, like one with a new trace, goes through the canonical
     form, and it leaves ``by_trace`` as it was.
     """
-    trace = _side_trace(m)
+    trace = m._side_trace
     value = by_trace.get(trace)  # None, a disconnected map's, is no key
     if value is None:
         key = canonical_form(m)

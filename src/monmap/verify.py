@@ -20,7 +20,7 @@ from itertools import permutations
 
 from .algebra import GammaPoly, Sqrt2
 from .bijection import DichotomyError, NotInDomainError, phi, phi_inverse
-from .diagrams import (MultiRect, YoungDiagram, _class_sums, _map_sum_diagram,
+from .diagrams import (MultiRect, Partition, _class_sums, _map_sum_diagram,
                        _one_face_table, _oriented_table)
 from .enumeration import (all_maps, conservative_one_face, group_by,
                           involutions, liberal_one_face, maps_by_face_type,
@@ -362,8 +362,7 @@ def _printed_grid():
     for a in (Fraction(1), Fraction(2)):
         for d in range(1, 6):
             for lam in partitions_of(d):
-                yd = YoungDiagram(lam)
-                pp, qq = yd.prime_coordinates()
+                pp, qq = Partition(lam).prime_coordinates()
                 if len(pp) <= 3:
                     grid.append((pp, qq, a))
     return grid
@@ -373,9 +372,10 @@ def suite_second_main_theorem(ns=(1, 2, 3, 4), force: bool = False) -> Report:
     """Both top-degree map sums, from one class table per n and side that
     every point reuses; a mon_top route mismatch fails that n's checks.
 
-    chtop_map_sum is minus the oriented table's sum and ogs_top_map_sum is
-    the one-face table's sum, so the documented reconciliation
-    chtop = (-1) * ogs_top holds when the two table sums are equal."""
+    The tables are those of ``top_map_sums``: chtop is minus the oriented
+    table's sum and ogs_top is the one-face table's sum, so the documented
+    reconciliation chtop = (-1) * ogs_top holds when the two table sums
+    are equal."""
     points = [MultiRect.from_primes(*pt) for pt in SECOND_THEOREM_POINTS]
     checks = []
     tables = {}
@@ -440,8 +440,7 @@ def suite_jack_oracle() -> Report:
     for a in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)):
         for d in range(1, 7):
             for lam in partitions_of(d):
-                yd = YoungDiagram(lam)
-                pp, qq = yd.prime_coordinates()
+                pp, qq = Partition(lam).prime_coordinates()
                 mr = MultiRect.from_primes(pp, qq, a)
                 params = JackParams.from_A(a)
                 for n in (1, 2, 3):

@@ -292,6 +292,20 @@ class TestJackAndCh:
         value = json.loads(out)["value"]
         assert value["sqrt2_coeff"] == {"num": 2, "den": 1}
 
+    @pytest.mark.parametrize("argv, message", [
+        (("ch", "--pi", "2,0", "--lambda", "2,2", "--A", "1"),
+         "must be positive"),
+        (("ch", "--pi", "2", "--lambda", "3,0", "--A", "1"),
+         "must be positive"),
+        (("jack", "--lambda", "1,2", "--alpha", "1"),
+         "must be weakly decreasing"),
+    ], ids=["ch-pi-zero", "ch-lambda-zero", "jack-increasing"])
+    def test_malformed_partition_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
 
 class TestVerifyCommand:
     def test_pass_exit_zero(self, capsys):

@@ -8,10 +8,9 @@ import pytest
 
 from monmap.algebra import SQRT2, Sqrt2, gamma_of
 from monmap.cli import main
-from monmap.diagrams import (DiagramError, MultiRect, Partition, YoungDiagram,
+from monmap.diagrams import (DiagramError, MultiRect, Partition, _class_sums,
                              _class_table, _one_face_table, _oriented_table,
-                             chtop_map_sum, count_embeddings,
-                             normalized_embeddings, ogs_full, ogs_top_map_sum,
+                             count_embeddings, normalized_embeddings, ogs_full,
                              top_map_sums)
 from monmap.enumeration import (conservative_maps, conservative_one_face,
                                 transitive_pairs_by_class)
@@ -52,41 +51,48 @@ class TestNonIntegerPartsRefused:
     @pytest.mark.parametrize("call", [
         lambda: jack_in_p((2.5,), 1),
         lambda: ch((1.5,), (2,), JackParams.from_A(1)),
-        lambda: YoungDiagram((2.5, 1.9)),
+        lambda: Partition((2.5, 1.9)),
         lambda: Partition(("3", True)),
         lambda: Partition((3, 1.0)),
-        lambda: YoungDiagram((2, True)),
-    ], ids=["jack_in_p", "ch", "YoungDiagram", "Partition",
-            "Partition-whole-float", "YoungDiagram-bool"])
+        lambda: Partition((2, True)),
+    ], ids=["jack_in_p", "ch", "Partition-float", "Partition",
+            "Partition-whole-float", "Partition-bool"])
     def test_refused(self, call):
         with pytest.raises(DiagramError, match="must be integers"):
             call()
 
 
 class TestYoungDiagram:
+    """A Partition read as a Young diagram, its parts the row lengths."""
+
     def test_box_query(self):
-        d = YoungDiagram((3, 1))
+        d = Partition((3, 1))
         assert d.contains(1, 3) and d.contains(2, 1)
         assert not d.contains(2, 2) and not d.contains(3, 1)
 
     def test_prime_coordinates(self):
-        assert YoungDiagram((4, 1, 1)).prime_coordinates() == ((1, 2), (4, 1))
-        assert YoungDiagram(()).prime_coordinates() == ((), ())
+        assert Partition((4, 1, 1)).prime_coordinates() == ((1, 2), (4, 1))
+        assert Partition(()).prime_coordinates() == ((), ())
+
+    def test_zero_row_refused(self):
+        # a row of length 0 is refused, not dropped
+        with pytest.raises(DiagramError, match="must be positive"):
+            Partition((3, 0))
 
 
 class TestMultirectangular:
     def test_single_rectangle(self):
         mr = MultiRect.from_primes((2,), (3,), F(1))
-        assert mr.diagram() == YoungDiagram((3, 3))
+        assert mr.diagram() == Partition((3, 3))
 
     def test_stacking(self):
         mr = MultiRect.from_primes((1, 2), (4, 1), F(1))
-        assert mr.diagram() == YoungDiagram((4, 1, 1))
+        assert mr.diagram() == Partition((4, 1, 1))
 
     def test_scaling(self):
         mr = MultiRect((F(1),), (F(4),), F(2))
         assert mr.p_prime == (2,) and mr.q_prime == (2,)
-        assert mr.diagram() == YoungDiagram((2, 2))
+        assert mr.diagram() == Partition((2, 2))
 
     def test_non_integer_rejected(self):
         with pytest.raises(DiagramError):
@@ -100,11 +106,11 @@ class TestMultirectangular:
 class TestCountEmbeddings:
     def test_single_edge_counts_boxes(self):
         for rows in ((2, 2), (3, 1), (5,), (2, 2, 1)):
-            lam = YoungDiagram(rows)
+            lam = Partition(rows)
             assert count_embeddings(SINGLE_EDGE_GRAPH, lam) == lam.size
 
     def test_path_matches_brute_force(self):
-        lam = YoungDiagram((2, 2))
+        lam = Partition((2, 2))
         # oracle: direct enumeration over rows^2 x columns
         expected = 0
         for r1, r2, c in product((1, 2), (1, 2), (1, 2)):
@@ -115,32 +121,32 @@ class TestCountEmbeddings:
     def test_isolated_vertex_rejected(self):
         with pytest.raises(DiagramError):
             count_embeddings(BicoloredGraph(2, 1, ((0, 0),)),
-                             YoungDiagram((1,)))
+                             Partition((1,)))
 
     def test_empty_diagram(self):
-        assert count_embeddings(SINGLE_EDGE_GRAPH, YoungDiagram(())) == 0
+        assert count_embeddings(SINGLE_EDGE_GRAPH, Partition(())) == 0
 
     def test_no_graph_class_is_computed(self):
         # a star on 9 black vertices is past the class guard of 8 rows,
         # and its one embedding into a single box needs no class
         star = BicoloredGraph(9, 1, tuple((b, 0) for b in range(9)))
-        assert count_embeddings(star, YoungDiagram([1])) == 1
+        assert count_embeddings(star, Partition([1])) == 1
 
 
 class TestNormalizedEmbeddings:
     def test_single_edge_at_various_a(self):
-        lam = YoungDiagram((2, 2))
+        lam = Partition((2, 2))
         assert normalized_embeddings(SINGLE_EDGE_GRAPH, lam, F(1)) == -4
         assert normalized_embeddings(SINGLE_EDGE_GRAPH, lam, F(2)) == -4
 
     def test_balanced_graph_scale_free(self):
-        lam = YoungDiagram((3, 1))
+        lam = Partition((3, 1))
         n = count_embeddings(SINGLE_EDGE_GRAPH, lam)
         for a in (F(1), F(2), F(5, 3)):
             assert normalized_embeddings(SINGLE_EDGE_GRAPH, lam, a) == -n
 
     def test_sqrt2_value(self):
-        lam = YoungDiagram((2,))
+        lam = Partition((2,))
         v = normalized_embeddings(PATH_GRAPH, lam, SQRT2)
         # A^{1-2} * (-1)^2 ... one white, two blacks: A^-1 * N
         n = count_embeddings(PATH_GRAPH, lam)
@@ -156,45 +162,52 @@ class TestNormalizedEmbeddings:
             assert values[0] == values[1]
 
 
+def one_table_sum(table, n, mr):
+    """The sum of one class table at mr, embedding that table's classes."""
+    return _class_sums([table], mr.diagram(), mr.A, mr.gamma, n + 1)[0]
+
+
 class TestChTopMapSum:
+    """top_map_sums' oriented side, chtop, and the pair as a whole."""
+
     def test_n1_is_sum_pq(self):
         mr = MultiRect.from_primes((2, 1), (3, 1), F(1))
         expected = sum(p * q for p, q in zip(mr.P, mr.Q))
-        assert chtop_map_sum(1, mr) == expected
+        assert top_map_sums(1, mr)[0] == expected
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_top_map_sums_gives_both_sums(self, n):
+        # one embedding per class of the two tables together gives each
+        # table's own sum
+        oriented, (one_face, _) = _oriented_table(n), _one_face_table(n)
         for pt in SECOND_THEOREM_POINTS:
             mr = MultiRect.from_primes(*pt)
-            assert top_map_sums(n, mr) == (chtop_map_sum(n, mr),
-                                           ogs_top_map_sum(n, mr))
+            assert top_map_sums(n, mr) == (-one_table_sum(oriented, n, mr),
+                                           one_table_sum(one_face, n, mr))
 
     def test_n2_reference_point(self):
         mr = MultiRect((F(1),), (F(4),), F(2))
-        assert chtop_map_sum(2, mr) == 6
+        assert top_map_sums(2, mr)[0] == 6
 
     def test_n3_matches_closed_form_top(self):
         for primes in (((1,), (3,)), ((2,), (2,)), ((1, 1), (2, 1))):
             for a in (F(1), F(2)):
                 mr = MultiRect.from_primes(primes[0], primes[1], a)
                 _, top = ch_stanley(3, mr.gamma, mr.P, mr.Q)
-                assert chtop_map_sum(3, mr) == top
+                assert top_map_sums(3, mr)[0] == top
 
     def test_guard(self):
         mr = MultiRect.from_primes((1,), (1,), F(1))
         with pytest.raises(DiagramError):
-            chtop_map_sum(6, mr)
+            top_map_sums(6, mr)
 
-    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum])
-    def test_tall_diagram_guard(self, map_sum):
+    def test_tall_diagram_guard(self):
         # 101 ** 3 row assignments; 100 ** 3 is the largest search allowed
         mr = MultiRect.from_primes((101,), (1,), F(1))
         with pytest.raises(DiagramError, match="embedding guard.*force=True"):
-            map_sum(3, mr)
+            top_map_sums(3, mr)
 
-    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum])
-    def test_tall_diagram_refused_before_its_rows_exist(self, map_sum,
-                                                         monkeypatch):
+    def test_tall_diagram_refused_before_its_rows_exist(self, monkeypatch):
         # 10^9 rows would take gigabytes as a row list
         def expand(mr):
             raise AssertionError("rows built before the guard ran")
@@ -202,25 +215,26 @@ class TestChTopMapSum:
         monkeypatch.setattr(MultiRect, "diagram", expand)
         mr = MultiRect.from_primes((10 ** 9,), (1,), F(1))
         with pytest.raises(DiagramError, match="embedding guard"):
-            map_sum(1, mr)
+            top_map_sums(1, mr)
 
-    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum])
-    def test_zero_length_rows_are_not_built(self, map_sum):
+    def test_zero_length_rows_are_not_built(self):
         # p' = 10^6 rows of length 0 are no rows; as a list they take 8 MB
         mr = MultiRect.from_primes((1, 10 ** 6), (1, 0), F(1))
         tracemalloc.start()
         try:
-            value = map_sum(2, mr)
+            value = top_map_sums(2, mr)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert mr.diagram().rows == (1,)
-        assert value == map_sum(2, MultiRect.from_primes((1,), (1,), F(1)))
+        assert mr.diagram().parts == (1,)
+        one_row = MultiRect.from_primes((1,), (1,), F(1))
+        assert value == top_map_sums(2, one_row)
         assert peak < 10 ** 6
 
 
 def brute_ogs_top(n, mr):
-    """ogs_top_map_sum with one summand per one-face map, no class table."""
+    """top_map_sums' one-face side, ogs_top, with one summand per one-face
+    map, no class table."""
     lam, g, a = mr.diagram(), mr.gamma, mr.A
     total = F(0)
     for m in conservative_one_face(n):
@@ -232,7 +246,7 @@ def brute_ogs_top(n, mr):
 
 
 class TestMapSumGuardsBeforeWalk:
-    """Both map sums refuse a guarded call before walking either stream."""
+    """top_map_sums refuses a guarded call before walking either stream."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -247,20 +261,16 @@ class TestMapSumGuardsBeforeWalk:
         monkeypatch.setattr(diagrams, "one_face_orbits", refuse)
         return walked
 
-    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum,
-                                         top_map_sums])
-    def test_n_guard(self, map_sum, walks):
+    def test_n_guard(self, walks):
         mr = MultiRect.from_primes((1,), (1,), F(1))
         with pytest.raises(DiagramError, match="map-sum guard"):
-            map_sum(6, mr)
+            top_map_sums(6, mr)
         assert walks == []
 
-    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum,
-                                         top_map_sums])
-    def test_row_guard(self, map_sum, walks):
+    def test_row_guard(self, walks):
         mr = MultiRect.from_primes((101,), (1,), F(1))
         with pytest.raises(DiagramError, match="embedding guard"):
-            map_sum(3, mr)
+            top_map_sums(3, mr)
         assert walks == []
 
     def test_suite_n_guard(self, walks):
@@ -310,7 +320,7 @@ class TestOneCountPerClass:
 
     @pytest.mark.parametrize("a", [F(2), SQRT2])
     def test_ogs_full(self, embedded_classes, a):
-        ogs_full((2, 1), YoungDiagram((2, 1)), a)
+        ogs_full((2, 1), Partition((2, 1)), a)
         maps = list(conservative_maps((2, 1)))
         assert len(embedded_classes) == len(set(embedded_classes)) > 1
         assert len(embedded_classes) < len(maps)
@@ -329,13 +339,15 @@ class TestOneCountPerClass:
 
 
 class TestOgsTopMapSum:
+    """top_map_sums' one-face side, ogs_top."""
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_per_map_sum(self, n):
         points = [MultiRect.from_primes(*pt) for pt in SECOND_THEOREM_POINTS]
         if n <= 3:
             points += [MultiRect.from_primes(*pt) for pt in _printed_grid()]
         for mr in points:
-            assert ogs_top_map_sum(n, mr) == brute_ogs_top(n, mr)
+            assert top_map_sums(n, mr)[1] == brute_ogs_top(n, mr)
 
     def test_coefficient_mismatch_raises(self, monkeypatch):
         # library callers get mon_top's AssertionError, not a wrong sum
@@ -345,11 +357,12 @@ class TestOgsTopMapSum:
                             lambda m: real(m) + 1)
         mr = MultiRect.from_primes((1,), (2,), F(1))
         with pytest.raises(AssertionError, match="mon_top mismatch"):
-            ogs_top_map_sum(2, mr)
+            top_map_sums(2, mr)
 
     def test_n1_sign_reconciliation(self):
         mr = MultiRect.from_primes((2,), (3,), F(1))
-        assert ogs_top_map_sum(1, mr) == -chtop_map_sum(1, mr)
+        chtop, ogs_top = top_map_sums(1, mr)
+        assert ogs_top == -chtop
 
     def test_klein_class_contributes(self, klein):
         # the klein-shaped one-face maps enter the n=3 sum with weight 2/3
@@ -364,7 +377,7 @@ class TestOgsTopMapSum:
 
     def test_n2_reference_point(self):
         mr = MultiRect((F(1),), (F(4),), F(2))
-        assert -ogs_top_map_sum(2, mr) == 6
+        assert -top_map_sums(2, mr)[1] == 6
 
 
 def reference_oriented_table(n):
@@ -434,11 +447,11 @@ class TestOgsFull:
     def test_single_part_is_diagram_size(self):
         for a in (F(1), F(2), F(1, 2), F(3)):
             for lam in ((1,), (2, 1), (3, 2)):
-                assert ogs_full((1,), YoungDiagram(lam), a) == sum(lam)
+                assert ogs_full((1,), Partition(lam), a) == sum(lam)
 
     def test_two_gon_explicit_oracle(self):
         # independent arithmetic over the three square gluings at A = 1
-        lam = YoungDiagram((2, 2))
+        lam = Partition((2, 2))
         a = F(1)
         g = gamma_of(a)
         total = F(0)
@@ -466,4 +479,4 @@ class TestOgsFull:
 
     def test_guard(self):
         with pytest.raises(DiagramError):
-            ogs_full((5, 4), YoungDiagram((1,)), F(1))
+            ogs_full((5, 4), Partition((1,)), F(1))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from monmap.diagrams import MultiRect, chtop_map_sum, normalized_embeddings
+from monmap.diagrams import MultiRect, normalized_embeddings, top_map_sums
 from monmap.enumeration import (GuardExceeded, all_maps, all_pairs,
                                 conservative_maps, conservative_one_face,
                                 group_by, involutions, liberal_one_face,
@@ -136,7 +136,8 @@ def brute_pairs():
 
 
 def brute_chtop(n, mr, pairs):
-    """chtop_map_sum summed over every transitive pair, each weight 1."""
+    """top_map_sums' oriented side, chtop, summed over every transitive
+    pair, each weight 1."""
     lam, g, a = mr.diagram(), mr.gamma, mr.A
     total = Fraction(0)
     for om in pairs:
@@ -182,7 +183,8 @@ class TestPairsByClass:
     def test_chtop_map_sum(self, n, brute_pairs):
         for pp, qq, a in SECOND_THEOREM_POINTS:
             mr = MultiRect.from_primes(pp, qq, a)
-            assert chtop_map_sum(n, mr) == brute_chtop(n, mr, brute_pairs[n])
+            assert top_map_sums(n, mr)[0] == brute_chtop(n, mr,
+                                                         brute_pairs[n])
 
 
 class TestMapsByFaceType:

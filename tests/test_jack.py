@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monmap.algebra import SQRT2, GammaPoly, Sqrt2, gamma_of
-from monmap.diagrams import MultiRect, YoungDiagram
+from monmap.diagrams import MultiRect, Partition
 from monmap.jack import (JackGuardError, JackParams, _m_to_p, ch, ch_stanley,
                          conjugate, dominance_leq, jack_in_p,
                          jack_inner_product, normalized_sn_character,
@@ -225,7 +225,7 @@ class TestStanleyPolynomials:
             params = JackParams.from_A(a)
             for d in range(1, 6):
                 for lam in partitions_of(d):
-                    pp, qq = YoungDiagram(lam).prime_coordinates()
+                    pp, qq = Partition(lam).prime_coordinates()
                     mr = MultiRect.from_primes(pp, qq, a)
                     for n in (1, 2, 3):
                         full, _ = ch_stanley(n, mr.gamma, mr.P, mr.Q)

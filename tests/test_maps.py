@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from monmap.enumeration import all_maps, conservative_one_face
 from monmap.maps import (BicoloredGraph, EdgeKind, MapError, NonOrientedMap,
-                         _component_trace, _edge_index, _side_trace,
-                         _twist_sides, bicolored_graph, canonical_form,
+                         _component_trace, _edge_index, _twist_sides,
+                         bicolored_graph, canonical_form,
                          canonical_graph_class, classify_edge, edge_role,
                          faces, graph_class, is_orientable, map_from_json_obj,
                          map_to_json_obj, remove_edge, structure, twist,
@@ -311,13 +311,13 @@ def _permuted(m, p):
 
 
 class TestSideTrace:
-    """``_side_trace`` keys a connected map by its trace from side 0."""
+    """``m._side_trace`` keys a connected map by its trace from side 0."""
 
     @staticmethod
     def check_sound(family):
         by_key = {}  # key -> canonical form
         for m in family:
-            key = _side_trace(m)
+            key = m._side_trace
             assert (key is None) == (m._component_data[1] > 1)
             if key is not None:
                 assert by_key.setdefault(key, canonical_form(m)) \
@@ -332,7 +332,21 @@ class TestSideTrace:
         self.check_sound(conservative_one_face(4))
 
     def test_empty_map(self):
-        assert _side_trace(NonOrientedMap.from_arrays((), (), (), ())) == b""
+        assert NonOrientedMap.from_arrays((), (), (), ())._side_trace == b""
+
+    def test_kept_on_the_map(self, monkeypatch):
+        # traced once per instance, None (a disconnected map's) included
+        cached = NonOrientedMap.__dict__["_side_trace"]
+        real, traced = cached.fn, []
+        monkeypatch.setattr(cached, "fn",
+                            lambda m: traced.append(m) or real(m))
+        two_edges = [(1, 2), (3, 4)]
+        disconnected = NonOrientedMap.from_pairs(two_edges, two_edges,
+                                                 two_edges)
+        connected = NonOrientedMap.from_pairs(*[[(1, 2)]] * 3)
+        assert [disconnected._side_trace for _ in range(2)] == [None, None]
+        assert connected._side_trace == connected._side_trace is not None
+        assert [id(m) for m in traced] == [id(disconnected), id(connected)]
 
     def test_exact_past_128_edges(self):
         # sides past 255 need more than one byte per trace entry

@@ -13,7 +13,7 @@ from monmap.algebra import GAMMA, ONE, GammaPoly
 from monmap.bijection import phi, phi_inverse
 from monmap.enumeration import all_maps, conservative_one_face
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
-                         _edge_index, _side_trace, by_class, canonical_form,
+                         _edge_index, by_class, canonical_form,
                          classify_edge, edge_role, load_fixture, remove_edge,
                          structure, twist)
 from monmap.mon import (_MON_CACHE, _MON_TRACES, _STATES, _mon_pair,
@@ -438,7 +438,7 @@ class TestIntegerCounts:
             self, monkeypatch):
         m, e = disconnecting_map()
         residual = remove_edge(m, e)
-        assert _side_trace(residual) is None
+        assert residual._side_trace is None
         clear_caches()
         mon(m)
         traces = dict(_MON_TRACES)
@@ -496,7 +496,7 @@ class TestByClass:
             if x._component_data[1] > 1:
                 assert by_trace == traces
             else:
-                assert by_trace[_side_trace(x)] is value
+                assert by_trace[x._side_trace] is value
         classes = {canonical_form(x) for x in family}
         assert any(x._component_data[1] > 1 for x in family)
         assert len(computed) == len(classes) == len(by_form)

@@ -316,6 +316,21 @@ class TestRunSuite:
         assert disconnected > 0
         assert len(canonicalised) == len(keys) + disconnected < 400
 
+    def test_sampled_part_traces_each_map_once(self, monkeypatch):
+        # the suite's class lookup, then mon_top_detail's and mon's, read
+        # the trace kept on the sample; the list keeps every map alive, so
+        # ids are not reused
+        cached = NonOrientedMap.__dict__["_side_trace"]
+        real, traced = cached.fn, []
+        monkeypatch.setattr(cached, "fn",
+                            lambda m: traced.append(m) or real(m))
+        clear_every_cache()
+        report = run_suite("degree-bounds", n_exhaustive=0, sampled=(3, 4),
+                           samples=200)
+        assert report.passed
+        ids = [id(m) for m in traced]
+        assert len(ids) == len(set(ids)) > 200
+
     def test_sampled_part_takes_empty_and_one_edge_maps(self):
         report = run_suite("degree-bounds", n_exhaustive=0, sampled=(0, 1),
                            samples=5)
