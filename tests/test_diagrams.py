@@ -167,6 +167,16 @@ def one_table_sum(table, n, mr):
     return _class_sums([table], mr.diagram(), mr.A, mr.gamma, n + 1)[0]
 
 
+def chtop_map_sum(n, mr, force=False):
+    """top_map_sums' oriented side alone."""
+    return top_map_sums(n, mr, force)[0]
+
+
+def ogs_top_map_sum(n, mr, force=False):
+    """top_map_sums' one-face side alone."""
+    return top_map_sums(n, mr, force)[1]
+
+
 class TestChTopMapSum:
     """top_map_sums' oriented side, chtop, and the pair as a whole."""
 
@@ -201,13 +211,16 @@ class TestChTopMapSum:
         with pytest.raises(DiagramError):
             top_map_sums(6, mr)
 
-    def test_tall_diagram_guard(self):
+    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum])
+    def test_tall_diagram_guard(self, map_sum):
         # 101 ** 3 row assignments; 100 ** 3 is the largest search allowed
         mr = MultiRect.from_primes((101,), (1,), F(1))
         with pytest.raises(DiagramError, match="embedding guard.*force=True"):
-            top_map_sums(3, mr)
+            map_sum(3, mr)
 
-    def test_tall_diagram_refused_before_its_rows_exist(self, monkeypatch):
+    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum])
+    def test_tall_diagram_refused_before_its_rows_exist(self, map_sum,
+                                                         monkeypatch):
         # 10^9 rows would take gigabytes as a row list
         def expand(mr):
             raise AssertionError("rows built before the guard ran")
@@ -215,20 +228,20 @@ class TestChTopMapSum:
         monkeypatch.setattr(MultiRect, "diagram", expand)
         mr = MultiRect.from_primes((10 ** 9,), (1,), F(1))
         with pytest.raises(DiagramError, match="embedding guard"):
-            top_map_sums(1, mr)
+            map_sum(1, mr)
 
-    def test_zero_length_rows_are_not_built(self):
+    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum])
+    def test_zero_length_rows_are_not_built(self, map_sum):
         # p' = 10^6 rows of length 0 are no rows; as a list they take 8 MB
         mr = MultiRect.from_primes((1, 10 ** 6), (1, 0), F(1))
         tracemalloc.start()
         try:
-            value = top_map_sums(2, mr)
+            value = map_sum(2, mr)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert mr.diagram().parts == (1,)
-        one_row = MultiRect.from_primes((1,), (1,), F(1))
-        assert value == top_map_sums(2, one_row)
+        assert value == map_sum(2, MultiRect.from_primes((1,), (1,), F(1)))
         assert peak < 10 ** 6
 
 
@@ -261,16 +274,20 @@ class TestMapSumGuardsBeforeWalk:
         monkeypatch.setattr(diagrams, "one_face_orbits", refuse)
         return walked
 
-    def test_n_guard(self, walks):
+    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum,
+                                         top_map_sums])
+    def test_n_guard(self, map_sum, walks):
         mr = MultiRect.from_primes((1,), (1,), F(1))
         with pytest.raises(DiagramError, match="map-sum guard"):
-            top_map_sums(6, mr)
+            map_sum(6, mr)
         assert walks == []
 
-    def test_row_guard(self, walks):
+    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum,
+                                         top_map_sums])
+    def test_row_guard(self, map_sum, walks):
         mr = MultiRect.from_primes((101,), (1,), F(1))
         with pytest.raises(DiagramError, match="embedding guard"):
-            top_map_sums(3, mr)
+            map_sum(3, mr)
         assert walks == []
 
     def test_suite_n_guard(self, walks):
