@@ -1,7 +1,10 @@
 """Generators for the desk-scale families the verification suites sum over.
 
 Everything factorial-sized sits behind an explicit cost guard that raises
-instead of hanging; pass ``force=True`` to lift a guard knowingly.
+instead of hanging; pass ``force=True`` to lift a guard knowingly.  The
+maps yielded are valid by construction: their partner tuples come from
+:func:`involutions` and :func:`polygon_pairings`, so they are built by
+``maps._new_map`` without the checks of ``NonOrientedMap.from_arrays``.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from itertools import permutations
 from typing import Iterable, Iterator
 
 from . import kernels
-from .maps import NonOrientedMap, canonical_form, graph_class
+from .maps import (NonOrientedMap, _new_map, by_class, canonical_form,
+                   graph_class)
 from .oriented import (OrientedMap, _connected, _oriented_map, cycle_ids,
                        cycle_type_permutation, is_transitive, partitions_of,
                        z_of)
@@ -81,12 +85,16 @@ def polygon_pairings(face_type) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(beta), tuple(omega)
 
 
-def conservative_maps(face_type) -> Iterator[NonOrientedMap]:
-    """All gluings of the fixed labeled polygons of the given face-type."""
+def _gluings(face_type, root) -> Iterator[NonOrientedMap]:
     beta, omega = polygon_pairings(face_type)
     labels = tuple(range(1, len(beta) + 1))
     for eps in involutions(labels):
-        yield NonOrientedMap.from_arrays(labels, beta, omega, eps)
+        yield _new_map(labels, beta, omega, eps, root)
+
+
+def conservative_maps(face_type) -> Iterator[NonOrientedMap]:
+    """All gluings of the fixed labeled polygons of the given face-type."""
+    yield from _gluings(face_type, None)
 
 
 def conservative_one_face(n: int,
@@ -95,8 +103,7 @@ def conservative_one_face(n: int,
     if n < 1:
         raise ValueError("need n >= 1")
     check_guard("n", n, MAX_ONE_FACE_N, force)
-    for m in conservative_maps((n,)):
-        yield m.with_root(1)
+    yield from _gluings((n,), 1)
 
 
 def one_face_orbits(
@@ -152,8 +159,7 @@ def one_face_orbits(
             if d < 0:
                 break
         else:
-            yield (NonOrientedMap.from_arrays(labels, beta, omega, eps, 1),
-                   size // fixed)
+            yield _new_map(labels, beta, omega, eps, 1), size // fixed
 
 
 def maps_by_face_type(
@@ -206,7 +212,7 @@ def liberal_one_face(n: int, force: bool = False) -> Iterator[NonOrientedMap]:
     eps_list = list(involutions(labels))
     for beta, omega in single_polygon_pairs(n):
         for eps in eps_list:
-            yield NonOrientedMap.from_arrays(labels, beta, omega, eps)
+            yield _new_map(labels, beta, omega, eps, None)
 
 
 def all_maps(n: int, force: bool = False) -> Iterator[NonOrientedMap]:
@@ -217,7 +223,7 @@ def all_maps(n: int, force: bool = False) -> Iterator[NonOrientedMap]:
     for beta in pairings:
         for omega in pairings:
             for eps in pairings:
-                yield NonOrientedMap.from_arrays(labels, beta, omega, eps)
+                yield _new_map(labels, beta, omega, eps, None)
 
 
 def all_pairs(n: int, force: bool = False) -> Iterator[OrientedMap]:
@@ -272,20 +278,27 @@ def transitive_pairs_by_class(
                 yield _oriented_map(rho, s2, white_ids, black_ids), size
 
 
-_GROUP_KEYS = {
-    "canonical": lambda m: canonical_form(m, rooted=False),
-    "rooted-canonical": lambda m: canonical_form(m, rooted=True),
-    "graph-class": lambda m: graph_class(m).key,
-}
-
-
 def group_by(stream: Iterable[NonOrientedMap], key: str = "canonical") -> dict[bytes, int]:
-    """Multiset table of a map stream under one of the canonical keys."""
+    """Multiset table of a map stream under one of the canonical keys.
+
+    The ``"canonical"`` key is the unrooted canonical form, found through
+    ``maps.by_class`` (its docstring has the soundness argument): a map
+    whose side-0 trace came earlier in the stream takes the canonical form
+    of that class, so a form is computed once per class, not per map.  The
+    two dicts of that lookup live for this call only.
+    """
+    forms: dict[bytes, bytes] = {}
+    traces: dict[bytes, bytes] = {}
+    keys = {
+        "canonical": lambda m: by_class(m, forms, traces, canonical_form),
+        "rooted-canonical": lambda m: canonical_form(m, rooted=True),
+        "graph-class": lambda m: graph_class(m).key,
+    }
     try:
-        key_fn = _GROUP_KEYS[key]
+        key_fn = keys[key]
     except KeyError:
         raise ValueError(f"unknown grouping key {key!r}; "
-                         f"one of {sorted(_GROUP_KEYS)}") from None
+                         f"one of {sorted(keys)}") from None
     table: dict[bytes, int] = {}
     for m in stream:
         k = key_fn(m)

@@ -14,8 +14,9 @@ characters via Murnaghan-Nakayama), a literal transcription of the closed
 multirectangular polynomials for the first three characters, and the
 special-value identities at alpha in {1, 2, 1/2} that tie characters to
 map sums.  The closed forms are never expanded into monomials: they are
-evaluated at one point with every argument times a grading variable t, and
-the powers of t in the result separate the homogeneous parts.
+evaluated at one point, directly where only the value is read, and with
+every argument times a grading variable t where the homogeneous parts are
+(the powers of t in the result separate them).
 """
 
 from __future__ import annotations
@@ -109,12 +110,18 @@ def _m_to_p(d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
     return out
 
 
-def _inner(f: dict, g: dict, alpha: Fraction) -> Fraction:
+def _norms(parts, alpha: Fraction) -> dict[tuple[int, ...], Fraction]:
+    """<p_mu, p_mu> = z_mu * alpha^l(mu) for each mu of ``parts``."""
+    return {mu: z_of(mu) * alpha ** len(mu) for mu in parts}
+
+
+def _inner(f: dict, g: dict, norms: dict) -> Fraction:
+    """<f, g> of two p-expansions, with ``norms`` from :func:`_norms`."""
     total = Fraction(0)
     for mu, c in f.items():
         d = g.get(mu)
         if d:
-            total += c * d * z_of(mu) * alpha ** len(mu)
+            total += c * d * norms[mu]
     return total
 
 
@@ -133,18 +140,19 @@ def _jack_family(d: int, alpha: Fraction, extension: int = 0):
         raise JackGuardError("alpha must be positive")
     order = _extensions(d)[extension]
     m_in_p = _m_to_p(d)
+    p_norms = _norms(order, alpha)
     basis: dict[tuple[int, ...], dict] = {}
     norms: dict[tuple[int, ...], Fraction] = {}
     for lam in order:
         v = dict(m_in_p[lam])
         for kappa in basis:
-            c = _inner(v, basis[kappa], alpha) / norms[kappa]
+            c = _inner(v, basis[kappa], p_norms) / norms[kappa]
             if c:
                 for mu, x in basis[kappa].items():
                     v[mu] = v.get(mu, Fraction(0)) - c * x
         v = {mu: c for mu, c in v.items() if c != 0}
         basis[lam] = v
-        norms[lam] = _inner(v, v, alpha)
+        norms[lam] = _inner(v, v, p_norms)
     ones = (1,) * d
     out = {}
     for lam, v in basis.items():
@@ -170,7 +178,7 @@ def jack_in_p(lam, alpha, force: bool = False,
 
 
 def jack_inner_product(f: dict, g: dict, alpha) -> Fraction:
-    return _inner(f, g, _as_fraction(alpha))
+    return _inner(f, g, _norms(f, _as_fraction(alpha)))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,12 @@ two sides of each edge.  Everything else is derived:
 * components  = orbits of <beta, omega, eps>
 
 A :class:`NonOrientedMap` stores its labels once, as a sorted tuple, and
-each involution as a tuple of partner indices into it.  Maps are built from
-such arrays by one validating constructor, :meth:`NonOrientedMap.from_arrays`.
+each involution as a tuple of partner indices into it.  Input from outside
+is validated: :meth:`NonOrientedMap.from_arrays` is the one validating
+constructor, and :meth:`NonOrientedMap.from_pairs` and the JSON loader go
+through it.  Generated and derived maps are valid by construction: the
+enumerations, the ``degree-bounds`` sampler, edge removal and twisting
+build them from index tuples they made themselves, by ``_new_map``.
 The orbit kernels, edge removal, twisting and canonical forms all run on
 the index arrays; a label is found by bisection on the sorted tuple, and
 labels appear only at the API and JSON boundary, as sorted label pairs:
@@ -187,11 +191,12 @@ class NonOrientedMap:
     omega and ``_e`` for eps.  ``root``, when present, decorates one
     edge-side.
 
-    Every map built from scratch goes through :meth:`from_arrays`, the one
-    validating constructor; :meth:`from_pairs` converts label pairs and
-    calls it.  Maps derived by :func:`remove_edge` and :func:`twist_many`
-    are built straight from arrays by ``_new_map``, since they are valid by
-    construction.  ``beta``, ``omega`` and ``eps`` view the involutions as
+    Input from outside is validated: it goes through :meth:`from_arrays`,
+    the one validating constructor (:meth:`from_pairs` converts label pairs
+    and calls it).  Generated and derived maps are valid by construction:
+    the generators of :mod:`monmap.enumeration`, the ``degree-bounds``
+    sampler, :func:`remove_edge` and :func:`twist_many` build them straight
+    from the index tuples they made, by ``_new_map``.  ``beta``, ``omega`` and ``eps`` view the involutions as
     sorted label pairs (a, b) with a < b.  These views, kernel outputs,
     canonical forms and the side-0 trace are built on first access and
     cached per instance.
@@ -336,9 +341,12 @@ _SET_LABELS, _SET_B, _SET_W, _SET_E, _SET_ROOT = (
 
 
 def _new_map(labels, b, w, e, root) -> NonOrientedMap:
-    """Private constructor from index arrays, which makes every map; no
-    validation, so callers other than ``from_arrays`` pass arrays valid by
-    construction, as edge removal and twisting produce them.
+    """Private constructor from index tuples, which makes every map.
+
+    It validates nothing: ``from_arrays`` validates input from outside
+    first, and every other caller passes tuples valid by construction,
+    which it built itself (the generators, the ``degree-bounds`` sampler,
+    edge removal, twisting).
     """
     m = object.__new__(NonOrientedMap)
     _SET_LABELS(m, labels)

@@ -1,4 +1,6 @@
+import importlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,12 +12,12 @@ from monmap.enumeration import (GuardExceeded, all_maps, all_pairs,
                                 maps_by_face_type, one_face_orbits,
                                 polygon_pairings, single_polygon_pairs, transitive_pairs,
                                 transitive_pairs_by_class)
-from monmap.maps import (NonOrientedMap, canonical_form, faces, graph_class,
-                         structure)
+from monmap.maps import (NonOrientedMap, _component_trace, canonical_form,
+                         faces, graph_class, structure)
 from monmap.mon import mon_top
 from monmap.oriented import (bicolored_graph_oriented, graph_class_oriented,
-                             side_label)
-from monmap.verify import SECOND_THEOREM_POINTS
+                             partitions_of, side_label)
+from monmap.verify import SECOND_THEOREM_POINTS, suite_degree_bounds
 
 
 class TestInvolutions:
@@ -305,3 +307,90 @@ class TestGroupBy:
         first = [canonical_form(m) for m in conservative_one_face(3)]
         second = [canonical_form(m) for m in conservative_one_face(3)]
         assert first == second
+
+
+def validated(m):
+    """m rebuilt by the validating constructor, which raises unless its
+    arrays are fixed-point-free involutions of the label positions."""
+    return NonOrientedMap.from_arrays(m.labels, m._b, m._w, m._e, m.root)
+
+
+def first(pairs):
+    return (m for m, _ in pairs)
+
+
+GENERATED = {
+    **{f"all_maps-{n}": lambda n=n: all_maps(n) for n in (1, 2, 3)},
+    **{f"liberal_one_face-{n}": lambda n=n: liberal_one_face(n)
+       for n in (1, 2, 3)},
+    **{f"conservative_maps-{mu}": lambda mu=mu: conservative_maps(mu)
+       for d in range(1, 5) for mu in partitions_of(d)},
+    **{f"conservative_one_face-{n}": lambda n=n: conservative_one_face(n)
+       for n in range(1, 6)},
+    **{f"one_face_orbits-{n}": lambda n=n: first(one_face_orbits(n))
+       for n in range(1, 6)},
+    **{f"maps_by_face_type-{n}": lambda n=n: first(maps_by_face_type(n))
+       for n in range(1, 5)},
+}
+
+
+class TestGeneratedMapsValid:
+    """The generators build their maps without validating them; each map
+    must be one the validating constructor accepts and rebuilds equal
+    (partner tuples, not lists, so equal keys)."""
+
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_generator(self, name):
+        count = 0
+        for m in GENERATED[name]():
+            assert validated(m) == m
+            count += 1
+        assert count > 0
+
+    def test_degree_bounds_samples(self, monkeypatch):
+        # each sample is looked up once by its class, whatever its verdict
+        verify = importlib.import_module("monmap.verify")
+        drawn = []
+        real = verify.by_class
+        monkeypatch.setattr(verify, "by_class",
+                            lambda m, *rest: drawn.append(m) or real(m, *rest))
+        suite_degree_bounds(n_exhaustive=0, sampled=(4, 5), samples=100,
+                            seed=0)
+        assert len(drawn) == 200
+        for m in drawn:
+            assert validated(m) == m
+
+
+def side0_components_alike():
+    """Two disconnected maps on the labels 1..6: the one-edge component
+    {1, 2}, which holds side 0, and a two-edge component on 3..6 glued two
+    ways that are not isomorphic."""
+    beta = [(1, 2), (3, 4), (5, 6)]
+    omega = [(1, 2), (4, 5), (3, 6)]
+    return (NonOrientedMap.from_pairs(beta, omega, [(1, 2), (3, 5), (4, 6)]),
+            NonOrientedMap.from_pairs(beta, omega, [(1, 2), (3, 4), (5, 6)]))
+
+
+class TestGroupByTraceFirst:
+    """``group_by(.., "canonical")`` looks each map up by its side-0 trace
+    first; its table must be the one keyed by every map's own form."""
+
+    @pytest.mark.parametrize("stream", [
+        lambda: all_maps(2), lambda: liberal_one_face(3),
+        lambda: conservative_one_face(4)],
+        ids=["all_maps-2", "liberal_one_face-3", "conservative_one_face-4"])
+    def test_matches_canonical_form(self, stream):
+        assert group_by(stream(), "canonical") == Counter(
+            canonical_form(m) for m in stream())
+
+    def test_all_maps_2_has_disconnected_maps(self):
+        assert any(m._side_trace is None for m in all_maps(2))
+
+    def test_disconnected_maps_alike_at_side_0(self):
+        a, b = side0_components_alike()
+        assert (_component_trace(a._b, a._w, a._e, 0)
+                == _component_trace(b._b, b._w, b._e, 0))
+        assert canonical_form(a) != canonical_form(b)
+        fresh = side0_components_alike()  # nothing cached on them yet
+        assert group_by(fresh, "canonical") == {canonical_form(a): 1,
+                                                canonical_form(b): 1}

@@ -7,11 +7,12 @@ from hypothesis import given, strategies as st
 
 from monmap.algebra import SQRT2, GammaPoly, Sqrt2, gamma_of
 from monmap.diagrams import MultiRect, Partition
-from monmap.jack import (JackGuardError, JackParams, _m_to_p, ch, ch_stanley,
-                         conjugate, dominance_leq, jack_in_p,
+from monmap.jack import (JackGuardError, JackParams, _jack_family, _m_to_p, ch,
+                         ch_stanley, conjugate, dominance_leq, jack_in_p,
                          jack_inner_product, normalized_sn_character,
                          partitions_of, sn_character, sn_dimension,
                          stanley_closed_form, stanley_special)
+from monmap.oriented import z_of
 
 F = Fraction
 
@@ -60,6 +61,39 @@ class TestMonomialToPowerSums:
             assert all(dominance_leq(lam, mu) for mu in expansion)
 
 
+def per_term_gram_schmidt(d, alpha):
+    """The Jack theta tables of degree d by Gram-Schmidt along the
+    lexicographic order, with each <p_mu, p_mu> = z_mu alpha^l(mu)
+    computed afresh in every term of every inner product."""
+    def inner(f, g):
+        return sum((c * g[mu] * z_of(mu) * alpha ** len(mu)
+                    for mu, c in f.items() if g.get(mu)), F(0))
+
+    basis, norms = {}, {}
+    for lam in sorted(partitions_of(d)):
+        v = dict(_m_to_p(d)[lam])
+        for kappa, b in basis.items():
+            c = inner(v, b) / norms[kappa]
+            for mu, x in b.items():
+                v[mu] = v.get(mu, F(0)) - c * x
+        v = {mu: c for mu, c in v.items() if c}
+        basis[lam], norms[lam] = v, inner(v, v)
+    ones = (1,) * d
+    return {lam: {mu: c / v[ones] for mu, c in v.items()}
+            for lam, v in basis.items()}
+
+
+def jack_oracle_points():
+    """The (n, multirectangular point) pairs that ``jack-oracle`` checks."""
+    for a in (F(1), F(2), F(1, 2), F(3)):
+        for d in range(1, 7):
+            for lam in partitions_of(d):
+                pp, qq = Partition(lam).prime_coordinates()
+                mr = MultiRect.from_primes(pp, qq, a)
+                for n in (1, 2, 3):
+                    yield n, mr
+
+
 class TestJackInP:
     def test_degree_one(self):
         assert jack_in_p((1,), F(1)) == {(1,): 1}
@@ -101,6 +135,12 @@ class TestJackInP:
             a = jack_in_p(lam, F(3, 2), extension=0)
             b = jack_in_p(lam, F(3, 2), extension=1)
             assert a == b
+
+    @pytest.mark.parametrize("alpha", [F(1, 2), F(1), F(2), F(3), F(4),
+                                       F(1, 4), F(9)], ids=str)
+    def test_family_matches_per_term_gram_schmidt(self, alpha):
+        for d in range(1, 7):
+            assert _jack_family(d, alpha) == per_term_gram_schmidt(d, alpha)
 
     def test_guard(self):
         with pytest.raises(JackGuardError):
@@ -219,6 +259,14 @@ class TestStanleyPolynomials:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ch_stanley(2, F(0), (F(1),), (F(1), F(2)))
+
+    def test_closed_form_is_the_full_value(self):
+        # jack-oracle reads the closed form at its points directly
+        points = list(jack_oracle_points())
+        assert len(points) == 348
+        for n, mr in points:
+            assert (stanley_closed_form(n, mr.gamma, mr.P, mr.Q)
+                    == ch_stanley(n, mr.gamma, mr.P, mr.Q)[0])
 
     def test_ch_matches_closed_form_on_diagrams(self):
         for a in (F(1), F(2)):

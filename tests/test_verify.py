@@ -2,14 +2,19 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from monmap.algebra import GammaPoly
 from monmap.bijection import BijectionResult
-from monmap.maps import NonOrientedMap, _component_trace, canonical_form
+from monmap.enumeration import all_maps, transitive_pairs_by_class
+from monmap.maps import (NonOrientedMap, _component_trace, canonical_form,
+                         is_orientable, structure)
+from monmap.oriented import side_label
 from monmap.verify import (Check, Report, SUITES, report_from_json,
                            report_render, run_suite)
 
@@ -366,6 +371,20 @@ class TestRunSuite:
         report = verify.suite_degree_bounds(n_exhaustive=2, sampled=(3, 4),
                                             samples=50)
         assert [c.passed for c in report.checks] == [True, False, False, False]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_liberation_oriented_tables_keyed_by_canonical_form(self, n):
+        # the suite's tables share one by_class lookup between the sides;
+        # here every map is keyed by its own canonical form
+        verify = importlib.import_module("monmap.verify")
+        lhs, rhs = Counter(), Counter()
+        for om, size in transitive_pairs_by_class(n):
+            lhs[canonical_form(side_label(om))] += (
+                size * math.factorial(2 * n))
+        for m in all_maps(n):
+            if structure(m).components == 1 and is_orientable(m):
+                rhs[canonical_form(m)] += 2 * math.factorial(n)
+        assert verify._liberation_oriented_tables(n, False) == (lhs, rhs)
 
     def test_main_theorem_small(self):
         report = run_suite("main-theorem", ns=(1, 2))
