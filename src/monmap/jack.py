@@ -9,6 +9,13 @@ starting m_lam is written in that basis by back substitution: the
 coefficient of m_lam in p_mu counts the ways to fill the rows of lam with
 the parts of mu, and these counts are triangular for dominance.
 
+The Gram-Schmidt itself runs over Python ints: its norms are all b^d
+times the true ones (alpha = a/b), and every vector is a nonzero integer
+multiple of the rational one.  Neither scaling moves a projection, so the
+theta tables are exactly the rational ones (see ``_jack_family``).
+``jack_inner_product`` stays over Fraction, an independent check of the
+orthogonality.
+
 This module also carries the independent alpha = 1 oracle (symmetric-group
 characters via Murnaghan-Nakayama), a literal transcription of the closed
 multirectangular polynomials for the first three characters, and the
@@ -110,19 +117,9 @@ def _m_to_p(d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
     return out
 
 
-def _norms(parts, alpha: Fraction) -> dict[tuple[int, ...], Fraction]:
-    """<p_mu, p_mu> = z_mu * alpha^l(mu) for each mu of ``parts``."""
-    return {mu: z_of(mu) * alpha ** len(mu) for mu in parts}
-
-
-def _inner(f: dict, g: dict, norms: dict) -> Fraction:
-    """<f, g> of two p-expansions, with ``norms`` from :func:`_norms`."""
-    total = Fraction(0)
-    for mu, c in f.items():
-        d = g.get(mu)
-        if d:
-            total += c * d * norms[mu]
-    return total
+def _inner(f: dict, g: dict, norms: dict) -> int:
+    """<f, g> of two integer p-expansions, with <p_mu, p_mu> = norms[mu]."""
+    return sum(c * g[mu] * norms[mu] for mu, c in f.items() if mu in g)
 
 
 def _extensions(d: int):
@@ -135,30 +132,53 @@ def _extensions(d: int):
 
 @lru_cache(maxsize=None)
 def _jack_family(d: int, alpha: Fraction, extension: int = 0):
-    """theta tables for all |lam| = d at a fixed alpha: {lam: {mu: theta}}."""
+    """theta tables for all |lam| = d at a fixed alpha: {lam: {mu: theta}}.
+
+    Fraction-free Gram-Schmidt over Python ints.  With alpha = a/b, each
+    <p_mu, p_mu> = z_mu alpha^l(mu) is replaced by z_mu a^l(mu) b^(d-l(mu)),
+    its b^d multiple; each m_lam starts as its p-expansion times the lcm of
+    its denominators; and each projection is v <- <u,u> v - <v,u> u, after
+    which v is divided by the gcd of its entries (without it the entries
+    grow so fast that d = 7 takes minutes).  Every step scales all norms by
+    one constant or a basis vector by a nonzero integer, which leaves every
+    projection unchanged, so each final v is a multiple of the rational
+    Gram-Schmidt vector, and dividing by v[1^d] at the end (one Fraction
+    per entry) gives the same table entry for entry.
+    """
     if alpha <= 0:
         raise JackGuardError("alpha must be positive")
+    a, b = alpha.numerator, alpha.denominator
     order = _extensions(d)[extension]
     m_in_p = _m_to_p(d)
-    p_norms = _norms(order, alpha)
-    basis: dict[tuple[int, ...], dict] = {}
-    norms: dict[tuple[int, ...], Fraction] = {}
-    for lam in order:
-        v = dict(m_in_p[lam])
-        for kappa in basis:
-            c = _inner(v, basis[kappa], p_norms) / norms[kappa]
-            if c:
-                for mu, x in basis[kappa].items():
-                    v[mu] = v.get(mu, Fraction(0)) - c * x
-        v = {mu: c for mu, c in v.items() if c != 0}
-        basis[lam] = v
-        norms[lam] = _inner(v, v, p_norms)
-    ones = (1,) * d
+    p_norms = {mu: z_of(mu) * a ** len(mu) * b ** (d - len(mu))
+               for mu in order}
+    basis: list[tuple[dict[tuple[int, ...], int], int]] = []
     out = {}
-    for lam, v in basis.items():
-        scale = v[ones]
-        out[lam] = {mu: c / scale for mu, c in v.items()}
+    ones = (1,) * d
+    for lam in order:
+        m_lam = m_in_p[lam]
+        scale = math.lcm(*(c.denominator for c in m_lam.values()))
+        v = {mu: c.numerator * (scale // c.denominator)
+             for mu, c in m_lam.items()}
+        for u, uu in basis:
+            vu = _inner(v, u, p_norms)
+            if vu:
+                v = {mu: uu * x for mu, x in v.items()}
+                for mu, x in u.items():
+                    v[mu] = v.get(mu, 0) - vu * x
+                v = {mu: x for mu, x in v.items() if x}
+                g = math.gcd(*v.values())
+                v = {mu: x // g for mu, x in v.items()}
+        basis.append((v, _inner(v, v, p_norms)))
+        top = v[ones]
+        out[lam] = {mu: Fraction(x, top) for mu, x in v.items()}
     return out
+
+
+def _check_size(size: int, force: bool) -> None:
+    if size > JACK_SIZE_GUARD and not force:
+        raise JackGuardError(f"|lambda| = {size} exceeds the guard "
+                             f"({JACK_SIZE_GUARD}); {FORCE_HINT}")
 
 
 def jack_in_p(lam, alpha, force: bool = False,
@@ -166,19 +186,27 @@ def jack_in_p(lam, alpha, force: bool = False,
     """All theta coefficients of one Jack function: J_lam = sum theta_mu p_mu.
 
     The table covers every partition mu of |lam|, explicit zeros included.
+    ``extension`` picks the linear extension of dominance, 0 or 1.
     """
+    if type(extension) is not int or extension not in (0, 1):
+        raise ValueError(f"extension must be 0 or 1, not {extension!r}")
     lam = Partition(lam).parts
     alpha = _as_fraction(alpha)
-    if sum(lam) > JACK_SIZE_GUARD and not force:
-        raise JackGuardError(f"|lambda| = {sum(lam)} exceeds the guard "
-                             f"({JACK_SIZE_GUARD}); {FORCE_HINT}")
+    _check_size(sum(lam), force)
     sparse = _jack_family(sum(lam), alpha, extension)[lam]
     return {mu: sparse.get(mu, Fraction(0))
             for mu in partitions_of(sum(lam))}
 
 
 def jack_inner_product(f: dict, g: dict, alpha) -> Fraction:
-    return _inner(f, g, _norms(f, _as_fraction(alpha)))
+    """<f, g> of two p-expansions, <p_mu, p_mu> = z_mu alpha^l(mu).
+
+    Exact over Fraction, independently of the integer Gram-Schmidt."""
+    alpha = _as_fraction(alpha)
+    if alpha <= 0:
+        raise JackGuardError("alpha must be positive")
+    return sum((c * g[mu] * z_of(mu) * alpha ** len(mu)
+                for mu, c in f.items() if mu in g), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -215,9 +243,10 @@ def ch(pi, lam, params: JackParams, force: bool = False) -> Scalar:
     lam = Partition(lam) if not isinstance(lam, Partition) else lam
     if lam.size < pi.size:
         return params.A * 0
+    _check_size(lam.size, force)
     rho = tuple(sorted(pi.parts + (1,) * (lam.size - pi.size), reverse=True))
-    theta = jack_in_p(lam.parts, params.alpha,
-                      force=force).get(rho, Fraction(0))
+    # all three arguments, as jack_in_p passes them: one cache entry for both
+    theta = _jack_family(lam.size, params.alpha, 0)[lam.parts].get(rho, 0)
     m1 = pi.mult(1)
     binom = math.comb(lam.size - pi.size + m1, m1)
     return params.A ** (pi.length - pi.size) * (binom * pi.z * theta)

@@ -61,16 +61,16 @@ class TestMonomialToPowerSums:
             assert all(dominance_leq(lam, mu) for mu in expansion)
 
 
-def per_term_gram_schmidt(d, alpha):
-    """The Jack theta tables of degree d by Gram-Schmidt along the
-    lexicographic order, with each <p_mu, p_mu> = z_mu alpha^l(mu)
-    computed afresh in every term of every inner product."""
+def per_term_gram_schmidt(d, alpha, order=None):
+    """The Jack theta tables of degree d by Gram-Schmidt over Fraction along
+    ``order`` (default: the lexicographic order), with each <p_mu, p_mu> =
+    z_mu alpha^l(mu) computed afresh in every term of every inner product."""
     def inner(f, g):
         return sum((c * g[mu] * z_of(mu) * alpha ** len(mu)
                     for mu, c in f.items() if g.get(mu)), F(0))
 
     basis, norms = {}, {}
-    for lam in sorted(partitions_of(d)):
+    for lam in order or sorted(partitions_of(d)):
         v = dict(_m_to_p(d)[lam])
         for kappa, b in basis.items():
             c = inner(v, b) / norms[kappa]
@@ -142,11 +142,50 @@ class TestJackInP:
         for d in range(1, 7):
             assert _jack_family(d, alpha) == per_term_gram_schmidt(d, alpha)
 
+    @pytest.mark.parametrize("alpha", [F(2, 3), F(5, 3), F(1, 9)], ids=str)
+    def test_family_matches_per_term_gram_schmidt_with_denominators(
+            self, alpha):
+        for d in range(1, 7):
+            assert _jack_family(d, alpha) == per_term_gram_schmidt(d, alpha)
+
+    @pytest.mark.parametrize("alpha", [F(1, 2), F(1), F(3), F(2, 3),
+                                       F(5, 3), F(1, 9)], ids=str)
+    def test_second_extension_matches_per_term_gram_schmidt(self, alpha):
+        # Gram-Schmidt along the conjugate order, the reference's too
+        for d in range(1, 7):
+            order = sorted(partitions_of(d), key=conjugate, reverse=True)
+            assert (_jack_family(d, alpha, 1)
+                    == per_term_gram_schmidt(d, alpha, order))
+
+    @pytest.mark.parametrize("alpha", [F(1, 2), F(2, 3), F(7, 4)], ids=str)
+    def test_degree_seven_matches_per_term_gram_schmidt(self, alpha):
+        assert _jack_family(7, alpha) == per_term_gram_schmidt(7, alpha)
+
     def test_guard(self):
         with pytest.raises(JackGuardError):
             jack_in_p((7,), F(1))
         with pytest.raises(JackGuardError):
             jack_in_p((2,), F(-1))
+
+    @pytest.mark.parametrize("extension", [2, -1, True, 1.0, "0", None],
+                             ids=repr)
+    def test_extension_is_zero_or_one(self, extension):
+        misses = _jack_family.cache_info().misses
+        with pytest.raises(ValueError, match="extension must be 0 or 1"):
+            jack_in_p((2, 1), F(1), extension=extension)
+        assert _jack_family.cache_info().misses == misses
+
+    @pytest.mark.parametrize("alpha", [F(0), F(-2), -1], ids=str)
+    def test_inner_product_needs_positive_alpha(self, alpha):
+        with pytest.raises(JackGuardError, match="alpha must be positive"):
+            jack_inner_product({(1,): F(1)}, {(1,): F(1)}, alpha)
+
+    def test_inner_product_weighs_shared_keys(self):
+        f = {(2,): F(1), (1, 1): F(3)}
+        g = {(1, 1): F(1, 2), (3,): F(5)}
+        # only (1, 1) is shared: z = 2, alpha^2 = 9
+        assert jack_inner_product(f, g, F(3)) == F(3, 2) * 2 * 9
+        assert jack_inner_product(f, {}, F(3)) == 0
 
 
 class TestCh:
@@ -182,6 +221,47 @@ class TestCh:
         v = ch((2,), (2, 2), JackParams.from_A(SQRT2))
         assert isinstance(v, Sqrt2)
         assert v == Sqrt2(0, 2)
+
+    def test_equals_scaled_theta_on_the_jack_oracle_grid(self):
+        # Ch_pi(lam) = A^(l(pi)-|pi|) binom(|lam|-|pi|+m_1, m_1) z_pi
+        # theta_rho(lam), rho = pi u 1^(|lam|-|pi|), read through jack_in_p
+        points = 0
+        for a in (F(1), F(2), F(1, 2), F(3)):
+            params = JackParams.from_A(a)
+            for d in range(1, 7):
+                for lam in partitions_of(d):
+                    for n in (1, 2, 3):
+                        pi = (n,)
+                        points += 1
+                        if d < n:
+                            assert ch(pi, lam, params) == 0
+                            continue
+                        rho = tuple(sorted(pi + (1,) * (d - n),
+                                           reverse=True))
+                        m1 = pi.count(1)
+                        expected = (a ** (len(pi) - n)
+                                    * math.comb(d - n + m1, m1) * z_of(pi)
+                                    * jack_in_p(lam, a * a)[rho])
+                        assert ch(pi, lam, params) == expected
+        assert points == 348
+
+    def test_shares_the_family_with_jack_in_p(self):
+        a = F(13, 7)  # alpha = 169/49 is used by no other test
+        misses = _jack_family.cache_info().misses
+        jack_in_p((3, 1), a * a)
+        ch((2,), (2, 1, 1), JackParams.from_A(a))
+        ch((2,), (2, 2), JackParams(a * a, -a))
+        assert _jack_family.cache_info().misses == misses + 1
+
+    def test_guard_names_force(self):
+        params = JackParams.from_A(F(1))
+        with pytest.raises(JackGuardError,
+                           match=r"^\|lambda\| = 7 exceeds the guard \(6\); "
+                                 r"pass force=True to override$"):
+            ch((1,), (4, 3), params)
+        assert ch((1,), (4, 3), params, force=True) == 7
+        # below the support the guard is not reached
+        assert ch((8,), (4, 3), params) == 0
 
 
 class TestMurnaghanNakayama:
