@@ -162,10 +162,6 @@ class GammaPoly:
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
@@ -240,4 +236,3 @@ class GammaPoly:
 ZERO = GammaPoly()
 ONE = GammaPoly((1,))
 GAMMA = GammaPoly((0, 1))
-HALF = GammaPoly((Fraction(1, 2),))

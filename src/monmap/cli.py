@@ -23,7 +23,7 @@ from .jack import JackGuardError, JackParams, ch, ch_stanley, jack_in_p
 from .maps import (MapError, bicolored_graph, checked_pairs, load_fixture,
                    map_from_json_obj, map_to_json_obj, structure, graph_class,
                    is_orientable, faces)
-from .mon import mon, mon_top_detail
+from .mon import is_top_degree_pair, mon, mon_top_detail
 from .oriented import oriented_to_json_obj
 from .verify import SUITES, SUITE_ALIASES, report_render, run_suite
 
@@ -192,8 +192,6 @@ def cmd_bijection(args) -> int:
     history = _parse_history(args.history)
     fn = phi if args.direction == "apply" else phi_inverse
     res = fn(m, history)
-    from .mon import is_top_degree_pair
-
     _emit({
         "map": map_to_json_obj(res.map),
         "twists": [list(e) for e in res.twists],

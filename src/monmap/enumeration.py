@@ -14,11 +14,9 @@ from itertools import permutations
 from typing import Iterable, Iterator
 
 from . import kernels
-from .maps import (NonOrientedMap, _new_map, by_class, canonical_form,
-                   graph_class)
+from .maps import NonOrientedMap, _new_map, by_class, canonical_form
 from .oriented import (OrientedMap, _connected, _oriented_map, cycle_ids,
-                       cycle_type_permutation, is_transitive, partitions_of,
-                       z_of)
+                       cycle_type_permutation, partitions_of, z_of)
 
 
 class GuardExceeded(ValueError):
@@ -235,16 +233,10 @@ def all_pairs(n: int, force: bool = False) -> Iterator[OrientedMap]:
             yield OrientedMap(s1, s2)
 
 
-def transitive_pairs(n: int, force: bool = False) -> Iterator[OrientedMap]:
-    """The connected ones among :func:`all_pairs`."""
-    for m in all_pairs(n, force):
-        if is_transitive(m):
-            yield m
-
-
 def transitive_pairs_by_class(
         n: int, force: bool = False) -> Iterator[tuple[OrientedMap, int]]:
-    """:func:`transitive_pairs` up to conjugacy of sigma1, with weights.
+    """The transitive pairs of S_n x S_n (those whose group <sigma1, sigma2>
+    has one orbit on the edges) up to conjugacy of sigma1, with weights.
 
     For each partition lambda of n, yields ``(OrientedMap(rho, sigma2),
     n!/z_lambda)`` for every sigma2 making the pair transitive, where rho
@@ -278,29 +270,19 @@ def transitive_pairs_by_class(
                 yield _oriented_map(rho, s2, white_ids, black_ids), size
 
 
-def group_by(stream: Iterable[NonOrientedMap], key: str = "canonical") -> dict[bytes, int]:
-    """Multiset table of a map stream under one of the canonical keys.
+def group_by(stream: Iterable[NonOrientedMap]) -> dict[bytes, int]:
+    """Multiset table of a map stream by canonical form.
 
-    The ``"canonical"`` key is the unrooted canonical form, found through
-    ``maps.by_class`` (its docstring has the soundness argument): a map
-    whose side-0 trace came earlier in the stream takes the canonical form
-    of that class, so a form is computed once per class, not per map.  The
-    two dicts of that lookup live for this call only.
+    The form is found through ``maps.by_class`` (its docstring has the
+    soundness argument): a map whose side-0 trace came earlier in the
+    stream takes the canonical form of that class, so a form is computed
+    once per class, not per map.  The two dicts of that lookup live for
+    this call only.
     """
     forms: dict[bytes, bytes] = {}
     traces: dict[bytes, bytes] = {}
-    keys = {
-        "canonical": lambda m: by_class(m, forms, traces, canonical_form),
-        "rooted-canonical": lambda m: canonical_form(m, rooted=True),
-        "graph-class": lambda m: graph_class(m).key,
-    }
-    try:
-        key_fn = keys[key]
-    except KeyError:
-        raise ValueError(f"unknown grouping key {key!r}; "
-                         f"one of {sorted(keys)}") from None
     table: dict[bytes, int] = {}
     for m in stream:
-        k = key_fn(m)
+        k = by_class(m, forms, traces, canonical_form)
         table[k] = table.get(k, 0) + 1
     return table

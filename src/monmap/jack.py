@@ -61,17 +61,6 @@ def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def dominance_leq(a: Sequence[int], b: Sequence[int]) -> bool:
-    """True iff a is dominated by b (same size)."""
-    sa = sb = 0
-    for i in range(max(len(a), len(b))):
-        sa += a[i] if i < len(a) else 0
-        sb += b[i] if i < len(b) else 0
-        if sa > sb:
-            return False
-    return True
-
-
 def _fillings(parts: tuple[int, ...], rows: tuple[int, ...]) -> int:
     """R(mu, lam): the ways to put the parts of mu into rows of lengths lam
     so that every row is filled exactly, i.e. the coefficient of m_lam in p_mu.
@@ -131,7 +120,7 @@ def _extensions(d: int):
 
 
 @lru_cache(maxsize=None)
-def _jack_family(d: int, alpha: Fraction, extension: int = 0):
+def _jack_family(d: int, alpha: Fraction, extension: int):
     """theta tables for all |lam| = d at a fixed alpha: {lam: {mu: theta}}.
 
     Fraction-free Gram-Schmidt over Python ints.  With alpha = a/b, each
@@ -218,6 +207,8 @@ class JackParams:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _as_fraction(self.alpha))
+        if self.alpha <= 0:
+            raise JackGuardError("alpha must be positive")
         if not isinstance(self.A, Sqrt2):
             object.__setattr__(self, "A", _as_fraction(self.A))
         if self.A * self.A != self.alpha:
@@ -245,7 +236,6 @@ def ch(pi, lam, params: JackParams, force: bool = False) -> Scalar:
         return params.A * 0
     _check_size(lam.size, force)
     rho = tuple(sorted(pi.parts + (1,) * (lam.size - pi.size), reverse=True))
-    # all three arguments, as jack_in_p passes them: one cache entry for both
     theta = _jack_family(lam.size, params.alpha, 0)[lam.parts].get(rho, 0)
     m1 = pi.mult(1)
     binom = math.comb(lam.size - pi.size + m1, m1)

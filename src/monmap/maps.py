@@ -15,13 +15,13 @@ each involution as a tuple of partner indices into it.  Input from outside
 is validated: :meth:`NonOrientedMap.from_arrays` is the one validating
 constructor, and :meth:`NonOrientedMap.from_pairs` and the JSON loader go
 through it.  Generated and derived maps are valid by construction: the
-enumerations, the ``degree-bounds`` sampler, edge removal and twisting
-build them from index tuples they made themselves, by ``_new_map``.
-The orbit kernels, edge removal, twisting and canonical forms all run on
-the index arrays; a label is found by bisection on the sorted tuple, and
-labels appear only at the API and JSON boundary, as sorted label pairs:
-:meth:`NonOrientedMap.from_pairs` takes them in, and the
-``beta``/``omega``/``eps`` views give them back.
+enumerations, the ``degree-bounds`` sampler, edge removal and
+:func:`twist_many` build them from index tuples they made themselves, by
+``_new_map``.  The orbit kernels, edge removal, twisting and the canonical
+form all run on the index arrays; a label is found by bisection on the
+sorted tuple, and labels appear only at the API and JSON boundary, as
+sorted label pairs: :meth:`NonOrientedMap.from_pairs` takes them in, and
+the ``beta``/``omega``/``eps`` views give them back.
 
 All values are immutable; every operation is a pure function returning new
 values, so instances are safe to share and to use as cache keys.
@@ -77,12 +77,6 @@ class EdgeKind(enum.Enum):
     STRAIGHT = "straight"
     TWISTED = "twisted"
     INTERFACE = "interface"
-
-
-@dataclass(frozen=True)
-class EdgeRole:
-    is_bridge: bool
-    is_leaf: bool
 
 
 @dataclass(frozen=True)
@@ -196,10 +190,10 @@ class NonOrientedMap:
     and calls it).  Generated and derived maps are valid by construction:
     the generators of :mod:`monmap.enumeration`, the ``degree-bounds``
     sampler, :func:`remove_edge` and :func:`twist_many` build them straight
-    from the index tuples they made, by ``_new_map``.  ``beta``, ``omega`` and ``eps`` view the involutions as
-    sorted label pairs (a, b) with a < b.  These views, kernel outputs,
-    canonical forms and the side-0 trace are built on first access and
-    cached per instance.
+    from the index tuples they made, by ``_new_map``.  ``beta``, ``omega``
+    and ``eps`` view the involutions as sorted label pairs (a, b) with
+    a < b.  These views, kernel outputs, the canonical form and the side-0
+    trace are built on first access and cached per instance.
     """
 
     __slots__ = ("labels", "_b", "_w", "_e", "root", "__dict__")
@@ -271,10 +265,6 @@ class NonOrientedMap:
         """The edges as sorted label pairs (a, b) with a < b."""
         return self.eps
 
-    def with_root(self, root: Optional[int]) -> "NonOrientedMap":
-        _check_root(self.labels, root)
-        return _new_map(self.labels, self._b, self._w, self._e, root)
-
     # -- derived data, cached per instance ---------------------------------
 
     @_cached
@@ -295,11 +285,7 @@ class NonOrientedMap:
 
     @_cached
     def _canonical(self) -> bytes:
-        return _canonical_bytes(self, rooted=False)
-
-    @_cached
-    def _canonical_rooted(self) -> bytes:
-        return _canonical_bytes(self, rooted=True)
+        return _canonical_bytes(self)
 
     @_cached
     def _side_trace(self) -> Optional[bytes]:
@@ -457,13 +443,11 @@ def remove_edge(m: NonOrientedMap, e) -> NonOrientedMap:
                     root)
 
 
-def twist(m: NonOrientedMap, e) -> NonOrientedMap:
-    """Conjugate the white pairing by the transposition of e's two sides."""
-    return twist_many(m, (e,))
-
-
 def twist_many(m: NonOrientedMap, edges) -> NonOrientedMap:
-    """Twist a set of (necessarily disjoint) edges; order is irrelevant."""
+    """Twist a set of (necessarily disjoint) edges; order is irrelevant.
+
+    Twisting edge e conjugates the white pairing by the transposition of
+    e's two sides."""
     return _twist_sides(m, [_edge_index(m, e) for e in edges])
 
 
@@ -485,25 +469,17 @@ def _twist_sides(m: NonOrientedMap, sides) -> NonOrientedMap:
         m.labels, m._b, tuple([swap[w[x]] for x in swap]), m._e, m.root)
 
 
-def edge_role(m: NonOrientedMap, e) -> EdgeRole:
-    """Leaf: an endpoint has degree one.  Bridge: removal splits a component.
-
-    Removing a pendant edge deletes the pendant vertex rather than leaving
-    a second component, so a leaf is never a bridge here; the single-edge
-    component counts as a leaf.
-    """
-    i, j = _edge_index(m, e)
-    return EdgeRole(
-        is_bridge=(remove_edge(m, e)._component_data[1]
-                   > m._component_data[1]),
-        is_leaf=m._b[i] == j or m._w[i] == j)
-
-
 def _bridge_or_leaf(before: NonOrientedMap, after: NonOrientedMap,
                     i: int, j: int) -> bool:
     """Whether the edge at positions i, j of ``before`` is a bridge or a
-    leaf there (``edge_role``), where ``after`` is ``before`` with it
-    removed: the component counts of the two give the bridge test."""
+    leaf there, where ``after`` is ``before`` with it removed.
+
+    Leaf: an endpoint has degree one, so the edge is its own partner under
+    beta or omega.  Bridge: its removal splits a component, which the
+    component counts of the two maps give.  Removing a pendant edge deletes
+    the pendant vertex rather than leaving a second component, so a leaf
+    is never a bridge; the single-edge component counts as a leaf.
+    """
     return (before._b[i] == j or before._w[i] == j
             or after._component_data[1] > before._component_data[1])
 
@@ -513,8 +489,9 @@ def _component_trace(b, w, e, start: int, best=None):
 
     The trace lists, for each discovered position in discovery order, the
     discovery indices of its three partners.  Two starts yield equal traces
-    exactly when some label bijection maps one rooted component to the
-    other, which is what canonical forms minimize over.
+    exactly when some label bijection maps the one component onto the
+    other and the one start onto the other, which is what the canonical
+    form minimizes over.
 
     A position's triple is known when the BFS dequeues it, so the trace is
     built as the BFS runs.  Given ``best``, a trace of the same component,
@@ -551,22 +528,20 @@ def _component_trace(b, w, e, start: int, best=None):
     return tuple(out)
 
 
-def canonical_form(m: NonOrientedMap, rooted: bool = False) -> bytes:
+def canonical_form(m: NonOrientedMap) -> bytes:
     """Canonical byte string: equal iff the maps are label-isomorphic.
 
-    Per component, the minimum BFS trace over all starting labels (for the
-    rooted form the root's component starts at the root only); component
-    encodings are sorted.  Memoized on the map.
+    Per component, the minimum BFS trace over all starting labels;
+    component encodings are sorted.  The root plays no part.  Memoized on
+    the map.
     """
-    if rooted and m.root is None:
-        raise MapError("rooted canonical form requires a root")
-    return m._canonical_rooted if rooted else m._canonical
+    return m._canonical
 
 
 def by_class(m: NonOrientedMap, by_form: dict, by_trace: dict, compute):
     """``compute(m)``, kept once per isomorphism class of m, for a value
     that depends on m only up to relabelling.  ``by_form`` maps the
-    unrooted canonical form to the value, and ``by_trace`` maps the trace
+    canonical form to the value, and ``by_trace`` maps the trace
     from side 0 (``m._side_trace``, kept on the map) to the same value.
 
     m is looked up first by its trace, one BFS where the canonical form
@@ -589,29 +564,20 @@ def by_class(m: NonOrientedMap, by_form: dict, by_trace: dict, compute):
     return value
 
 
-def _canonical_bytes(m: NonOrientedMap, rooted: bool) -> bytes:
+def _canonical_bytes(m: NonOrientedMap) -> bytes:
     b, w, e = m._b, m._w, m._e
     ids, count, _ = m._component_data
     comps: list[list[int]] = [[] for _ in range(count)]
     for i, cid in enumerate(ids):
         comps[cid].append(i)
-    root = _position(m.labels, m.root) if rooted else -1
-    root_trace = None
     rest = []
     for comp in comps:
-        if root in comp:
-            root_trace = _component_trace(b, w, e, root)
-            continue
         best = None
         for s in comp:
             best = _component_trace(b, w, e, s, best) or best
         rest.append(best)
     rest.sort()
-    if rooted:
-        payload = ("R", root_trace, tuple(rest))
-    else:
-        payload = ("U", tuple(rest))
-    return repr(payload).encode()
+    return repr(("U", tuple(rest))).encode()
 
 
 def bicolored_graph(m: NonOrientedMap) -> BicoloredGraph:

@@ -48,18 +48,12 @@ from math import factorial
 from typing import Optional, Sequence
 
 from . import kernels
-from .algebra import GAMMA, HALF, ONE, GammaPoly
+from .algebra import GammaPoly
 from .maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
                    _edge_index, _edge_kind, by_class, checked_pairs,
-                   classify_edge, remove_edge)
+                   remove_edge)
 
-_WEIGHTS = {
-    EdgeKind.STRAIGHT: ONE,
-    EdgeKind.TWISTED: GAMMA,
-    EdgeKind.INTERFACE: HALF,
-}
-
-# unrooted canonical form -> _mon_pair's integer counts (T, K)
+# canonical form -> _mon_pair's integer counts (T, K)
 _MON_CACHE: dict[bytes, tuple[tuple[int, ...], int]] = {}
 # side-0 trace of a connected map -> the same _MON_CACHE entry
 _MON_TRACES: dict[bytes, tuple[tuple[int, ...], int]] = {}
@@ -73,10 +67,6 @@ def clear_caches():
     _MON_TRACES.clear()
     _STATES.clear()
     _monomial.cache_clear()
-
-
-def edge_weight(m: NonOrientedMap, e) -> GammaPoly:
-    return _WEIGHTS[classify_edge(m, e)]
 
 
 def _check_history(m: NonOrientedMap, history: Sequence):
@@ -148,12 +138,8 @@ def is_top_degree_map(m: NonOrientedMap) -> bool:
     return m._face_data[2] == m._component_data[1]
 
 
-def failing_prefix(m: NonOrientedMap, history: Sequence) -> Optional[int]:
-    """Index i such that M_i is not top-degree, or None if the pair is."""
-    return _failing_prefix(_states(m, _check_history(m, history)))
-
-
 def _failing_prefix(states) -> Optional[int]:
+    """Index i such that states[i] is not top-degree, or None if none is."""
     return next((i for i, state in enumerate(states)
                  if not is_top_degree_map(state)), None)
 
@@ -172,7 +158,8 @@ def _removals_admissible(states, edges) -> bool:
 
 
 def is_top_degree_pair(m: NonOrientedMap, history: Sequence) -> bool:
-    return failing_prefix(m, history) is None
+    """Whether every residual map along the history is top-degree."""
+    return _failing_prefix(_states(m, _check_history(m, history))) is None
 
 
 def _mon_pair(m: NonOrientedMap) -> tuple[tuple[int, ...], int]:

@@ -18,13 +18,11 @@ elements (:func:`z_of`) and contains :func:`cycle_type_permutation`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .maps import (BicoloredGraph, BicoloredGraphClass, MapError,
-                   NonOrientedMap, _cached, _check_labels,
-                   canonical_graph_class)
+from .maps import (BicoloredGraph, MapError, NonOrientedMap, _cached,
+                   _check_labels)
 
 
 def _perm_from_cycles(n: int, cycles) -> tuple[int, ...]:
@@ -120,26 +118,6 @@ def cycle_type_permutation(parts: Iterable[int]) -> tuple[int, ...]:
     return tuple(img)
 
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """(a o b): apply b first."""
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-@dataclass(frozen=True)
-class OrientedStructure:
-    whites: int
-    blacks: int
-    faces: int
-    components: int
-    euler: int
-    genus: Optional[int]
-    component_genera: tuple[int, ...]
-
-    @property
-    def vertices(self) -> int:
-        return self.whites + self.blacks
-
-
 class OrientedMap:
     """Oriented bicolored map with edges labeled 1..n."""
 
@@ -182,10 +160,6 @@ class OrientedMap:
         return perm_cycles(self.sigma2)
 
     @_cached
-    def face_cycles(self):
-        return perm_cycles(_compose(self.sigma2, self.sigma1))
-
-    @_cached
     def _white_ids(self):
         """(white vertex of each edge, white count), by :func:`cycle_ids`."""
         return cycle_ids(self.sigma1)
@@ -221,13 +195,6 @@ def _oriented_map(sigma1, sigma2, white_ids, black_ids) -> OrientedMap:
     return m
 
 
-def is_transitive(m: OrientedMap) -> bool:
-    """True iff <sigma1, sigma2> has a single orbit on the edge set."""
-    if m.n == 0:
-        raise MapError("transitivity needs at least one edge")
-    return _connected(m._white_ids, m._black_ids)
-
-
 def _connected(white_ids, black_ids) -> bool:
     """Whether the graph whose edge k joins white vertex ``white_ids[0][k]``
     to black vertex ``black_ids[0][k]`` is connected (the arguments are
@@ -249,56 +216,6 @@ def _connected(white_ids, black_ids) -> bool:
             parent[x] = y
             merges += 1
     return merges == whites + blacks - 1
-
-
-def oriented_structure(m: OrientedMap) -> OrientedStructure:
-    if m.n == 0:
-        raise MapError("structure of the empty oriented map is undefined")
-    whites = len(m.white_cycles)
-    blacks = len(m.black_cycles)
-    n_faces = len(m.face_cycles)
-    comp_edges = _component_edge_sets(m)
-    comps = len(comp_edges)
-    euler = n_faces - m.n + whites + blacks
-    genera = []
-    if comps == 1:
-        genera.append((2 - euler) // 2)
-    else:
-        for edges in comp_edges:
-            sub = _restrict(m, edges)
-            genera.append((2 - (len(sub.face_cycles) - sub.n
-                                + len(sub.white_cycles)
-                                + len(sub.black_cycles))) // 2)
-    genus = genera[0] if comps == 1 else None
-    return OrientedStructure(whites, blacks, n_faces, comps, euler, genus,
-                             tuple(genera))
-
-
-def _component_edge_sets(m: OrientedMap):
-    parent = list(range(m.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in (m.sigma1, m.sigma2):
-        for i, j in enumerate(perm):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    comps: dict[int, list[int]] = {}
-    for e in range(m.n):
-        comps.setdefault(find(e), []).append(e + 1)
-    return [comps[k] for k in sorted(comps)]
-
-
-def _restrict(m: OrientedMap, edges: list[int]) -> OrientedMap:
-    pos = {e: i for i, e in enumerate(edges)}
-    s1 = tuple(pos[m.sigma1[e - 1] + 1] for e in edges)
-    s2 = tuple(pos[m.sigma2[e - 1] + 1] for e in edges)
-    return OrientedMap(s1, s2)
 
 
 def default_side_labeling(n: int) -> dict[tuple[int, int], int]:
@@ -348,10 +265,6 @@ def bicolored_graph_oriented(m: OrientedMap) -> BicoloredGraph:
                           tuple(sorted(zip(black_ids, white_ids))))
 
 
-def graph_class_oriented(m: OrientedMap) -> BicoloredGraphClass:
-    return canonical_graph_class(bicolored_graph_oriented(m))
-
-
 def oriented_to_json_obj(m: OrientedMap) -> dict:
     obj = {
         "n": m.n,
@@ -361,8 +274,3 @@ def oriented_to_json_obj(m: OrientedMap) -> dict:
     if m.root is not None:
         obj["root"] = m.root
     return obj
-
-
-def oriented_from_json_obj(obj: dict) -> OrientedMap:
-    return OrientedMap.from_cycles(obj["n"], obj["sigma1"], obj["sigma2"],
-                                   obj.get("root"))

@@ -14,7 +14,7 @@ class TestGammaPoly:
     def test_mon_klein_shape(self):
         p = GammaPoly((F(1, 6), 0, F(2, 3)))
         assert p.degree == 2
-        assert p.leading_coefficient == F(2, 3)
+        assert p.coefficient(p.degree) == F(2, 3)
         assert p.coefficient(0) == F(1, 6)
         assert p.coefficient(1) == 0
         assert p.coefficient(7) == 0
@@ -25,7 +25,7 @@ class TestGammaPoly:
         assert p + ZERO == p
         assert ZERO * p == ZERO
         assert ZERO.degree == float("-inf")
-        assert ZERO.leading_coefficient == 0
+        assert ZERO.coeffs == ()
 
     def test_trailing_zeros_trimmed(self):
         assert GammaPoly((1, 0, 0)) == GammaPoly((1,))

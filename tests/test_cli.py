@@ -299,7 +299,12 @@ class TestJackAndCh:
          "must be positive"),
         (("jack", "--lambda", "1,2", "--alpha", "1"),
          "must be weakly decreasing"),
-    ], ids=["ch-pi-zero", "ch-lambda-zero", "jack-increasing"])
+        (("ch", "--pi", "3", "--lambda", "2", "--A", "0"),
+         "alpha must be positive"),
+        (("ch", "--pi", "1", "--lambda", "2", "--A", "0"),
+         "alpha must be positive"),
+    ], ids=["ch-pi-zero", "ch-lambda-zero", "jack-increasing",
+            "ch-A-zero-pi-larger", "ch-A-zero"])
     def test_malformed_partition_refused(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""

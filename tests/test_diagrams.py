@@ -19,10 +19,11 @@ from monmap.jack import (JackParams, ch, ch_stanley, jack_in_p,
 from monmap.maps import (BicoloredGraph, bicolored_graph, canonical_form,
                          canonical_graph_class, graph_class, structure)
 from monmap.mon import mon, mon_top, mon_top_detail
-from monmap.oriented import (OrientedMap, cycle_type_permutation,
-                             graph_class_oriented, oriented_structure,
-                             partitions_of, z_of)
+from monmap.oriented import (OrientedMap, bicolored_graph_oriented,
+                             cycle_type_permutation, partitions_of, z_of)
 from monmap.verify import SECOND_THEOREM_POINTS, _printed_grid, run_suite
+
+from conftest import oriented_components
 
 F = Fraction
 
@@ -313,7 +314,7 @@ def embedded_classes(monkeypatch):
 
 def top_degree_classes(n):
     """Class keys of the transitive pairs and one-face maps with n edges."""
-    return ({graph_class_oriented(om).key
+    return ({canonical_graph_class(bicolored_graph_oriented(om)).key
              for om, _ in transitive_pairs_by_class(n)}
             | {graph_class(m).key for m in conservative_one_face(n)})
 
@@ -347,7 +348,7 @@ class TestOneCountPerClass:
     def test_stanley_special(self, embedded_classes, alpha):
         stanley_special((2, 1), (2, 1), alpha)
         if alpha == 1:
-            expected = {graph_class_oriented(om).key
+            expected = {canonical_graph_class(bicolored_graph_oriented(om)).key
                         for om in oriented_face_type_maps((2, 1))}
         else:
             expected = {graph_class(m).key for m in conservative_maps((2, 1))}
@@ -409,7 +410,7 @@ def reference_oriented_table(n):
         size = math.factorial(n) // z_of(lam)
         for s2 in perms:
             om = OrientedMap(rho, s2)
-            if oriented_structure(om).components != 1:
+            if oriented_components(om) != 1:
                 continue
             white_of = {x: i for i, cyc in enumerate(om.white_cycles)
                         for x in cyc}

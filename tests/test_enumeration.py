@@ -10,14 +10,22 @@ from monmap.enumeration import (GuardExceeded, all_maps, all_pairs,
                                 conservative_maps, conservative_one_face,
                                 group_by, involutions, liberal_one_face,
                                 maps_by_face_type, one_face_orbits,
-                                polygon_pairings, single_polygon_pairs, transitive_pairs,
+                                polygon_pairings, single_polygon_pairs,
                                 transitive_pairs_by_class)
 from monmap.maps import (NonOrientedMap, _component_trace, canonical_form,
-                         faces, graph_class, structure)
+                         canonical_graph_class, faces, graph_class, structure)
 from monmap.mon import mon_top
-from monmap.oriented import (bicolored_graph_oriented, graph_class_oriented,
-                             partitions_of, side_label)
+from monmap.oriented import (bicolored_graph_oriented, partitions_of,
+                             side_label)
 from monmap.verify import SECOND_THEOREM_POINTS, suite_degree_bounds
+
+from conftest import is_transitive
+
+
+def transitive_pairs(n):
+    """The transitive ones among all_pairs(n): the reference for
+    transitive_pairs_by_class."""
+    return (om for om in all_pairs(n) if is_transitive(om))
 
 
 class TestInvolutions:
@@ -96,8 +104,8 @@ class TestLiberal:
         assert len(list(single_polygon_pairs(2))) == 6
 
     def test_liberal_equals_scaled_conservative_n2(self):
-        lib = group_by(liberal_one_face(2), "canonical")
-        con = group_by(conservative_one_face(2), "canonical")
+        lib = group_by(liberal_one_face(2))
+        con = group_by(conservative_one_face(2))
         assert lib == {k: math.factorial(3) * v for k, v in con.items()}
 
     def test_guard(self):
@@ -163,11 +171,11 @@ class TestPairsByClass:
         labelings = math.factorial(n - 1)
         brute: dict[bytes, Fraction] = {}
         for om in brute_pairs[n]:
-            k = graph_class_oriented(om).key
+            k = canonical_graph_class(bicolored_graph_oriented(om)).key
             brute[k] = brute.get(k, Fraction(0)) + Fraction(1, labelings)
         weighted: dict[bytes, Fraction] = {}
         for om, size in transitive_pairs_by_class(n):
-            k = graph_class_oriented(om).key
+            k = canonical_graph_class(bicolored_graph_oriented(om)).key
             weighted[k] = weighted.get(k, Fraction(0)) + Fraction(size,
                                                                   labelings)
         assert weighted == brute
@@ -283,25 +291,16 @@ class TestOneFaceOrbits:
 
 
 class TestGroupBy:
-    def test_unknown_key(self):
-        with pytest.raises(ValueError):
-            group_by([], "nope")
-
     def test_graph_class_grouping_matches_main_theorem_n2(self):
         lhs: dict[bytes, Fraction] = {}
         for om in transitive_pairs(2):
-            k = graph_class_oriented(om).key
+            k = canonical_graph_class(bicolored_graph_oriented(om)).key
             lhs[k] = lhs.get(k, Fraction(0)) + 1  # (n-1)! = 1
         rhs: dict[bytes, Fraction] = {}
         for m in conservative_one_face(2):
             k = graph_class(m).key
             rhs[k] = rhs.get(k, Fraction(0)) + mon_top(m)
         assert lhs == {k: v for k, v in rhs.items() if v}
-
-    def test_rooted_vs_unrooted_keys(self):
-        table_rooted = group_by(conservative_one_face(2), "rooted-canonical")
-        table_plain = group_by(conservative_one_face(2), "canonical")
-        assert sum(table_rooted.values()) == sum(table_plain.values()) == 3
 
     def test_stream_determinism(self):
         first = [canonical_form(m) for m in conservative_one_face(3)]
@@ -372,15 +371,15 @@ def side0_components_alike():
 
 
 class TestGroupByTraceFirst:
-    """``group_by(.., "canonical")`` looks each map up by its side-0 trace
-    first; its table must be the one keyed by every map's own form."""
+    """``group_by`` looks each map up by its side-0 trace first; its table
+    must be the one keyed by every map's own form."""
 
     @pytest.mark.parametrize("stream", [
         lambda: all_maps(2), lambda: liberal_one_face(3),
         lambda: conservative_one_face(4)],
         ids=["all_maps-2", "liberal_one_face-3", "conservative_one_face-4"])
     def test_matches_canonical_form(self, stream):
-        assert group_by(stream(), "canonical") == Counter(
+        assert group_by(stream()) == Counter(
             canonical_form(m) for m in stream())
 
     def test_all_maps_2_has_disconnected_maps(self):
@@ -392,5 +391,5 @@ class TestGroupByTraceFirst:
                 == _component_trace(b._b, b._w, b._e, 0))
         assert canonical_form(a) != canonical_form(b)
         fresh = side0_components_alike()  # nothing cached on them yet
-        assert group_by(fresh, "canonical") == {canonical_form(a): 1,
-                                                canonical_form(b): 1}
+        assert group_by(fresh) == {canonical_form(a): 1,
+                                   canonical_form(b): 1}

@@ -10,13 +10,12 @@ from monmap.enumeration import all_maps, conservative_one_face
 from monmap.maps import (BicoloredGraph, EdgeKind, MapError, NonOrientedMap,
                          _component_trace, _edge_index, _twist_sides,
                          bicolored_graph, canonical_form,
-                         canonical_graph_class, classify_edge, edge_role,
-                         faces, graph_class, is_orientable, map_from_json_obj,
-                         map_to_json_obj, remove_edge, structure, twist,
-                         twist_many)
+                         canonical_graph_class, classify_edge, faces,
+                         graph_class, is_orientable, map_from_json_obj,
+                         map_to_json_obj, remove_edge, structure, twist_many)
 from monmap.oriented import OrientedMap, side_label
 
-from conftest import _uniform_matching, map_strategy, partner_dict
+from conftest import _uniform_matching, edge_role, map_strategy, partner_dict
 
 F = Fraction
 
@@ -171,7 +170,8 @@ class TestRemoveEdge:
         assert m.n == 0
 
     def test_root_cleared_with_edge(self, klein):
-        rooted = klein.with_root(1)
+        rooted = NonOrientedMap.from_pairs(klein.beta, klein.omega,
+                                           klein.eps, 1)
         assert remove_edge(rooted, (1, 5)).root is None
         assert remove_edge(rooted, (3, 6)).root == 1
 
@@ -198,24 +198,24 @@ class TestTwist:
         m = NonOrientedMap.from_pairs(
             [[1, 3], [2, 4], [5, 6]], [[2, 5], [1, 6], [3, 4]],
             [[1, 2], [3, 5], [4, 6]])
-        t = twist(m, (1, 2))
+        t = twist_many(m, [(1, 2)])
         assert t.omega == ((1, 5), (2, 6), (3, 4))
         assert t.beta == m.beta and t.eps == m.eps
 
     def test_white_leaf_fixed(self):
-        assert twist(SINGLE_EDGE, (1, 2)) == SINGLE_EDGE
+        assert twist_many(SINGLE_EDGE, [(1, 2)]) == SINGLE_EDGE
 
     def test_involution(self, klein):
-        assert twist(twist(klein, (1, 5)), (1, 5)) == klein
+        assert twist_many(twist_many(klein, [(1, 5)]), [(1, 5)]) == klein
 
     @settings(max_examples=60, deadline=None)
     @given(map_strategy(max_n=3))
     def test_preserves_graph_class_not_necessarily_faces(self, m):
         e = m.eps[0]
-        assert graph_class(twist(m, e)) == graph_class(m)
+        assert graph_class(twist_many(m, [e])) == graph_class(m)
 
     def test_twist_many_matches_sequential(self, klein):
-        seq = twist(twist(klein, (1, 5)), (2, 4))
+        seq = twist_many(twist_many(klein, [(1, 5)]), [(2, 4)])
         assert twist_many(klein, [(1, 5), (2, 4)]) == seq
         assert twist_many(klein, [(2, 4), (1, 5)]) == seq
 
@@ -282,21 +282,6 @@ class TestCanonicalForm:
         # brute-force oracle: orbits of label bijections fixing the square
         forms = {canonical_form(m) for m in conservative_one_face(2)}
         assert len(forms) == 3
-
-    def test_rooted_requires_root(self, klein):
-        with pytest.raises(MapError):
-            canonical_form(klein, rooted=True)
-        rooted = canonical_form(klein.with_root(1), rooted=True)
-        assert rooted != canonical_form(klein)
-
-    def test_rooted_distinguishes_roots(self, klein):
-        # the klein fixture's only nontrivial automorphism is (12)(36)(45),
-        # so sides 1 and 3 are genuinely inequivalent as roots
-        a = canonical_form(klein.with_root(1), rooted=True)
-        b = canonical_form(klein.with_root(3), rooted=True)
-        assert a != b
-        c = canonical_form(klein.with_root(2), rooted=True)
-        assert a == c
 
 
 def _permuted(m, p):
@@ -380,7 +365,7 @@ class TestGraphClass:
         assert (cls.blacks, cls.whites, cls.matrix) == (1, 1, ((1,),))
 
     def test_twist_invariance(self, klein):
-        assert graph_class(twist(klein, (1, 5))) == graph_class(klein)
+        assert graph_class(twist_many(klein, [(1, 5)])) == graph_class(klein)
 
     def test_graph_has_no_isolated_vertices(self, klein):
         g = bicolored_graph(klein)
@@ -412,12 +397,15 @@ class TestExhaustiveInvariants:
                     if role.is_bridge or role.is_leaf:
                         assert is_orientable(m)
                     else:
-                        assert is_orientable(m) != is_orientable(twist(m, e))
+                        assert (is_orientable(m)
+                                != is_orientable(twist_many(m, [e])))
 
 
 class TestJson:
     def test_round_trip(self, klein, projective):
-        for m in (klein, projective, klein.with_root(3)):
+        rooted = NonOrientedMap.from_pairs(klein.beta, klein.omega,
+                                           klein.eps, 3)
+        for m in (klein, projective, rooted):
             assert map_from_json_obj(map_to_json_obj(m)) == m
 
     def test_label_mismatch_rejected(self):
@@ -508,7 +496,7 @@ def _ref_trace(invs, start):
     return tuple(pos[p[x]] for x in order for p in invs)
 
 
-def ref_canonical_form(m, rooted):
+def ref_canonical_form(m):
     invs = [partner_dict(v) for v in (m.beta, m.omega, m.eps)]
     seen, comps = set(), []
     for s in m.labels:
@@ -521,22 +509,16 @@ def ref_canonical_form(m, rooted):
                         seen.add(y)
                         comp.append(y)
             comps.append(comp)
-    root_trace, rest = None, []
-    for comp in comps:
-        if rooted and m.root in comp:
-            root_trace = _ref_trace(invs, m.root)
-        else:
-            rest.append(min(_ref_trace(invs, s) for s in comp))
-    rest.sort()
-    payload = ("R", root_trace, tuple(rest)) if rooted else ("U", tuple(rest))
-    return repr(payload).encode()
+    rest = sorted(min(_ref_trace(invs, s) for s in comp) for comp in comps)
+    return repr(("U", tuple(rest))).encode()
 
 
 class TestArrayCoreMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(map_strategy(1, 4), st.data())
     def test_operations(self, m, data):
-        m = m.with_root(data.draw(st.sampled_from(m.labels)))
+        m = NonOrientedMap.from_pairs(m.beta, m.omega, m.eps,
+                                      data.draw(st.sampled_from(m.labels)))
         for a, b in m.edges():
             assert remove_edge(m, (b, a)) == ref_remove_edge(m, (a, b))
         subset = data.draw(st.lists(st.sampled_from(m.edges()), unique=True))
@@ -544,25 +526,22 @@ class TestArrayCoreMatchesReference:
         assert twist_many(m, subset) == expected
         sides = [_edge_index(m, e) for e in subset]
         assert _twist_sides(m, sides) == expected
-        for rooted in (False, True):
-            assert canonical_form(m, rooted) == ref_canonical_form(m, rooted)
+        assert canonical_form(m) == ref_canonical_form(m)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_canonical_form_every_small_map(self, n):
         # the cut-off trace stops at the first larger triple: it must pick
         # the same minimum as the full traces
         for m in all_maps(n):
-            assert canonical_form(m) == ref_canonical_form(m, False)
+            assert canonical_form(m) == ref_canonical_form(m)
 
     def test_canonical_form_one_face_n4(self):
         for m in conservative_one_face(4):
-            for rooted in (False, True):
-                assert (canonical_form(m, rooted)
-                        == ref_canonical_form(m, rooted))
+            assert canonical_form(m) == ref_canonical_form(m)
 
     def test_views_round_trip(self, projective):
         for e in projective.edges():
-            for m in (remove_edge(projective, e), twist(projective, e)):
+            for m in (remove_edge(projective, e), twist_many(projective, [e])):
                 rebuilt = NonOrientedMap.from_pairs(m.beta, m.omega, m.eps,
                                                     m.root)
                 assert rebuilt == m and hash(rebuilt) == hash(m)

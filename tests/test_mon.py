@@ -14,18 +14,27 @@ from monmap.bijection import phi, phi_inverse
 from monmap.enumeration import all_maps, conservative_one_face
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
                          _edge_index, by_class, canonical_form,
-                         classify_edge, edge_role, load_fixture, remove_edge,
-                         structure, twist)
-from monmap.mon import (_MON_CACHE, _MON_TRACES, _STATES, _mon_pair,
-                        _monomial, _states, clear_caches, edge_weight,
-                        failing_prefix, history_weight, is_top_degree_map,
+                         classify_edge, load_fixture, remove_edge,
+                         structure, twist_many)
+from monmap.mon import (_MON_CACHE, _MON_TRACES, _STATES, _failing_prefix,
+                        _mon_pair, _monomial, _states, clear_caches,
+                        history_weight, is_top_degree_map,
                         is_top_degree_pair, lemma_equivalence_check, mon,
                         mon_top, mon_top_degree_target, mon_top_detail)
 from monmap.verify import suite_lemma_equivalence
 
-from conftest import map_strategy
+from conftest import edge_role, map_strategy
 
 F = Fraction
+
+WEIGHTS = {EdgeKind.STRAIGHT: ONE, EdgeKind.TWISTED: GAMMA,
+           EdgeKind.INTERFACE: GammaPoly((F(1, 2),))}
+
+
+def edge_weight(m, e):
+    """The weight of edge e in m: 1, gamma or 1/2 by its kind."""
+    return WEIGHTS[classify_edge(m, e)]
+
 
 SINGLE_EDGE = NonOrientedMap.from_pairs([[1, 2]], [[1, 2]], [[1, 2]])
 TWO_LOOPS = NonOrientedMap.from_pairs(
@@ -101,7 +110,8 @@ class TestHistoryStates:
     @settings(max_examples=150, deadline=None)
     @given(map_strategy(1, 4), st.data())
     def test_states_match_sequential_removal(self, m, data):
-        m = m.with_root(data.draw(st.sampled_from(m.labels)))
+        m = NonOrientedMap.from_pairs(m.beta, m.omega, m.eps,
+                                      data.draw(st.sampled_from(m.labels)))
         # a first history leaves its removals on the maps ...
         _states(m, data.draw(st.permutations(m.edges())))
         # ... which a second history, in another order, must find equal to
@@ -131,7 +141,7 @@ class TestHistoryStates:
         assert all(x is y for x, y in zip(again, first))
 
     @pytest.mark.parametrize("check", [
-        history_weight, failing_prefix, lemma_equivalence_check, phi])
+        history_weight, is_top_degree_pair, lemma_equivalence_check, phi])
     def test_non_edge_entry_is_named(self, klein, check):
         with pytest.raises(MapError,
                            match=r"^\{3,7\} is not an edge of the map$"):
@@ -139,7 +149,7 @@ class TestHistoryStates:
 
     def test_equal_residuals_of_different_maps_are_one_state(self, klein):
         e = (1, 5)
-        other = twist(klein, e)
+        other = twist_many(klein, [e])
         assert other != klein
         mine, theirs = _states(klein, (e,)), _states(other, (e,))
         assert mine[1] is theirs[1]
@@ -205,7 +215,8 @@ class TestRemovalWalkAgainstLattice:
     @settings(max_examples=100, deadline=None)
     @given(map_strategy(1, 4), st.data())
     def test_rooted_and_residual_maps(self, m, data):
-        rooted = m.with_root(data.draw(st.sampled_from(m.labels)))
+        rooted = NonOrientedMap.from_pairs(
+            m.beta, m.omega, m.eps, data.draw(st.sampled_from(m.labels)))
         # the residual map has labels with gaps, as every prefix state does
         residual = remove_edge(m, data.draw(st.sampled_from(m.edges())))
         for current in (m, rooted, residual):
@@ -262,7 +273,7 @@ class TestTopDegree:
         assert not is_top_degree_pair(klein, [(3, 6), (1, 5), (2, 4)])
         assert is_top_degree_pair(klein, [(1, 5), (2, 4), (3, 6)])
         assert is_top_degree_pair(klein, [(2, 4), (1, 5), (3, 6)])
-        assert failing_prefix(klein, [(3, 6), (1, 5), (2, 4)]) == 1
+        assert _failing_prefix(_states(klein, [(3, 6), (1, 5), (2, 4)])) == 1
 
     def test_mon_top_examples(self, klein):
         assert mon_top(klein) == F(2, 3)

@@ -3,12 +3,13 @@ from itertools import permutations
 
 import pytest
 
-from monmap.maps import MapError, is_orientable, structure
+from monmap.maps import (MapError, canonical_graph_class, is_orientable,
+                         structure)
 from monmap.oriented import (OrientedMap, bicolored_graph_oriented,
                              cycle_ids, default_side_labeling,
-                             graph_class_oriented, is_transitive,
-                             oriented_from_json_obj, oriented_structure,
                              oriented_to_json_obj, perm_cycles, side_label)
+
+from conftest import is_transitive, oriented_components
 
 TORUS = OrientedMap.from_cycles(
     9, [[1, 4, 9, 5, 7], [2, 6], [3, 8]], [[1, 9], [2, 3, 5], [4, 7], [6, 8]])
@@ -38,7 +39,7 @@ class TestTransitivity:
         for s1 in permutations(range(3)):
             for s2 in permutations(range(3)):
                 m = OrientedMap(s1, s2)
-                assert is_transitive(m) == (oriented_structure(m).components == 1)
+                assert is_transitive(m) == (oriented_components(m) == 1)
 
 
 class TestCycleIds:
@@ -53,31 +54,33 @@ class TestCycleIds:
 
 
 class TestOrientedStructure:
+    """The structure of an oriented map, read off its side labeling."""
+
     def test_torus(self):
-        st = oriented_structure(TORUS)
+        st = structure(side_label(TORUS))
         assert (st.whites, st.blacks) == (3, 4)
         assert st.faces == 2
         assert st.euler == 0
         assert st.genus == 1
 
     def test_single_edge_sphere(self):
-        st = oriented_structure(OrientedMap((0,), (0,)))
+        st = structure(side_label(OrientedMap((0,), (0,))))
         assert (st.vertices, st.faces, st.euler, st.genus) == (2, 1, 2, 0)
 
     def test_full_cycle_faces_against_direct_count(self):
         for n in range(1, 7):
             cyc = tuple((i + 1) % n for i in range(n))
             m = OrientedMap(cyc, cyc)
-            # oracle: count cycles of the composite permutation directly
+            # oracle: count cycles of sigma2 o sigma1 directly
             composite = tuple(cyc[cyc[i]] for i in range(n))
-            assert oriented_structure(m).faces == len(perm_cycles(composite))
+            assert (structure(side_label(m)).faces
+                    == len(perm_cycles(composite)))
 
     def test_disconnected_reports_per_component(self):
-        m = OrientedMap((0, 1), (0, 1))
-        st = oriented_structure(m)
-        assert st.genus is None
+        # two single-edge spheres: Euler characteristic 2 each
+        st = structure(side_label(OrientedMap((0, 1), (0, 1))))
         assert st.components == 2
-        assert st.component_genera == (0, 0)
+        assert st.euler == 4 and st.genus == 0
 
 
 class TestSideLabel:
@@ -96,7 +99,7 @@ class TestSideLabel:
 
     def test_graph_class_independent_of_labeling(self):
         rng = random.Random(1)
-        base = graph_class_oriented(TORUS)
+        base = canonical_graph_class(bicolored_graph_oriented(TORUS))
         from monmap.maps import graph_class
         for _ in range(4):
             nm = side_label(TORUS, random_labeling(rng, 9))
@@ -111,7 +114,7 @@ class TestSideLabel:
                     nm = side_label(m, random_labeling(rng, n))
                     assert is_orientable(nm)
                     assert (structure(nm).components
-                            == oriented_structure(m).components)
+                            == oriented_components(m))
 
     def test_rejects_non_bijection(self):
         f = default_side_labeling(2)
@@ -127,14 +130,16 @@ class TestSideLabel:
 class TestJsonAndGraph:
     def test_json_round_trip(self):
         for m in (TORUS, OrientedMap((0, 1), (1, 0), root=2)):
-            assert oriented_from_json_obj(oriented_to_json_obj(m)) == m
+            obj = oriented_to_json_obj(m)
+            assert OrientedMap.from_cycles(obj["n"], obj["sigma1"],
+                                           obj["sigma2"], obj.get("root")) == m
 
     def test_graph_matches_side_labeled_graph(self):
         from monmap.maps import bicolored_graph
         g1 = bicolored_graph_oriented(TORUS)
         g2 = bicolored_graph(side_label(TORUS))
         assert (g1.blacks, g1.whites) == (g2.blacks, g2.whites)
-        assert graph_class_oriented(TORUS).key \
+        assert canonical_graph_class(g1).key \
             == canonical_form_key(side_label(TORUS))
 
     def test_validation(self):
@@ -168,13 +173,13 @@ class TestJsonAndGraph:
             OrientedMap.from_cycles(bad, [[1]], [[1]])
 
     def test_json_refuses_non_int_fields(self):
-        good = {"n": 2, "sigma1": [[1, 2]], "sigma2": [[1, 2]]}
-        assert oriented_from_json_obj(good).n == 2
-        for key, value in (("n", "2"), ("sigma1", [["1", 2]]),
-                           ("sigma2", [[True, 2]]), ("root", 1.5),
+        good = {"n": 2, "cycles1": [[1, 2]], "cycles2": [[1, 2]]}
+        assert OrientedMap.from_cycles(**good).n == 2
+        for key, value in (("n", "2"), ("cycles1", [["1", 2]]),
+                           ("cycles2", [[True, 2]]), ("root", 1.5),
                            ("root", True)):
             with pytest.raises(MapError):
-                oriented_from_json_obj({**good, key: value})
+                OrientedMap.from_cycles(**{**good, key: value})
 
 
 def canonical_form_key(m):
