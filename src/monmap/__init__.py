@@ -15,7 +15,7 @@ from .diagrams import (MultiRect, Partition, count_embeddings,
 from .enumeration import (all_maps, all_pairs, conservative_maps,
                           conservative_one_face, group_by, involutions,
                           liberal_one_face)
-from .jack import (JackParams, ch, ch_stanley, jack_in_p, stanley_special)
+from .jack import ch, ch_stanley, jack_in_p, stanley_special
 from .maps import (BicoloredGraph, BicoloredGraphClass, EdgeKind, MapError,
                    MapStructure, NonOrientedMap, bicolored_graph,
                    canonical_form, classify_edge, faces, graph_class,

@@ -224,6 +224,9 @@ class GammaPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes as that scalar
+        if len(self.coeffs) <= 1:
+            return hash(self.coefficient(0))
         return hash(self.coeffs)
 
     def __repr__(self):

@@ -19,7 +19,7 @@ from .diagrams import DiagramError, MultiRect, top_map_sums
 from .enumeration import (FORCE_HINT, MAX_ONE_FACE_N, GuardExceeded, all_maps,
                           all_pairs, check_guard, conservative_one_face,
                           involutions, liberal_one_face)
-from .jack import JackGuardError, JackParams, ch, ch_stanley, jack_in_p
+from .jack import JackGuardError, alpha_of, ch, ch_stanley, jack_in_p
 from .maps import (MapError, bicolored_graph, checked_pairs, load_fixture,
                    map_from_json_obj, map_to_json_obj, structure, graph_class,
                    is_orientable, faces)
@@ -240,13 +240,12 @@ def cmd_jack(args) -> int:
 
 
 def cmd_ch(args) -> int:
-    params = JackParams.from_A(args.A)
-    value = ch(args.pi, args.lam, params, force=args.force)
+    value = ch(args.pi, args.lam, args.A, force=args.force)
     _emit({
         "pi": list(args.pi),
         "lambda": list(args.lam),
         "A": str(args.A),
-        "alpha": _frac_obj(params.alpha),
+        "alpha": _frac_obj(alpha_of(args.A)),
         "value": _frac_obj(value),
     }, args.out)
     return 0

@@ -66,10 +66,6 @@ class Partition:
     def z(self) -> int:
         return z_of(self.parts)
 
-    def contains(self, row: int, col: int) -> bool:
-        """1-based box query."""
-        return 1 <= row <= len(self.parts) and 1 <= col <= self.parts[row - 1]
-
     def prime_coordinates(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(P', Q'): distinct row lengths with multiplicities, largest first."""
         p_prime: list[int] = []

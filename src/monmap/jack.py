@@ -3,7 +3,8 @@
 The deformed power-sum inner product <p_lam, p_mu> = delta * z_lam *
 alpha^{l(lam)} makes the Jack basis the unique orthogonal family that is
 dominance-triangular over the monomial basis, so Gram-Schmidt along any
-linear extension of dominance produces it.  Coefficients are kept in the
+linear extension of dominance produces it; it runs in lexicographic order,
+which refines dominance.  Coefficients are kept in the
 power-sum basis throughout; theta_{1^n} = 1 fixes the normalization.  Each
 starting m_lam is written in that basis by back substitution: the
 coefficient of m_lam in p_mu counts the ways to fill the rows of lam with
@@ -29,7 +30,6 @@ every argument times a grading variable t where the homogeneous parts are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -49,16 +49,6 @@ JACK_SIZE_GUARD = 6
 
 class JackGuardError(ValueError):
     pass
-
-
-def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
-    if not parts:
-        return ()
-    out = [0] * parts[0]
-    for p in parts:
-        for j in range(p):
-            out[j] += 1
-    return tuple(out)
 
 
 def _fillings(parts: tuple[int, ...], rows: tuple[int, ...]) -> int:
@@ -111,19 +101,12 @@ def _inner(f: dict, g: dict, norms: dict) -> int:
     return sum(c * g[mu] * norms[mu] for mu, c in f.items() if mu in g)
 
 
-def _extensions(d: int):
-    """Two linear extensions of dominance order (increasing)."""
-    parts = partitions_of(d)
-    ext1 = sorted(parts)  # lexicographic refines dominance
-    ext2 = sorted(parts, key=conjugate, reverse=True)
-    return ext1, ext2
-
-
 @lru_cache(maxsize=None)
-def _jack_family(d: int, alpha: Fraction, extension: int):
+def _jack_family(d: int, alpha: Fraction):
     """theta tables for all |lam| = d at a fixed alpha: {lam: {mu: theta}}.
 
-    Fraction-free Gram-Schmidt over Python ints.  With alpha = a/b, each
+    Fraction-free Gram-Schmidt over Python ints, along the lexicographic
+    order of the partitions (which refines dominance).  With alpha = a/b, each
     <p_mu, p_mu> = z_mu alpha^l(mu) is replaced by z_mu a^l(mu) b^(d-l(mu)),
     its b^d multiple; each m_lam starts as its p-expansion times the lcm of
     its denominators; and each projection is v <- <u,u> v - <v,u> u, after
@@ -137,7 +120,7 @@ def _jack_family(d: int, alpha: Fraction, extension: int):
     if alpha <= 0:
         raise JackGuardError("alpha must be positive")
     a, b = alpha.numerator, alpha.denominator
-    order = _extensions(d)[extension]
+    order = sorted(partitions_of(d))
     m_in_p = _m_to_p(d)
     p_norms = {mu: z_of(mu) * a ** len(mu) * b ** (d - len(mu))
                for mu in order}
@@ -170,19 +153,16 @@ def _check_size(size: int, force: bool) -> None:
                              f"({JACK_SIZE_GUARD}); {FORCE_HINT}")
 
 
-def jack_in_p(lam, alpha, force: bool = False,
-              extension: int = 0) -> dict[tuple[int, ...], Fraction]:
+def jack_in_p(lam, alpha,
+              force: bool = False) -> dict[tuple[int, ...], Fraction]:
     """All theta coefficients of one Jack function: J_lam = sum theta_mu p_mu.
 
     The table covers every partition mu of |lam|, explicit zeros included.
-    ``extension`` picks the linear extension of dominance, 0 or 1.
     """
-    if type(extension) is not int or extension not in (0, 1):
-        raise ValueError(f"extension must be 0 or 1, not {extension!r}")
     lam = Partition(lam).parts
     alpha = _as_fraction(alpha)
     _check_size(sum(lam), force)
-    sparse = _jack_family(sum(lam), alpha, extension)[lam]
+    sparse = _jack_family(sum(lam), alpha)[lam]
     return {mu: sparse.get(mu, Fraction(0))
             for mu in partitions_of(sum(lam))}
 
@@ -198,48 +178,36 @@ def jack_inner_product(f: dict, g: dict, alpha) -> Fraction:
                 for mu, c in f.items() if mu in g), Fraction(0))
 
 
-@dataclass(frozen=True)
-class JackParams:
-    """Deformation data: alpha > 0 and a square root A with A^2 = alpha."""
-
-    alpha: Fraction
-    A: Scalar
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _as_fraction(self.alpha))
-        if self.alpha <= 0:
-            raise JackGuardError("alpha must be positive")
-        if not isinstance(self.A, Sqrt2):
-            object.__setattr__(self, "A", _as_fraction(self.A))
-        if self.A * self.A != self.alpha:
-            raise ValueError("A^2 must equal alpha")
-
-    @classmethod
-    def from_A(cls, a: Scalar) -> "JackParams":
-        a = a if isinstance(a, Sqrt2) else _as_fraction(a)
-        alpha = a * a
-        if isinstance(alpha, Sqrt2):
-            alpha = alpha.to_fraction()
-        return cls(alpha, a)
+def alpha_of(a: Scalar) -> Fraction:
+    """alpha = A^2 of a scale A, rational or in Q[sqrt2]; A = 0 is refused."""
+    alpha = a * a if isinstance(a, Sqrt2) else _as_fraction(a) ** 2
+    if isinstance(alpha, Sqrt2):
+        alpha = alpha.to_fraction()
+    if alpha <= 0:
+        raise JackGuardError("alpha must be positive")
+    return alpha
 
 
-def ch(pi, lam, params: JackParams, force: bool = False) -> Scalar:
-    """Normalized Jack character Ch_pi(lambda) at a concrete parameter.
+def ch(pi, lam, a: Scalar, force: bool = False) -> Scalar:
+    """Normalized Jack character Ch_pi(lambda) at the scale A, alpha = A^2.
 
     A^{l(pi)-|pi|} * binom(|lam|-|pi|+m_1(pi), m_1(pi)) * z_pi *
     theta_{pi u 1^(|lam|-|pi|)}(lam); zero when |lam| < |pi|.  The A-power
-    takes the sign branch from ``params``.
+    takes the sign of A.
     """
+    alpha = alpha_of(a)
+    if not isinstance(a, Sqrt2):
+        a = Fraction(a)
     pi = Partition(pi)
     lam = Partition(lam) if not isinstance(lam, Partition) else lam
     if lam.size < pi.size:
-        return params.A * 0
+        return a * 0
     _check_size(lam.size, force)
     rho = tuple(sorted(pi.parts + (1,) * (lam.size - pi.size), reverse=True))
-    theta = _jack_family(lam.size, params.alpha, 0)[lam.parts].get(rho, 0)
+    theta = _jack_family(lam.size, alpha)[lam.parts].get(rho, 0)
     m1 = pi.mult(1)
     binom = math.comb(lam.size - pi.size + m1, m1)
-    return params.A ** (pi.length - pi.size) * (binom * pi.z * theta)
+    return a ** (pi.length - pi.size) * (binom * pi.z * theta)
 
 
 # -- independent alpha = 1 oracle: symmetric-group characters ---------------
@@ -386,7 +354,7 @@ def stanley_special(pi, lam, alpha, force: bool = False):
 
     if alpha == 1:
         a = Fraction(1)
-        oracle = ch(pi.parts, lam, JackParams.from_A(a), force=force)
+        oracle = ch(pi.parts, lam, a, force=force)
         table = _class_table((bicolored_graph_oriented(om), 1)
                              for om in oriented_face_type_maps(pi))
         return oracle, sign * _class_sums([table], lam, a,
@@ -401,7 +369,7 @@ def stanley_special(pi, lam, alpha, force: bool = False):
     else:
         raise ValueError("alpha must be one of 1, 2, 1/2")
 
-    oracle = ch(pi.parts, lam, JackParams.from_A(a), force=force)
+    oracle = ch(pi.parts, lam, a, force=force)
     table = _class_table((bicolored_graph(m), 1)
                          for m in conservative_maps(pi.parts))
     mapsum = sign * _class_sums([table], lam, a, base,

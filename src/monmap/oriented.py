@@ -7,8 +7,8 @@ of sigma2 o sigma1 (sigma1 applied first); the convention is fixed once and
 validated by Euler characteristics of known embeddings.
 
 ``side_label`` converts an oriented map into an orientable involution map
-by giving each edge two side labels, read counterclockwise around its white
-endpoint.
+by giving edge k the side labels 2k - 1 and 2k, read counterclockwise
+around its white endpoint.
 
 The conjugacy classes of S_n are indexed by the partitions of n
 (:func:`partitions_of`); the class of cycle type lambda has n!/z_lambda
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .maps import (BicoloredGraph, MapError, NonOrientedMap, _cached,
                    _check_labels)
@@ -121,9 +121,9 @@ def cycle_type_permutation(parts: Iterable[int]) -> tuple[int, ...]:
 class OrientedMap:
     """Oriented bicolored map with edges labeled 1..n."""
 
-    __slots__ = ("n", "sigma1", "sigma2", "root", "__dict__")
+    __slots__ = ("n", "sigma1", "sigma2", "__dict__")
 
-    def __init__(self, sigma1, sigma2, root: Optional[int] = None):
+    def __init__(self, sigma1, sigma2):
         s1 = tuple(sigma1)
         s2 = tuple(sigma2)
         n = len(s1)
@@ -133,23 +133,16 @@ class OrientedMap:
             _check_labels(s, name)
             if sorted(s) != list(range(n)):
                 raise MapError("not a permutation of 0..n-1")
-        if root is not None:
-            _check_labels((root,), "root")
-            if not 1 <= root <= n:
-                raise MapError(f"root edge {root} outside 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "sigma1", s1)
         object.__setattr__(self, "sigma2", s2)
-        object.__setattr__(self, "root", root)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrientedMap values are immutable")
 
     @classmethod
-    def from_cycles(cls, n: int, cycles1, cycles2,
-                    root: Optional[int] = None) -> "OrientedMap":
-        return cls(_perm_from_cycles(n, cycles1), _perm_from_cycles(n, cycles2),
-                   root)
+    def from_cycles(cls, n: int, cycles1, cycles2) -> "OrientedMap":
+        return cls(_perm_from_cycles(n, cycles1), _perm_from_cycles(n, cycles2))
 
     @_cached
     def white_cycles(self):
@@ -171,16 +164,15 @@ class OrientedMap:
 
     def __eq__(self, other):
         if isinstance(other, OrientedMap):
-            return (self.sigma1, self.sigma2, self.root) == (
-                other.sigma1, other.sigma2, other.root)
+            return (self.sigma1, self.sigma2) == (other.sigma1, other.sigma2)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.sigma1, self.sigma2, self.root))
+        return hash((self.sigma1, self.sigma2))
 
     def __repr__(self):
         return (f"OrientedMap(sigma1={self.white_cycles}, "
-                f"sigma2={self.black_cycles}, root={self.root})")
+                f"sigma2={self.black_cycles})")
 
 
 def _oriented_map(sigma1, sigma2, white_ids, black_ids) -> OrientedMap:
@@ -189,7 +181,7 @@ def _oriented_map(sigma1, sigma2, white_ids, black_ids) -> OrientedMap:
     caches on the map."""
     m = object.__new__(OrientedMap)
     for name, value in (("n", len(sigma1)), ("sigma1", sigma1),
-                        ("sigma2", sigma2), ("root", None)):
+                        ("sigma2", sigma2)):
         object.__setattr__(m, name, value)
     m.__dict__.update(_white_ids=white_ids, _black_ids=black_ids)
     return m
@@ -218,43 +210,23 @@ def _connected(white_ids, black_ids) -> bool:
     return merges == whites + blacks - 1
 
 
-def default_side_labeling(n: int) -> dict[tuple[int, int], int]:
-    """The straightforward bijection (k,1) -> 2k-1, (k,2) -> 2k."""
-    f = {}
-    for k in range(1, n + 1):
-        f[(k, 1)] = 2 * k - 1
-        f[(k, 2)] = 2 * k
-    return f
-
-
-def side_label(m: OrientedMap, f=None) -> NonOrientedMap:
+def side_label(m: OrientedMap) -> NonOrientedMap:
     """Read off edge-side labels and return the involution-triple map.
 
-    ``f`` is a bijection from [n] x {1,2} onto 2n labels (mapping or
-    callable); side 2 of edge k is followed counterclockwise around k's
-    white endpoint by side 1 of the next edge.  The result is orientable,
-    has the same underlying bicolored graph, and is connected exactly when
-    the permutation pair is transitive.
+    Edge k has sides 2k - 1 and 2k; side 2k of edge k is followed
+    counterclockwise around k's white endpoint by side 2j - 1 of the next
+    edge j.  The result is orientable, has the same underlying bicolored
+    graph, and is connected exactly when the permutation pair is
+    transitive.
     """
-    if f is None:
-        f = default_side_labeling(m.n)
-    if isinstance(f, dict):
-        fd = dict(f)
-    else:
-        fd = {(k, s): f(k, s) for k in range(1, m.n + 1) for s in (1, 2)}
-    if len(set(fd.values())) != 2 * m.n:
-        raise MapError("side labeling is not a bijection")
     beta = []
     omega = []
     eps = []
     for k in range(1, m.n + 1):
-        s2k = m.sigma2[k - 1] + 1
-        s1k = m.sigma1[k - 1] + 1
-        beta.append((fd[(k, 1)], fd[(s2k, 2)]))
-        omega.append((fd[(k, 2)], fd[(s1k, 1)]))
-        eps.append((fd[(k, 1)], fd[(k, 2)]))
-    root = fd[(m.root, 1)] if m.root is not None else None
-    return NonOrientedMap.from_pairs(beta, omega, eps, root)
+        beta.append((2 * k - 1, 2 * m.sigma2[k - 1] + 2))
+        omega.append((2 * k, 2 * m.sigma1[k - 1] + 1))
+        eps.append((2 * k - 1, 2 * k))
+    return NonOrientedMap.from_pairs(beta, omega, eps)
 
 
 def bicolored_graph_oriented(m: OrientedMap) -> BicoloredGraph:
@@ -266,11 +238,8 @@ def bicolored_graph_oriented(m: OrientedMap) -> BicoloredGraph:
 
 
 def oriented_to_json_obj(m: OrientedMap) -> dict:
-    obj = {
+    return {
         "n": m.n,
         "sigma1": [list(c) for c in m.white_cycles],
         "sigma2": [list(c) for c in m.black_cycles],
     }
-    if m.root is not None:
-        obj["root"] = m.root
-    return obj

@@ -31,6 +31,14 @@ class TestGammaPoly:
         assert GammaPoly((1, 0, 0)) == GammaPoly((1,))
         assert GammaPoly((0, 0)) == ZERO
 
+    @pytest.mark.parametrize("poly, scalar", [
+        (GammaPoly.const(5), 5), (GammaPoly.const(F(2, 3)), F(2, 3)),
+        (ZERO, 0)], ids=["5", "2/3", "zero"])
+    def test_constant_hashes_as_its_scalar(self, poly, scalar):
+        # equal values hash equally, so a set holds them once
+        assert poly == scalar
+        assert len({poly, scalar}) == 1
+
     def test_arithmetic(self):
         p = (ONE + GAMMA) * (ONE + GAMMA)
         assert p == GammaPoly((1, 2, 1))

@@ -7,14 +7,29 @@ from hypothesis import given, strategies as st
 
 from monmap.algebra import SQRT2, GammaPoly, Sqrt2, gamma_of
 from monmap.diagrams import MultiRect, Partition
-from monmap.jack import (JackGuardError, JackParams, _jack_family, _m_to_p, ch,
-                         ch_stanley, conjugate, jack_in_p,
-                         jack_inner_product, normalized_sn_character,
-                         partitions_of, sn_character, sn_dimension,
-                         stanley_closed_form, stanley_special)
+from monmap.jack import (JackGuardError, _jack_family, _m_to_p, alpha_of, ch,
+                         ch_stanley, jack_in_p, jack_inner_product,
+                         normalized_sn_character, partitions_of, sn_character,
+                         sn_dimension, stanley_closed_form, stanley_special)
 from monmap.oriented import z_of
 
 F = Fraction
+
+
+def conjugate(parts):
+    """The conjugate partition: column lengths of the Young diagram."""
+    if not parts:
+        return ()
+    out = [0] * parts[0]
+    for p in parts:
+        for j in range(p):
+            out[j] += 1
+    return tuple(out)
+
+
+def conjugate_order(d):
+    """A second linear extension of dominance: by conjugate, decreasing."""
+    return sorted(partitions_of(d), key=conjugate, reverse=True)
 
 
 def dominance_leq(a, b):
@@ -142,51 +157,42 @@ class TestJackInP:
                 assert theta.get(rho, F(0)) == expected
 
     def test_extension_independence_at_degree_six(self):
-        for lam in partitions_of(6):
-            a = jack_in_p(lam, F(3, 2), extension=0)
-            b = jack_in_p(lam, F(3, 2), extension=1)
-            assert a == b
+        alpha = F(3, 2)
+        assert (_jack_family(6, alpha)
+                == per_term_gram_schmidt(6, alpha, conjugate_order(6)))
 
     @pytest.mark.parametrize("alpha", [F(1, 2), F(1), F(2), F(3), F(4),
                                        F(1, 4), F(9)], ids=str)
     def test_family_matches_per_term_gram_schmidt(self, alpha):
         for d in range(1, 7):
-            assert (_jack_family(d, alpha, 0)
+            assert (_jack_family(d, alpha)
                     == per_term_gram_schmidt(d, alpha))
 
     @pytest.mark.parametrize("alpha", [F(2, 3), F(5, 3), F(1, 9)], ids=str)
     def test_family_matches_per_term_gram_schmidt_with_denominators(
             self, alpha):
         for d in range(1, 7):
-            assert (_jack_family(d, alpha, 0)
+            assert (_jack_family(d, alpha)
                     == per_term_gram_schmidt(d, alpha))
 
     @pytest.mark.parametrize("alpha", [F(1, 2), F(1), F(3), F(2, 3),
                                        F(5, 3), F(1, 9)], ids=str)
     def test_second_extension_matches_per_term_gram_schmidt(self, alpha):
-        # Gram-Schmidt along the conjugate order, the reference's too
+        # the reference runs along the conjugate order, the family along
+        # the lexicographic one
         for d in range(1, 7):
-            order = sorted(partitions_of(d), key=conjugate, reverse=True)
-            assert (_jack_family(d, alpha, 1)
-                    == per_term_gram_schmidt(d, alpha, order))
+            assert (_jack_family(d, alpha)
+                    == per_term_gram_schmidt(d, alpha, conjugate_order(d)))
 
     @pytest.mark.parametrize("alpha", [F(1, 2), F(2, 3), F(7, 4)], ids=str)
     def test_degree_seven_matches_per_term_gram_schmidt(self, alpha):
-        assert _jack_family(7, alpha, 0) == per_term_gram_schmidt(7, alpha)
+        assert _jack_family(7, alpha) == per_term_gram_schmidt(7, alpha)
 
     def test_guard(self):
         with pytest.raises(JackGuardError):
             jack_in_p((7,), F(1))
         with pytest.raises(JackGuardError):
             jack_in_p((2,), F(-1))
-
-    @pytest.mark.parametrize("extension", [2, -1, True, 1.0, "0", None],
-                             ids=repr)
-    def test_extension_is_zero_or_one(self, extension):
-        misses = _jack_family.cache_info().misses
-        with pytest.raises(ValueError, match="extension must be 0 or 1"):
-            jack_in_p((2, 1), F(1), extension=extension)
-        assert _jack_family.cache_info().misses == misses
 
     @pytest.mark.parametrize("alpha", [F(0), F(-2), -1], ids=str)
     def test_inner_product_needs_positive_alpha(self, alpha):
@@ -203,35 +209,41 @@ class TestJackInP:
 
 class TestCh:
     def test_zero_below_support(self):
-        assert ch((3,), (2,), JackParams.from_A(F(1))) == 0
+        assert ch((3,), (2,), F(1)) == 0
+
+    @pytest.mark.parametrize("pi", [(3,), (1,)],
+                             ids=["below-support", "in-support"])
+    def test_scale_zero_refused(self, pi):
+        # A = 0 is refused before the zero below the support is returned
+        with pytest.raises(JackGuardError, match="alpha must be positive"):
+            ch(pi, (2,), F(0))
 
     def test_ch1_is_size(self):
         for lam in ((1,), (3,), (2, 2), (3, 2, 1)):
             for a in (F(1), F(2), F(1, 2)):
-                assert ch((1,), lam, JackParams.from_A(a)) == sum(lam)
+                assert ch((1,), lam, a) == sum(lam)
 
     def test_reference_point(self):
-        assert ch((2,), (2, 2), JackParams.from_A(F(2))) == 6
+        assert ch((2,), (2, 2), F(2)) == 6
 
     def test_matches_symmetric_group_characters(self):
         # exhaustive over |lambda| <= 5 against the Murnaghan-Nakayama oracle
-        params = JackParams.from_A(F(1))
         for d in range(1, 6):
             for lam in partitions_of(d):
                 for k in range(1, d + 1):
                     for pi in partitions_of(k):
-                        assert ch(pi, lam, params) \
+                        assert ch(pi, lam, F(1)) \
                             == normalized_sn_character(pi, lam)
 
     def test_negative_branch_sign(self):
-        plus = ch((2,), (2, 2), JackParams.from_A(F(1)))
-        minus = ch((2,), (2, 2), JackParams(F(1), F(-1)))
+        plus = ch((2,), (2, 2), F(1))
+        minus = ch((2,), (2, 2), F(-1))
         # the prefactor A^{l(pi)-|pi|} flips sign with the branch when
         # |pi| - l(pi) is odd
         assert minus == -plus
 
     def test_sqrt2_parameter(self):
-        v = ch((2,), (2, 2), JackParams.from_A(SQRT2))
+        v = ch((2,), (2, 2), SQRT2)
         assert isinstance(v, Sqrt2)
         assert v == Sqrt2(0, 2)
 
@@ -240,14 +252,13 @@ class TestCh:
         # theta_rho(lam), rho = pi u 1^(|lam|-|pi|), read through jack_in_p
         points = 0
         for a in (F(1), F(2), F(1, 2), F(3)):
-            params = JackParams.from_A(a)
             for d in range(1, 7):
                 for lam in partitions_of(d):
                     for n in (1, 2, 3):
                         pi = (n,)
                         points += 1
                         if d < n:
-                            assert ch(pi, lam, params) == 0
+                            assert ch(pi, lam, a) == 0
                             continue
                         rho = tuple(sorted(pi + (1,) * (d - n),
                                            reverse=True))
@@ -255,26 +266,25 @@ class TestCh:
                         expected = (a ** (len(pi) - n)
                                     * math.comb(d - n + m1, m1) * z_of(pi)
                                     * jack_in_p(lam, a * a)[rho])
-                        assert ch(pi, lam, params) == expected
+                        assert ch(pi, lam, a) == expected
         assert points == 348
 
     def test_shares_the_family_with_jack_in_p(self):
         a = F(13, 7)  # alpha = 169/49 is used by no other test
         misses = _jack_family.cache_info().misses
         jack_in_p((3, 1), a * a)
-        ch((2,), (2, 1, 1), JackParams.from_A(a))
-        ch((2,), (2, 2), JackParams(a * a, -a))
+        ch((2,), (2, 1, 1), a)
+        ch((2,), (2, 2), -a)
         assert _jack_family.cache_info().misses == misses + 1
 
     def test_guard_names_force(self):
-        params = JackParams.from_A(F(1))
         with pytest.raises(JackGuardError,
                            match=r"^\|lambda\| = 7 exceeds the guard \(6\); "
                                  r"pass force=True to override$"):
-            ch((1,), (4, 3), params)
-        assert ch((1,), (4, 3), params, force=True) == 7
+            ch((1,), (4, 3), F(1))
+        assert ch((1,), (4, 3), F(1), force=True) == 7
         # below the support the guard is not reached
-        assert ch((8,), (4, 3), params) == 0
+        assert ch((8,), (4, 3), F(1)) == 0
 
 
 class TestMurnaghanNakayama:
@@ -363,14 +373,13 @@ class TestStanleyPolynomials:
 
     def test_ch_matches_closed_form_on_diagrams(self):
         for a in (F(1), F(2)):
-            params = JackParams.from_A(a)
             for d in range(1, 6):
                 for lam in partitions_of(d):
                     pp, qq = Partition(lam).prime_coordinates()
                     mr = MultiRect.from_primes(pp, qq, a)
                     for n in (1, 2, 3):
                         full, _ = ch_stanley(n, mr.gamma, mr.P, mr.Q)
-                        assert ch((n,), lam, params) == full
+                        assert ch((n,), lam, a) == full
 
 
 class TestStanleySpecial:
@@ -409,9 +418,9 @@ class TestFloatsRejected:
         lambda: ch_stanley(1, 0.5, [1], [1]),
         lambda: jack_in_p((2,), 0.1),
         lambda: jack_inner_product({(1,): F(1)}, {(1,): F(1)}, 0.5),
-        lambda: JackParams(0.25, 0.5),
-        lambda: JackParams(F(1, 4), 0.5),
-        lambda: JackParams.from_A(0.5),
+        lambda: ch((2,), (2, 2), 0.5),
+        lambda: ch((3,), (2,), 0.5),
+        lambda: alpha_of(0.5),
         lambda: MultiRect([0.5], [2], 2),
         lambda: MultiRect.from_primes([1], [2], 0.5),
         lambda: gamma_of(0.5),

@@ -3,11 +3,11 @@ from itertools import permutations
 
 import pytest
 
-from monmap.maps import (MapError, canonical_graph_class, is_orientable,
-                         structure)
+from monmap.maps import (MapError, NonOrientedMap, canonical_graph_class,
+                         is_orientable, structure)
 from monmap.oriented import (OrientedMap, bicolored_graph_oriented,
-                             cycle_ids, default_side_labeling,
-                             oriented_to_json_obj, perm_cycles, side_label)
+                             cycle_ids, oriented_to_json_obj, perm_cycles,
+                             side_label)
 
 from conftest import is_transitive, oriented_components
 
@@ -15,14 +15,14 @@ TORUS = OrientedMap.from_cycles(
     9, [[1, 4, 9, 5, 7], [2, 6], [3, 8]], [[1, 9], [2, 3, 5], [4, 7], [6, 8]])
 
 
-def random_labeling(rng, n):
-    labels = list(range(1, 2 * n + 1))
+def randomly_relabeled(rng, m):
+    """``side_label(m)`` with its 2n side labels randomly permuted."""
+    nm = side_label(m)
+    labels = list(range(1, 2 * m.n + 1))
     rng.shuffle(labels)
-    f = {}
-    for k in range(1, n + 1):
-        f[(k, 1)] = labels[2 * k - 2]
-        f[(k, 2)] = labels[2 * k - 1]
-    return f
+    return NonOrientedMap.from_pairs(
+        *([(labels[a - 1], labels[b - 1]) for a, b in pairs]
+          for pairs in (nm.beta, nm.omega, nm.eps)))
 
 
 class TestTransitivity:
@@ -92,7 +92,7 @@ class TestSideLabel:
     def test_torus_any_labeling(self):
         rng = random.Random(7)
         for _ in range(3):
-            nm = side_label(TORUS, random_labeling(rng, 9))
+            nm = randomly_relabeled(rng, TORUS)
             assert is_orientable(nm)
             st = structure(nm)
             assert st.euler == 0 and st.components == 1
@@ -102,7 +102,7 @@ class TestSideLabel:
         base = canonical_graph_class(bicolored_graph_oriented(TORUS))
         from monmap.maps import graph_class
         for _ in range(4):
-            nm = side_label(TORUS, random_labeling(rng, 9))
+            nm = randomly_relabeled(rng, TORUS)
             assert graph_class(nm) == base
 
     def test_component_count_matches_orbits(self):
@@ -111,28 +111,18 @@ class TestSideLabel:
             for s1 in permutations(range(n)):
                 for s2 in permutations(range(n)):
                     m = OrientedMap(s1, s2)
-                    nm = side_label(m, random_labeling(rng, n))
+                    nm = randomly_relabeled(rng, m)
                     assert is_orientable(nm)
                     assert (structure(nm).components
                             == oriented_components(m))
 
-    def test_rejects_non_bijection(self):
-        f = default_side_labeling(2)
-        f[(1, 1)] = f[(2, 2)]
-        with pytest.raises(MapError):
-            side_label(OrientedMap((0, 1), (1, 0)), f)
-
-    def test_root_transport(self):
-        m = OrientedMap((0,), (0,), root=1)
-        assert side_label(m).root == 1
-
 
 class TestJsonAndGraph:
     def test_json_round_trip(self):
-        for m in (TORUS, OrientedMap((0, 1), (1, 0), root=2)):
+        for m in (TORUS, OrientedMap((0, 1), (1, 0))):
             obj = oriented_to_json_obj(m)
             assert OrientedMap.from_cycles(obj["n"], obj["sigma1"],
-                                           obj["sigma2"], obj.get("root")) == m
+                                           obj["sigma2"]) == m
 
     def test_graph_matches_side_labeled_graph(self):
         from monmap.maps import bicolored_graph
@@ -147,8 +137,6 @@ class TestJsonAndGraph:
             OrientedMap((0, 0), (0, 1))
         with pytest.raises(MapError):
             OrientedMap.from_cycles(2, [[1, 1]], [[1, 2]])
-        with pytest.raises(MapError):
-            OrientedMap((0,), (0,), root=2)
 
     @pytest.mark.parametrize("bad", [1.9, 1.0, "1", True])
     def test_non_int_cycle_entries_refused(self, bad):
@@ -176,8 +164,7 @@ class TestJsonAndGraph:
         good = {"n": 2, "cycles1": [[1, 2]], "cycles2": [[1, 2]]}
         assert OrientedMap.from_cycles(**good).n == 2
         for key, value in (("n", "2"), ("cycles1", [["1", 2]]),
-                           ("cycles2", [[True, 2]]), ("root", 1.5),
-                           ("root", True)):
+                           ("cycles2", [[True, 2]])):
             with pytest.raises(MapError):
                 OrientedMap.from_cycles(**{**good, key: value})
 
