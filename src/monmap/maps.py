@@ -290,17 +290,10 @@ class NonOrientedMap:
     @_cached
     def _side_trace(self) -> Optional[bytes]:
         """The trace from side 0 (position 0) as bytes, or None when the
-        map is not connected: ``by_class``'s second key.  One byte per
-        entry up to 256 sides, four beyond; the two never collide, since
-        their lengths differ.  The empty map's key is empty.
+        map is not connected: ``by_class``'s second key.  The empty map's
+        key is empty.
         """
-        b = self._b
-        if not b:
-            return b""
-        trace = _component_trace(b, self._w, self._e, 0)
-        if len(trace) < 3 * len(b):
-            return None
-        return bytes(trace) if len(b) <= 256 else array("I", trace).tobytes()
+        return _rooted_trace(self._b, self._w, self._e, 0) if self._b else b""
 
     def _key(self):
         return self.labels, self._b, self._w, self._e, self.root
@@ -528,6 +521,16 @@ def _component_trace(b, w, e, start: int, best=None):
     return tuple(out)
 
 
+def _rooted_trace(b, w, e, start: int) -> Optional[bytes]:
+    """The trace from ``start`` as bytes, or None when it does not reach
+    every side.  One byte per entry up to 256 sides, four beyond; the two
+    never collide, since their lengths differ."""
+    trace = _component_trace(b, w, e, start)
+    if len(trace) < 3 * len(b):
+        return None
+    return bytes(trace) if len(b) <= 256 else array("I", trace).tobytes()
+
+
 def canonical_form(m: NonOrientedMap) -> bytes:
     """Canonical byte string: equal iff the maps are label-isomorphic.
 
@@ -541,16 +544,25 @@ def canonical_form(m: NonOrientedMap) -> bytes:
 def by_class(m: NonOrientedMap, by_form: dict, by_trace: dict, compute):
     """``compute(m)``, kept once per isomorphism class of m, for a value
     that depends on m only up to relabelling.  ``by_form`` maps the
-    canonical form to the value, and ``by_trace`` maps the trace
-    from side 0 (``m._side_trace``, kept on the map) to the same value.
+    canonical form to the value, and ``by_trace`` maps rooted traces
+    (``m._side_trace``, kept on the map, and ``_rooted_trace``) to the
+    same value.
 
-    m is looked up first by its trace, one BFS where the canonical form
-    runs about one per side.  A connected map's trace reaches every side,
-    so equal traces mean a label bijection sending one map onto the other:
-    the same class, and the trace is a second key to its entry.  A
-    disconnected map's trace covers side 0's component only, so it is no
-    key: such a map, like one with a new trace, goes through the canonical
-    form, and it leaves ``by_trace`` as it was.
+    m is looked up first by its trace from side 0, one BFS where the
+    canonical form runs about one per side.  A connected map's trace
+    reaches every side, so equal traces mean a label bijection sending one
+    map onto the other: the same class, and the trace is a second key to
+    its entry.  The trace from any other side s is the side-0 trace of the
+    relabelling that moves s to position 0, a map of the same class, so it
+    is a key to the same entry.  A connected map whose canonical form
+    finds a known class under a new side-0 trace (the class is seen a
+    second time, under a new rooting) registers its traces from all sides,
+    and every later map of that class is found by its trace alone.  A
+    connected map that starts a class registers only its side-0 trace, so
+    a stream of pairwise non-isomorphic maps traces each map once besides
+    its canonical form.  A disconnected map's trace covers side 0's
+    component only, so it is no key: such a map goes through the
+    canonical form, and it leaves ``by_trace`` as it was.
     """
     trace = m._side_trace
     value = by_trace.get(trace)  # None, a disconnected map's, is no key
@@ -559,8 +571,12 @@ def by_class(m: NonOrientedMap, by_form: dict, by_trace: dict, compute):
         value = by_form.get(key)
         if value is None:
             value = by_form[key] = compute(m)
-        if trace is not None:
-            by_trace[trace] = value
+            if trace is not None:
+                by_trace[trace] = value
+        elif trace is not None:
+            b, w, e = m._b, m._w, m._e
+            for s in range(len(b)):
+                by_trace[_rooted_trace(b, w, e, s)] = value
     return value
 
 

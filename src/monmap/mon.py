@@ -21,21 +21,25 @@ of an in-process ``degree-bounds`` run from 20.7 to 23.3 MB (+12%).
 
 A history weight needs no residual map: ``kernels.removal_counts`` walks
 the history on one copy of the map's partner arrays, classifying each edge
-by a face walk and removing it in place.  The per-history checks that do
-need residual maps (top-degree prefixes, admissible removals, and the twist
-bijection in ``monmap.bijection``) read the chain M = M_0, M_1, ..., M_n
-left after each prefix of the history (see ``_states``).  Each removal is
-kept on the map it was taken from, and every residual map is interned in
-one table for the process (``_STATES``, emptied by ``clear_caches``), so
-equal removals from different maps are one object: the histories of every
-map checked share their common residual maps, their removals and their
-cached kernel data.  The table holds the distinct proper residuals of the
-maps checked, 1 598 at the default parameters of ``verify all``.  Edge
-kinds and roles are read from the states, never stored: condition B finds
-each removed edge's two sides once per state, by bisection on its labels,
-and reads the kind and the bridge/leaf test at those positions.  The
-degree target n + |F| - |V| comes from the face and vertex counts cached on
-the map.
+by a face walk and removing it in place.  Every history weight takes this
+one route, ``_sides_weight``, with the history as the side positions of
+its edges: ``history_weight`` and condition C find them by bisection on
+the labels, and the ``degree-bounds`` sampler draws them as positions.
+
+The per-history checks that do need residual maps (top-degree prefixes,
+admissible removals, and the twist bijection in ``monmap.bijection``) read
+the chain M = M_0, M_1, ..., M_n left after each prefix of the history
+(see ``_states``).  Each removal is kept on the map it was taken from, and
+every residual map is interned in one table for the process (``_STATES``,
+emptied by ``clear_caches``), so equal removals from different maps are
+one object: the histories of every map checked share their common
+residual maps, their removals and their cached kernel data.  The table
+holds the distinct proper residuals of the maps checked, 1 598 at the
+default parameters of ``verify all``.  Edge kinds and roles are read from
+the states, never stored: condition B finds each removed edge's two sides
+once per state, by bisection on its labels, and reads the kind and the
+bridge/leaf test at those positions.  The degree target n + |F| - |V|
+comes from the face and vertex counts cached on the map.
 """
 
 from __future__ import annotations
@@ -122,6 +126,14 @@ def _history_weight(m: NonOrientedMap, edges) -> GammaPoly:
     for a, _ in edges:
         i = bisect_left(labels, a)
         sides.append((i, partner[i]))
+    return _sides_weight(m, sides)
+
+
+def _sides_weight(m: NonOrientedMap, sides) -> GammaPoly:
+    """The weight of a history given as the side positions (i, j) of its
+    edges, in removal order: the one route by which every history weight
+    is computed.  The ``degree-bounds`` sampler draws its histories as
+    side positions and calls it directly."""
     return _monomial(*kernels.removal_counts(m._b, m._w, sides))
 
 

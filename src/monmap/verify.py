@@ -30,7 +30,7 @@ from .jack import (ch, ch_stanley, jack_in_p, jack_inner_product,
 from .maps import (EdgeKind, NonOrientedMap, _new_map, bicolored_graph,
                    by_class, canonical_form, classify_edge, is_orientable,
                    load_fixture, structure)
-from .mon import (_failing_prefix, _states, history_weight,
+from .mon import (_failing_prefix, _sides_weight, _states, history_weight,
                   is_top_degree_map, lemma_equivalence_check, mon,
                   mon_top_detail, mon_top_degree_target)
 from .oriented import side_label
@@ -152,11 +152,28 @@ def suite_lemma_equivalence(n: int = 3, force: bool = False) -> Report:
     ])
 
 
-def _random_pairing(rng: random.Random, size: int) -> tuple[int, ...]:
+def _shuffle(getrandbits, x: list) -> None:
+    """Shuffle the list x in place, as ``random.Random.shuffle`` does, with
+    the same ``getrandbits`` calls: for i from len(x) - 1 down to 1, j is
+    drawn below i + 1 by rejection on (i + 1).bit_length() bits, and x[i]
+    and x[j] are swapped.  A generator shuffled either way gives the same
+    order and ends in the same state; this one makes no method call per
+    draw besides ``getrandbits``."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def _random_pairing(getrandbits, size: int) -> tuple[int, ...]:
     """A uniform perfect matching of range(size) as partner indices; it
-    draws from ``rng`` as one shuffle of ``size`` labels does."""
+    makes the ``getrandbits`` calls of one shuffle of ``size`` labels
+    (``_shuffle``), and consecutive entries of the shuffled labels are
+    paired."""
     order = list(range(size))
-    rng.shuffle(order)
+    _shuffle(getrandbits, order)
     partner = [0] * size
     for a, b in zip(order[::2], order[1::2]):
         partner[a], partner[b] = b, a
@@ -204,20 +221,21 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
         f"exhaustive n<={n_exhaustive}: deg mon <= n+|F|-|V|, top coeff = mon_top",
         mon_ok, {"maps": str(count)}))
 
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     verdicts: dict[bytes, tuple] = {}  # canonical form -> _class_verdict
-    by_trace: dict[bytes, tuple] = {}  # side-0 trace -> the same verdict
+    by_trace: dict[bytes, tuple] = {}  # rooted trace -> the same verdict
     for n in sampled:
         ok = True
         labels = tuple(range(1, 2 * n + 1))
         for _ in range(samples):
             # valid by construction, so built unvalidated
-            m = _new_map(labels, *(_random_pairing(rng, 2 * n)
+            m = _new_map(labels, *(_random_pairing(getrandbits, 2 * n)
                                    for _ in range(3)), None)
             bound, class_ok = by_class(m, verdicts, by_trace, _class_verdict)
-            h = list(m.edges())
-            rng.shuffle(h)
-            if not class_ok or history_weight(m, h).degree > bound:
+            # the edges as side positions, in the order of m.edges()
+            h = [(i, j) for i, j in enumerate(m._e) if i < j]
+            _shuffle(getrandbits, h)
+            if not class_ok or _sides_weight(m, h).degree > bound:
                 ok = False
         checks.append(Check(
             f"sampled n={n}: mon and history-weight degree bounds", ok,

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from monmap import kernels
 from monmap.algebra import GAMMA, ONE, GammaPoly
 from monmap.bijection import phi, phi_inverse
-from monmap.enumeration import all_maps, conservative_one_face
+from monmap.enumeration import (all_maps, conservative_one_face,
+                                one_face_orbits)
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
-                         _edge_index, by_class, canonical_form,
-                         classify_edge, load_fixture, remove_edge,
-                         structure, twist_many)
+                         _component_trace, _edge_index, by_class,
+                         canonical_form, classify_edge, load_fixture,
+                         remove_edge, structure, twist_many)
 from monmap.mon import (_MON_CACHE, _MON_TRACES, _STATES, _failing_prefix,
                         _mon_pair, _monomial, _states, clear_caches,
                         history_weight, is_top_degree_map,
@@ -320,6 +321,16 @@ def fresh(maps):
             for m in maps]
 
 
+def rerooted(m, s):
+    """m with positions 0 and s swapped: a map of the same class, whose
+    trace from side 0 is m's trace from side s."""
+    swap = list(range(len(m._b)))
+    swap[0], swap[s] = s, 0
+    arrays = [[swap[p[swap[i]]] for i in range(len(p))]
+              for p in (m._b, m._w, m._e)]
+    return NonOrientedMap.from_arrays(m.labels, *arrays, m.root)
+
+
 def one_face_and_n2_families():
     return [list(conservative_one_face(n)) for n in range(1, 5)] + [
         list(all_maps(2))]
@@ -526,6 +537,74 @@ class TestByClass:
             assert forms == ([] if connected else [again])
             assert by_trace == traces
         assert len(computed) == len(classes)
+
+
+    @staticmethod
+    def spy_forms(monkeypatch):
+        maps = importlib.import_module("monmap.maps")
+        forms = []
+        real = maps.canonical_form
+        monkeypatch.setattr(maps, "canonical_form",
+                            lambda x: forms.append(x) or real(x))
+        return forms
+
+    def test_second_rooting_registers_every_rooting(self, monkeypatch):
+        m = next(x for x in all_maps(3) if x._component_data[1] == 1
+                 and len({rerooted(x, s)._side_trace for s in range(6)}) > 1)
+        s = next(s for s in range(1, 6)
+                 if rerooted(m, s)._side_trace != m._side_trace)
+        for t in range(6):  # the trace from side t is a rerooting's
+            assert rerooted(m, t)._side_trace == bytes(
+                _component_trace(m._b, m._w, m._e, t))
+        forms = self.spy_forms(monkeypatch)
+        by_form, by_trace, computed = {}, {}, []
+
+        def compute(x):
+            computed.append(x)
+            return object()
+
+        value = by_class(m, by_form, by_trace, compute)
+        assert list(by_trace) == [m._side_trace]  # a new class: side 0 only
+        again = rerooted(m, s)
+        assert by_class(again, by_form, by_trace, compute) is value
+        assert forms == [m, again] and computed == [m]
+        assert set(by_trace) == {rerooted(m, t)._side_trace
+                                 for t in range(6)}
+        for t in range(6):
+            forms.clear()
+            assert by_class(rerooted(m, t), by_form, by_trace,
+                            compute) is value
+            assert forms == []
+        assert computed == [m]
+
+    def test_disconnected_map_registers_no_trace(self, monkeypatch):
+        m, e = disconnecting_map()
+        residual = remove_edge(m, e)
+        assert residual._component_data[1] > 1
+        forms = self.spy_forms(monkeypatch)
+        by_form, by_trace = {}, {}
+        value = by_class(residual, by_form, by_trace, lambda x: object())
+        for s in range(len(residual._b)):
+            again = rerooted(residual, s)
+            forms.clear()
+            assert by_class(again, by_form, by_trace, None) is value
+            assert forms == [again]
+        assert by_trace == {}
+
+    def test_class_stream_traces_each_map_once(self, monkeypatch):
+        # pairwise non-isomorphic maps: one side-0 trace and one canonical
+        # form (one trace per side) each, and no rooted traces
+        maps = importlib.import_module("monmap.maps")
+        calls = []
+        real = maps._component_trace
+        monkeypatch.setattr(maps, "_component_trace",
+                            lambda *args: calls.append(args) or real(*args))
+        reps = [x for x, _ in one_face_orbits(5)]
+        by_form, by_trace = {}, {}
+        for x in reps:
+            by_class(x, by_form, by_trace, lambda x: object())
+        assert len(by_form) == len(by_trace) == len(reps) == 137
+        assert len(calls) == len(reps) * (1 + 10) == 1507
 
 
 class TestLemmaEquivalence:

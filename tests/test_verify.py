@@ -15,7 +15,8 @@ from monmap.enumeration import all_maps, transitive_pairs_by_class
 from monmap.maps import (NonOrientedMap, _component_trace, canonical_form,
                          is_orientable, structure)
 from monmap.oriented import side_label
-from monmap.verify import Check, Report, SUITES, report_render, run_suite
+from monmap.verify import (Check, Report, SUITES, _shuffle, report_render,
+                           run_suite)
 
 
 # One small case per layer: oriented pairs, the mon/mon_top memo, embedding
@@ -56,11 +57,11 @@ def make_report():
 
 
 def label_level_samples(seed, ns, samples):
-    """The degree-bounds sampler's maps, drawn as label pairs: per map, one
-    shuffle of the labels 1..2n for each involution, then one shuffle of
-    its edges for the sampled history."""
+    """The degree-bounds sampler's (map, history) pairs, drawn as label
+    pairs: per map, one shuffle of the labels 1..2n for each involution,
+    then one shuffle of its edges for the sampled history."""
     rng = random.Random(seed)
-    maps = []
+    pairs = []
     for n in ns:
         labels = list(range(1, 2 * n + 1))
 
@@ -71,9 +72,25 @@ def label_level_samples(seed, ns, samples):
 
         for _ in range(samples):
             m = NonOrientedMap.from_pairs(pairing(), pairing(), pairing())
-            rng.shuffle(list(m.edges()))
-            maps.append(m)
-    return maps
+            history = list(m.edges())
+            rng.shuffle(history)
+            pairs.append((m, history))
+    return pairs
+
+
+def weighed_samples(monkeypatch):
+    """Spy on the degree-bounds sampler's history weights: the list it
+    returns gets each weighed sample as (map, history as label pairs)."""
+    verify = importlib.import_module("monmap.verify")
+    weighed = []
+    real = verify._sides_weight
+
+    def spy(m, sides):
+        labels = m.labels
+        weighed.append((m, [(labels[i], labels[j]) for i, j in sides]))
+        return real(m, sides)
+    monkeypatch.setattr(verify, "_sides_weight", spy)
+    return weighed
 
 
 class TestRender:
@@ -271,15 +288,33 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sampled_maps_match_label_level_draws(self, monkeypatch, seed):
-        # history_weight runs once per sample; structure once per class
-        verify = importlib.import_module("monmap.verify")
-        drawn = []
-        real = verify.history_weight
-        monkeypatch.setattr(verify, "history_weight",
-                            lambda m, h: drawn.append(m) or real(m, h))
-        verify.suite_degree_bounds(n_exhaustive=0, sampled=(3, 4),
-                                   samples=25, seed=seed)
-        assert drawn == label_level_samples(seed, (3, 4), 25)
+        # every sample is weighed once, by the history drawn for it
+        weighed = weighed_samples(monkeypatch)
+        report = run_suite("degree-bounds", n_exhaustive=0, sampled=(3, 4),
+                           samples=25, seed=seed)
+        assert report.passed
+        assert weighed == label_level_samples(seed, (3, 4), 25)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_shuffle_draws_as_random_shuffle(self, seed):
+        for size in range(13):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            x, y = list(range(size)), list(range(size))
+            _shuffle(ours.getrandbits, x)
+            theirs.shuffle(y)
+            assert x == y
+            assert ours.getstate() == theirs.getstate()
+
+    def test_sampled_maps_are_valid(self, monkeypatch):
+        # the sampler builds its maps unvalidated; each must be one the
+        # validating constructor accepts and rebuilds equal
+        weighed = weighed_samples(monkeypatch)
+        report = run_suite("degree-bounds", n_exhaustive=0, sampled=(4, 5),
+                           samples=500, seed=0)
+        assert report.passed
+        assert [m.n for m, _ in weighed] == [4] * 500 + [5] * 500
+        for m, _ in weighed:
+            assert NonOrientedMap.from_arrays(m.labels, m._b, m._w, m._e) == m
 
     def test_sampled_part_decides_each_class_once(self, monkeypatch):
         verify = importlib.import_module("monmap.verify")
@@ -291,34 +326,49 @@ class TestRunSuite:
                                             samples=200, seed=0)
         assert report.passed
         classes = {canonical_form(m)
-                   for m in label_level_samples(0, (3, 4), 200)}
+                   for m, _ in label_level_samples(0, (3, 4), 200)}
         assert len(calls) == len(classes) < 400
 
     def test_sampled_part_looks_classes_up_by_side_trace(self, monkeypatch):
-        # a canonical form only for a sample whose trace from side 0 is new,
-        # or which is disconnected, so that the trace is no key; mon
-        # canonicalises the sample it is handed too, so count instances
-        verify = importlib.import_module("monmap.verify")
+        # a canonical form only for a sample whose trace from side 0 is no
+        # key yet, or which is disconnected, so that the trace is no key; a
+        # connected sample whose form finds a known class makes its traces
+        # from every side keys.  mon canonicalises the sample it is handed
+        # too, so count instances
         maps = importlib.import_module("monmap.maps")
-        calls, drawn = [], []
+        calls = []
         real = maps.canonical_form
         monkeypatch.setattr(maps, "canonical_form",
                             lambda m: calls.append(m) or real(m))
-        real_weight = verify.history_weight
-        monkeypatch.setattr(verify, "history_weight",
-                            lambda m, h: drawn.append(m) or real_weight(m, h))
-        report = verify.suite_degree_bounds(n_exhaustive=0, sampled=(3, 4),
-                                            samples=200, seed=0)
+        weighed = weighed_samples(monkeypatch)
+        report = run_suite("degree-bounds", n_exhaustive=0, sampled=(3, 4),
+                           samples=200, seed=0)
         assert report.passed
-        canonicalised = {id(m) for m in calls} & {id(m) for m in drawn}
-        keys, disconnected = set(), 0
-        for m in label_level_samples(0, (3, 4), 200):
+        canonicalised = {id(m) for m in calls} & {id(m) for m, _ in weighed}
+        forms, keys, side0_keys = set(), set(), set()
+        disconnected = second_sightings = expected = 0
+        for m, _ in label_level_samples(0, (3, 4), 200):
             if m._component_data[1] > 1:
                 disconnected += 1
+                expected += 1
+                forms.add(canonical_form(m))
+                continue
+            rooted = [_component_trace(m._b, m._w, m._e, s)
+                      for s in range(len(m._b))]
+            side0_keys.add(rooted[0])
+            if rooted[0] in keys:
+                continue
+            expected += 1
+            form = canonical_form(m)
+            if form in forms:
+                second_sightings += 1
+                keys.update(rooted)
             else:
-                keys.add(_component_trace(m._b, m._w, m._e, 0))
-        assert disconnected > 0
-        assert len(canonicalised) == len(keys) + disconnected < 400
+                forms.add(form)
+                keys.add(rooted[0])
+        assert disconnected > 0 and second_sightings > 0
+        # fewer forms than with the side-0 trace as the only key
+        assert len(canonicalised) == expected < len(side0_keys) + disconnected
 
     def test_sampled_part_traces_each_map_once(self, monkeypatch):
         # the suite's class lookup, then mon_top_detail's and mon's, read
