@@ -21,6 +21,14 @@ pairs, which stay fixed across the states; at each level the sides of edge
 k and of the twist set are found once, by bisection on that state's
 labels, and both candidates are twisted at those positions
 (``maps._twist_sides``, the one twist, which ``twist_many`` also calls).
+
+A candidate below the input map is looked up, read-only, among the
+interned residuals of ``mon._STATES``; where the table holds an equal map,
+its cached orbit data answers the target test.  The top-degree target
+reads the component count of the untwisted state, since a twist keeps
+every <beta, omega, eps> orbit.  Both are sound because the target depends
+only on the map's value, and neither carries orbit data onto the map the
+induction returns.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Sequence
 
 from .maps import (MapError, NonOrientedMap, _bridge_or_leaf, _twist_sides,
                    is_orientable)
-from .mon import _check_history, _failing_prefix, _states, is_top_degree_map
+from .mon import _STATES, _check_history, _failing_prefix, _states
 
 
 class NotInDomainError(MapError):
@@ -58,7 +66,7 @@ def phi(m: NonOrientedMap, history: Sequence) -> BijectionResult:
         raise NotInDomainError(
             f"(map, history) is not a top-degree pair: prefix {bad} "
             f"(after removing {list(edges[:bad])}) is not top-degree")
-    out, twists = _settle(states, edges, is_orientable)
+    out, twists = _settle(states, edges, _orientable)
     return BijectionResult(out, edges, twists)
 
 
@@ -67,12 +75,27 @@ def phi_inverse(m: NonOrientedMap, history: Sequence) -> BijectionResult:
     edges = _check_history(m, history)
     if not is_orientable(m):
         raise NotInDomainError("phi_inverse requires an orientable map")
-    out, twists = _settle(_states(m, edges), edges, is_top_degree_map)
+    out, twists = _settle(_states(m, edges), edges, _top_degree)
     return BijectionResult(out, edges, twists)
 
 
+def _orientable(candidate: NonOrientedMap, state: NonOrientedMap) -> bool:
+    """``phi``'s target: ``is_orientable(candidate)``."""
+    return candidate._component_data[2]
+
+
+def _top_degree(candidate: NonOrientedMap, state: NonOrientedMap) -> bool:
+    """``phi_inverse``'s target: ``is_top_degree_map(candidate)``, with the
+    component count read from ``state``, the map the candidate twists.  A
+    twist conjugates omega by swaps inside eps-pairs, so every
+    <beta, omega, eps> orbit keeps its label set: the candidate's
+    components are the state's, and only its faces need a walk."""
+    return candidate._face_data[2] == state._component_data[1]
+
+
 def _settle(states, edges, target):
-    """Both directions; `target` is the property the output must satisfy.
+    """Both directions; ``target(candidate, state)`` is the property the
+    output must satisfy (``_orientable`` or ``_top_degree``).
 
     They are the same induction with the roles of "orientable" and
     "top-degree map" swapped.  It walks the history's prefix states from
@@ -86,6 +109,22 @@ def _settle(states, edges, target):
     changes neither the graph nor the beta/omega/eps adjacency of an
     edge's two sides, so the bridge/leaf test reads the state and the state
     left after removing e, not the candidate.
+
+    At every level k >= 1 the state is a proper residual, interned in
+    ``mon._STATES``, and a candidate twisting it is most often a residual
+    the table holds too: the same residual of the map with the twist set
+    twisted, when that map's histories were walked before.  Each such
+    candidate is looked up by its key and, when found, replaced by the
+    table's object, whose cached face and component data the target reads
+    instead of walking the fresh copy.  The two are equal maps, so the
+    target's answer is the same.  The lookup only reads: a missing
+    candidate stays a fresh map and is never added.  Level 0 twists the
+    input map itself and gives the output, so it is not looked up: the
+    output stays a fresh map, and the round trip's checks compute its
+    data from it.  ``_top_degree`` reads the component count of the state,
+    not of the candidate: a twist keeps every <beta, omega, eps> orbit, so
+    the two counts are equal and one ``orbit_ids3`` walk per candidate is
+    saved.
     """
     out, twists = states[-1], ()
     for k in range(len(edges) - 1, -1, -1):
@@ -97,8 +136,10 @@ def _settle(states, edges, target):
         sides = [(bisect_left(labels, a), bisect_left(labels, b))
                  for a, b in twists]
         candidate = _twist_sides(state, sides)
+        if k and sides:  # with no twists, the candidate is the state
+            candidate = _STATES.get(candidate._key(), candidate)
         if _bridge_or_leaf(state, states[k + 1], i, j):
-            if not target(candidate):
+            if not target(candidate, state):
                 raise DichotomyError(
                     f"bridge/leaf case failed target at edge {e}; "
                     f"trace={list(edges[:k + 1])}")
@@ -106,8 +147,10 @@ def _settle(states, edges, target):
             continue
         sides.append((i, j))
         twisted = _twist_sides(state, sides)
-        ok_plain = target(candidate)
-        ok_twisted = target(twisted)
+        if k:
+            twisted = _STATES.get(twisted._key(), twisted)
+        ok_plain = target(candidate, state)
+        ok_twisted = target(twisted, state)
         if ok_plain == ok_twisted:
             raise DichotomyError(
                 f"dichotomy violated at edge {e} (plain={ok_plain}, "

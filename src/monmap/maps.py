@@ -446,7 +446,9 @@ def twist_many(m: NonOrientedMap, edges) -> NonOrientedMap:
 
 def _twist_sides(m: NonOrientedMap, sides) -> NonOrientedMap:
     """``twist_many`` of the edges whose sides sit at the position pairs
-    ``sides``; m itself when there are none."""
+    ``sides``; m itself when there are none.  The twisted map shares m's
+    ``labels`` and ``_e`` tuples, so it shares m's cached ``eps`` view too;
+    no orbit data is carried over."""
     if not sides:
         return m
     swap = list(range(len(m.labels)))
@@ -458,8 +460,12 @@ def _twist_sides(m: NonOrientedMap, sides) -> NonOrientedMap:
         swap[j] = i
     w = m._w
     # omega' = s . omega . s with s the product of the swaps (an involution)
-    return _new_map(
+    out = _new_map(
         m.labels, m._b, tuple([swap[w[x]] for x in swap]), m._e, m.root)
+    eps = m.__dict__.get("eps")
+    if eps is not None:
+        out.__dict__["eps"] = eps
+    return out
 
 
 def _bridge_or_leaf(before: NonOrientedMap, after: NonOrientedMap,

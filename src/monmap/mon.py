@@ -35,11 +35,15 @@ emptied by ``clear_caches``), so equal removals from different maps are
 one object: the histories of every map checked share their common
 residual maps, their removals and their cached kernel data.  The table
 holds the distinct proper residuals of the maps checked, 1 598 at the
-default parameters of ``verify all``.  Edge kinds and roles are read from
-the states, never stored: condition B finds each removed edge's two sides
-once per state, by bisection on its labels, and reads the kind and the
-bridge/leaf test at those positions.  The degree target n + |F| - |V|
-comes from the face and vertex counts cached on the map.
+default parameters of ``verify all``.  The twist bijection reads it too:
+``bijection._settle`` replaces a twisting candidate that equals a residual
+in the table by the table's object, and so reuses its cached kernel data.
+It only reads: it never adds a candidate, so the table holds residuals
+alone.  Edge kinds and roles are read from the states, never stored:
+condition B finds each removed edge's two sides once per state, by
+bisection on its labels, and reads the kind and the bridge/leaf test at
+those positions.  The degree target n + |F| - |V| comes from the face and
+vertex counts cached on the map.
 """
 
 from __future__ import annotations
@@ -99,7 +103,9 @@ def _states(m: NonOrientedMap, edges) -> list[NonOrientedMap]:
     proper residuals of the maps checked since ``clear_caches``: 1 598 at
     the default parameters of ``lemma-equivalence`` and ``key-bijection``,
     and up to 28 * 15**3 + 70 * 27 + 28 + 1 = 96 419 for a forced
-    ``lemma-equivalence --n 4``.
+    ``lemma-equivalence --n 4``.  Only this function adds to the table;
+    ``bijection._settle`` looks its twist candidates up in it and never
+    adds one.
     """
     states = [m]
     for e in edges:

@@ -1,15 +1,18 @@
 import importlib
-from itertools import permutations
+from functools import reduce
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monmap.bijection import (BijectionResult, DichotomyError,
-                              NotInDomainError, _settle, phi, phi_inverse)
-from monmap.enumeration import all_maps
-from monmap.maps import (NonOrientedMap, bicolored_graph, graph_class,
-                         is_orientable, remove_edge, twist_many)
+                              NotInDomainError, _orientable, _settle,
+                              _top_degree, phi, phi_inverse)
+from monmap.enumeration import all_maps, conservative_one_face
+from monmap.maps import (NonOrientedMap, _edge_index, _twist_sides,
+                         bicolored_graph, graph_class, is_orientable,
+                         remove_edge, twist_many)
 from monmap.mon import (_check_history, _states, is_top_degree_map,
                         is_top_degree_pair)
 from monmap.oriented import OrientedMap, side_label
@@ -149,6 +152,36 @@ class TestSampledN4:
             assert structure(out).components == 1
 
 
+def _subsets(items):
+    return [c for k in range(len(items) + 1) for c in combinations(items, k)]
+
+
+def _residuals(m):
+    """m with each subset of its edges removed."""
+    return [reduce(remove_edge, removed, m) for removed in _subsets(m.eps)]
+
+
+class TestTwistInvariance:
+    """``_top_degree`` reads the components of the map it twists: a twist
+    must keep them, and the vertex partitions too."""
+
+    def test_twist_keeps_components_and_vertices(self):
+        maps = [*all_maps(1), *all_maps(2)]
+        for m in conservative_one_face(4):
+            maps += _residuals(m)
+        twists = 0
+        for m in maps:
+            for subset in _subsets(m.eps):
+                twisted = _twist_sides(m, [_edge_index(m, e) for e in subset])
+                ids, count, _ = twisted._component_data
+                assert (ids, count) == m._component_data[:2]
+                assert twisted._vertex_data == m._vertex_data
+                assert (_top_degree(twisted, m)
+                        == is_top_degree_map(twisted))
+                twists += 1
+        assert twists > len(maps)
+
+
 class TestResultShape:
     def test_history_preserved(self, klein):
         h = [(2, 4), (1, 5), (3, 6)]
@@ -226,9 +259,10 @@ class TestMatchesLabelLevelReference:
         h = data.draw(st.permutations(m.eps))
         edges = _check_history(m, h)
         # outside the domains too, both make the same choices and fail alike
-        for target in (is_orientable, is_top_degree_map):
+        for target, ref_target in ((_orientable, is_orientable),
+                                   (_top_degree, is_top_degree_map)):
             assert (outcome(_settle, _states(m, edges), edges, target)
-                    == outcome(ref_settle, m, h, target))
+                    == outcome(ref_settle, m, h, ref_target))
         if is_top_degree_pair(m, h):
             res = phi(m, h)
             assert (res.map, res.twists) == ref_settle(m, h, is_orientable)
@@ -255,15 +289,18 @@ class TestDichotomyErrors:
         def target(m):
             return verdict
 
+        def hook(candidate, state):
+            return verdict
+
         with pytest.raises(DichotomyError) as ref:
             ref_settle(klein, self.H, target)
         assert str(ref.value) == text
-        monkeypatch.setattr(bijection, "is_orientable", target)
+        monkeypatch.setattr(bijection, "_orientable", hook)
         with pytest.raises(DichotomyError) as err:
             phi(klein, self.H)
         assert str(err.value) == text
         monkeypatch.undo()
-        monkeypatch.setattr(bijection, "is_top_degree_map", target)
+        monkeypatch.setattr(bijection, "_top_degree", hook)
         with pytest.raises(DichotomyError) as err:
             phi_inverse(orientable, self.H)
         assert str(err.value) == outcome(ref_settle, orientable, self.H,

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -218,6 +218,20 @@ class TestTwist:
         seq = twist_many(twist_many(klein, [(1, 5)]), [(2, 4)])
         assert twist_many(klein, [(1, 5), (2, 4)]) == seq
         assert twist_many(klein, [(2, 4), (1, 5)]) == seq
+
+    def test_twisted_map_carries_the_eps_view(self, projective):
+        rooted = NonOrientedMap.from_pairs(
+            projective.beta, projective.omega, projective.eps, 4)
+        for m in [*all_maps(2), rooted, remove_edge(rooted, (1, 3))]:
+            m.eps  # cache the view on m
+            for k in range(1, m.n + 1):
+                for subset in combinations(m.eps, k):
+                    t = twist_many(m, subset)
+                    assert vars(t)["eps"] is m.eps
+                    assert t.eps == t._label_pairs(t._e)
+                    rebuilt = NonOrientedMap.from_arrays(
+                        t.labels, t._b, t._w, t._e, t.root)
+                    assert rebuilt == t and rebuilt.eps == t.eps
 
     def test_twist_many_rejects_duplicates(self, klein):
         with pytest.raises(MapError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from monmap import kernels
 from monmap.algebra import GAMMA, ONE, GammaPoly
-from monmap.bijection import phi, phi_inverse
+from monmap.bijection import NotInDomainError, phi, phi_inverse
 from monmap.enumeration import (all_maps, conservative_one_face,
                                 one_face_orbits)
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
@@ -22,7 +22,7 @@ from monmap.mon import (_MON_CACHE, _MON_TRACES, _STATES, _failing_prefix,
                         history_weight, is_top_degree_map,
                         is_top_degree_pair, lemma_equivalence_check, mon,
                         mon_top, mon_top_degree_target, mon_top_detail)
-from monmap.verify import suite_lemma_equivalence
+from monmap.verify import suite_key_bijection, suite_lemma_equivalence
 
 from conftest import edge_role, map_strategy
 
@@ -180,6 +180,65 @@ class TestHistoryStates:
         assert _STATES
         assert all(state.n < klein.n for state in _STATES.values())
         assert klein._key() not in _STATES
+
+    @staticmethod
+    def _spy_targets(monkeypatch):
+        """The (candidate, state) pairs that ``_settle``'s targets see."""
+        bijection = importlib.import_module("monmap.bijection")
+        seen = []
+        for name in ("_orientable", "_top_degree"):
+            def spy(candidate, state, target=getattr(bijection, name)):
+                seen.append((candidate, state))
+                return target(candidate, state)
+            monkeypatch.setattr(bijection, name, spy)
+        return seen
+
+    def test_settle_reads_the_state_table_and_never_adds(self, monkeypatch):
+        clear_caches()
+        suite_lemma_equivalence()
+        size = len(_STATES)
+        # the level-1 candidates of an n = 3 pair are the table's objects
+        seen = self._spy_targets(monkeypatch)
+        klein = load_fixture("klein")  # no removals cached on it
+        history = [(1, 5), (2, 4), (3, 6)]
+        phi_inverse(phi(klein, history).map, history)
+        level_one = [(c, s) for c, s in seen if c.n == 2]
+        assert any(c is not s for c, s in level_one)
+        assert all(_STATES[c._key()] is c for c, _ in level_one)
+        monkeypatch.undo()
+        # every map on two edges of labels 1..4 is a residual in the
+        # table, the twisted outputs too; the outputs stay fresh maps
+        found = 0
+        for m in all_maps(2):
+            for h in permutations(m.edges()):
+                for there in (phi, phi_inverse):
+                    try:
+                        out = there(m, h).map
+                    except NotInDomainError:
+                        continue
+                    assert _STATES.get(out._key()) is not out
+                    found += out is not m and out._key() in _STATES
+        assert found
+        assert len(_STATES) == size
+        suite_key_bijection()
+        assert len(_STATES) == 1598
+
+    def test_twisted_plain_candidates_are_looked_up(self, monkeypatch):
+        # phi twists the third edge, so the plain candidate at level 1
+        # already carries a twist
+        m = list(conservative_one_face(4))[1]
+        history = m.edges()
+        clear_caches()
+        res = phi(m, history)
+        assert res.twists == (history[2],)
+        _states(res.map, history)  # interns the residuals phi settles on
+        seen = self._spy_targets(monkeypatch)
+        assert phi(m, history) == res
+        found = [(c, s) for c, s in seen
+                 if c.n < m.n and c._key() in _STATES]
+        assert all(_STATES[c._key()] is c for c, _ in found)
+        # level 2 picks its twisted candidate, level 1 its plain one
+        assert [c.n for c, s in found if c is not s] == [2, 3]
 
     def test_history_weight_leaves_no_states(self):
         m = load_fixture("klein")
