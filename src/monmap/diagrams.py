@@ -246,8 +246,8 @@ def _oriented_table(n: int, force: bool = False
                     ) -> dict[bytes, tuple[BicoloredGraph, Fraction]]:
     """The class sizes of :func:`transitive_pairs_by_class` summed by the
     bicolored graph class of each pair (one walk of the stream), each
-    divided by (n-1)!, the number of edge labelings of an unlabeled rooted
-    connected oriented map."""
+    divided by (n-1)!, the number of edge labelings of an unlabeled
+    connected oriented map with one marked edge that give it label 1."""
     labelings = math.factorial(n - 1)
     pairs = transitive_pairs_by_class(n, force=force)
     return _class_table((bicolored_graph_oriented(om),
@@ -297,12 +297,13 @@ def top_map_sums(n: int, mr: MultiRect,
 
     chtop, the oriented side, is (-1) * the sum over transitive
     (sigma1, sigma2) of gamma^(n+1-|V|) * N~_G(lambda), divided by (n-1)!
-    (the number of edge labelings of an unlabeled rooted connected
-    oriented map).  ogs_top, the one-face side, is the sum over the
-    one-face maps M of mon_top(M) * gamma^(n+1-|V|) * N~_M(lambda),
-    returned bare, with no global sign folded in: the identity holds as
-    chtop = (-1) * ogs_top, and the suites state that reconciliation in
-    their reports.  N~ is :func:`normalized_embeddings` at scale mr.A.
+    (the number of edge labelings of an unlabeled connected oriented map
+    with one marked edge that give it label 1).  ogs_top, the one-face
+    side, is the sum over the one-face maps M of mon_top(M) *
+    gamma^(n+1-|V|) * N~_M(lambda), returned bare, with no global sign
+    folded in: the identity holds as chtop = (-1) * ogs_top, and the
+    suites state that reconciliation in their reports.  N~ is
+    :func:`normalized_embeddings` at scale mr.A.
 
     Each summand depends only on the bicolored graph (and on mon_top(M)),
     so each side walks its stream once (:func:`_oriented_table`,

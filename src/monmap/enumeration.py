@@ -83,25 +83,21 @@ def polygon_pairings(face_type) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(beta), tuple(omega)
 
 
-def _gluings(face_type, root) -> Iterator[NonOrientedMap]:
+def conservative_maps(face_type) -> Iterator[NonOrientedMap]:
+    """All gluings of the fixed labeled polygons of the given face-type."""
     beta, omega = polygon_pairings(face_type)
     labels = tuple(range(1, len(beta) + 1))
     for eps in involutions(labels):
-        yield _new_map(labels, beta, omega, eps, root)
-
-
-def conservative_maps(face_type) -> Iterator[NonOrientedMap]:
-    """All gluings of the fixed labeled polygons of the given face-type."""
-    yield from _gluings(face_type, None)
+        yield _new_map(labels, beta, omega, eps)
 
 
 def conservative_one_face(n: int,
                           force: bool = False) -> Iterator[NonOrientedMap]:
-    """All (2n-1)!! one-polygon maps on the standard 2n-gon, rooted at side 1."""
+    """All (2n-1)!! one-polygon maps on the standard 2n-gon."""
     if n < 1:
         raise ValueError("need n >= 1")
     check_guard("n", n, MAX_ONE_FACE_N, force)
-    yield from _gluings((n,), 1)
+    yield from conservative_maps((n,))
 
 
 def one_face_orbits(
@@ -111,24 +107,24 @@ def one_face_orbits(
 
     Yields ``(m, size)`` with one map m per orbit of the gluings eps under
     conjugation by the dihedral group D_n: m carries the orbit's least eps
-    (as a partner-index tuple), rooted at side 1, and size is the number
-    of gluings in the orbit.  Representatives: 1, 3, 7, 30, 137, 1 065 and
-    10 307 for n = 1..7, with sizes summing to (2n-1)!!.
+    (as a partner-index tuple), and size is the number of gluings in the
+    orbit.  Representatives: 1, 3, 7, 30, 137, 1 065 and 10 307 for n =
+    1..7, with sizes summing to (2n-1)!!.
 
     The sum is exact for every summand f(beta0, omega_n, eps) that
     relabelling (simultaneous conjugation of the three involutions) leaves
-    unchanged and that ignores the root: mon_top by either route, the
-    bicolored graph class, the unrooted canonical form.  On the positions
-    0..2n-1 of the standard 2n-gon, beta0 pairs (2k, 2k+1) and omega_n
-    pairs (2k+1, 2k+2) mod 2n.  The rotation x -> x+2 and the reflection
-    x -> -x-1 (mod 2n) each send beta0 pairs to beta0 pairs and omega_n
-    pairs to omega_n pairs, so the group D_n of order 2n they generate
-    centralises both.  For tau in D_n, eps -> tau eps tau^-1 then
-    relabels the triple (beta0, omega_n, eps) into (beta0, omega_n,
-    tau eps tau^-1) and keeps f, so f is constant on each orbit, and by
-    orbit-stabiliser an orbit holds 2n / |stabiliser| gluings.  A gluing
-    is yielded when no element of D_n conjugates it to a smaller tuple;
-    the elements that conjugate it to itself form its stabiliser.
+    unchanged: mon_top by either route, the bicolored graph class, the
+    canonical form.  On the positions 0..2n-1 of the standard 2n-gon,
+    beta0 pairs (2k, 2k+1) and omega_n pairs (2k+1, 2k+2) mod 2n.  The
+    rotation x -> x+2 and the reflection x -> -x-1 (mod 2n) each send
+    beta0 pairs to beta0 pairs and omega_n pairs to omega_n pairs, so the
+    group D_n of order 2n they generate centralises both.  For tau in D_n,
+    eps -> tau eps tau^-1 then relabels the triple (beta0, omega_n, eps)
+    into (beta0, omega_n, tau eps tau^-1) and keeps f, so f is constant on
+    each orbit, and by orbit-stabiliser an orbit holds 2n / |stabiliser|
+    gluings.  A gluing is yielded when no element of D_n conjugates it to
+    a smaller tuple; the elements that conjugate it to itself form its
+    stabiliser.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -157,7 +153,7 @@ def one_face_orbits(
             if d < 0:
                 break
         else:
-            yield _new_map(labels, beta, omega, eps, 1), size // fixed
+            yield _new_map(labels, beta, omega, eps), size // fixed
 
 
 def maps_by_face_type(
@@ -171,15 +167,15 @@ def maps_by_face_type(
     The sum is exact for every summand f(beta, omega, eps) that relabelling
     (simultaneous conjugation of the three involutions) leaves unchanged:
     the genus, mon, both routes of mon_top, the multiset of history
-    weights, the unrooted canonical form.  Every fixed-point-free
-    involution beta is conjugate to beta0 = (1 2)(3 4)..., and a
-    relabelling taking beta0 to beta maps the triples (beta0, ., .)
-    bijectively onto the triples (beta, ., .) and keeps f, so each of the
-    (2n-1)!! involutions beta contributes the sum over (beta0, ., .).  The
-    centraliser H_n of beta0 (order 2^n n!) sorts omega by the face type
-    mu of <beta0, omega>.  The class of mu holds 2^n n! / z_(2mu)
-    involutions, with z_(2mu) = 2^l(mu) z_mu (Macdonald, Symmetric
-    Functions, VII.2), and contains the omega of ``polygon_pairings(mu)``.
+    weights, the canonical form.  Every fixed-point-free involution beta
+    is conjugate to beta0 = (1 2)(3 4)..., and a relabelling taking beta0
+    to beta maps the triples (beta0, ., .) bijectively onto the triples
+    (beta, ., .) and keeps f, so each of the (2n-1)!! involutions beta
+    contributes the sum over (beta0, ., .).  The centraliser H_n of beta0
+    (order 2^n n!) sorts omega by the face type mu of <beta0, omega>.  The
+    class of mu holds 2^n n! / z_(2mu) involutions, with z_(2mu) =
+    2^l(mu) z_mu (Macdonald, Symmetric Functions, VII.2), and contains the
+    omega of ``polygon_pairings(mu)``.
     If tau in H_n conjugates that omega to another omega' of the class,
     eps -> tau eps tau^-1 maps the triples (beta0, omega, .) bijectively
     onto (beta0, omega', .) and keeps f, so each omega' of the class
@@ -210,7 +206,7 @@ def liberal_one_face(n: int, force: bool = False) -> Iterator[NonOrientedMap]:
     eps_list = list(involutions(labels))
     for beta, omega in single_polygon_pairs(n):
         for eps in eps_list:
-            yield _new_map(labels, beta, omega, eps, None)
+            yield _new_map(labels, beta, omega, eps)
 
 
 def all_maps(n: int, force: bool = False) -> Iterator[NonOrientedMap]:
@@ -221,7 +217,7 @@ def all_maps(n: int, force: bool = False) -> Iterator[NonOrientedMap]:
     for beta in pairings:
         for omega in pairings:
             for eps in pairings:
-                yield _new_map(labels, beta, omega, eps, None)
+                yield _new_map(labels, beta, omega, eps)
 
 
 def all_pairs(n: int, force: bool = False) -> Iterator[OrientedMap]:
@@ -245,11 +241,11 @@ def transitive_pairs_by_class(
 
     The sum is exact for every summand f(sigma1, sigma2) that simultaneous
     conjugation leaves unchanged (transitivity, the bicolored graph and so
-    its class and embedding counts, the unrooted canonical form of
-    ``side_label``).  If tau rho tau^-1 = sigma1, then sigma2 -> tau sigma2
-    tau^-1 maps the pairs (rho, .) bijectively onto the pairs (sigma1, .)
-    and keeps f, so the n!/z_lambda elements sigma1 of the class of rho
-    each contribute the sum over (rho, .).
+    its class and embedding counts, the canonical form of ``side_label``).
+    If tau rho tau^-1 = sigma1, then sigma2 -> tau sigma2 tau^-1 maps the
+    pairs (rho, .) bijectively onto the pairs (sigma1, .) and keeps f, so
+    the n!/z_lambda elements sigma1 of the class of rho each contribute
+    the sum over (rho, .).
 
     The cycle ids of rho (the white vertex of each edge) are found once per
     lambda, and those of each sigma2 (the black vertex) once per call, by

@@ -21,7 +21,9 @@ enumerations, the ``degree-bounds`` sampler, edge removal and
 form all run on the index arrays; a label is found by bisection on the
 sorted tuple, and labels appear only at the API and JSON boundary, as
 sorted label pairs: :meth:`NonOrientedMap.from_pairs` takes them in, and
-the ``beta``/``omega``/``eps`` views give them back.
+the ``beta``/``omega``/``eps`` views give them back.  The labels and the
+three tuples are the whole map: equality, hashing, ``repr`` and the JSON
+form read nothing else.
 
 All values are immutable; every operation is a pure function returning new
 values, so instances are safe to share and to use as cache keys.
@@ -182,8 +184,8 @@ class NonOrientedMap:
     integers, not required to stay contiguous after edge removals.  The
     three involutions are stored as partner-index tuples over ``labels``:
     ``_b[i]`` is the position of beta(labels[i]), and likewise ``_w`` for
-    omega and ``_e`` for eps.  ``root``, when present, decorates one
-    edge-side.
+    omega and ``_e`` for eps.  The labels and the three tuples are the
+    whole map.
 
     Input from outside is validated: it goes through :meth:`from_arrays`,
     the one validating constructor (:meth:`from_pairs` converts label pairs
@@ -196,22 +198,20 @@ class NonOrientedMap:
     trace are built on first access and cached per instance.
     """
 
-    __slots__ = ("labels", "_b", "_w", "_e", "root", "__dict__")
+    __slots__ = ("labels", "_b", "_w", "_e", "__dict__")
 
     def __setattr__(self, name, value):
         raise AttributeError("NonOrientedMap values are immutable")
 
     @classmethod
-    def from_arrays(cls, labels, b, w, e,
-                    root: Optional[int] = None) -> "NonOrientedMap":
+    def from_arrays(cls, labels, b, w, e) -> "NonOrientedMap":
         """The validating constructor: distinct integer labels in increasing
-        order, three fixed-point-free involutions of their positions as
-        partner-index sequences, and an optional root label."""
+        order and three fixed-point-free involutions of their positions as
+        partner-index sequences."""
         labels = tuple(labels)
         _check_labels(labels, "labels")
         if not all(map(lt, labels, labels[1:])):
             raise MapError("labels must be distinct and in increasing order")
-        _check_root(labels, root)
         positions = list(range(len(labels)))
         for p, name in ((b, "beta"), (w, "omega"), (e, "eps")):
             try:
@@ -222,10 +222,10 @@ class NonOrientedMap:
             if not ok:
                 raise MapError(f"{name} is not a fixed-point-free involution "
                                f"of the {len(labels)} label positions")
-        return _new_map(labels, tuple(b), tuple(w), tuple(e), root)
+        return _new_map(labels, tuple(b), tuple(w), tuple(e))
 
     @classmethod
-    def from_pairs(cls, beta, omega, eps, root=None) -> "NonOrientedMap":
+    def from_pairs(cls, beta, omega, eps) -> "NonOrientedMap":
         """Build from three lists of label pairs over one label set."""
         triple = [checked_pairs(pairs, name) for pairs, name in
                   ((beta, "beta"), (omega, "omega"), (eps, "eps"))]
@@ -237,7 +237,7 @@ class NonOrientedMap:
                 if i < 0 or j < 0:
                     raise MapError("the pairings must share one label set")
                 partner[i], partner[j] = j, i
-        return cls.from_arrays(labels, *arrays, root)
+        return cls.from_arrays(labels, *arrays)
 
     @property
     def n(self) -> int:
@@ -296,7 +296,7 @@ class NonOrientedMap:
         return _rooted_trace(self._b, self._w, self._e, 0) if self._b else b""
 
     def _key(self):
-        return self.labels, self._b, self._w, self._e, self.root
+        return self.labels, self._b, self._w, self._e
 
     def __eq__(self, other):
         if isinstance(other, NonOrientedMap):
@@ -307,19 +307,18 @@ class NonOrientedMap:
         return hash(self._key())
 
     def __repr__(self):
-        root = f", root={self.root}" if self.root is not None else ""
         return (f"NonOrientedMap(B={list(map(list, self.beta))}, "
                 f"W={list(map(list, self.omega))}, "
-                f"E={list(map(list, self.eps))}{root})")
+                f"E={list(map(list, self.eps))})")
 
 
 # The slot setters write past the immutability guard in __setattr__.
-_SET_LABELS, _SET_B, _SET_W, _SET_E, _SET_ROOT = (
+_SET_LABELS, _SET_B, _SET_W, _SET_E = (
     getattr(NonOrientedMap, name).__set__
-    for name in ("labels", "_b", "_w", "_e", "root"))
+    for name in ("labels", "_b", "_w", "_e"))
 
 
-def _new_map(labels, b, w, e, root) -> NonOrientedMap:
+def _new_map(labels, b, w, e) -> NonOrientedMap:
     """Private constructor from index tuples, which makes every map.
 
     It validates nothing: ``from_arrays`` validates input from outside
@@ -332,15 +331,7 @@ def _new_map(labels, b, w, e, root) -> NonOrientedMap:
     _SET_B(m, b)
     _SET_W(m, w)
     _SET_E(m, e)
-    _SET_ROOT(m, root)
     return m
-
-
-def _check_root(labels: tuple[int, ...], root) -> None:
-    if root is not None:
-        _check_labels((root,), "root")
-        if _position(labels, root) < 0:
-            raise MapError(f"root {root} is not a label of the map")
 
 
 def _position(labels: tuple[int, ...], x) -> int:
@@ -428,12 +419,10 @@ def remove_edge(m: NonOrientedMap, e) -> NonOrientedMap:
     # old position -> new position; positions i and j map to junk values
     # that _drop deletes or overwrites
     renumber = [*range(i + 1), *range(i, j), *range(j - 1, len(labels) - 2)]
-    root = m.root if m.root not in (labels[i], labels[j]) else None
     return _new_map(labels[:i] + labels[i + 1:j] + labels[j + 1:],
                     _drop(m._b, i, j, renumber, True),
                     _drop(m._w, i, j, renumber, True),
-                    _drop(m._e, i, j, renumber, False),
-                    root)
+                    _drop(m._e, i, j, renumber, False))
 
 
 def twist_many(m: NonOrientedMap, edges) -> NonOrientedMap:
@@ -460,8 +449,7 @@ def _twist_sides(m: NonOrientedMap, sides) -> NonOrientedMap:
         swap[j] = i
     w = m._w
     # omega' = s . omega . s with s the product of the swaps (an involution)
-    out = _new_map(
-        m.labels, m._b, tuple([swap[w[x]] for x in swap]), m._e, m.root)
+    out = _new_map(m.labels, m._b, tuple([swap[w[x]] for x in swap]), m._e)
     eps = m.__dict__.get("eps")
     if eps is not None:
         out.__dict__["eps"] = eps
@@ -527,22 +515,37 @@ def _component_trace(b, w, e, start: int, best=None):
     return tuple(out)
 
 
+def _trace_bytes(trace, sides: int) -> bytes:
+    """A trace of a map with ``sides`` sides as bytes: one byte per entry
+    up to 256 sides, four beyond.  An entry is a discovery index, less
+    than ``sides``, so it fits.  The only place a trace becomes bytes."""
+    return bytes(trace) if sides <= 256 else array("I", trace).tobytes()
+
+
 def _rooted_trace(b, w, e, start: int) -> Optional[bytes]:
     """The trace from ``start`` as bytes, or None when it does not reach
-    every side.  One byte per entry up to 256 sides, four beyond; the two
-    never collide, since their lengths differ."""
+    every side."""
     trace = _component_trace(b, w, e, start)
     if len(trace) < 3 * len(b):
         return None
-    return bytes(trace) if len(b) <= 256 else array("I", trace).tobytes()
+    return _trace_bytes(trace, len(b))
 
 
 def canonical_form(m: NonOrientedMap) -> bytes:
     """Canonical byte string: equal iff the maps are label-isomorphic.
 
-    Per component, the minimum BFS trace over all starting labels;
-    component encodings are sorted.  The root plays no part.  Memoized on
-    the map.
+    The least BFS trace of each component over its starting sides, the
+    traces sorted and joined, each encoded as a rooted trace is: a
+    connected map's form is its least rooted trace.  Memoized on the map.
+
+    A map with s sides has a form of 3s bytes when s <= 256 and 12s
+    beyond, so the length gives the width of an entry.  At a known width
+    the join splits back into its traces one way only: a trace ends at
+    the first triple whose count is one past its largest entry so far,
+    where the BFS has dequeued every side it discovered (discovery
+    indices run from 0 without gaps).  So equal forms mean equal sorted
+    lists of component classes, and a connected map's form, one trace,
+    never equals a disconnected map's, two or more.
     """
     return m._canonical
 
@@ -592,14 +595,14 @@ def _canonical_bytes(m: NonOrientedMap) -> bytes:
     comps: list[list[int]] = [[] for _ in range(count)]
     for i, cid in enumerate(ids):
         comps[cid].append(i)
-    rest = []
+    traces = []
     for comp in comps:
         best = None
         for s in comp:
             best = _component_trace(b, w, e, s, best) or best
-        rest.append(best)
-    rest.sort()
-    return repr(("U", tuple(rest))).encode()
+        traces.append(best)
+    traces.sort()
+    return b"".join([_trace_bytes(t, len(b)) for t in traces])
 
 
 def bicolored_graph(m: NonOrientedMap) -> BicoloredGraph:
@@ -618,19 +621,17 @@ def graph_class(m: NonOrientedMap) -> BicoloredGraphClass:
 
 
 def map_to_json_obj(m: NonOrientedMap) -> dict:
-    obj = {
+    return {
         "labels": list(m.labels),
         "B": [list(p) for p in m.beta],
         "W": [list(p) for p in m.omega],
         "E": [list(p) for p in m.eps],
     }
-    if m.root is not None:
-        obj["root"] = m.root
-    return obj
 
 
 def map_from_json_obj(obj) -> NonOrientedMap:
-    """The one loader of map JSON; malformed input raises MapError."""
+    """The one loader of map JSON; malformed input raises MapError.
+    Keys other than ``labels``, ``B``, ``W`` and ``E`` are ignored."""
     if not isinstance(obj, dict):
         raise MapError("a map must be a JSON object with keys B, W and E")
     for key in "BWE":
@@ -642,8 +643,7 @@ def map_from_json_obj(obj) -> NonOrientedMap:
         if not isinstance(labels, list):
             raise MapError("'labels' must be a list of integers")
         _check_labels(labels, "labels")
-    m = NonOrientedMap.from_pairs(obj["B"], obj["W"], obj["E"],
-                                  obj.get("root"))
+    m = NonOrientedMap.from_pairs(obj["B"], obj["W"], obj["E"])
     if labels is not None and tuple(sorted(labels)) != m.labels:
         raise MapError("label list does not match the pairings")
     return m

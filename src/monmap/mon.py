@@ -34,7 +34,7 @@ every residual map is interned in one table for the process (``_STATES``,
 emptied by ``clear_caches``), so equal removals from different maps are
 one object: the histories of every map checked share their common
 residual maps, their removals and their cached kernel data.  The table
-holds the distinct proper residuals of the maps checked, 1 598 at the
+holds the distinct proper residuals of the maps checked, 1 534 at the
 default parameters of ``verify all``.  The twist bijection reads it too:
 ``bijection._settle`` replaces a twisting candidate that equals a residual
 in the table by the table's object, and so reuses its cached kernel data.
@@ -96,11 +96,11 @@ def _states(m: NonOrientedMap, edges) -> list[NonOrientedMap]:
 
     Each removal is kept on the map instance it was taken from (maps are
     immutable), and every removed map is interned in ``_STATES`` by its
-    labels, partner arrays and root.  Equal residual maps reached from
+    labels and partner arrays.  Equal residual maps reached from
     different maps, or in different orders, are therefore one object, and
     its removals and cached kernel data serve every history that reaches
     it.  m itself is never interned, so the table holds only the distinct
-    proper residuals of the maps checked since ``clear_caches``: 1 598 at
+    proper residuals of the maps checked since ``clear_caches``: 1 534 at
     the default parameters of ``lemma-equivalence`` and ``key-bijection``,
     and up to 28 * 15**3 + 70 * 27 + 28 + 1 = 96 419 for a forced
     ``lemma-equivalence --n 4``.  Only this function adds to the table;

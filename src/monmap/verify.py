@@ -230,7 +230,7 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
         for _ in range(samples):
             # valid by construction, so built unvalidated
             m = _new_map(labels, *(_random_pairing(getrandbits, 2 * n)
-                                   for _ in range(3)), None)
+                                   for _ in range(3)))
             bound, class_ok = by_class(m, verdicts, by_trace, _class_verdict)
             # the edges as side positions, in the order of m.edges()
             h = [(i, j) for i, j in enumerate(m._e) if i < j]
@@ -260,7 +260,7 @@ def suite_liberation_nonoriented(ns=(1, 2, 3), force: bool = False) -> Report:
 
 def _liberation_oriented_tables(n: int, force: bool):
     """The two sides of the oriented liberation identity at n, keyed by
-    the unrooted canonical form: (2n)! times the transitive pairs, and
+    the canonical form: (2n)! times the transitive pairs, and
     2 n! times the connected orientable maps of ``all_maps(n)``.  Both
     sides look their keys up by ``maps.by_class`` in one pair of dicts,
     so each class's form is computed once for both.  Every map on either

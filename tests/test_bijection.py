@@ -1,4 +1,5 @@
 import importlib
+import random
 from functools import reduce
 from itertools import combinations, permutations
 
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 from monmap.bijection import (BijectionResult, DichotomyError,
                               NotInDomainError, _orientable, _settle,
                               _top_degree, phi, phi_inverse)
-from monmap.enumeration import all_maps, conservative_one_face
+from monmap.enumeration import (all_maps, conservative_one_face,
+                                maps_by_face_type)
 from monmap.maps import (NonOrientedMap, _edge_index, _twist_sides,
                          bicolored_graph, graph_class, is_orientable,
                          remove_edge, twist_many)
-from monmap.mon import (_check_history, _states, is_top_degree_map,
-                        is_top_degree_pair)
+from monmap.mon import (_check_history, _states, history_weight,
+                        is_top_degree_map, is_top_degree_pair,
+                        lemma_equivalence_check)
 from monmap.oriented import OrientedMap, side_label
 
 from conftest import edge_role, map_strategy
@@ -254,8 +257,6 @@ class TestMatchesLabelLevelReference:
     @given(map_strategy(2, 5), st.data())
     def test_rooted_maps_with_label_gaps(self, m, data):
         m = remove_edge(m, data.draw(st.sampled_from(m.eps)))
-        m = NonOrientedMap.from_pairs(m.beta, m.omega, m.eps,
-                                      data.draw(st.sampled_from(m.labels)))
         h = data.draw(st.permutations(m.eps))
         edges = _check_history(m, h)
         # outside the domains too, both make the same choices and fail alike
@@ -305,3 +306,65 @@ class TestDichotomyErrors:
             phi_inverse(orientable, self.H)
         assert str(err.value) == outcome(ref_settle, orientable, self.H,
                                          target)
+
+
+def _relabel_pairs(sigma, pairs):
+    return tuple(tuple(sorted((sigma[a], sigma[b]))) for a, b in pairs)
+
+
+def _relabel(sigma, m):
+    return NonOrientedMap.from_pairs(
+        *(_relabel_pairs(sigma, v) for v in (m.beta, m.omega, m.eps)))
+
+
+def _verdicts(m, h):
+    """What phi, phi_inverse, ``lemma_equivalence_check`` and
+    ``history_weight`` say of (m, h); a bijection outside its domain
+    says None."""
+    out = []
+    for there in (phi, phi_inverse):
+        try:
+            res = there(m, h)
+        except NotInDomainError:
+            res = None
+        out.append(res)
+    return (*out, lemma_equivalence_check(m, h), history_weight(m, h))
+
+
+class TestRelabelling:
+    """A map's labels are its only decoration: relabelling the map and the
+    history by sigma relabels what the bijections return, phi(sigma M,
+    sigma h) = sigma phi(M, h), and leaves the verdicts and weights as
+    they were."""
+
+    @staticmethod
+    def check(sigma, m, h):
+        res_phi, res_inv, report, weight = _verdicts(m, h)
+        image = _verdicts(_relabel(sigma, m), _relabel_pairs(sigma, h))
+        for res, res_image in zip((res_phi, res_inv), image):
+            if res is None:
+                assert res_image is None
+            else:
+                assert res_image == BijectionResult(
+                    _relabel(sigma, res.map),
+                    _relabel_pairs(sigma, res.history),
+                    _relabel_pairs(sigma, res.twists))
+        assert image[2:] == (report, weight)
+        return res_phi is not None, res_inv is not None
+
+    def test_every_pair_on_two_edges(self):
+        sigma = {1: 7, 2: -3, 3: 12, 4: 5}  # neither monotone nor onto 1..4
+        seen = set()
+        for m in all_maps(2):
+            for h in permutations(m.eps):
+                seen.add(self.check(sigma, m, h))
+        assert seen == {(True, True), (True, False), (False, True)}
+
+    def test_face_type_representatives_on_three_edges(self):
+        rng = random.Random(3)
+        seen = set()
+        for m, _ in maps_by_face_type(3):
+            sigma = dict(zip(m.labels, rng.sample(range(-9, 30), m.n * 2)))
+            for h in permutations(m.eps):
+                seen.add(self.check(sigma, m, h))
+        assert len(seen) == 4

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monmap.cli import _suite_params, build_parser, main
+from monmap.enumeration import conservative_one_face
+from monmap.maps import map_from_json_obj
 from monmap.verify import SUITES
 
 
@@ -124,6 +127,17 @@ class TestMonCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# sha256 of the 15 lines of `enumerate --n 3 --family one-face-conservative`:
+# the lines it wrote while its maps carried a root, with '"root": 1' removed
+ONE_FACE_3_SHA256 = ("78a42be60fb8fcc005d284a51d56e60b"
+                     "895f055814680ff6d48fae7ee2e09f00")
+# the fifth of those lines as it was written then
+ROOTED_LINE = ('{"B": [[1, 2], [3, 4], [5, 6]], '
+               '"E": [[1, 3], [2, 5], [4, 6]], '
+               '"W": [[1, 6], [2, 3], [4, 5]], '
+               '"labels": [1, 2, 3, 4, 5, 6], "root": 1}')
+
+
 class TestEnumerateCommand:
     def test_jsonl_output(self, capsys, tmp_path):
         out_path = tmp_path / "maps.jsonl"
@@ -133,7 +147,26 @@ class TestEnumerateCommand:
         assert code == 0
         lines = out_path.read_text().splitlines()
         assert len(lines) == 3
-        assert all(json.loads(line)["root"] == 1 for line in lines)
+        assert all(sorted(json.loads(line)) == ["B", "E", "W", "labels"]
+                   for line in lines)
+
+    def test_one_face_lines_keep_their_bytes(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "3",
+                           "--family", "one-face-conservative")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ONE_FACE_3_SHA256
+        lines = out.splitlines()
+        assert lines[4] == ROOTED_LINE.replace(', "root": 1', "")
+        assert ([map_from_json_obj(json.loads(line)) for line in lines]
+                == list(conservative_one_face(3)))
+
+    def test_rooted_map_file_loads(self, capsys, tmp_path):
+        rooted, plain = tmp_path / "rooted.json", tmp_path / "plain.json"
+        rooted.write_text(ROOTED_LINE)
+        plain.write_text(ROOTED_LINE.replace(', "root": 1', ""))
+        first = run(capsys, "mon", "--map", str(rooted))
+        assert first[0] == 0
+        assert first == run(capsys, "mon", "--map", str(plain))
 
     def test_involutions_count(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "3",

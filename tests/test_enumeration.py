@@ -60,16 +60,16 @@ class TestConservative:
         for n in (1, 2, 3):
             ms = list(conservative_one_face(n))
             assert len(ms) == math.prod(range(1, 2 * n, 2))
+            assert ms == list(conservative_maps((n,)))
             for m in ms:
                 _, face_type = faces(m)
                 assert face_type == (n,)
-                assert m.root == 1
 
     def test_one_face_guard(self):
         with pytest.raises(GuardExceeded):
             next(conservative_one_face(8))
         m = next(conservative_one_face(8, force=True))
-        assert m.n == 8 and m.root == 1
+        assert m == next(conservative_maps((8,)))
 
     def test_klein_appears_at_n3(self, klein):
         target = canonical_form(klein)
@@ -270,7 +270,7 @@ class TestOneFaceOrbits:
             assert orbit.isdisjoint(seen)
             seen |= orbit
             assert (m._b, m._w) == polygon_pairings((n,))
-            assert m.root == 1
+            assert m.labels == tuple(range(1, 2 * n + 1))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_canonical_histogram(self, n):
@@ -287,7 +287,7 @@ class TestOneFaceOrbits:
         with pytest.raises(ValueError):
             next(one_face_orbits(0))
         m, weight = next(one_face_orbits(8, force=True))
-        assert m.n == 8 and m.root == 1 and 16 % weight == 0
+        assert m.labels == tuple(range(1, 17)) and 16 % weight == 0
 
 
 class TestGroupBy:
@@ -311,7 +311,7 @@ class TestGroupBy:
 def validated(m):
     """m rebuilt by the validating constructor, which raises unless its
     arrays are fixed-point-free involutions of the label positions."""
-    return NonOrientedMap.from_arrays(m.labels, m._b, m._w, m._e, m.root)
+    return NonOrientedMap.from_arrays(m.labels, m._b, m._w, m._e)
 
 
 def first(pairs):

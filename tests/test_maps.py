@@ -1,4 +1,5 @@
 import random
+from array import array
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from monmap.enumeration import all_maps, conservative_one_face
 from monmap.maps import (BicoloredGraph, EdgeKind, MapError, NonOrientedMap,
-                         _component_trace, _edge_index, _twist_sides,
-                         bicolored_graph, canonical_form,
+                         _component_trace, _edge_index, _rooted_trace,
+                         _twist_sides, bicolored_graph, canonical_form,
                          canonical_graph_class, classify_edge, faces,
                          graph_class, is_orientable, map_from_json_obj,
                          map_to_json_obj, remove_edge, structure, twist_many)
@@ -31,36 +32,31 @@ LABELS4, B4, W4, E4 = (1, 2, 3, 4), (1, 0, 3, 2), (3, 2, 1, 0), (2, 3, 0, 1)
 
 class TestConstructor:
     def test_arrays_and_pairs_agree(self, klein):
-        m = NonOrientedMap.from_arrays(LABELS4, B4, W4, E4, root=3)
+        m = NonOrientedMap.from_arrays(LABELS4, B4, W4, E4)
         assert m == NonOrientedMap.from_pairs(
-            [[1, 2], [3, 4]], [[1, 4], [2, 3]], [[1, 3], [2, 4]], root=3)
+            [[1, 2], [3, 4]], [[1, 4], [2, 3]], [[1, 3], [2, 4]])
         rebuilt = NonOrientedMap.from_arrays(klein.labels, list(klein._b),
                                              klein._w, klein._e)
         assert rebuilt == klein and rebuilt._b == klein._b
 
-    @pytest.mark.parametrize("labels, b, w, e, root", [
-        pytest.param(LABELS4, (1, 0, 3), W4, E4, None, id="short-array"),
-        pytest.param(LABELS4, B4, W4, E4 + (4,), None, id="long-array"),
-        pytest.param(LABELS4, (1, 0, 2, 3), W4, E4, None, id="fixed-point"),
-        pytest.param(LABELS4, B4, (1, 2, 3, 0), E4, None,
-                     id="not-an-involution"),
-        pytest.param(LABELS4, B4, W4, (-2, -1, 0, 1), None,
-                     id="negative-position"),
-        pytest.param(LABELS4, B4, W4, (2, 3, 0, 5), None,
+    @pytest.mark.parametrize("labels, b, w, e", [
+        pytest.param(LABELS4, (1, 0, 3), W4, E4, id="short-array"),
+        pytest.param(LABELS4, B4, W4, E4 + (4,), id="long-array"),
+        pytest.param(LABELS4, (1, 0, 2, 3), W4, E4, id="fixed-point"),
+        pytest.param(LABELS4, B4, (1, 2, 3, 0), E4, id="not-an-involution"),
+        pytest.param(LABELS4, B4, W4, (-2, -1, 0, 1), id="negative-position"),
+        pytest.param(LABELS4, B4, W4, (2, 3, 0, 5),
                      id="position-out-of-range"),
-        pytest.param(LABELS4, B4, W4, (2.0, 3, 0, 1), None,
-                     id="float-position"),
-        pytest.param((1, 3, 2, 4), B4, W4, E4, None, id="unsorted-labels"),
-        pytest.param((1, 2, 2, 4), B4, W4, E4, None, id="duplicate-labels"),
-        pytest.param(LABELS4, B4, W4, E4, 5, id="root-not-a-label"),
-        pytest.param(LABELS4, B4, W4, E4, True, id="bool-root"),
-        pytest.param((1, 2.0, 3, 4), B4, W4, E4, None, id="float-label"),
-        pytest.param(("1", 2, 3, 4), B4, W4, E4, None, id="str-label"),
-        pytest.param((True, 2, 3, 4), B4, W4, E4, None, id="bool-label"),
+        pytest.param(LABELS4, B4, W4, (2.0, 3, 0, 1), id="float-position"),
+        pytest.param((1, 3, 2, 4), B4, W4, E4, id="unsorted-labels"),
+        pytest.param((1, 2, 2, 4), B4, W4, E4, id="duplicate-labels"),
+        pytest.param((1, 2.0, 3, 4), B4, W4, E4, id="float-label"),
+        pytest.param(("1", 2, 3, 4), B4, W4, E4, id="str-label"),
+        pytest.param((True, 2, 3, 4), B4, W4, E4, id="bool-label"),
     ])
-    def test_rejects_invalid_arrays(self, labels, b, w, e, root):
+    def test_rejects_invalid_arrays(self, labels, b, w, e):
         with pytest.raises(MapError):
-            NonOrientedMap.from_arrays(labels, b, w, e, root)
+            NonOrientedMap.from_arrays(labels, b, w, e)
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, "2", True])
     def test_rejects_non_integer_labels(self, bad):
@@ -169,12 +165,6 @@ class TestRemoveEdge:
         assert m.labels == ()
         assert m.n == 0
 
-    def test_root_cleared_with_edge(self, klein):
-        rooted = NonOrientedMap.from_pairs(klein.beta, klein.omega,
-                                           klein.eps, 1)
-        assert remove_edge(rooted, (1, 5)).root is None
-        assert remove_edge(rooted, (3, 6)).root == 1
-
     @settings(max_examples=40, deadline=None)
     @given(map_strategy(max_n=3))
     def test_commutes_with_relabeling(self, m):
@@ -220,9 +210,7 @@ class TestTwist:
         assert twist_many(klein, [(2, 4), (1, 5)]) == seq
 
     def test_twisted_map_carries_the_eps_view(self, projective):
-        rooted = NonOrientedMap.from_pairs(
-            projective.beta, projective.omega, projective.eps, 4)
-        for m in [*all_maps(2), rooted, remove_edge(rooted, (1, 3))]:
+        for m in [*all_maps(2), projective, remove_edge(projective, (1, 3))]:
             m.eps  # cache the view on m
             for k in range(1, m.n + 1):
                 for subset in combinations(m.eps, k):
@@ -230,7 +218,7 @@ class TestTwist:
                     assert vars(t)["eps"] is m.eps
                     assert t.eps == t._label_pairs(t._e)
                     rebuilt = NonOrientedMap.from_arrays(
-                        t.labels, t._b, t._w, t._e, t.root)
+                        t.labels, t._b, t._w, t._e)
                     assert rebuilt == t and rebuilt.eps == t.eps
 
     def test_twist_many_rejects_duplicates(self, klein):
@@ -417,10 +405,10 @@ class TestExhaustiveInvariants:
 
 class TestJson:
     def test_round_trip(self, klein, projective):
-        rooted = NonOrientedMap.from_pairs(klein.beta, klein.omega,
-                                           klein.eps, 3)
-        for m in (klein, projective, rooted):
-            assert map_from_json_obj(map_to_json_obj(m)) == m
+        for m in (klein, projective, remove_edge(klein, (1, 5))):
+            obj = map_to_json_obj(m)
+            assert sorted(obj) == ["B", "E", "W", "labels"]
+            assert map_from_json_obj(obj) == m
 
     def test_label_mismatch_rejected(self):
         with pytest.raises(MapError):
@@ -439,13 +427,20 @@ class TestJson:
         {"B": PAIR, "W": PAIR, "E": [[1, "2"]]},
         {"B": PAIR, "W": PAIR, "E": [[1, 2.0]]},
         {"B": [[True, 2]], "W": PAIR, "E": PAIR},
-        {"B": PAIR, "W": PAIR, "E": PAIR, "root": True},
-        {"B": PAIR, "W": PAIR, "E": PAIR, "root": "1"},
+        {"B": PAIR, "W": [[1, 3]], "E": PAIR},
+        {"B": PAIR, "W": PAIR, "E": PAIR, "labels": [1, True]},
         {"B": PAIR, "W": PAIR, "E": PAIR, "labels": "12"},
         {"B": PAIR, "W": PAIR, "E": PAIR, "labels": [1, None]},
     ])
     def test_malformed_rejected(self, obj):
         with pytest.raises(MapError):
+            map_from_json_obj(obj)
+
+    @pytest.mark.parametrize("root", [1, True, "1", None, [2]])
+    def test_root_key_ignored(self, root):
+        # older map files carry a "root" key, which the loader skips
+        obj = {"B": self.PAIR, "W": self.PAIR, "E": self.PAIR}
+        assert map_from_json_obj({**obj, "root": root}) == \
             map_from_json_obj(obj)
 
 
@@ -486,8 +481,7 @@ def ref_remove_edge(m, e):
     return NonOrientedMap.from_pairs(
         _pairs(_ref_heal(partner_dict(m.beta), a, b)),
         _pairs(_ref_heal(partner_dict(m.omega), a, b)),
-        _pairs(eps),
-        m.root if m.root not in (a, b) else None)
+        _pairs(eps))
 
 
 def ref_twist_many(m, edges):
@@ -496,7 +490,7 @@ def ref_twist_many(m, edges):
         swap[a], swap[b] = b, a
     omega = {swap.get(x, x): swap.get(y, y)
              for x, y in partner_dict(m.omega).items()}
-    return NonOrientedMap.from_pairs(m.beta, _pairs(omega), m.eps, m.root)
+    return NonOrientedMap.from_pairs(m.beta, _pairs(omega), m.eps)
 
 
 def _ref_trace(invs, start):
@@ -523,16 +517,16 @@ def ref_canonical_form(m):
                         seen.add(y)
                         comp.append(y)
             comps.append(comp)
-    rest = sorted(min(_ref_trace(invs, s) for s in comp) for comp in comps)
-    return repr(("U", tuple(rest))).encode()
+    traces = sorted(min(_ref_trace(invs, s) for s in comp) for comp in comps)
+    if len(m.labels) > 256:
+        return b"".join(array("I", t).tobytes() for t in traces)
+    return b"".join(bytes(t) for t in traces)
 
 
 class TestArrayCoreMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(map_strategy(1, 4), st.data())
     def test_operations(self, m, data):
-        m = NonOrientedMap.from_pairs(m.beta, m.omega, m.eps,
-                                      data.draw(st.sampled_from(m.labels)))
         for a, b in m.edges():
             assert remove_edge(m, (b, a)) == ref_remove_edge(m, (a, b))
         subset = data.draw(st.lists(st.sampled_from(m.edges()), unique=True))
@@ -553,10 +547,24 @@ class TestArrayCoreMatchesReference:
         for m in conservative_one_face(4):
             assert canonical_form(m) == ref_canonical_form(m)
 
+    def test_connected_form_is_the_least_rooted_trace(self):
+        connected, disconnected = set(), set()
+        for n in (1, 2, 3):
+            for m in all_maps(n):
+                form = canonical_form(m)
+                if m._side_trace is None:
+                    disconnected.add(form)
+                else:
+                    b, w, e = m._b, m._w, m._e
+                    assert form == min(_rooted_trace(b, w, e, s)
+                                       for s in range(len(b)))
+                    connected.add(form)
+        assert connected and disconnected
+        assert not connected & disconnected
+
     def test_views_round_trip(self, projective):
         for e in projective.edges():
             for m in (remove_edge(projective, e), twist_many(projective, [e])):
-                rebuilt = NonOrientedMap.from_pairs(m.beta, m.omega, m.eps,
-                                                    m.root)
+                rebuilt = NonOrientedMap.from_pairs(m.beta, m.omega, m.eps)
                 assert rebuilt == m and hash(rebuilt) == hash(m)
                 assert m.edges() == m.eps
