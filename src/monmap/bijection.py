@@ -24,11 +24,14 @@ labels, and both candidates are twisted at those positions
 
 A candidate below the input map is looked up, read-only, among the
 interned residuals of ``mon._STATES``; where the table holds an equal map,
-its cached orbit data answers the target test.  The top-degree target
-reads the component count of the untwisted state, since a twist keeps
-every <beta, omega, eps> orbit.  Both are sound because the target depends
-only on the map's value, and neither carries orbit data onto the map the
-induction returns.
+its cached orbit data answers the target test.  A candidate at level 0
+twists the input map by one of at most 2^n edge sets over its n!
+histories: it is built once and kept on that map (``_twists``, keyed by the
+sorted side pairs), as ``mon._states`` keeps removals, so equal outputs of
+one map are one object and the back trip reuses its removals and cached
+orbit data.  The top-degree target reads the component count of the
+untwisted state, since a twist keeps every <beta, omega, eps> orbit.  All
+this is sound because the target depends only on the map's value.
 """
 
 from __future__ import annotations
@@ -119,12 +122,13 @@ def _settle(states, edges, target):
     instead of walking the fresh copy.  The two are equal maps, so the
     target's answer is the same.  The lookup only reads: a missing
     candidate stays a fresh map and is never added.  Level 0 twists the
-    input map itself and gives the output, so it is not looked up: the
-    output stays a fresh map, and the round trip's checks compute its
-    data from it.  ``_top_degree`` reads the component count of the state,
-    not of the candidate: a twist keeps every <beta, omega, eps> orbit, so
-    the two counts are equal and one ``orbit_ids3`` walk per candidate is
-    saved.
+    input map itself and gives the output, so it is not looked up there:
+    the output is the input map's own twist, kept in the map's table and
+    shared by the histories that settle on the same twist set, and never
+    an object of ``mon._STATES``.  ``_top_degree`` reads the component
+    count of the state, not of the candidate: a twist keeps every
+    <beta, omega, eps> orbit, so the two counts are equal and one
+    ``orbit_ids3`` walk per candidate is saved.
     """
     out, twists = states[-1], ()
     for k in range(len(edges) - 1, -1, -1):
@@ -135,9 +139,7 @@ def _settle(states, edges, target):
         j = state._e[i]
         sides = [(bisect_left(labels, a), bisect_left(labels, b))
                  for a, b in twists]
-        candidate = _twist_sides(state, sides)
-        if k and sides:  # with no twists, the candidate is the state
-            candidate = _STATES.get(candidate._key(), candidate)
+        candidate = _candidate(state, sides, k)
         if _bridge_or_leaf(state, states[k + 1], i, j):
             if not target(candidate, state):
                 raise DichotomyError(
@@ -146,9 +148,7 @@ def _settle(states, edges, target):
             out = candidate
             continue
         sides.append((i, j))
-        twisted = _twist_sides(state, sides)
-        if k:
-            twisted = _STATES.get(twisted._key(), twisted)
+        twisted = _candidate(state, sides, k)
         ok_plain = target(candidate, state)
         ok_twisted = target(twisted, state)
         if ok_plain == ok_twisted:
@@ -160,3 +160,20 @@ def _settle(states, edges, target):
         else:
             out, twists = twisted, twists + (e,)
     return out, twists
+
+
+def _candidate(state, sides, k):
+    """``state`` twisted at the side pairs ``sides``, or ``state`` itself
+    when there are none: below the input map (k >= 1) the table's equal
+    residual if it has one, at level 0 the input map's kept twist."""
+    if not sides:
+        return state
+    if k:
+        twisted = _twist_sides(state, sides)
+        return _STATES.get(twisted._key(), twisted)
+    table = state.__dict__.setdefault("_twists", {})
+    key = tuple(sorted(sides))
+    twisted = table.get(key)
+    if twisted is None:
+        twisted = table[key] = _twist_sides(state, sides)
+    return twisted

@@ -19,6 +19,7 @@ from monmap.mon import (_check_history, _states, history_weight,
                         is_top_degree_map, is_top_degree_pair,
                         lemma_equivalence_check)
 from monmap.oriented import OrientedMap, side_label
+from monmap.verify import _round_trips
 
 from conftest import edge_role, map_strategy
 
@@ -368,3 +369,24 @@ class TestRelabelling:
             for h in permutations(m.eps):
                 seen.add(self.check(sigma, m, h))
         assert len(seen) == 4
+
+
+class TestLevelZeroTwists:
+    """The level-0 candidates of ``_settle`` are kept in a table on the
+    input map, one entry per twist set asked for."""
+
+    def test_warm_and_cold_maps_agree(self):
+        # the table decides which object an output is, never its value
+        maps = [*all_maps(2), *(m for m, _ in maps_by_face_type(3)),
+                *conservative_one_face(4)]
+        for m in maps:
+            _round_trips([m], inverse=True)  # walks every history of m
+            orientable = is_orientable(m)
+            for h in permutations(m.eps):
+                if is_top_degree_pair(m, h):
+                    cold = NonOrientedMap.from_arrays(*m._key())
+                    assert phi(m, h) == phi(cold, h)
+                if orientable:
+                    cold = NonOrientedMap.from_arrays(*m._key())
+                    assert phi_inverse(m, h) == phi_inverse(cold, h)
+        assert sum("_twists" in vars(m) for m in maps) > len(maps) // 2

@@ -14,15 +14,16 @@ from monmap.bijection import NotInDomainError, phi, phi_inverse
 from monmap.enumeration import (all_maps, conservative_one_face,
                                 one_face_orbits)
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
-                         _component_trace, _edge_index, by_class,
-                         canonical_form, classify_edge, load_fixture,
-                         remove_edge, structure, twist_many)
+                         _component_trace, _edge_index, _twist_sides,
+                         by_class, canonical_form, classify_edge,
+                         load_fixture, remove_edge, structure, twist_many)
 from monmap.mon import (_MON_CACHE, _MON_TRACES, _STATES, _failing_prefix,
                         _mon_pair, _monomial, _states, clear_caches,
                         history_weight, is_top_degree_map,
                         is_top_degree_pair, lemma_equivalence_check, mon,
                         mon_top, mon_top_degree_target, mon_top_detail)
-from monmap.verify import suite_key_bijection, suite_lemma_equivalence
+from monmap.verify import (_round_trips, suite_key_bijection,
+                           suite_lemma_equivalence)
 
 from conftest import edge_role, map_strategy
 
@@ -169,7 +170,9 @@ class TestHistoryStates:
         suite_lemma_equivalence(3)
         assert len(_STATES) == 15 * 27 + 15 + 1
 
-    def test_state_table_interns_no_inputs_or_candidates(self, klein):
+    def test_state_table_interns_no_inputs_or_candidates(self):
+        # a fresh map: phi's twists and their removals are kept on it
+        klein = load_fixture("klein")
         clear_caches()
         history = klein.edges()
         out = phi(klein, history).map
@@ -237,6 +240,28 @@ class TestHistoryStates:
         assert all(_STATES[c._key()] is c for c, _ in found)
         # level 2 picks its twisted candidate, level 1 its plain one
         assert [c.n for c, s in found if c is not s] == [2, 3]
+
+    def test_level_zero_twists_stay_on_the_input_map(self):
+        # at most one twist per twist set, kept on the map it twists; the
+        # state table's size after both suites is pinned above
+        for m in (load_fixture("klein"), list(conservative_one_face(4))[1]):
+            clear_caches()
+            _round_trips([m], inverse=True)  # walks every history of m
+            outputs = {}  # equal twist sets give one output object
+            for h in permutations(m.eps):
+                if is_top_degree_pair(m, h):
+                    res = phi(m, h)
+                    assert outputs.setdefault(frozenset(res.twists),
+                                              res.map) is res.map
+            table = vars(m)["_twists"]
+            assert 0 < len(table) <= 2 ** m.n
+            for sides, twisted in table.items():
+                assert list(sides) == sorted(sides)
+                assert twisted == _twist_sides(m, sides)
+                # a twist changes omega alone
+                assert twisted.labels is m.labels
+                assert twisted._b is m._b and twisted._e is m._e
+                assert _STATES.get(twisted._key()) is None
 
     def test_history_weight_leaves_no_states(self):
         m = load_fixture("klein")
