@@ -108,10 +108,12 @@ def _settle(states, edges, target):
 
     The sides of edge e and of the twist set (label pairs, which every
     state shares) are found once per level, by bisection on the state's
-    labels; the history's edges are validated, so each is there.  A twist
-    changes neither the graph nor the beta/omega/eps adjacency of an
-    edge's two sides, so the bridge/leaf test reads the state and the state
-    left after removing e, not the candidate.
+    labels; the history's edges are validated, so each is there.  Until a
+    twist has been found the plain candidate is the state itself, with no
+    bisection and no lookup.  A twist changes neither the graph nor the
+    beta/omega/eps adjacency of an edge's two sides, so the bridge/leaf
+    test reads the state and the state left after removing e, not the
+    candidate.
 
     At every level k >= 1 the state is a proper residual, interned in
     ``mon._STATES``, and a candidate twisting it is most often a residual
@@ -137,9 +139,12 @@ def _settle(states, edges, target):
         e = edges[k]
         i = bisect_left(labels, e[0])
         j = state._e[i]
-        sides = [(bisect_left(labels, a), bisect_left(labels, b))
-                 for a, b in twists]
-        candidate = _candidate(state, sides, k)
+        if twists:
+            sides = [(bisect_left(labels, a), bisect_left(labels, b))
+                     for a, b in twists]
+            candidate = _candidate(state, sides, k)
+        else:
+            sides, candidate = [], state
         if _bridge_or_leaf(state, states[k + 1], i, j):
             if not target(candidate, state):
                 raise DichotomyError(
@@ -163,11 +168,9 @@ def _settle(states, edges, target):
 
 
 def _candidate(state, sides, k):
-    """``state`` twisted at the side pairs ``sides``, or ``state`` itself
-    when there are none: below the input map (k >= 1) the table's equal
-    residual if it has one, at level 0 the input map's kept twist."""
-    if not sides:
-        return state
+    """``state`` twisted at the non-empty side pairs ``sides``: below the
+    input map (k >= 1) the table's equal residual if it has one, at level 0
+    the input map's kept twist."""
     if k:
         twisted = _twist_sides(state, sides)
         return _STATES.get(twisted._key(), twisted)

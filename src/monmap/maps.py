@@ -194,8 +194,13 @@ class NonOrientedMap:
     sampler, :func:`remove_edge` and :func:`twist_many` build them straight
     from the index tuples they made, by ``_new_map``.  ``beta``, ``omega``
     and ``eps`` view the involutions as sorted label pairs (a, b) with
-    a < b.  These views, kernel outputs, the canonical form and the side-0
-    trace are built on first access and cached per instance.
+    a < b.  These views, the kernel outputs (face, component and vertex
+    orbits), the bicolored graph, the canonical form and the side-0 trace
+    are built on first access and cached per instance, in its ``__dict__``;
+    ``mon._states`` keeps the map's removals there too (``_removed``), and
+    ``bijection._settle`` its level-0 twists (``_twists``).  A twisted map
+    (``_twist_sides``) gets only the ``eps`` view from its source: it walks
+    its own orbits and builds its own graph from its own omega.
     """
 
     __slots__ = ("labels", "_b", "_w", "_e", "__dict__")
@@ -282,6 +287,16 @@ class NonOrientedMap:
         black_ids, _, blacks = kernels.face_data(self._b, self._e)
         white_ids, _, whites = kernels.face_data(self._w, self._e)
         return (black_ids, blacks), (white_ids, whites)
+
+    @_cached
+    def _graph(self) -> BicoloredGraph:
+        """``bicolored_graph``: edges as (black id, white id) pairs, ids in
+        the first-visit order of ``_vertex_data``."""
+        (black_ids, blacks), (white_ids, whites) = self._vertex_data
+        edges = tuple(sorted(
+            (black_ids[i], white_ids[i])
+            for i, j in enumerate(self._e) if i < j))
+        return BicoloredGraph(blacks, whites, edges)
 
     @_cached
     def _canonical(self) -> bytes:
@@ -606,11 +621,8 @@ def _canonical_bytes(m: NonOrientedMap) -> bytes:
 
 
 def bicolored_graph(m: NonOrientedMap) -> BicoloredGraph:
-    (black_ids, blacks), (white_ids, whites) = m._vertex_data
-    edges = tuple(sorted(
-        (black_ids[i], white_ids[i]) for i, j in enumerate(m._e) if i < j
-    ))
-    return BicoloredGraph(blacks, whites, edges)
+    """The underlying bicolored multigraph, built once and cached on m."""
+    return m._graph
 
 
 def graph_class(m: NonOrientedMap) -> BicoloredGraphClass:

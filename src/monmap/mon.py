@@ -71,6 +71,12 @@ _STATES: dict[tuple, NonOrientedMap] = {}
 
 
 def clear_caches():
+    """Empty the process tables: the memo of ``_mon_pair``, the state table
+    and the monomials.  Caches kept on map instances stay: a map built
+    before the clear keeps its own ``_removed``, ``_twists`` and ``_graph``,
+    so residuals reached through it are no longer the table's objects and
+    the sharing that ``_states`` gives holds only among maps built since
+    the clear.  The values are equal either way, so no result changes."""
     _MON_CACHE.clear()
     _MON_TRACES.clear()
     _STATES.clear()
@@ -105,7 +111,10 @@ def _states(m: NonOrientedMap, edges) -> list[NonOrientedMap]:
     and up to 28 * 15**3 + 70 * 27 + 28 + 1 = 96 419 for a forced
     ``lemma-equivalence --n 4``.  Only this function adds to the table;
     ``bijection._settle`` looks its twist candidates up in it and never
-    adds one.
+    adds one.  ``clear_caches`` empties the table but not the removals
+    kept on maps (nor their ``_twists`` and ``_graph``): a map built before
+    a clear still gives its own, equal, residuals, so the sharing holds
+    only among maps built since the clear, and results do not change.
     """
     states = [m]
     for e in edges:
@@ -158,8 +167,10 @@ def is_top_degree_map(m: NonOrientedMap) -> bool:
 
 def _failing_prefix(states) -> Optional[int]:
     """Index i such that states[i] is not top-degree, or None if none is."""
-    return next((i for i, state in enumerate(states)
-                 if not is_top_degree_map(state)), None)
+    for i, state in enumerate(states):
+        if not is_top_degree_map(state):
+            return i
+    return None
 
 
 def _removals_admissible(states, edges) -> bool:

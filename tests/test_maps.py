@@ -374,6 +374,22 @@ class TestGraphClass:
         assert {b for b, _ in g.edges} == set(range(g.blacks))
         assert {w for _, w in g.edges} == set(range(g.whites))
 
+    def test_graph_cache_changes_no_result(self):
+        # every twist set of every map on two edges, the empty one (m
+        # itself) first: each twist is built from a map whose graph and
+        # vertex orbits are cached, carries neither and builds its own
+        for m in all_maps(2):
+            for k in range(m.n + 1):
+                for subset in combinations(m.eps, k):
+                    t = _twist_sides(m, [_edge_index(m, e) for e in subset])
+                    assert "_graph" not in t.__dict__
+                    assert "_vertex_data" not in t.__dict__
+                    graph = bicolored_graph(t)
+                    rebuilt = NonOrientedMap.from_arrays(
+                        t.labels, t._b, t._w, t._e)
+                    assert graph == bicolored_graph(rebuilt)
+                    assert bicolored_graph(t) is graph
+
 
 class TestExhaustiveInvariants:
     def test_all_small_maps_euler_and_partitions(self):

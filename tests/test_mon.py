@@ -147,7 +147,11 @@ class TestHistoryStates:
                            match=r"^\{3,7\} is not an edge of the map$"):
             check(klein, [(1, 5), (2, 4), (7, 3)])
 
-    def test_equal_residuals_of_different_maps_are_one_state(self, klein):
+    def test_equal_residuals_of_different_maps_are_one_state(self):
+        # fresh maps from a cleared table: a map built before a clear keeps
+        # removals that are no longer the table's objects
+        klein = load_fixture("klein")
+        clear_caches()
         e = (1, 5)
         other = twist_many(klein, [e])
         assert other != klein

@@ -14,6 +14,7 @@ from monmap.bijection import BijectionResult
 from monmap.enumeration import all_maps, transitive_pairs_by_class
 from monmap.maps import (NonOrientedMap, _component_trace, canonical_form,
                          is_orientable, structure)
+from monmap.mon import is_top_degree_map
 from monmap.oriented import side_label
 from monmap.verify import (Check, Report, SUITES, _shuffle, report_render,
                            run_suite)
@@ -181,6 +182,19 @@ class TestRunSuite:
         # outside phi_inverse's domain, which must read as FAIL
         verify = importlib.import_module("monmap.verify")
         monkeypatch.setattr(verify, "phi",
+                            lambda m, h: BijectionResult(m, tuple(h), ()))
+        report = run_suite("key-bijection", ns=(1, 2), conservative_n=2)
+        assert report.passed is False
+        assert report.first_failure.name.startswith("n=2: phi and phi_inverse")
+
+    def test_broken_inverse_fails_without_raising(self, monkeypatch):
+        # phi_inverse that twists nothing: its output of an orientable map
+        # with a history that is not top-degree is outside phi's domain,
+        # which must read as FAIL with no landing test after the back call
+        assert any(is_orientable(m) and not is_top_degree_map(m)
+                   for m in all_maps(2))
+        verify = importlib.import_module("monmap.verify")
+        monkeypatch.setattr(verify, "phi_inverse",
                             lambda m, h: BijectionResult(m, tuple(h), ()))
         report = run_suite("key-bijection", ns=(1, 2), conservative_n=2)
         assert report.passed is False
