@@ -14,7 +14,7 @@ from itertools import permutations
 from typing import Iterable, Iterator
 
 from . import kernels
-from .maps import NonOrientedMap, _new_map, by_class, canonical_form
+from .maps import ClassMemo, NonOrientedMap, _new_map, canonical_form
 from .oriented import (OrientedMap, _connected, _oriented_map, cycle_ids,
                        cycle_type_permutation, partitions_of, z_of)
 
@@ -269,16 +269,14 @@ def transitive_pairs_by_class(
 def group_by(stream: Iterable[NonOrientedMap]) -> dict[bytes, int]:
     """Multiset table of a map stream by canonical form.
 
-    The form is found through ``maps.by_class`` (its docstring has the
+    The form is found through a ``maps.ClassMemo`` (its docstring has the
     soundness argument): a map whose side-0 trace came earlier in the
     stream takes the canonical form of that class, so a form is computed
-    once per class, not per map.  The two dicts of that lookup live for
-    this call only.
+    once per class, not per map.  The memo lives for this call only.
     """
-    forms: dict[bytes, bytes] = {}
-    traces: dict[bytes, bytes] = {}
+    forms = ClassMemo()
     table: dict[bytes, int] = {}
     for m in stream:
-        k = by_class(m, forms, traces, canonical_form)
+        k = forms.get(m, canonical_form)
         table[k] = table.get(k, 0) + 1
     return table

@@ -305,8 +305,8 @@ class NonOrientedMap:
     @_cached
     def _side_trace(self) -> Optional[bytes]:
         """The trace from side 0 (position 0) as bytes, or None when the
-        map is not connected: ``by_class``'s second key.  The empty map's
-        key is empty.
+        map is not connected: the first key a ``ClassMemo`` tries.  The
+        empty map's trace is empty, as its canonical form is.
         """
         return _rooted_trace(self._b, self._w, self._e, 0) if self._b else b""
 
@@ -565,43 +565,63 @@ def canonical_form(m: NonOrientedMap) -> bytes:
     return m._canonical
 
 
-def by_class(m: NonOrientedMap, by_form: dict, by_trace: dict, compute):
-    """``compute(m)``, kept once per isomorphism class of m, for a value
-    that depends on m only up to relabelling.  ``by_form`` maps the
-    canonical form to the value, and ``by_trace`` maps rooted traces
-    (``m._side_trace``, kept on the map, and ``_rooted_trace``) to the
-    same value.
+class ClassMemo:
+    """A memo of ``compute(m)`` per isomorphism class of m, for values that
+    depend on a map only up to relabelling.
+
+    One dict maps both canonical forms and rooted traces to the values,
+    and the two are keys of one kind.  A rooted trace (``m._side_trace``,
+    kept on the map, or ``_rooted_trace``) is a key only when it reaches
+    every side; then equal traces mean a label bijection sending one map
+    onto the other, root onto root: the same class.  A connected map's
+    canonical form is its least rooted trace, so it is such a key too.  A
+    disconnected map's form joins two or more component traces and so
+    equals no single trace (``canonical_form``'s docstring): it keys its
+    own class and nothing else.
 
     m is looked up first by its trace from side 0, one BFS where the
-    canonical form runs about one per side.  A connected map's trace
-    reaches every side, so equal traces mean a label bijection sending one
-    map onto the other: the same class, and the trace is a second key to
-    its entry.  The trace from any other side s is the side-0 trace of the
-    relabelling that moves s to position 0, a map of the same class, so it
-    is a key to the same entry.  A connected map whose canonical form
-    finds a known class under a new side-0 trace (the class is seen a
-    second time, under a new rooting) registers its traces from all sides,
-    and every later map of that class is found by its trace alone.  A
-    connected map that starts a class registers only its side-0 trace, so
-    a stream of pairwise non-isomorphic maps traces each map once besides
-    its canonical form.  A disconnected map's trace covers side 0's
-    component only, so it is no key: such a map goes through the
-    canonical form, and it leaves ``by_trace`` as it was.
+    canonical form runs about one per side; the trace hits when it was
+    registered, or when it is the least rooted trace, that is the form of
+    a class already computed.  The trace from any side s is the side-0
+    trace of the relabelling that moves s to position 0, a map of the same
+    class.  A connected map whose form finds a known class under a new
+    side-0 trace (the class is seen a second time, under a new rooting)
+    registers its traces from all sides, and every later map of that class
+    is found by its trace alone.  A class seen once is keyed by its form
+    and its first map's side-0 trace, so a stream of pairwise
+    non-isomorphic maps traces each map once besides its canonical form.
+    A disconnected map has no side-0 trace; it goes through the canonical
+    form and registers nothing else.
+
+    ``len`` is the number of classes computed, ``clear`` empties the memo.
     """
-    trace = m._side_trace
-    value = by_trace.get(trace)  # None, a disconnected map's, is no key
-    if value is None:
-        key = canonical_form(m)
-        value = by_form.get(key)
+
+    def __init__(self):
+        self.clear()
+
+    def __len__(self) -> int:
+        return self._classes
+
+    def clear(self) -> None:
+        self._values: dict[bytes, object] = {}
+        self._classes = 0
+
+    def get(self, m: NonOrientedMap, compute):
+        values = self._values
+        trace = m._side_trace
+        value = values.get(trace)  # None, a disconnected map's, is no key
         if value is None:
-            value = by_form[key] = compute(m)
-            if trace is not None:
-                by_trace[trace] = value
-        elif trace is not None:
-            b, w, e = m._b, m._w, m._e
-            for s in range(len(b)):
-                by_trace[_rooted_trace(b, w, e, s)] = value
-    return value
+            key = canonical_form(m)
+            value = values.get(key)
+            if value is None:
+                value = values[key] = compute(m)
+                self._classes += 1
+                if trace is not None:
+                    values[trace] = value
+            elif trace is not None:
+                for s in range(len(m._b)):
+                    values[_rooted_trace(m._b, m._w, m._e, s)] = value
+        return value
 
 
 def _canonical_bytes(m: NonOrientedMap) -> bytes:

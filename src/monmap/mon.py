@@ -13,11 +13,12 @@ maps: T = 2^n n! mon(M), whose edge weights 2, 2 gamma and 1 need no
 fractions, and K = n! times the probability, the number of top-degree
 histories.  ``mon``, ``mon_top_detail`` and ``mon_top`` divide by 2^n n!
 and by n! only when they return, and ``mon_top`` checks one route against
-the other.  The memo holds one entry per isomorphism class, looked up by
-``maps.by_class``.  The residual maps are built afresh and
-never interned: the memo already shares the work between isomorphic
-residuals, and interning them in ``_STATES`` as well raised the peak RSS
-of an in-process ``degree-bounds`` run from 20.7 to 23.3 MB (+12%).
+the other.  The memo, ``_MON_CACHE``, is a ``maps.ClassMemo``: one value
+per isomorphism class, keyed by canonical forms and rooted traces in one
+dict.  The residual maps are built afresh and never interned: the memo
+already shares the work between isomorphic residuals, and interning them
+in ``_STATES`` as well raised the peak RSS of an in-process
+``degree-bounds`` run from 20.7 to 23.3 MB (+12%).
 
 A history weight needs no residual map: ``kernels.removal_counts`` walks
 the history on one copy of the map's partner arrays, classifying each edge
@@ -57,28 +58,27 @@ from typing import Optional, Sequence
 
 from . import kernels
 from .algebra import GammaPoly
-from .maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
-                   _edge_index, _edge_kind, by_class, checked_pairs,
+from .maps import (ClassMemo, EdgeKind, MapError, NonOrientedMap,
+                   _bridge_or_leaf, _edge_index, _edge_kind, checked_pairs,
                    remove_edge)
 
-# canonical form -> _mon_pair's integer counts (T, K)
-_MON_CACHE: dict[bytes, tuple[tuple[int, ...], int]] = {}
-# side-0 trace of a connected map -> the same _MON_CACHE entry
-_MON_TRACES: dict[bytes, tuple[tuple[int, ...], int]] = {}
+# isomorphism class -> _mon_pair's integer counts (T, K); len is the class
+# count
+_MON_CACHE = ClassMemo()
 _EMPTY_COUNTS = ((1,), 1)
 # residual map key (NonOrientedMap._key) -> the one state object for it
 _STATES: dict[tuple, NonOrientedMap] = {}
 
 
 def clear_caches():
-    """Empty the process tables: the memo of ``_mon_pair``, the state table
-    and the monomials.  Caches kept on map instances stay: a map built
-    before the clear keeps its own ``_removed``, ``_twists`` and ``_graph``,
-    so residuals reached through it are no longer the table's objects and
-    the sharing that ``_states`` gives holds only among maps built since
-    the clear.  The values are equal either way, so no result changes."""
+    """Empty the process tables: the class memo of ``_mon_pair`` (its
+    ``len``, the class count, back to 0), the state table and the
+    monomials.  Caches kept on map instances stay: a map built before the
+    clear keeps its own ``_removed``, ``_twists`` and ``_graph``, so
+    residuals reached through it are no longer the table's objects and the
+    sharing that ``_states`` gives holds only among maps built since the
+    clear.  The values are equal either way, so no result changes."""
     _MON_CACHE.clear()
-    _MON_TRACES.clear()
     _STATES.clear()
     _monomial.cache_clear()
 
@@ -207,13 +207,12 @@ def _mon_pair(m: NonOrientedMap) -> tuple[tuple[int, ...], int]:
     The two counts share only the residual maps: K reads no edge kind and T
     never asks whether a map is top-degree.
 
-    Memoised per isomorphism class by ``maps.by_class``, so isomorphic
-    residual maps share work: ``_MON_CACHE`` is keyed by canonical form and
-    ``_MON_TRACES`` by side-0 trace.  The empty map stays out of both.
+    Memoised per isomorphism class in ``_MON_CACHE``, a ``maps.ClassMemo``,
+    so isomorphic residual maps share work.  The empty map stays out of it.
     """
     if m.n == 0:
         return _EMPTY_COUNTS
-    return by_class(m, _MON_CACHE, _MON_TRACES, _history_counts)
+    return _MON_CACHE.get(m, _history_counts)
 
 
 def _history_counts(m: NonOrientedMap) -> tuple[tuple[int, ...], int]:

@@ -27,9 +27,9 @@ from .enumeration import (all_maps, conservative_one_face, group_by,
                           transitive_pairs_by_class)
 from .jack import (ch, ch_stanley, jack_in_p, jack_inner_product,
                    partitions_of, stanley_closed_form, stanley_special)
-from .maps import (EdgeKind, NonOrientedMap, _new_map, bicolored_graph,
-                   by_class, canonical_form, classify_edge, is_orientable,
-                   load_fixture, structure)
+from .maps import (ClassMemo, EdgeKind, NonOrientedMap, _new_map,
+                   bicolored_graph, canonical_form, classify_edge,
+                   is_orientable, load_fixture, structure)
 from .mon import (_failing_prefix, _sides_weight, _states, history_weight,
                   is_top_degree_map, lemma_equivalence_check, mon,
                   mon_top_detail, mon_top_degree_target)
@@ -201,7 +201,7 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
     decided once, by ``_class_verdict``: the exhaustive part walks one
     representative per face type and eps (``maps_by_face_type``, weights
     summed into ``maps``), and the sampled part keeps one verdict per
-    class, looked up by ``maps.by_class``."""
+    class in a ``maps.ClassMemo``."""
     checks = []
     # exhaustive regime: every map class and every history
     hist_ok = mon_ok = True
@@ -222,8 +222,7 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
         mon_ok, {"maps": str(count)}))
 
     getrandbits = random.Random(seed).getrandbits
-    verdicts: dict[bytes, tuple] = {}  # canonical form -> _class_verdict
-    by_trace: dict[bytes, tuple] = {}  # rooted trace -> the same verdict
+    verdicts = ClassMemo()  # isomorphism class -> _class_verdict
     for n in sampled:
         ok = True
         labels = tuple(range(1, 2 * n + 1))
@@ -231,7 +230,7 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
             # valid by construction, so built unvalidated
             m = _new_map(labels, *(_random_pairing(getrandbits, 2 * n)
                                    for _ in range(3)))
-            bound, class_ok = by_class(m, verdicts, by_trace, _class_verdict)
+            bound, class_ok = verdicts.get(m, _class_verdict)
             # the edges as side positions, in the order of m.edges()
             h = [(i, j) for i, j in enumerate(m._e) if i < j]
             _shuffle(getrandbits, h)
@@ -262,20 +261,19 @@ def _liberation_oriented_tables(n: int, force: bool):
     """The two sides of the oriented liberation identity at n, keyed by
     the canonical form: (2n)! times the transitive pairs, and
     2 n! times the connected orientable maps of ``all_maps(n)``.  Both
-    sides look their keys up by ``maps.by_class`` in one pair of dicts,
-    so each class's form is computed once for both.  Every map on either
-    side is connected (a side-labelled transitive pair is), and a
-    connected map is one whose side-0 trace reaches every side."""
-    forms: dict[bytes, bytes] = {}
-    traces: dict[bytes, bytes] = {}
+    sides look their keys up in one ``maps.ClassMemo``, so each class's
+    form is computed once for both.  Every map on either side is
+    connected (a side-labelled transitive pair is), and a connected map
+    is one whose side-0 trace reaches every side."""
+    forms = ClassMemo()
     lhs: dict[bytes, int] = {}
     for om, size in transitive_pairs_by_class(n, force=force):
-        k = by_class(side_label(om), forms, traces, canonical_form)
+        k = forms.get(side_label(om), canonical_form)
         lhs[k] = lhs.get(k, 0) + size * math.factorial(2 * n)
     rhs: dict[bytes, int] = {}
     for m in all_maps(n, force=force):
         if m._side_trace is not None and is_orientable(m):
-            k = by_class(m, forms, traces, canonical_form)
+            k = forms.get(m, canonical_form)
             rhs[k] = rhs.get(k, 0) + 2 * math.factorial(n)
     return lhs, rhs
 

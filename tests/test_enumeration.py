@@ -347,12 +347,16 @@ class TestGeneratedMapsValid:
         assert count > 0
 
     def test_degree_bounds_samples(self, monkeypatch):
-        # each sample is looked up once by its class, whatever its verdict
+        # each sample is looked up once in the suite's class memo, whatever
+        # its verdict
         verify = importlib.import_module("monmap.verify")
         drawn = []
-        real = verify.by_class
-        monkeypatch.setattr(verify, "by_class",
-                            lambda m, *rest: drawn.append(m) or real(m, *rest))
+
+        class Spy(verify.ClassMemo):
+            def get(self, m, compute):
+                drawn.append(m)
+                return super().get(m, compute)
+        monkeypatch.setattr(verify, "ClassMemo", Spy)
         suite_degree_bounds(n_exhaustive=0, sampled=(4, 5), samples=100,
                             seed=0)
         assert len(drawn) == 200

@@ -1,8 +1,11 @@
 import importlib
 import math
 import random
+import sys
 from fractions import Fraction
+from importlib.util import module_from_spec, spec_from_file_location
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +18,9 @@ from monmap.enumeration import (all_maps, conservative_one_face,
                                 one_face_orbits)
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
                          _component_trace, _edge_index, _twist_sides,
-                         by_class, canonical_form, classify_edge,
+                         ClassMemo, canonical_form, classify_edge,
                          load_fixture, remove_edge, structure, twist_many)
-from monmap.mon import (_MON_CACHE, _MON_TRACES, _STATES, _failing_prefix,
+from monmap.mon import (_MON_CACHE, _STATES, _failing_prefix,
                         _mon_pair, _monomial, _states, clear_caches,
                         history_weight, is_top_degree_map,
                         is_top_degree_pair, lemma_equivalence_check, mon,
@@ -26,8 +29,10 @@ from monmap.verify import (_round_trips, suite_key_bijection,
                            suite_lemma_equivalence)
 
 from conftest import edge_role, map_strategy
+from test_maps import ref_canonical_form
 
 F = Fraction
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 WEIGHTS = {EdgeKind.STRAIGHT: ONE, EdgeKind.TWISTED: GAMMA,
            EdgeKind.INTERFACE: GammaPoly((F(1, 2),))}
@@ -328,11 +333,11 @@ class TestMon:
     def test_clear_caches_clears_monomials(self, klein):
         history_weight(klein, klein.edges())
         mon(klein)
-        assert _MON_CACHE and _MON_TRACES
+        assert len(_MON_CACHE) > 0 and _MON_CACHE._values
         clear_caches()
         assert _monomial.cache_info().currsize == 0
-        assert _MON_CACHE == {}
-        assert _MON_TRACES == {}
+        assert len(_MON_CACHE) == 0
+        assert _MON_CACHE._values == {}
 
     def test_empty_map(self):
         empty = NonOrientedMap.from_pairs([], [], [])
@@ -547,8 +552,8 @@ class TestIntegerCounts:
         assert residual._side_trace is None
         clear_caches()
         mon(m)
-        traces = dict(_MON_TRACES)
-        assert canonical_form(residual) in _MON_CACHE
+        keys = dict(_MON_CACHE._values)
+        assert canonical_form(residual) in keys
         forms = []
 
         def spy(x):
@@ -559,10 +564,9 @@ class TestIntegerCounts:
                             "canonical_form", spy)
         # warm: the trace lookup misses and the canonical form hits ...
         fresh_residual, = fresh([residual])
-        assert _mon_pair(fresh_residual) == _MON_CACHE[
-            canonical_form(residual)]
+        assert _mon_pair(fresh_residual) == keys[canonical_form(residual)]
         assert forms == [fresh_residual]
-        assert _MON_TRACES == traces
+        assert _MON_CACHE._values == keys
         # ... while a connected map is found by its trace alone
         forms.clear()
         _mon_pair(fresh([m])[0])
@@ -581,47 +585,48 @@ class TestIntegerCounts:
 
 
 class TestByClass:
-    """``maps.by_class`` computes once per isomorphism class, finds a
-    connected map again by its side-0 trace alone, and keys no disconnected
-    map by its trace."""
+    """``maps.ClassMemo`` computes once per isomorphism class, keys canonical
+    forms and rooted traces in one dict, finds a connected map again by its
+    side-0 trace alone, and keys a disconnected map by its form only."""
+
+    @staticmethod
+    def counted():
+        computed = []
+
+        def compute(x):
+            computed.append(x)
+            return object()
+        return computed, compute
 
     def test_once_per_class(self, monkeypatch):
         m, e = disconnecting_map()
         family = [x for n in (1, 2, 3) for x in all_maps(n)] + list(
             conservative_one_face(4)) + [m, remove_edge(m, e)]
-        by_form, by_trace, computed = {}, {}, []
-
-        def compute(x):
-            computed.append(x)
-            return object()
-
+        memo = ClassMemo()
+        computed, compute = self.counted()
         for x in family:
-            traces = dict(by_trace)
-            value = by_class(x, by_form, by_trace, compute)
-            assert value is by_form[canonical_form(x)]
+            keys = set(memo._values)
+            value = memo.get(x, compute)
+            form = canonical_form(x)
+            assert value is memo._values[form]
             if x._component_data[1] > 1:
-                assert by_trace == traces
+                assert set(memo._values) <= keys | {form}
             else:
-                assert by_trace[x._side_trace] is value
+                assert memo._values[x._side_trace] is value
         classes = {canonical_form(x) for x in family}
         assert any(x._component_data[1] > 1 for x in family)
-        assert len(computed) == len(classes) == len(by_form)
+        assert len(computed) == len(classes) == len(memo)
 
-        forms = []
-        real = importlib.import_module("monmap.maps").canonical_form
-        monkeypatch.setattr(importlib.import_module("monmap.maps"),
-                            "canonical_form",
-                            lambda x: forms.append(x) or real(x))
+        forms = self.spy_forms(monkeypatch)
         for x, again in zip(family, fresh(family)):
-            traces = dict(by_trace)
+            keys = dict(memo._values)
             forms.clear()
-            value = by_class(again, by_form, by_trace, compute)
-            assert value is by_form[canonical_form(x)]
+            value = memo.get(again, compute)
+            assert value is keys[canonical_form(x)]
             connected = x._component_data[1] == 1
             assert forms == ([] if connected else [again])
-            assert by_trace == traces
-        assert len(computed) == len(classes)
-
+            assert memo._values == keys
+        assert len(computed) == len(classes) == len(memo)
 
     @staticmethod
     def spy_forms(monkeypatch):
@@ -633,47 +638,54 @@ class TestByClass:
         return forms
 
     def test_second_rooting_registers_every_rooting(self, monkeypatch):
+        # m's side-0 trace is not its least, and it has a rooting whose
+        # trace is neither of the two
         m = next(x for x in all_maps(3) if x._component_data[1] == 1
-                 and len({rerooted(x, s)._side_trace for s in range(6)}) > 1)
+                 and x._side_trace != canonical_form(x)
+                 and len({rerooted(x, s)._side_trace for s in range(6)}) > 2)
+        form = canonical_form(m)
+        rootings = {rerooted(m, t)._side_trace for t in range(6)}
+        assert form in rootings  # a connected map's form is its least trace
+        least = next(t for t in range(6) if rerooted(m, t)._side_trace == form)
         s = next(s for s in range(1, 6)
-                 if rerooted(m, s)._side_trace != m._side_trace)
+                 if rerooted(m, s)._side_trace not in (m._side_trace, form))
         for t in range(6):  # the trace from side t is a rerooting's
             assert rerooted(m, t)._side_trace == bytes(
                 _component_trace(m._b, m._w, m._e, t))
         forms = self.spy_forms(monkeypatch)
-        by_form, by_trace, computed = {}, {}, []
-
-        def compute(x):
-            computed.append(x)
-            return object()
-
-        value = by_class(m, by_form, by_trace, compute)
-        assert list(by_trace) == [m._side_trace]  # a new class: side 0 only
+        memo = ClassMemo()
+        computed, compute = self.counted()
+        value = memo.get(m, compute)
+        # a new class: its form and its side-0 trace
+        assert set(memo._values) == {form, m._side_trace}
+        # the rooting at the least trace is found by its form's key
+        forms.clear()
+        assert memo.get(rerooted(m, least), compute) is value
+        assert forms == [] and set(memo._values) == {form, m._side_trace}
         again = rerooted(m, s)
-        assert by_class(again, by_form, by_trace, compute) is value
-        assert forms == [m, again] and computed == [m]
-        assert set(by_trace) == {rerooted(m, t)._side_trace
-                                 for t in range(6)}
+        assert memo.get(again, compute) is value
+        assert forms == [again] and computed == [m]
+        assert set(memo._values) == rootings
         for t in range(6):
             forms.clear()
-            assert by_class(rerooted(m, t), by_form, by_trace,
-                            compute) is value
+            assert memo.get(rerooted(m, t), compute) is value
             assert forms == []
-        assert computed == [m]
+        assert computed == [m] and len(memo) == 1
 
     def test_disconnected_map_registers_no_trace(self, monkeypatch):
         m, e = disconnecting_map()
         residual = remove_edge(m, e)
         assert residual._component_data[1] > 1
         forms = self.spy_forms(monkeypatch)
-        by_form, by_trace = {}, {}
-        value = by_class(residual, by_form, by_trace, lambda x: object())
+        memo = ClassMemo()
+        value = memo.get(residual, lambda x: object())
         for s in range(len(residual._b)):
             again = rerooted(residual, s)
             forms.clear()
-            assert by_class(again, by_form, by_trace, None) is value
+            assert memo.get(again, None) is value
             assert forms == [again]
-        assert by_trace == {}
+        assert list(memo._values) == [canonical_form(residual)]
+        assert len(memo) == 1
 
     def test_class_stream_traces_each_map_once(self, monkeypatch):
         # pairwise non-isomorphic maps: one side-0 trace and one canonical
@@ -684,11 +696,53 @@ class TestByClass:
         monkeypatch.setattr(maps, "_component_trace",
                             lambda *args: calls.append(args) or real(*args))
         reps = [x for x, _ in one_face_orbits(5)]
-        by_form, by_trace = {}, {}
+        memo = ClassMemo()
         for x in reps:
-            by_class(x, by_form, by_trace, lambda x: object())
-        assert len(by_form) == len(by_trace) == len(reps) == 137
+            memo.get(x, lambda x: object())
+        assert len(memo) == len(reps) == 137
         assert len(calls) == len(reps) * (1 + 10) == 1507
+        assert set(memo._values) == ({canonical_form(x) for x in reps}
+                                     | {x._side_trace for x in reps})
+
+    def test_one_key_space_is_sound(self):
+        # the memo's values are the reference forms, and every rooted trace
+        # of every connected map at n <= 3 becomes a key: a key that served
+        # two classes would hand some map another class's form
+        memo = ClassMemo()
+        for n in (1, 2, 3):
+            for m in all_maps(n):
+                ref = ref_canonical_form(m)
+                assert memo.get(m, ref_canonical_form) == ref
+                if m._side_trace is not None:
+                    for s in range(1, len(m._b)):
+                        assert memo.get(rerooted(m, s),
+                                        ref_canonical_form) == ref
+        for n in range(1, 7):
+            for m, _ in one_face_orbits(n):
+                assert memo.get(m, ref_canonical_form) == ref_canonical_form(m)
+        assert len(memo) == len(set(memo._values.values()))
+
+    def test_mon_memo_len_is_the_class_count(self, monkeypatch):
+        # perfbench's tracer reads len(mon._MON_CACHE) as mon.memo.entries
+        module = importlib.import_module("monmap.mon")
+        computed = []
+        real = module._history_counts
+        monkeypatch.setattr(module, "_history_counts",
+                            lambda x: computed.append(x) or real(x))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = spec_from_file_location("tracer", TRACER)
+        tracer = module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        clear_caches()
+        for m in conservative_one_face(4):
+            mon(m)
+        assert len(_MON_CACHE) == len(computed) > 0
+        counts = tracer._cache_counts(tracer.Tracer())
+        assert counts["mon.memo.entries"] == len(computed)
+        clear_caches()
+        assert len(_MON_CACHE) == 0
+        counts = tracer._cache_counts(tracer.Tracer())
+        assert counts["mon.memo.entries"] == 0
 
 
 class TestLemmaEquivalence:

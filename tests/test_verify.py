@@ -345,7 +345,9 @@ class TestRunSuite:
 
     def test_sampled_part_looks_classes_up_by_side_trace(self, monkeypatch):
         # a canonical form only for a sample whose trace from side 0 is no
-        # key yet, or which is disconnected, so that the trace is no key; a
+        # key yet, or which is disconnected, so that the trace is no key.
+        # Forms and traces are keys of one kind: a side-0 trace that equals
+        # a known form (a connected class's least trace) is a hit, and a
         # connected sample whose form finds a known class makes its traces
         # from every side keys.  mon canonicalises the sample it is handed
         # too, so count instances
@@ -359,28 +361,30 @@ class TestRunSuite:
                            samples=200, seed=0)
         assert report.passed
         canonicalised = {id(m) for m in calls} & {id(m) for m, _ in weighed}
-        forms, keys, side0_keys = set(), set(), set()
-        disconnected = second_sightings = expected = 0
+        keys, traces, side0_keys = set(), set(), set()
+        disconnected = second_sightings = form_hits = expected = 0
         for m, _ in label_level_samples(0, (3, 4), 200):
             if m._component_data[1] > 1:
                 disconnected += 1
                 expected += 1
-                forms.add(canonical_form(m))
+                keys.add(canonical_form(m))
                 continue
-            rooted = [_component_trace(m._b, m._w, m._e, s)
+            rooted = [bytes(_component_trace(m._b, m._w, m._e, s))
                       for s in range(len(m._b))]
             side0_keys.add(rooted[0])
             if rooted[0] in keys:
+                form_hits += rooted[0] not in traces  # a form's key alone
                 continue
             expected += 1
             form = canonical_form(m)
-            if form in forms:
+            if form in keys:
                 second_sightings += 1
                 keys.update(rooted)
+                traces.update(rooted)
             else:
-                forms.add(form)
-                keys.add(rooted[0])
-        assert disconnected > 0 and second_sightings > 0
+                keys.update((form, rooted[0]))
+                traces.add(rooted[0])
+        assert disconnected > 0 and second_sightings > 0 and form_hits > 0
         # fewer forms than with the side-0 trace as the only key
         assert len(canonicalised) == expected < len(side0_keys) + disconnected
 
@@ -437,7 +441,7 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_liberation_oriented_tables_keyed_by_canonical_form(self, n):
-        # the suite's tables share one by_class lookup between the sides;
+        # the suite's tables share one ClassMemo between the sides;
         # here every map is keyed by its own canonical form
         verify = importlib.import_module("monmap.verify")
         lhs, rhs = Counter(), Counter()
