@@ -25,13 +25,15 @@ labels, and both candidates are twisted at those positions
 A candidate below the input map is looked up, read-only, among the
 interned residuals of ``mon._STATES``; where the table holds an equal map,
 its cached orbit data answers the target test.  A candidate at level 0
-twists the input map by one of at most 2^n edge sets over its n!
-histories: it is built once and kept on that map (``_twists``, keyed by the
-sorted side pairs), as ``mon._states`` keeps removals, so equal outputs of
-one map are one object and the back trip reuses its removals and cached
-orbit data.  The top-degree target reads the component count of the
-untwisted state, since a twist keeps every <beta, omega, eps> orbit.  All
-this is sound because the target depends only on the map's value.
+twists the input map, and a twist keeps the labels, beta and eps: it is a
+map of the input's twist family.  It is taken through ``mon._level0``, the
+table of the level-0 maps of one family at a time, so equal outputs of the
+n! histories of one map are one object, and so is an output equal to a
+map of the stream that ``verify._round_trips`` took through the same
+table: the back trip and that map's own histories reuse its removals and
+cached orbit data.  The top-degree target reads the component count of
+the untwisted state, since a twist keeps every <beta, omega, eps> orbit.
+All this is sound because the target depends only on the map's value.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Sequence
 
 from .maps import (MapError, NonOrientedMap, _bridge_or_leaf, _twist_sides,
                    is_orientable)
-from .mon import _STATES, _check_history, _failing_prefix, _states
+from .mon import _STATES, _check_history, _failing_prefix, _level0, _states
 
 
 class NotInDomainError(MapError):
@@ -125,8 +127,9 @@ def _settle(states, edges, target):
     target's answer is the same.  The lookup only reads: a missing
     candidate stays a fresh map and is never added.  Level 0 twists the
     input map itself and gives the output, so it is not looked up there:
-    the output is the input map's own twist, kept in the map's table and
-    shared by the histories that settle on the same twist set, and never
+    the candidate is the one object of its value in the input's twist
+    family table (``mon._level0``), shared by the histories that settle
+    on the same twist set and by the stream map of that value, and never
     an object of ``mon._STATES``.  ``_top_degree`` reads the component
     count of the state, not of the candidate: a twist keeps every
     <beta, omega, eps> orbit, so the two counts are equal and one
@@ -170,13 +173,8 @@ def _settle(states, edges, target):
 def _candidate(state, sides, k):
     """``state`` twisted at the non-empty side pairs ``sides``: below the
     input map (k >= 1) the table's equal residual if it has one, at level 0
-    the input map's kept twist."""
+    the one object of its value in the twist family table."""
+    twisted = _twist_sides(state, sides)
     if k:
-        twisted = _twist_sides(state, sides)
         return _STATES.get(twisted._key(), twisted)
-    table = state.__dict__.setdefault("_twists", {})
-    key = tuple(sorted(sides))
-    twisted = table.get(key)
-    if twisted is None:
-        twisted = table[key] = _twist_sides(state, sides)
-    return twisted
+    return _level0(twisted)

@@ -210,13 +210,19 @@ def liberal_one_face(n: int, force: bool = False) -> Iterator[NonOrientedMap]:
 
 
 def all_maps(n: int, force: bool = False) -> Iterator[NonOrientedMap]:
-    """All ((2n-1)!!)^3 involution triples on [2n]."""
+    """All ((2n-1)!!)^3 involution triples on [2n].
+
+    The loops run over beta, then eps, then omega, so the (2n-1)!! maps of
+    one twist family (one labels, beta and eps; a twist of edges changes
+    omega alone) come one after another, and ``mon._level0``'s table of
+    one family at a time serves each family whole.
+    """
     check_guard("n", n, 3, force)
     labels = tuple(range(1, 2 * n + 1))
     pairings = list(involutions(labels))
     for beta in pairings:
-        for omega in pairings:
-            for eps in pairings:
+        for eps in pairings:
+            for omega in pairings:
                 yield _new_map(labels, beta, omega, eps)
 
 

@@ -197,10 +197,10 @@ class NonOrientedMap:
     a < b.  These views, the kernel outputs (face, component and vertex
     orbits), the bicolored graph, the canonical form and the side-0 trace
     are built on first access and cached per instance, in its ``__dict__``;
-    ``mon._states`` keeps the map's removals there too (``_removed``), and
-    ``bijection._settle`` its level-0 twists (``_twists``).  A twisted map
-    (``_twist_sides``) gets only the ``eps`` view from its source: it walks
-    its own orbits and builds its own graph from its own omega.
+    ``mon._states`` keeps the map's removals there too (``_removed``).  A
+    twisted map (``_twist_sides``) gets only the ``eps`` view from its
+    source: it walks its own orbits and builds its own graph from its own
+    omega.
     """
 
     __slots__ = ("labels", "_b", "_w", "_e", "__dict__")

@@ -40,7 +40,9 @@ default parameters of ``verify all``.  The twist bijection reads it too:
 ``bijection._settle`` replaces a twisting candidate that equals a residual
 in the table by the table's object, and so reuses its cached kernel data.
 It only reads: it never adds a candidate, so the table holds residuals
-alone.  Edge kinds and roles are read from the states, never stored:
+alone.  Its level-0 maps, the input map and its twists, go to a second
+table that holds one twist family at a time (``_FAMILY``, through
+``_level0``).  Edge kinds and roles are read from the states, never stored:
 condition B finds each removed edge's two sides once per state, by
 bisection on its labels, and reads the kind and the bridge/leaf test at
 those positions.  The degree target n + |F| - |V| comes from the face and
@@ -68,19 +70,44 @@ _MON_CACHE = ClassMemo()
 _EMPTY_COUNTS = ((1,), 1)
 # residual map key (NonOrientedMap._key) -> the one state object for it
 _STATES: dict[tuple, NonOrientedMap] = {}
+# at most one entry: (labels, beta, eps) of the current twist family ->
+# {omega: the one level-0 map of that family with it}
+_FAMILY: dict[tuple, dict[tuple, NonOrientedMap]] = {}
 
 
 def clear_caches():
     """Empty the process tables: the class memo of ``_mon_pair`` (its
-    ``len``, the class count, back to 0), the state table and the
-    monomials.  Caches kept on map instances stay: a map built before the
-    clear keeps its own ``_removed``, ``_twists`` and ``_graph``, so
-    residuals reached through it are no longer the table's objects and the
-    sharing that ``_states`` gives holds only among maps built since the
-    clear.  The values are equal either way, so no result changes."""
+    ``len``, the class count, back to 0), the state table, the twist
+    family table and the monomials.  Caches kept on map instances stay: a
+    map built before the clear keeps its own ``_removed`` and ``_graph``,
+    so residuals reached through it are no longer the table's objects and
+    the sharing that ``_states`` gives holds only among maps built since
+    the clear.  The values are equal either way, so no result changes."""
     _MON_CACHE.clear()
     _STATES.clear()
+    _FAMILY.clear()
     _monomial.cache_clear()
+
+
+def _level0(m: NonOrientedMap) -> NonOrientedMap:
+    """The one object of m's value among the level-0 maps of its twist
+    family: the maps with m's labels, beta and eps, all of which a twist of
+    edges keeps.  The table holds one family at a time; a map of another
+    family starts a new one.  ``bijection._settle`` takes each level-0
+    twist through it and ``verify._round_trips`` each stream map, so a
+    twist that lands on a stream map or on another history's output is
+    that object, with its cached orbit data, graph and removals.  The
+    family key and omega are the whole map, so only the object changes,
+    never the value.  No map refers to the table, so it makes no reference
+    cycle.  It holds at most (2n-1)!! maps for ``all_maps(n)``, which
+    yields each family in one run, and at most 2^n twists and the input on
+    ``conservative_one_face``, where each map is a family of its own."""
+    family = m.labels, m._b, m._e
+    table = _FAMILY.get(family)
+    if table is None:
+        _FAMILY.clear()
+        table = _FAMILY[family] = {}
+    return table.setdefault(m._w, m)
 
 
 def _check_history(m: NonOrientedMap, history: Sequence):
@@ -110,11 +137,12 @@ def _states(m: NonOrientedMap, edges) -> list[NonOrientedMap]:
     the default parameters of ``lemma-equivalence`` and ``key-bijection``,
     and up to 28 * 15**3 + 70 * 27 + 28 + 1 = 96 419 for a forced
     ``lemma-equivalence --n 4``.  Only this function adds to the table;
-    ``bijection._settle`` looks its twist candidates up in it and never
-    adds one.  ``clear_caches`` empties the table but not the removals
-    kept on maps (nor their ``_twists`` and ``_graph``): a map built before
-    a clear still gives its own, equal, residuals, so the sharing holds
-    only among maps built since the clear, and results do not change.
+    ``bijection._settle`` looks its twist candidates below the input map
+    up in it and never adds one (level-0 maps go to ``_level0``'s family
+    table instead).  ``clear_caches`` empties both tables but not the
+    removals kept on maps (nor their ``_graph``): a map built before a
+    clear still gives its own, equal, residuals, so the sharing holds only
+    among maps built since the clear, and results do not change.
     """
     states = [m]
     for e in edges:

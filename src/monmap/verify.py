@@ -30,9 +30,9 @@ from .jack import (ch, ch_stanley, jack_in_p, jack_inner_product,
 from .maps import (ClassMemo, EdgeKind, NonOrientedMap, _new_map,
                    bicolored_graph, canonical_form, classify_edge,
                    is_orientable, load_fixture, structure)
-from .mon import (_failing_prefix, _sides_weight, _states, history_weight,
-                  is_top_degree_map, lemma_equivalence_check, mon,
-                  mon_top_detail, mon_top_degree_target)
+from .mon import (_failing_prefix, _level0, _sides_weight, _states,
+                  history_weight, is_top_degree_map, lemma_equivalence_check,
+                  mon, mon_top_detail, mon_top_degree_target)
 from .oriented import side_label
 
 
@@ -331,10 +331,16 @@ def _round_trip(m, h, graph, forward: bool) -> bool:
 def _round_trips(maps, inverse: bool) -> tuple[int, int, bool]:
     """(top-degree pairs, orientable (map, history) pairs, ok) over every
     history of the maps: each top-degree pair round-trips through phi and,
-    when ``inverse`` is set, each orientable pair through phi_inverse."""
+    when ``inverse`` is set, each orientable pair through phi_inverse.
+
+    Each map is read as the one object of its value in ``mon._level0``'s
+    twist family table, where the level-0 twists of phi and phi_inverse
+    land too: a map that an earlier round trip of its family reached is
+    that output, with its removals and cached orbit data."""
     pairs = orient_hists = 0
     ok = True
     for m in maps:
+        m = _level0(m)
         orientable = inverse and is_orientable(m)
         if orientable:
             orient_hists += math.factorial(m.n)

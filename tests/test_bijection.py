@@ -15,9 +15,9 @@ from monmap.enumeration import (all_maps, conservative_one_face,
 from monmap.maps import (NonOrientedMap, _edge_index, _twist_sides,
                          bicolored_graph, graph_class, is_orientable,
                          remove_edge, twist_many)
-from monmap.mon import (_check_history, _states, history_weight,
-                        is_top_degree_map, is_top_degree_pair,
-                        lemma_equivalence_check)
+from monmap.mon import (_FAMILY, _check_history, _states, clear_caches,
+                        history_weight, is_top_degree_map,
+                        is_top_degree_pair, lemma_equivalence_check)
 from monmap.oriented import OrientedMap, side_label
 from monmap.verify import _round_trips
 
@@ -372,8 +372,9 @@ class TestRelabelling:
 
 
 class TestLevelZeroTwists:
-    """The level-0 candidates of ``_settle`` are kept in a table on the
-    input map, one entry per twist set asked for."""
+    """The level-0 candidates of ``_settle`` and the maps that
+    ``_round_trips`` reads go through one table of the level-0 maps of one
+    twist family (``mon._level0``): one object per value."""
 
     def test_warm_and_cold_maps_agree(self):
         # the table decides which object an output is, never its value
@@ -389,4 +390,24 @@ class TestLevelZeroTwists:
                 if orientable:
                     cold = NonOrientedMap.from_arrays(*m._key())
                     assert phi_inverse(m, h) == phi_inverse(cold, h)
-        assert sum("_twists" in vars(m) for m in maps) > len(maps) // 2
+        # one (beta, eps) run of the stream: after its round trips, the
+        # table holds one object per map of the run, the one _round_trips
+        # read, and every phi and phi_inverse output is that object
+        stream = list(all_maps(2))
+        first = stream[0]
+        run = [m for m in stream if (m._b, m._e) == (first._b, first._e)]
+        clear_caches()
+        _round_trips(run, inverse=True)
+        (table,) = _FAMILY.values()
+        assert sorted(table.values(), key=NonOrientedMap._key) == run
+        outputs = 0
+        for m in table.values():
+            for h in permutations(m.eps):
+                for there in (phi, phi_inverse):
+                    try:
+                        out = there(m, h).map
+                    except NotInDomainError:
+                        continue
+                    assert out is table[out._w]
+                    outputs += 1
+        assert outputs and len(table) == len(run)

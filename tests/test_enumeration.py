@@ -2,6 +2,8 @@ import importlib
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby, product
+from operator import itemgetter
 
 import pytest
 
@@ -121,6 +123,19 @@ class TestPairsAndAllMaps:
     def test_all_maps_guard(self):
         with pytest.raises(GuardExceeded):
             next(all_maps(4))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_all_maps_yields_each_twist_family_in_one_run(self, n):
+        labels = tuple(range(1, 2 * n + 1))
+        pairings = list(involutions(labels))
+        maps = list(all_maps(n))
+        assert all(m.labels == labels for m in maps)
+        triples = [(m._b, m._w, m._e) for m in maps]
+        assert len(set(triples)) == len(triples) == len(pairings) ** 3
+        assert set(triples) == set(product(pairings, repeat=3))
+        # a (beta, eps) run is never resumed once another has started
+        runs = [family for family, _ in groupby(triples, itemgetter(0, 2))]
+        assert len(runs) == len(set(runs)) == len(pairings) ** 2
 
     def test_transitive_pairs_n2(self):
         assert sum(1 for _ in transitive_pairs(2)) == 3

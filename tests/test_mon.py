@@ -4,7 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from importlib.util import module_from_spec, spec_from_file_location
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -15,13 +15,13 @@ from monmap import kernels
 from monmap.algebra import GAMMA, ONE, GammaPoly
 from monmap.bijection import NotInDomainError, phi, phi_inverse
 from monmap.enumeration import (all_maps, conservative_one_face,
-                                one_face_orbits)
+                                involutions, one_face_orbits)
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
-                         _component_trace, _edge_index, _twist_sides,
-                         ClassMemo, canonical_form, classify_edge,
-                         load_fixture, remove_edge, structure, twist_many)
-from monmap.mon import (_MON_CACHE, _STATES, _failing_prefix,
-                        _mon_pair, _monomial, _states, clear_caches,
+                         _component_trace, _edge_index, ClassMemo,
+                         canonical_form, classify_edge, load_fixture,
+                         remove_edge, structure, twist_many)
+from monmap.mon import (_FAMILY, _MON_CACHE, _STATES, _failing_prefix,
+                        _level0, _mon_pair, _monomial, _states, clear_caches,
                         history_weight, is_top_degree_map,
                         is_top_degree_pair, lemma_equivalence_check, mon,
                         mon_top, mon_top_degree_target, mon_top_detail)
@@ -172,6 +172,40 @@ class TestHistoryStates:
         clear_caches()
         assert not _STATES
 
+    def test_clear_caches_empties_the_family_table(self, klein):
+        _round_trips([klein], inverse=True)
+        assert _FAMILY
+        clear_caches()
+        assert not _FAMILY
+
+    def test_family_table_never_changes_a_value(self):
+        # every map of all_maps(2): in the order beta, omega, eps, where the
+        # family (labels, beta, eps) changes at every step; in the stream's
+        # order; and each map followed by all its twists, some of which
+        # equal it or a later map of the stream
+        labels = (1, 2, 3, 4)
+        pairings = list(involutions(labels))
+        by_omega_first = [NonOrientedMap.from_arrays(labels, b, w, e)
+                          for b in pairings for w in pairings
+                          for e in pairings]
+        stream = list(all_maps(2))
+        with_twists = [x for m in stream for x in (m, *(
+            twist_many(m, edges)
+            for k in (1, 2) for edges in combinations(m.eps, k)))]
+        clear_caches()
+        for maps in (by_omega_first, stream, with_twists):
+            run, seen = None, {}
+            for m in maps:
+                out = _level0(m)
+                assert out == m
+                family = m.labels, m._b, m._e
+                if family != run:
+                    run, seen = family, {}
+                # the first map of a value in a run is kept; a repeat is
+                # given that same object
+                assert seen.setdefault(m._w, m) is out
+            assert len(_FAMILY) == 1
+
     def test_state_table_holds_the_distinct_proper_residuals(self):
         # at n = 3: 15 eps pairs to remove times 3^3 maps on the other four
         # labels, 15 single-edge maps and the empty map
@@ -251,22 +285,25 @@ class TestHistoryStates:
         assert [c.n for c, s in found if c is not s] == [2, 3]
 
     def test_level_zero_twists_stay_on_the_input_map(self):
-        # at most one twist per twist set, kept on the map it twists; the
-        # state table's size after both suites is pinned above
+        # the family table holds the input map and at most one twist per
+        # twist set; the state table's size after both suites is pinned above
         for m in (load_fixture("klein"), list(conservative_one_face(4))[1]):
             clear_caches()
             _round_trips([m], inverse=True)  # walks every history of m
+            (table,) = _FAMILY.values()
+            assert table[m._w] is m
             outputs = {}  # equal twist sets give one output object
             for h in permutations(m.eps):
                 if is_top_degree_pair(m, h):
                     res = phi(m, h)
                     assert outputs.setdefault(frozenset(res.twists),
                                               res.map) is res.map
-            table = vars(m)["_twists"]
-            assert 0 < len(table) <= 2 ** m.n
-            for sides, twisted in table.items():
-                assert list(sides) == sorted(sides)
-                assert twisted == _twist_sides(m, sides)
+                    assert table[res.map._w] is res.map
+            assert 1 < len(table) <= 2 ** m.n + 1
+            twists = {twist_many(m, edges) for k in range(m.n + 1)
+                      for edges in combinations(m.eps, k)}
+            for w, twisted in table.items():
+                assert twisted._w is w and twisted in twists
                 # a twist changes omega alone
                 assert twisted.labels is m.labels
                 assert twisted._b is m._b and twisted._e is m._e
