@@ -34,6 +34,16 @@ table: the back trip and that map's own histories reuse its removals and
 cached orbit data.  The top-degree target reads the component count of
 the untwisted state, since a twist keeps every <beta, omega, eps> orbit.
 All this is sound because the target depends only on the map's value.
+
+The whole results of ``phi`` and ``phi_inverse`` are kept in the same
+entry of that table, keyed by (omega, history, direction).  Both maps of
+a round trip belong to one family, so a pair that a round trip from the
+other side has settled is answered without a second induction: each
+distinct (direction, map, history) is settled once while its family is
+current.  The history is always validated first, refusals and aborts are
+never stored, and a family switch or ``mon.clear_caches`` drops the
+results with the maps.  Only whole results are stored, never a step of
+one induction.
 """
 
 from __future__ import annotations
@@ -44,7 +54,8 @@ from typing import Sequence
 
 from .maps import (MapError, NonOrientedMap, _bridge_or_leaf, _twist_sides,
                    is_orientable)
-from .mon import _STATES, _check_history, _failing_prefix, _level0, _states
+from .mon import (_STATES, _check_history, _failing_prefix, _family, _level0,
+                  _states)
 
 
 class NotInDomainError(MapError):
@@ -63,25 +74,52 @@ class BijectionResult:
 
 
 def phi(m: NonOrientedMap, history: Sequence) -> BijectionResult:
-    """Top-degree pair -> (orientable map, same history, twist set)."""
+    """Top-degree pair -> (orientable map, same history, twist set).
+
+    The history is validated first, always.  A result is then looked up
+    in the table of m's twist family (``mon._family``): an equal pair that
+    ``phi`` settled before gives the same object back, with no domain
+    check and no induction, since both depend only on the pair's value.
+    A refusal is never stored, so a pair outside the domain is refused
+    every time."""
     edges = _check_history(m, history)
-    states = _states(m, edges)
-    bad = _failing_prefix(states)
-    if bad is not None:
-        raise NotInDomainError(
-            f"(map, history) is not a top-degree pair: prefix {bad} "
-            f"(after removing {list(edges[:bad])}) is not top-degree")
-    out, twists = _settle(states, edges, _orientable)
-    return BijectionResult(out, edges, twists)
+    m, results, key = _lookup(m, edges, True)
+    res = results.get(key)
+    if res is None:
+        states = _states(m, edges)
+        bad = _failing_prefix(states)
+        if bad is not None:
+            raise NotInDomainError(
+                f"(map, history) is not a top-degree pair: prefix {bad} "
+                f"(after removing {list(edges[:bad])}) is not top-degree")
+        out, twists = _settle(states, edges, _orientable)
+        res = results[key] = BijectionResult(out, edges, twists)
+    return res
 
 
 def phi_inverse(m: NonOrientedMap, history: Sequence) -> BijectionResult:
-    """(orientable map, history) -> top-degree pair on the same graph."""
+    """(orientable map, history) -> top-degree pair on the same graph.
+
+    Looked up and stored as in ``phi``, under a key of its own direction:
+    a pair in both domains is sent to itself by both, but ``phi``'s result
+    must not stand in for this function's domain check, or the other's."""
     edges = _check_history(m, history)
-    if not is_orientable(m):
-        raise NotInDomainError("phi_inverse requires an orientable map")
-    out, twists = _settle(_states(m, edges), edges, _top_degree)
-    return BijectionResult(out, edges, twists)
+    m, results, key = _lookup(m, edges, False)
+    res = results.get(key)
+    if res is None:
+        if not is_orientable(m):
+            raise NotInDomainError("phi_inverse requires an orientable map")
+        out, twists = _settle(_states(m, edges), edges, _top_degree)
+        res = results[key] = BijectionResult(out, edges, twists)
+    return res
+
+
+def _lookup(m, edges, forward):
+    """(m's level-0 object, the result table of its twist family, the key
+    of (m, edges) in the direction ``forward`` in it)."""
+    maps, results = _family(m)
+    m = maps.setdefault(m._w, m)
+    return m, results, (m._w, edges, forward)
 
 
 def _orientable(candidate: NonOrientedMap, state: NonOrientedMap) -> bool:

@@ -42,11 +42,12 @@ in the table by the table's object, and so reuses its cached kernel data.
 It only reads: it never adds a candidate, so the table holds residuals
 alone.  Its level-0 maps, the input map and its twists, go to a second
 table that holds one twist family at a time (``_FAMILY``, through
-``_level0``).  Edge kinds and roles are read from the states, never stored:
-condition B finds each removed edge's two sides once per state, by
-bisection on its labels, and reads the kind and the bridge/leaf test at
-those positions.  The degree target n + |F| - |V| comes from the face and
-vertex counts cached on the map.
+``_family`` and ``_level0``), next to the results of ``phi`` and
+``phi_inverse`` on that family's maps.  Edge kinds and roles are read
+from the states, never stored: condition B finds each removed edge's two
+sides once per state, by bisection on its labels, and reads the kind and
+the bridge/leaf test at those positions.  The degree target
+n + |F| - |V| comes from the face and vertex counts cached on the map.
 """
 
 from __future__ import annotations
@@ -71,43 +72,53 @@ _EMPTY_COUNTS = ((1,), 1)
 # residual map key (NonOrientedMap._key) -> the one state object for it
 _STATES: dict[tuple, NonOrientedMap] = {}
 # at most one entry: (labels, beta, eps) of the current twist family ->
-# {omega: the one level-0 map of that family with it}
-_FAMILY: dict[tuple, dict[tuple, NonOrientedMap]] = {}
+# ({omega: the one level-0 map of that family with it},
+#  {(omega, history, forward): phi's (forward) or phi_inverse's result})
+_FAMILY: dict[tuple, tuple[dict, dict]] = {}
 
 
 def clear_caches():
     """Empty the process tables: the class memo of ``_mon_pair`` (its
     ``len``, the class count, back to 0), the state table, the twist
-    family table and the monomials.  Caches kept on map instances stay: a
-    map built before the clear keeps its own ``_removed`` and ``_graph``,
-    so residuals reached through it are no longer the table's objects and
-    the sharing that ``_states`` gives holds only among maps built since
-    the clear.  The values are equal either way, so no result changes."""
+    family table with its bijection results, and the monomials.  Caches
+    kept on map instances stay: a map built before the clear keeps its
+    own ``_removed`` and ``_graph``, so residuals reached through it are
+    no longer the table's objects and the sharing that ``_states`` gives
+    holds only among maps built since the clear.  The values are equal
+    either way, so no result changes."""
     _MON_CACHE.clear()
     _STATES.clear()
     _FAMILY.clear()
     _monomial.cache_clear()
 
 
+def _family(m: NonOrientedMap) -> tuple[dict, dict]:
+    """The entry of m's twist family, the maps with m's labels, beta and
+    eps, all of which a twist of edges keeps: its level-0 maps by omega
+    and the results of ``bijection.phi`` and ``phi_inverse`` on them.  The
+    table holds one family at a time; a map of another family starts a new
+    entry and drops the old one, maps and results together.  No map refers
+    to it, so it makes no reference cycle.  It holds at most (2n-1)!! maps
+    for ``all_maps(n)``, which yields each family in one run, and at most
+    2^n twists and the input on ``conservative_one_face``, where each map
+    is a family of its own; at most 2 n! results per map."""
+    family = m.labels, m._b, m._e
+    entry = _FAMILY.get(family)
+    if entry is None:
+        _FAMILY.clear()
+        entry = _FAMILY[family] = {}, {}
+    return entry
+
+
 def _level0(m: NonOrientedMap) -> NonOrientedMap:
     """The one object of m's value among the level-0 maps of its twist
-    family: the maps with m's labels, beta and eps, all of which a twist of
-    edges keeps.  The table holds one family at a time; a map of another
-    family starts a new one.  ``bijection._settle`` takes each level-0
-    twist through it and ``verify._round_trips`` each stream map, so a
-    twist that lands on a stream map or on another history's output is
-    that object, with its cached orbit data, graph and removals.  The
-    family key and omega are the whole map, so only the object changes,
-    never the value.  No map refers to the table, so it makes no reference
-    cycle.  It holds at most (2n-1)!! maps for ``all_maps(n)``, which
-    yields each family in one run, and at most 2^n twists and the input on
-    ``conservative_one_face``, where each map is a family of its own."""
-    family = m.labels, m._b, m._e
-    table = _FAMILY.get(family)
-    if table is None:
-        _FAMILY.clear()
-        table = _FAMILY[family] = {}
-    return table.setdefault(m._w, m)
+    family (``_family``).  ``bijection._settle`` takes each level-0 twist
+    through it, ``phi`` and ``phi_inverse`` their input, and
+    ``verify._round_trips`` each stream map, so a twist that lands on a
+    stream map or on another history's output is that object, with its
+    cached orbit data, graph and removals.  The family key and omega are
+    the whole map, so only the object changes, never the value."""
+    return _family(m)[0].setdefault(m._w, m)
 
 
 def _check_history(m: NonOrientedMap, history: Sequence):

@@ -336,11 +336,17 @@ def _round_trips(maps, inverse: bool) -> tuple[int, int, bool]:
     Each map is read as the one object of its value in ``mon._level0``'s
     twist family table, where the level-0 twists of phi and phi_inverse
     land too: a map that an earlier round trip of its family reached is
-    that output, with its removals and cached orbit data."""
+    that output, with its removals and cached orbit data, and a pair that
+    an earlier round trip settled is answered from the family's results.
+    An object that is not equal to the stream map fails the check: the
+    family key would then miss part of the map, and the results read
+    under it could belong to another map."""
     pairs = orient_hists = 0
     ok = True
     for m in maps:
-        m = _level0(m)
+        level0 = _level0(m)
+        ok = level0 == m and ok
+        m = level0
         orientable = inverse and is_orientable(m)
         if orientable:
             orient_hists += math.factorial(m.n)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from monmap.maps import NonOrientedMap, _edge_index, load_fixture, remove_edge
+from monmap.mon import _FAMILY
 from monmap.oriented import _connected
 
 
@@ -15,6 +16,13 @@ def klein():
 @pytest.fixture(scope="session")
 def projective():
     return load_fixture("projective")
+
+
+def forget_results():
+    """Empty the result table of the current twist family, and nothing
+    else, so that the next ``phi`` or ``phi_inverse`` call settles anew."""
+    for _, results in _FAMILY.values():
+        results.clear()
 
 
 def partner_dict(pairs):

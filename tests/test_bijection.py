@@ -12,16 +12,16 @@ from monmap.bijection import (BijectionResult, DichotomyError,
                               _top_degree, phi, phi_inverse)
 from monmap.enumeration import (all_maps, conservative_one_face,
                                 maps_by_face_type)
-from monmap.maps import (NonOrientedMap, _edge_index, _twist_sides,
-                         bicolored_graph, graph_class, is_orientable,
-                         remove_edge, twist_many)
+from monmap.maps import (MapError, NonOrientedMap, _edge_index,
+                         _twist_sides, bicolored_graph, graph_class,
+                         is_orientable, remove_edge, twist_many)
 from monmap.mon import (_FAMILY, _check_history, _states, clear_caches,
                         history_weight, is_top_degree_map,
                         is_top_degree_pair, lemma_equivalence_check)
 from monmap.oriented import OrientedMap, side_label
 from monmap.verify import _round_trips
 
-from conftest import edge_role, map_strategy
+from conftest import edge_role, forget_results, map_strategy
 
 SINGLE_EDGE = NonOrientedMap.from_pairs([[1, 2]], [[1, 2]], [[1, 2]])
 TORUS = OrientedMap.from_cycles(
@@ -298,11 +298,13 @@ class TestDichotomyErrors:
             ref_settle(klein, self.H, target)
         assert str(ref.value) == text
         monkeypatch.setattr(bijection, "_orientable", hook)
+        forget_results()  # or phi answers from its result table
         with pytest.raises(DichotomyError) as err:
             phi(klein, self.H)
         assert str(err.value) == text
         monkeypatch.undo()
         monkeypatch.setattr(bijection, "_top_degree", hook)
+        forget_results()
         with pytest.raises(DichotomyError) as err:
             phi_inverse(orientable, self.H)
         assert str(err.value) == outcome(ref_settle, orientable, self.H,
@@ -398,7 +400,7 @@ class TestLevelZeroTwists:
         run = [m for m in stream if (m._b, m._e) == (first._b, first._e)]
         clear_caches()
         _round_trips(run, inverse=True)
-        (table,) = _FAMILY.values()
+        ((table, _),) = _FAMILY.values()
         assert sorted(table.values(), key=NonOrientedMap._key) == run
         outputs = 0
         for m in table.values():
@@ -411,3 +413,78 @@ class TestLevelZeroTwists:
                     assert out is table[out._w]
                     outputs += 1
         assert outputs and len(table) == len(run)
+
+
+class TestResultTable:
+    """``phi`` and ``phi_inverse`` keep their results in the entry of the
+    input's twist family (``mon._family``), next to its level-0 maps."""
+
+    H = ((1, 5), (2, 4), (3, 6))
+
+    def test_stored_results_are_the_cold_values(self):
+        for stream in (all_maps(2), conservative_one_face(3)):
+            clear_caches()
+            warm = {}
+            for m in stream:
+                # settles every pair of m and the back trips of its twists,
+                # so many of the calls below are answered from the table
+                _round_trips([m], inverse=True)
+                for h in permutations(m.eps):
+                    for there in (phi, phi_inverse):
+                        try:
+                            res = there(m, h)
+                        except NotInDomainError:
+                            continue
+                        assert there(m, h) is res
+                        warm[there, m, h] = res
+            assert warm
+            for (there, m, h), res in warm.items():
+                clear_caches()
+                assert there(NonOrientedMap.from_arrays(*m._key()), h) == res
+
+    def test_table_holds_one_family(self, klein):
+        clear_caches()
+        res = phi(klein, self.H)
+        ((maps, results),) = _FAMILY.values()
+        assert maps[klein._w] is klein
+        assert results == {(klein._w, self.H, True): res}
+        # a map of another family drops klein's maps and results together
+        other = next(iter(all_maps(1)))
+        phi(other, other.eps)
+        ((maps, results),) = _FAMILY.values()
+        assert maps[other._w] is other
+        assert all(m.labels == other.labels for m in maps.values())
+        assert all(stored.map.labels == other.labels
+                   for stored in results.values())
+        again = phi(klein, self.H)
+        assert again == res and again is not res
+        clear_caches()
+        assert not _FAMILY
+        assert phi(klein, self.H) is not again
+
+    def test_checks_run_on_a_hit(self, klein):
+        # a pair in one domain only is refused by the other direction
+        # after the first one stored its result
+        plane = next(m for m in all_maps(2)
+                     if is_orientable(m) and not is_top_degree_map(m))
+        clear_caches()
+        for m, h, there, back in ((plane, plane.edges(), phi_inverse, phi),
+                                  (klein, self.H, phi, phi_inverse)):
+            there(m, h)
+            for _ in range(2):
+                with pytest.raises(NotInDomainError):
+                    back(m, h)
+        # the history is validated before the lookup: True == 1 and
+        # hashes as 1, so the bool history's key is the stored pair's
+        (a, b), *rest = self.H
+        non_edge = next((a, c) for c in klein.labels
+                        if c != a and (a, c) not in klein.eps)
+        bad = [[non_edge, *rest], [self.H[0], *self.H[:2]],
+               [(True, b), *rest]]
+        assert [(True, b), *rest] == list(self.H)
+        out = phi(klein, self.H).map
+        phi_inverse(out, self.H)
+        for there, m in ((phi, klein), (phi_inverse, out)):
+            for h in bad:
+                with pytest.raises(MapError):
+                    there(m, h)
