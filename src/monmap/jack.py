@@ -38,7 +38,7 @@ from typing import Sequence, Union
 from .algebra import SQRT2, GammaPoly, Sqrt2, _as_fraction
 from .diagrams import Partition, _class_sums, _class_table
 from .enumeration import FORCE_HINT, conservative_maps
-from .maps import bicolored_graph
+from .maps import _CACHES, bicolored_graph
 from .oriented import (OrientedMap, bicolored_graph_oriented,
                        cycle_type_permutation, partitions_of, z_of)
 
@@ -239,6 +239,9 @@ def sn_character(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
         new_lam = tuple(new_betas[j] - (size - 1 - j) for j in range(size))
         total += (-1) ** height * sn_character(new_lam, rest)
     return total
+
+
+_CACHES.extend((_m_to_p, _jack_family, sn_character))
 
 
 def sn_dimension(lam) -> int:

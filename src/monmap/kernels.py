@@ -41,27 +41,13 @@ def orbit_ids3(p, q, r):
         while stack:
             x = stack.pop()
             c = cols[x] ^ 1
-            y = p[x]
-            if ids[y] < 0:
-                ids[y] = count
-                cols[y] = c
-                stack.append(y)
-            elif cols[y] != c:
-                bipartite = False
-            y = q[x]
-            if ids[y] < 0:
-                ids[y] = count
-                cols[y] = c
-                stack.append(y)
-            elif cols[y] != c:
-                bipartite = False
-            y = r[x]
-            if ids[y] < 0:
-                ids[y] = count
-                cols[y] = c
-                stack.append(y)
-            elif cols[y] != c:
-                bipartite = False
+            for y in (p[x], q[x], r[x]):
+                if ids[y] < 0:
+                    ids[y] = count
+                    cols[y] = c
+                    stack.append(y)
+                elif cols[y] != c:
+                    bipartite = False
         count += 1
     return ids, count, bipartite
 

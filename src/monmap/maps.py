@@ -198,9 +198,9 @@ class NonOrientedMap:
     orbits), the bicolored graph, the canonical form and the side-0 trace
     are built on first access and cached per instance, in its ``__dict__``;
     ``mon._states`` keeps the map's removals there too (``_removed``).  A
-    twisted map (``_twist_sides``) gets only the ``eps`` view from its
-    source: it walks its own orbits and builds its own graph from its own
-    omega.
+    twisted map (``_twist_sides``) gets none of its source's cached data:
+    it builds its own views, walks its own orbits and builds its own graph
+    from its own omega.
     """
 
     __slots__ = ("labels", "_b", "_w", "_e", "__dict__")
@@ -451,8 +451,7 @@ def twist_many(m: NonOrientedMap, edges) -> NonOrientedMap:
 def _twist_sides(m: NonOrientedMap, sides) -> NonOrientedMap:
     """``twist_many`` of the edges whose sides sit at the position pairs
     ``sides``; m itself when there are none.  The twisted map shares m's
-    ``labels`` and ``_e`` tuples, so it shares m's cached ``eps`` view too;
-    no orbit data is carried over."""
+    ``labels`` and ``_e`` tuples, and none of m's cached data."""
     if not sides:
         return m
     swap = list(range(len(m.labels)))
@@ -464,11 +463,7 @@ def _twist_sides(m: NonOrientedMap, sides) -> NonOrientedMap:
         swap[j] = i
     w = m._w
     # omega' = s . omega . s with s the product of the swaps (an involution)
-    out = _new_map(m.labels, m._b, tuple([swap[w[x]] for x in swap]), m._e)
-    eps = m.__dict__.get("eps")
-    if eps is not None:
-        out.__dict__["eps"] = eps
-    return out
+    return _new_map(m.labels, m._b, tuple([swap[w[x]] for x in swap]), m._e)
 
 
 def _bridge_or_leaf(before: NonOrientedMap, after: NonOrientedMap,
@@ -622,6 +617,27 @@ class ClassMemo:
                 for s in range(len(m._b)):
                     values[_rooted_trace(m._b, m._w, m._e, s)] = value
         return value
+
+
+# Every process-wide cache of the package, added by the module that defines
+# it: dicts and ClassMemos, emptied by ``clear``, and ``functools.lru_cache``
+# functions, emptied by ``cache_clear``.
+_CACHES: list = []
+
+
+def clear_caches():
+    """Empty every cache in ``_CACHES``: ``mon``'s class memo (its ``len``,
+    the class count, back to 0), state table and twist family table with
+    its bijection results, and the ``lru_cache`` tables of ``jack`` and
+    ``oriented``.  Caches kept on map instances stay: a map built before
+    the clear keeps its own views, orbit data, ``_removed`` and ``_graph``,
+    so residuals reached through it are no longer the state table's
+    objects and the sharing that ``mon._states`` gives holds only among
+    maps built since the clear.  The values are equal either way, so no
+    result changes."""
+    for cache in _CACHES:
+        clear = getattr(cache, "cache_clear", None) or cache.clear
+        clear()
 
 
 def _canonical_bytes(m: NonOrientedMap) -> bytes:

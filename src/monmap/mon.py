@@ -20,12 +20,18 @@ already shares the work between isomorphic residuals, and interning them
 in ``_STATES`` as well raised the peak RSS of an in-process
 ``degree-bounds`` run from 20.7 to 23.3 MB (+12%).
 
-A history weight needs no residual map: ``kernels.removal_counts`` walks
-the history on one copy of the map's partner arrays, classifying each edge
-by a face walk and removing it in place.  Every history weight takes this
-one route, ``_sides_weight``, with the history as the side positions of
-its edges: ``history_weight`` and condition C find them by bisection on
-the labels, and the ``degree-bounds`` sampler draws them as positions.
+A history weight is the monomial gamma^t / 2^f, with t the number of
+twisted and f the number of interface removals, so a check on it reads
+the two integers (t, f), as ``_mon_pair`` counts mon in integers:
+condition C is t == n + |F| - |V|, the monic test f == 0, and the
+``degree-bounds`` sampler compares t with its bound.  Only the public
+``history_weight`` builds the polynomial.  The counts need no residual
+map: ``kernels.removal_counts`` walks the history on one copy of the
+map's partner arrays, classifying each edge by a face walk and removing
+it in place.  Every history weight takes this one route,
+``_sides_weight``, with the history as the side positions of its edges:
+``history_weight`` and condition C find them by bisection on the labels,
+and the ``degree-bounds`` sampler draws them as positions.
 
 The per-history checks that do need residual maps (top-degree prefixes,
 admissible removals, and the twist bijection in ``monmap.bijection``) read
@@ -55,15 +61,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
 from . import kernels
 from .algebra import GammaPoly
-from .maps import (ClassMemo, EdgeKind, MapError, NonOrientedMap,
+from .maps import (_CACHES, ClassMemo, EdgeKind, MapError, NonOrientedMap,
                    _bridge_or_leaf, _edge_index, _edge_kind, checked_pairs,
-                   remove_edge)
+                   clear_caches, remove_edge)
 
 # isomorphism class -> _mon_pair's integer counts (T, K); len is the class
 # count
@@ -75,21 +80,7 @@ _STATES: dict[tuple, NonOrientedMap] = {}
 # ({omega: the one level-0 map of that family with it},
 #  {(omega, history, forward): phi's (forward) or phi_inverse's result})
 _FAMILY: dict[tuple, tuple[dict, dict]] = {}
-
-
-def clear_caches():
-    """Empty the process tables: the class memo of ``_mon_pair`` (its
-    ``len``, the class count, back to 0), the state table, the twist
-    family table with its bijection results, and the monomials.  Caches
-    kept on map instances stay: a map built before the clear keeps its
-    own ``_removed`` and ``_graph``, so residuals reached through it are
-    no longer the table's objects and the sharing that ``_states`` gives
-    holds only among maps built since the clear.  The values are equal
-    either way, so no result changes."""
-    _MON_CACHE.clear()
-    _STATES.clear()
-    _FAMILY.clear()
-    _monomial.cache_clear()
+_CACHES.extend((_MON_CACHE, _STATES, _FAMILY))
 
 
 def _family(m: NonOrientedMap) -> tuple[dict, dict]:
@@ -168,13 +159,16 @@ def _states(m: NonOrientedMap, edges) -> list[NonOrientedMap]:
 
 
 def history_weight(m: NonOrientedMap, history: Sequence) -> GammaPoly:
-    """Product of edge weights along a removal order."""
-    return _history_weight(m, _check_history(m, history))
+    """Product of edge weights along a removal order: gamma^t / 2^f, from
+    the counts (t, f) of twisted and interface removals."""
+    twisted, interfaces = _weight_counts(m, _check_history(m, history))
+    return GammaPoly((0,) * twisted + (Fraction(1, 2 ** interfaces),))
 
 
-def _history_weight(m: NonOrientedMap, edges) -> GammaPoly:
-    """The edges are ``_check_history``'s, so each is found by one
-    bisection on m's labels."""
+def _weight_counts(m: NonOrientedMap, edges) -> tuple[int, int]:
+    """``_sides_weight`` of a history given as edges.  The edges are
+    ``_check_history``'s, so each is found by one bisection on m's
+    labels."""
     labels, partner = m.labels, m._e
     sides = []
     for a, _ in edges:
@@ -183,20 +177,13 @@ def _history_weight(m: NonOrientedMap, edges) -> GammaPoly:
     return _sides_weight(m, sides)
 
 
-def _sides_weight(m: NonOrientedMap, sides) -> GammaPoly:
+def _sides_weight(m: NonOrientedMap, sides) -> tuple[int, int]:
     """The weight of a history given as the side positions (i, j) of its
-    edges, in removal order: the one route by which every history weight
-    is computed.  The ``degree-bounds`` sampler draws its histories as
-    side positions and calls it directly."""
-    return _monomial(*kernels.removal_counts(m._b, m._w, sides))
-
-
-@lru_cache(maxsize=None)
-def _monomial(twisted: int, interfaces: int) -> GammaPoly:
-    """gamma^twisted / 2^interfaces: the weights are 1, gamma and 1/2, so a
-    history weight is a monomial.  Kept per count pair because building the
-    polynomial costs more than the removal walk."""
-    return GammaPoly((0,) * twisted + (Fraction(1, 2 ** interfaces),))
+    edges, in removal order, as its counts (t, f) of twisted and interface
+    removals: the weight is gamma^t / 2^f.  The one route by which every
+    history weight is computed.  The ``degree-bounds`` sampler draws its
+    histories as side positions and calls it directly."""
+    return kernels.removal_counts(m._b, m._w, sides)
 
 
 def is_top_degree_map(m: NonOrientedMap) -> bool:
@@ -342,11 +329,12 @@ def lemma_equivalence_check(m: NonOrientedMap, history: Sequence) -> Equivalence
     states = _states(m, edges)
     cond_a = _failing_prefix(states) is None
     cond_b = _removals_admissible(states, edges)
-    weight = _history_weight(m, edges)
+    # the history weight is gamma^twisted / 2^interfaces
+    twisted, interfaces = _weight_counts(m, edges)
     target = mon_top_degree_target(m)  # |F| + |E| - |V|
-    cond_c = weight.degree == target
+    cond_c = twisted == target
 
     leading = None
     if cond_a and cond_b and cond_c:
-        leading = weight.coefficient(target) == 1
+        leading = interfaces == 0
     return EquivalenceReport(cond_a, cond_b, cond_c, target, leading)

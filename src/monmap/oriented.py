@@ -21,8 +21,8 @@ import math
 from functools import lru_cache
 from typing import Iterable
 
-from .maps import (BicoloredGraph, MapError, NonOrientedMap, _cached,
-                   _check_labels)
+from .maps import (_CACHES, BicoloredGraph, MapError, NonOrientedMap,
+                   _cached, _check_labels)
 
 
 def _perm_from_cycles(n: int, cycles) -> tuple[int, ...]:
@@ -94,6 +94,9 @@ def partitions_of(d: int) -> tuple[tuple[int, ...], ...]:
 
     rec(d, d, ())
     return tuple(out)
+
+
+_CACHES.append(partitions_of)
 
 
 def z_of(parts: Iterable[int]) -> int:

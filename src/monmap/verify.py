@@ -234,7 +234,8 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
             # the edges as side positions, in the order of m.edges()
             h = [(i, j) for i, j in enumerate(m._e) if i < j]
             _shuffle(getrandbits, h)
-            if not class_ok or _sides_weight(m, h).degree > bound:
+            # the weight's degree is its count of twisted removals
+            if not class_ok or _sides_weight(m, h)[0] > bound:
                 ok = False
         checks.append(Check(
             f"sampled n={n}: mon and history-weight degree bounds", ok,

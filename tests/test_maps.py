@@ -209,18 +209,6 @@ class TestTwist:
         assert twist_many(klein, [(1, 5), (2, 4)]) == seq
         assert twist_many(klein, [(2, 4), (1, 5)]) == seq
 
-    def test_twisted_map_carries_the_eps_view(self, projective):
-        for m in [*all_maps(2), projective, remove_edge(projective, (1, 3))]:
-            m.eps  # cache the view on m
-            for k in range(1, m.n + 1):
-                for subset in combinations(m.eps, k):
-                    t = twist_many(m, subset)
-                    assert vars(t)["eps"] is m.eps
-                    assert t.eps == t._label_pairs(t._e)
-                    rebuilt = NonOrientedMap.from_arrays(
-                        t.labels, t._b, t._w, t._e)
-                    assert rebuilt == t and rebuilt.eps == t.eps
-
     def test_twist_many_rejects_duplicates(self, klein):
         with pytest.raises(MapError):
             twist_many(klein, [(1, 5), (5, 1)])

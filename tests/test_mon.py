@@ -21,7 +21,7 @@ from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
                          canonical_form, classify_edge, load_fixture,
                          remove_edge, structure, twist_many)
 from monmap.mon import (_FAMILY, _MON_CACHE, _STATES, _failing_prefix,
-                        _level0, _mon_pair, _monomial, _states, clear_caches,
+                        _level0, _mon_pair, _states, clear_caches,
                         history_weight, is_top_degree_map,
                         is_top_degree_pair, lemma_equivalence_check, mon,
                         mon_top, mon_top_degree_target, mon_top_detail)
@@ -368,12 +368,10 @@ class TestMon:
         assert total.scale(F(1, 2)) == ONE
         assert mon(TWO_LOOPS) == ONE
 
-    def test_clear_caches_clears_monomials(self, klein):
-        history_weight(klein, klein.edges())
+    def test_clear_caches_empties_the_class_memo(self, klein):
         mon(klein)
         assert len(_MON_CACHE) > 0 and _MON_CACHE._values
         clear_caches()
-        assert _monomial.cache_info().currsize == 0
         assert len(_MON_CACHE) == 0
         assert _MON_CACHE._values == {}
 
@@ -800,6 +798,26 @@ class TestLemmaEquivalence:
     def test_single_edge_trivial(self):
         rep = lemma_equivalence_check(SINGLE_EDGE, [(1, 2)])
         assert rep.top_degree_pair and rep.leading_coefficient_one
+
+    @pytest.mark.parametrize("stream", [lambda: all_maps(2),
+                                        lambda: conservative_one_face(4)],
+                             ids=["all_maps(2)", "conservative_one_face(4)"])
+    def test_counts_read_as_the_polynomial(self, stream):
+        # condition C and the monic test read the counts (t, f) of the
+        # weight gamma^t / 2^f; they must say what the polynomial says
+        held = 0
+        for m in stream():
+            for h in permutations(m.edges()):
+                rep = lemma_equivalence_check(m, h)
+                weight = history_weight(m, h)
+                target = rep.degree_target
+                assert rep.degree_maximal == (weight.degree == target)
+                if (rep.top_degree_pair and rep.removals_admissible
+                        and rep.degree_maximal):
+                    held += 1
+                    assert rep.leading_coefficient_one == (
+                        weight.coefficient(target) == 1)
+        assert held > 0
 
 
 class TestDegreeBounds:

@@ -13,7 +13,7 @@ from monmap.algebra import GammaPoly
 from monmap.bijection import BijectionResult
 from monmap.enumeration import all_maps, transitive_pairs_by_class
 from monmap.maps import (NonOrientedMap, _component_trace, canonical_form,
-                         is_orientable, structure)
+                         clear_caches, is_orientable, structure)
 from monmap.mon import is_top_degree_map
 from monmap.oriented import side_label
 from monmap.verify import (Check, Report, SUITES, _shuffle, report_render,
@@ -38,15 +38,6 @@ MON_TOP_SUITES = (
     ("main-theorem", {"ns": (1, 2)}),
     ("second-main-theorem", {"ns": (1, 2)}),
 )
-
-
-def clear_every_cache():
-    # import_module: the package re-exports the function mon as monmap.mon
-    importlib.import_module("monmap.mon").clear_caches()
-    importlib.import_module("monmap.oriented").partitions_of.cache_clear()
-    for obj in vars(importlib.import_module("monmap.jack")).values():
-        if callable(getattr(obj, "cache_clear", None)):
-            obj.cache_clear()
 
 
 def make_report():
@@ -152,9 +143,9 @@ class TestRunSuite:
             return {name: report_render(run_suite(name, **params), "json")
                     for name, params in cases}
 
-        clear_every_cache()
+        clear_caches()
         forward = render(ORDER_CASES)
-        clear_every_cache()
+        clear_caches()
         backward = render(reversed(ORDER_CASES))
         assert forward == backward
 
@@ -171,7 +162,7 @@ class TestRunSuite:
     ], ids=["lemma-equivalence", "key-bijection", "key-bijection-warm"])
     def test_history_suite_bytes(self, name, params, warm_up, digest):
         # pins the counts in the reports, not only their pass/fail
-        clear_every_cache()
+        clear_caches()
         if warm_up is not None:
             run_suite(warm_up[0], **warm_up[1])
         blob = report_render(run_suite(name, **params), "json")
@@ -256,7 +247,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(importlib.import_module("monmap.maps"),
                             "_canonical_matrix", refuse)
-        clear_every_cache()
+        clear_caches()
         blob = report_render(run_suite("key-bijection", ns=(1, 2),
                                        conservative_n=3), "json")
         assert hashlib.sha256(blob).hexdigest() == (
@@ -279,7 +270,7 @@ class TestRunSuite:
 
         for name in calls:
             monkeypatch.setattr(verify, name, counted(name))
-        clear_every_cache()
+        clear_caches()
         lemma = run_suite("lemma-equivalence", n=2)
         assert calls["lemma_equivalence_check"] == int(
             lemma.checks[0].values["pairs"])
@@ -396,7 +387,7 @@ class TestRunSuite:
         real, traced = cached.fn, []
         monkeypatch.setattr(cached, "fn",
                             lambda m: traced.append(m) or real(m))
-        clear_every_cache()
+        clear_caches()
         report = run_suite("degree-bounds", n_exhaustive=0, sampled=(3, 4),
                            samples=200)
         assert report.passed
