@@ -23,7 +23,7 @@ from .bijection import DichotomyError, NotInDomainError, phi, phi_inverse
 from .diagrams import (MultiRect, Partition, _class_sums, _map_sum_diagram,
                        _one_face_table, _oriented_table)
 from .enumeration import (all_maps, conservative_one_face, group_by,
-                          involutions, liberal_one_face, maps_by_face_type,
+                          involutions, liberal_one_face, maps_by_class,
                           transitive_pairs_by_class)
 from .jack import (ch, ch_stanley, jack_in_p, jack_inner_product,
                    partitions_of, stanley_closed_form, stanley_special)
@@ -152,31 +152,42 @@ def suite_lemma_equivalence(n: int = 3, force: bool = False) -> Report:
     ])
 
 
-def _shuffle(getrandbits, x: list) -> None:
+def _shuffle_steps(size: int) -> tuple[tuple[int, int], ...]:
+    """The steps of one shuffle of a list of ``size`` entries: the pairs
+    (i, (i + 1).bit_length()) for i from size - 1 down to 1, the position
+    swapped at each step and the bits drawn for its partner.  They depend
+    on the size alone, so a sampler builds them once per size."""
+    return tuple((i, (i + 1).bit_length()) for i in range(size - 1, 0, -1))
+
+
+def _shuffle(getrandbits, x: list, steps) -> None:
     """Shuffle the list x in place, as ``random.Random.shuffle`` does, with
-    the same ``getrandbits`` calls: for i from len(x) - 1 down to 1, j is
-    drawn below i + 1 by rejection on (i + 1).bit_length() bits, and x[i]
-    and x[j] are swapped.  A generator shuffled either way gives the same
-    order and ends in the same state; this one makes no method call per
-    draw besides ``getrandbits``."""
-    for i in range(len(x) - 1, 0, -1):
-        k = (i + 1).bit_length()
+    the same ``getrandbits`` calls; ``steps`` is ``_shuffle_steps(len(x))``.
+    At each step (i, k), j is drawn below i + 1 by rejection on k bits, and
+    x[i] and x[j] are swapped.  A generator shuffled either way gives the
+    same order and ends in the same state; this one makes no method call
+    per draw besides ``getrandbits``."""
+    for i, k in steps:
         j = getrandbits(k)
         while j > i:
             j = getrandbits(k)
         x[i], x[j] = x[j], x[i]
 
 
-def _random_pairing(getrandbits, size: int) -> tuple[int, ...]:
-    """A uniform perfect matching of range(size) as partner indices; it
-    makes the ``getrandbits`` calls of one shuffle of ``size`` labels
-    (``_shuffle``), and consecutive entries of the shuffled labels are
-    paired."""
-    order = list(range(size))
-    _shuffle(getrandbits, order)
-    partner = [0] * size
-    for a, b in zip(order[::2], order[1::2]):
-        partner[a], partner[b] = b, a
+def _random_pairing(getrandbits, positions: list,
+                    steps) -> tuple[int, ...]:
+    """A uniform perfect matching of the positions 0 .. size - 1 as partner
+    indices: a copy of ``positions`` (``list(range(size))``) is shuffled
+    through ``_shuffle`` with ``steps``, ``_shuffle_steps(size)``, making
+    the ``getrandbits`` calls of one ``random.Random.shuffle``, and
+    consecutive entries of the shuffled copy are paired."""
+    order = positions.copy()
+    _shuffle(getrandbits, order, steps)
+    partner = positions.copy()
+    pairs = iter(order)
+    for a, b in zip(pairs, pairs):
+        partner[a] = b
+        partner[b] = a
     return tuple(partner)
 
 
@@ -199,15 +210,17 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
                         force: bool = False) -> Report:
     """Every check depends on a map only up to relabelling, so each class is
     decided once, by ``_class_verdict``: the exhaustive part walks one
-    representative per face type and eps (``maps_by_face_type``, weights
-    summed into ``maps``), and the sampled part keeps one verdict per
-    class in a ``maps.ClassMemo``."""
+    weighted representative per isomorphism class (``maps_by_class``,
+    weights summed into ``maps``) and weighs its histories, and the
+    sampled part keeps one verdict per class in a ``maps.ClassMemo``.
+    Each sample draws its three pairings and its history through
+    ``_shuffle``, with the step tables of its size built once per n."""
     checks = []
     # exhaustive regime: every map class and every history
     hist_ok = mon_ok = True
     count = 0
     for n in range(1, n_exhaustive + 1):
-        for m, weight in maps_by_face_type(n, force=force):
+        for m, weight in maps_by_class(n, force=force):
             bound, class_ok = _class_verdict(m)
             mon_ok = mon_ok and class_ok
             for h in permutations(m.edges()):
@@ -226,14 +239,17 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
     for n in sampled:
         ok = True
         labels = tuple(range(1, 2 * n + 1))
+        positions = list(range(2 * n))
+        side_steps, edge_steps = _shuffle_steps(2 * n), _shuffle_steps(n)
         for _ in range(samples):
             # valid by construction, so built unvalidated
-            m = _new_map(labels, *(_random_pairing(getrandbits, 2 * n)
+            m = _new_map(labels, *(_random_pairing(getrandbits, positions,
+                                                   side_steps)
                                    for _ in range(3)))
             bound, class_ok = verdicts.get(m, _class_verdict)
             # the edges as side positions, in the order of m.edges()
             h = [(i, j) for i, j in enumerate(m._e) if i < j]
-            _shuffle(getrandbits, h)
+            _shuffle(getrandbits, h, edge_steps)
             # the weight's degree is its count of twisted removals
             if not class_ok or _sides_weight(m, h)[0] > bound:
                 ok = False

@@ -161,7 +161,7 @@ def test_criterion_14_degree_bounds_exhaustive_n4():
     report = run_suite("degree-bounds", n_exhaustive=4, sampled=())
     counts = {c.values["maps"] for c in report.checks}
     _criterion(14, "history/mon degree bounds over every map with n<=4, one "
-               "representative per face type and eps",
+               "weighted representative per isomorphism class",
                report.passed and counts == {"1161028"},
                time.perf_counter() - start, 10)
 

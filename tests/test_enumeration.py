@@ -11,8 +11,9 @@ from monmap.diagrams import MultiRect, normalized_embeddings, top_map_sums
 from monmap.enumeration import (GuardExceeded, all_maps, all_pairs,
                                 conservative_maps, conservative_one_face,
                                 group_by, involutions, liberal_one_face,
-                                maps_by_face_type, one_face_orbits,
-                                polygon_pairings, single_polygon_pairs,
+                                maps_by_class, maps_by_face_type,
+                                one_face_orbits, polygon_pairings,
+                                single_polygon_pairs,
                                 transitive_pairs_by_class)
 from monmap.maps import (NonOrientedMap, _component_trace, canonical_form,
                          canonical_graph_class, faces, graph_class, structure)
@@ -235,6 +236,40 @@ class TestMapsByFaceType:
         assert m.n == 5 and weight == 945 * 3840 // (5 * 2)
 
 
+class TestMapsByClass:
+    """The class stream against the face-type stream and the triples."""
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_matches_all_maps(self, n):
+        classes = {canonical_form(m): weight
+                   for m, weight in maps_by_class(n)}
+        assert classes == group_by(all_maps(n))
+
+    def test_groups_the_face_type_stream(self):
+        grouped: dict[bytes, int] = {}
+        for m, weight in maps_by_face_type(4):
+            k = canonical_form(m)
+            grouped[k] = grouped.get(k, 0) + weight
+        classes = [(canonical_form(m), weight)
+                   for m, weight in maps_by_class(4)]
+        assert dict(classes) == grouped and len(classes) == len(grouped)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_weights_count_all_triples(self, n):
+        total = sum(weight for _, weight in maps_by_class(n, force=n > 4))
+        assert total == math.prod(range(1, 2 * n, 2)) ** 3
+
+    def test_class_counts(self):
+        # Burnside's counts, pinned: group_by shares the stream's canonical
+        # form, so only a number catches a form that merges or splits
+        assert [sum(1 for _ in maps_by_class(n)) for n in range(1, 5)] == [
+            1, 5, 16, 86]
+
+    def test_guard(self):
+        with pytest.raises(GuardExceeded):
+            next(maps_by_class(5))
+
+
 def dihedral_group(n):
     """D_n on the positions of the 2n-gon, as the closure of its two
     generators x -> x+2 and x -> -x-1 (mod 2n) under composition."""
@@ -344,6 +379,8 @@ GENERATED = {
     **{f"one_face_orbits-{n}": lambda n=n: first(one_face_orbits(n))
        for n in range(1, 6)},
     **{f"maps_by_face_type-{n}": lambda n=n: first(maps_by_face_type(n))
+       for n in range(1, 5)},
+    **{f"maps_by_class-{n}": lambda n=n: first(maps_by_class(n))
        for n in range(1, 5)},
 }
 

@@ -11,13 +11,14 @@ import pytest
 
 from monmap.algebra import GammaPoly
 from monmap.bijection import BijectionResult
-from monmap.enumeration import all_maps, transitive_pairs_by_class
+from monmap.enumeration import (all_maps, conservative_one_face,
+                                transitive_pairs_by_class)
 from monmap.maps import (NonOrientedMap, _component_trace, canonical_form,
                          clear_caches, is_orientable, structure)
-from monmap.mon import is_top_degree_map
+from monmap.mon import _mon_pair, is_top_degree_map
 from monmap.oriented import side_label
-from monmap.verify import (Check, Report, SUITES, _shuffle, report_render,
-                           run_suite)
+from monmap.verify import (Check, Report, SUITES, _random_pairing, _shuffle,
+                           _shuffle_steps, report_render, run_suite)
 
 
 # One small case per layer: oriented pairs, the mon/mon_top memo, embedding
@@ -253,6 +254,17 @@ class TestRunSuite:
         assert hashlib.sha256(blob).hexdigest() == (
             "91742f5cce17053975d8b2b21221037d6748791b6fbacb62fd94fdefe4634229")
 
+    def test_key_bijection_counts_match_history_counts(self):
+        # a second route to each top_degree_pairs value: the count of
+        # top-degree histories, K of mon._mon_pair, summed over the stream
+        report = run_suite("key-bijection", ns=(1, 2), conservative_n=4)
+        counts = [int(c.values["top_degree_pairs"]) for c in report.checks
+                  if "top_degree_pairs" in c.values]
+        streams = (all_maps(1), all_maps(2), conservative_one_face(4))
+        assert counts == [sum(_mon_pair(m)[1] for m in stream)
+                          for stream in streams] == [1, 42, 1704]
+        assert report.passed
+
     def test_public_calls_per_pair_match_the_reports(self, monkeypatch):
         # the benchmark's traced self-check counts these calls against the
         # pair counts the reports state: one lemma_equivalence_check per
@@ -300,14 +312,39 @@ class TestRunSuite:
         assert report.passed
         assert weighed == label_level_samples(seed, (3, 4), 25)
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_default_sizes_match_label_level_draws(self, monkeypatch, seed):
+        weighed = weighed_samples(monkeypatch)
+        report = run_suite("degree-bounds", n_exhaustive=0, sampled=(4, 5),
+                           samples=200, seed=seed)
+        assert report.passed
+        assert weighed == label_level_samples(seed, (4, 5), 200)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_shuffle_draws_as_random_shuffle(self, seed):
         for size in range(13):
             ours, theirs = random.Random(seed), random.Random(seed)
             x, y = list(range(size)), list(range(size))
-            _shuffle(ours.getrandbits, x)
+            _shuffle(ours.getrandbits, x, _shuffle_steps(size))
             theirs.shuffle(y)
             assert x == y
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_pairing_pairs_a_random_shuffle(self, seed):
+        # consecutive entries of random.Random.shuffle's order are partners
+        for size in range(0, 13, 2):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            positions = list(range(size))
+            partner = _random_pairing(ours.getrandbits, positions,
+                                      _shuffle_steps(size))
+            order = list(range(size))
+            theirs.shuffle(order)
+            expected = [None] * size
+            for a, b in zip(order[::2], order[1::2]):
+                expected[a], expected[b] = b, a
+            assert partner == tuple(expected)
+            assert positions == list(range(size))
             assert ours.getstate() == theirs.getstate()
 
     def test_sampled_maps_are_valid(self, monkeypatch):
