@@ -26,24 +26,26 @@ A candidate below the input map is looked up, read-only, among the
 interned residuals of ``mon._STATES``; where the table holds an equal map,
 its cached orbit data answers the target test.  A candidate at level 0
 twists the input map, and a twist keeps the labels, beta and eps: it is a
-map of the input's twist family.  It is taken through ``mon._level0``, the
-table of the level-0 maps of one family at a time, so equal outputs of the
-n! histories of one map are one object, and so is an output equal to a
-map of the stream that ``verify._round_trips`` took through the same
-table: the back trip and that map's own histories reuse its removals and
-cached orbit data.  The top-degree target reads the component count of
-the untwisted state, since a twist keeps every <beta, omega, eps> orbit.
-All this is sound because the target depends only on the map's value.
+map of the input's twist family.  The twist family table, ``_FAMILY``,
+holds one family at a time, keyed by (labels, beta, eps) (``_family``):
+its level-0 maps, one object per omega (``_level0``), and the results of
+``phi`` and ``phi_inverse`` on them, keyed by (omega, history,
+direction).  So equal outputs of the n! histories of one map are one
+object, and so is an output equal to a map of the stream that
+``verify._round_trips`` took through ``_level0``: the back trip and that
+map's own histories reuse its removals and cached orbit data.  The
+top-degree target reads the component count of the untwisted state, since
+a twist keeps every <beta, omega, eps> orbit.  All this is sound because
+the target depends only on the map's value.
 
-The whole results of ``phi`` and ``phi_inverse`` are kept in the same
-entry of that table, keyed by (omega, history, direction).  Both maps of
-a round trip belong to one family, so a pair that a round trip from the
-other side has settled is answered without a second induction: each
-distinct (direction, map, history) is settled once while its family is
-current.  The history is always validated first, refusals and aborts are
-never stored, and a family switch or ``mon.clear_caches`` drops the
-results with the maps.  Only whole results are stored, never a step of
-one induction.
+Both maps of a round trip belong to one family, so a pair that a round
+trip from the other side has settled is answered from the table without a
+second induction: each distinct (direction, map, history) is settled once
+while its family is current.  The history is always validated first,
+refusals and aborts are never stored, and only whole results are stored,
+never a step of one induction.  A map of another family starts a new
+entry and drops the old one, maps and results together, and
+``maps.clear_caches`` empties the table.
 """
 
 from __future__ import annotations
@@ -52,10 +54,15 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .maps import (MapError, NonOrientedMap, _bridge_or_leaf, _twist_sides,
-                   is_orientable)
-from .mon import (_STATES, _check_history, _failing_prefix, _family, _level0,
-                  _states)
+from .maps import (_CACHES, MapError, NonOrientedMap, _bridge_or_leaf,
+                   _twist_sides, is_orientable)
+from .mon import _STATES, _check_history, _failing_prefix, _states
+
+# at most one entry: (labels, beta, eps) of the current twist family ->
+# ({omega: the one level-0 map of that family with it},
+#  {(omega, history, forward): phi's (forward) or phi_inverse's result})
+_FAMILY: dict[tuple, tuple[dict, dict]] = {}
+_CACHES.append(_FAMILY)
 
 
 class NotInDomainError(MapError):
@@ -73,17 +80,44 @@ class BijectionResult:
     twists: tuple[tuple[int, int], ...]
 
 
+def _family(m: NonOrientedMap) -> tuple[NonOrientedMap, dict]:
+    """(the one object of m's value among the level-0 maps of its twist
+    family, the results of ``phi`` and ``phi_inverse`` on that family's
+    maps).  The family is the maps with m's labels, beta and eps, all of
+    which a twist of edges keeps.  No map refers to the table, so it makes
+    no reference cycle.  It holds at most (2n-1)!! maps for
+    ``all_maps(n)``, which yields each family in one run, and at most 2^n
+    twists and the input on ``conservative_one_face``, where each map is a
+    family of its own; at most 2 n! results per map."""
+    family = m.labels, m._b, m._e
+    entry = _FAMILY.get(family)
+    if entry is None:
+        _FAMILY.clear()
+        entry = _FAMILY[family] = {}, {}
+    maps, results = entry
+    return maps.setdefault(m._w, m), results
+
+
+def _level0(m: NonOrientedMap) -> NonOrientedMap:
+    """``_family``'s level-0 object for m.  ``_settle`` takes each level-0
+    twist through it, ``phi`` and ``phi_inverse`` their input, and
+    ``verify._round_trips`` each stream map.  The family key and omega are
+    the whole map, so only the object changes, never the value."""
+    return _family(m)[0]
+
+
 def phi(m: NonOrientedMap, history: Sequence) -> BijectionResult:
     """Top-degree pair -> (orientable map, same history, twist set).
 
     The history is validated first, always.  A result is then looked up
-    in the table of m's twist family (``mon._family``): an equal pair that
+    in the table of m's twist family (``_family``): an equal pair that
     ``phi`` settled before gives the same object back, with no domain
     check and no induction, since both depend only on the pair's value.
     A refusal is never stored, so a pair outside the domain is refused
     every time."""
     edges = _check_history(m, history)
-    m, results, key = _lookup(m, edges, True)
+    m, results = _family(m)
+    key = m._w, edges, True
     res = results.get(key)
     if res is None:
         states = _states(m, edges)
@@ -104,7 +138,8 @@ def phi_inverse(m: NonOrientedMap, history: Sequence) -> BijectionResult:
     a pair in both domains is sent to itself by both, but ``phi``'s result
     must not stand in for this function's domain check, or the other's."""
     edges = _check_history(m, history)
-    m, results, key = _lookup(m, edges, False)
+    m, results = _family(m)
+    key = m._w, edges, False
     res = results.get(key)
     if res is None:
         if not is_orientable(m):
@@ -112,14 +147,6 @@ def phi_inverse(m: NonOrientedMap, history: Sequence) -> BijectionResult:
         out, twists = _settle(_states(m, edges), edges, _top_degree)
         res = results[key] = BijectionResult(out, edges, twists)
     return res
-
-
-def _lookup(m, edges, forward):
-    """(m's level-0 object, the result table of its twist family, the key
-    of (m, edges) in the direction ``forward`` in it)."""
-    maps, results = _family(m)
-    m = maps.setdefault(m._w, m)
-    return m, results, (m._w, edges, forward)
 
 
 def _orientable(candidate: NonOrientedMap, state: NonOrientedMap) -> bool:
@@ -166,7 +193,7 @@ def _settle(states, edges, target):
     candidate stays a fresh map and is never added.  Level 0 twists the
     input map itself and gives the output, so it is not looked up there:
     the candidate is the one object of its value in the input's twist
-    family table (``mon._level0``), shared by the histories that settle
+    family table (``_level0``), shared by the histories that settle
     on the same twist set and by the stream map of that value, and never
     an object of ``mon._STATES``.  ``_top_degree`` reads the component
     count of the state, not of the candidate: a twist keeps every

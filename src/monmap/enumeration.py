@@ -124,7 +124,10 @@ def one_face_orbits(
     each orbit, and by orbit-stabiliser an orbit holds 2n / |stabiliser|
     gluings.  A gluing is yielded when no element of D_n conjugates it to
     a smaller tuple; the elements that conjugate it to itself form its
-    stabiliser.
+    stabiliser.  Each orbit is one isomorphism class: an isomorphism of
+    two one-face maps on the fixed 2n-gon centralises beta0 and omega_n,
+    the group those two generate acts regularly on the 2n positions, so
+    its centraliser has order 2n, and it is exactly D_n.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -195,23 +198,36 @@ def maps_by_class(
     """:func:`all_maps` up to isomorphism, with weights.
 
     Yields ``(m, weight)`` once per unrooted isomorphism class of the maps
-    on the labels 1..2n: m is the class's first map in
-    :func:`maps_by_face_type` and weight is the number of labelled maps in
-    the class, the sum of the face-type weights of its maps there.  The
-    sum is exact for the summands :func:`maps_by_face_type` sums, which
-    depend on a map only up to relabelling.  Classes: 1, 5, 16 and 86 for
-    n = 1..4, with weights summing to ((2n-1)!!)^3.  The maps are grouped
-    by a ``maps.ClassMemo`` that lives for this call, and the stream keeps
-    the guard of :func:`maps_by_face_type`.
+    on the labels 1..2n: :func:`class_stream` of
+    :func:`maps_by_face_type`, so m is the class's first map there and
+    weight is the number of labelled maps in the class.  The sum is exact
+    for the summands :func:`maps_by_face_type` sums, which depend on a map
+    only up to relabelling.  Classes: 1, 5, 16 and 86 for n = 1..4, with
+    weights summing to ((2n-1)!!)^3.  The stream keeps the guard of
+    :func:`maps_by_face_type`.
+    """
+    return class_stream(maps_by_face_type(n, force=force))
+
+
+def class_stream(
+        weighted: Iterable[tuple[NonOrientedMap, int]]
+) -> Iterator[tuple[NonOrientedMap, int]]:
+    """A stream of (map, weight) pairs grouped by isomorphism class.
+
+    Yields ``(m, weight)`` once per class, in order of first sight: m is
+    the class's first map in the stream and weight the sum of the weights
+    of its maps there.  The maps are grouped by a ``maps.ClassMemo`` that
+    lives for this call, and the whole stream is read before the first
+    class is yielded.
     """
     memo = ClassMemo()
-    classes = []  # [representative, weight], in order of first sight
+    classes = []  # [first map, summed weight], in order of first sight
 
     def new_class(m):
         classes.append([m, 0])
         return classes[-1]
 
-    for m, weight in maps_by_face_type(n, force=force):
+    for m, weight in weighted:
         memo.get(m, new_class)[1] += weight
     for m, weight in classes:
         yield m, weight
@@ -241,8 +257,8 @@ def all_maps(n: int, force: bool = False) -> Iterator[NonOrientedMap]:
 
     The loops run over beta, then eps, then omega, so the (2n-1)!! maps of
     one twist family (one labels, beta and eps; a twist of edges changes
-    omega alone) come one after another, and ``mon._level0``'s table of
-    one family at a time serves each family whole.
+    omega alone) come one after another, and ``bijection._level0``'s table
+    of one family at a time serves each family whole.
     """
     check_guard("n", n, 3, force)
     labels = tuple(range(1, 2 * n + 1))
@@ -300,16 +316,8 @@ def transitive_pairs_by_class(
 
 
 def group_by(stream: Iterable[NonOrientedMap]) -> dict[bytes, int]:
-    """Multiset table of a map stream by canonical form.
-
-    The form is found through a ``maps.ClassMemo`` (its docstring has the
-    soundness argument): a map whose side-0 trace came earlier in the
-    stream takes the canonical form of that class, so a form is computed
-    once per class, not per map.  The memo lives for this call only.
-    """
-    forms = ClassMemo()
-    table: dict[bytes, int] = {}
-    for m in stream:
-        k = forms.get(m, canonical_form)
-        table[k] = table.get(k, 0) + 1
-    return table
+    """Multiset table of a map stream by canonical form: the classes of
+    :func:`class_stream`, each map weighing one, keyed by the canonical
+    form of their first map."""
+    return {canonical_form(m): count
+            for m, count in class_stream((m, 1) for m in stream)}

@@ -46,13 +46,10 @@ default parameters of ``verify all``.  The twist bijection reads it too:
 ``bijection._settle`` replaces a twisting candidate that equals a residual
 in the table by the table's object, and so reuses its cached kernel data.
 It only reads: it never adds a candidate, so the table holds residuals
-alone.  Its level-0 maps, the input map and its twists, go to a second
-table that holds one twist family at a time (``_FAMILY``, through
-``_family`` and ``_level0``), next to the results of ``phi`` and
-``phi_inverse`` on that family's maps.  Edge kinds and roles are read
-from the states, never stored: condition B finds each removed edge's two
-sides once per state, by bisection on its labels, and reads the kind and
-the bridge/leaf test at those positions.  The degree target
+alone.  Edge kinds and roles are read from the states, never stored:
+condition B finds each removed edge's two sides once per state, by
+bisection on its labels, and reads the kind and the bridge/leaf test at
+those positions.  The degree target
 n + |F| - |V| comes from the face and vertex counts cached on the map.
 """
 
@@ -76,40 +73,7 @@ _MON_CACHE = ClassMemo()
 _EMPTY_COUNTS = ((1,), 1)
 # residual map key (NonOrientedMap._key) -> the one state object for it
 _STATES: dict[tuple, NonOrientedMap] = {}
-# at most one entry: (labels, beta, eps) of the current twist family ->
-# ({omega: the one level-0 map of that family with it},
-#  {(omega, history, forward): phi's (forward) or phi_inverse's result})
-_FAMILY: dict[tuple, tuple[dict, dict]] = {}
-_CACHES.extend((_MON_CACHE, _STATES, _FAMILY))
-
-
-def _family(m: NonOrientedMap) -> tuple[dict, dict]:
-    """The entry of m's twist family, the maps with m's labels, beta and
-    eps, all of which a twist of edges keeps: its level-0 maps by omega
-    and the results of ``bijection.phi`` and ``phi_inverse`` on them.  The
-    table holds one family at a time; a map of another family starts a new
-    entry and drops the old one, maps and results together.  No map refers
-    to it, so it makes no reference cycle.  It holds at most (2n-1)!! maps
-    for ``all_maps(n)``, which yields each family in one run, and at most
-    2^n twists and the input on ``conservative_one_face``, where each map
-    is a family of its own; at most 2 n! results per map."""
-    family = m.labels, m._b, m._e
-    entry = _FAMILY.get(family)
-    if entry is None:
-        _FAMILY.clear()
-        entry = _FAMILY[family] = {}, {}
-    return entry
-
-
-def _level0(m: NonOrientedMap) -> NonOrientedMap:
-    """The one object of m's value among the level-0 maps of its twist
-    family (``_family``).  ``bijection._settle`` takes each level-0 twist
-    through it, ``phi`` and ``phi_inverse`` their input, and
-    ``verify._round_trips`` each stream map, so a twist that lands on a
-    stream map or on another history's output is that object, with its
-    cached orbit data, graph and removals.  The family key and omega are
-    the whole map, so only the object changes, never the value."""
-    return _family(m)[0].setdefault(m._w, m)
+_CACHES.extend((_MON_CACHE, _STATES))
 
 
 def _check_history(m: NonOrientedMap, history: Sequence):
@@ -140,11 +104,11 @@ def _states(m: NonOrientedMap, edges) -> list[NonOrientedMap]:
     and up to 28 * 15**3 + 70 * 27 + 28 + 1 = 96 419 for a forced
     ``lemma-equivalence --n 4``.  Only this function adds to the table;
     ``bijection._settle`` looks its twist candidates below the input map
-    up in it and never adds one (level-0 maps go to ``_level0``'s family
-    table instead).  ``clear_caches`` empties both tables but not the
-    removals kept on maps (nor their ``_graph``): a map built before a
-    clear still gives its own, equal, residuals, so the sharing holds only
-    among maps built since the clear, and results do not change.
+    up in it and never adds one.  ``clear_caches`` empties the table but
+    not the removals kept on maps (nor their ``_graph``): a map built
+    before a clear still gives its own, equal, residuals, so the sharing
+    holds only among maps built since the clear, and results do not
+    change.
     """
     states = [m]
     for e in edges:

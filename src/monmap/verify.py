@@ -19,20 +19,21 @@ from fractions import Fraction
 from itertools import permutations
 
 from .algebra import GammaPoly, Sqrt2
-from .bijection import DichotomyError, NotInDomainError, phi, phi_inverse
+from .bijection import (DichotomyError, NotInDomainError, _level0, phi,
+                        phi_inverse)
 from .diagrams import (MultiRect, Partition, _class_sums, _map_sum_diagram,
                        _one_face_table, _oriented_table)
-from .enumeration import (all_maps, conservative_one_face, group_by,
-                          involutions, liberal_one_face, maps_by_class,
-                          transitive_pairs_by_class)
+from .enumeration import (all_maps, class_stream, conservative_one_face,
+                          group_by, involutions, liberal_one_face,
+                          maps_by_class, transitive_pairs_by_class)
 from .jack import (ch, ch_stanley, jack_in_p, jack_inner_product,
                    partitions_of, stanley_closed_form, stanley_special)
 from .maps import (ClassMemo, EdgeKind, NonOrientedMap, _new_map,
                    bicolored_graph, canonical_form, classify_edge,
                    is_orientable, load_fixture, structure)
-from .mon import (_failing_prefix, _level0, _sides_weight, _states,
-                  history_weight, is_top_degree_map, lemma_equivalence_check,
-                  mon, mon_top_detail, mon_top_degree_target)
+from .mon import (_failing_prefix, _sides_weight, _states, history_weight,
+                  is_top_degree_map, lemma_equivalence_check, mon,
+                  mon_top_detail, mon_top_degree_target)
 from .oriented import side_label
 
 
@@ -277,21 +278,18 @@ def suite_liberation_nonoriented(ns=(1, 2, 3), force: bool = False) -> Report:
 def _liberation_oriented_tables(n: int, force: bool):
     """The two sides of the oriented liberation identity at n, keyed by
     the canonical form: (2n)! times the transitive pairs, and
-    2 n! times the connected orientable maps of ``all_maps(n)``.  Both
-    sides look their keys up in one ``maps.ClassMemo``, so each class's
-    form is computed once for both.  Every map on either side is
+    2 n! times the connected orientable maps of ``all_maps(n)``, each
+    side grouped by ``class_stream``.  Every map on either side is
     connected (a side-labelled transitive pair is), and a connected map
     is one whose side-0 trace reaches every side."""
-    forms = ClassMemo()
-    lhs: dict[bytes, int] = {}
-    for om, size in transitive_pairs_by_class(n, force=force):
-        k = forms.get(side_label(om), canonical_form)
-        lhs[k] = lhs.get(k, 0) + size * math.factorial(2 * n)
-    rhs: dict[bytes, int] = {}
-    for m in all_maps(n, force=force):
-        if m._side_trace is not None and is_orientable(m):
-            k = forms.get(m, canonical_form)
-            rhs[k] = rhs.get(k, 0) + 2 * math.factorial(n)
+    pairs = class_stream((side_label(om), size) for om, size
+                         in transitive_pairs_by_class(n, force=force))
+    maps = class_stream((m, 1) for m in all_maps(n, force=force)
+                        if m._side_trace is not None and is_orientable(m))
+    lhs = {canonical_form(m): count * math.factorial(2 * n)
+           for m, count in pairs}
+    rhs = {canonical_form(m): count * 2 * math.factorial(n)
+           for m, count in maps}
     return lhs, rhs
 
 
@@ -350,14 +348,14 @@ def _round_trips(maps, inverse: bool) -> tuple[int, int, bool]:
     history of the maps: each top-degree pair round-trips through phi and,
     when ``inverse`` is set, each orientable pair through phi_inverse.
 
-    Each map is read as the one object of its value in ``mon._level0``'s
-    twist family table, where the level-0 twists of phi and phi_inverse
-    land too: a map that an earlier round trip of its family reached is
-    that output, with its removals and cached orbit data, and a pair that
-    an earlier round trip settled is answered from the family's results.
-    An object that is not equal to the stream map fails the check: the
-    family key would then miss part of the map, and the results read
-    under it could belong to another map."""
+    Each map is read as the one object of its value in the twist family
+    table of ``bijection._level0``, where the level-0 twists of phi and
+    phi_inverse land too: a map that an earlier round trip of its family
+    reached is that output, with its removals and cached orbit data, and a
+    pair that an earlier round trip settled is answered from the family's
+    results.  An object that is not equal to the stream map fails the
+    check: the family key would then miss part of the map, and the results
+    read under it could belong to another map."""
     pairs = orient_hists = 0
     ok = True
     for m in maps:

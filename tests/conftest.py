@@ -3,8 +3,8 @@ from collections import namedtuple
 import pytest
 from hypothesis import strategies as st
 
+from monmap.bijection import _FAMILY
 from monmap.maps import NonOrientedMap, _edge_index, load_fixture, remove_edge
-from monmap.mon import _FAMILY
 from monmap.oriented import _connected
 
 

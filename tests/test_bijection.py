@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monmap.bijection import (BijectionResult, DichotomyError,
+from monmap.bijection import (_FAMILY, BijectionResult, DichotomyError,
                               NotInDomainError, _orientable, _settle,
                               _top_degree, phi, phi_inverse)
 from monmap.enumeration import (all_maps, conservative_one_face,
@@ -15,7 +15,7 @@ from monmap.enumeration import (all_maps, conservative_one_face,
 from monmap.maps import (MapError, NonOrientedMap, _edge_index,
                          _twist_sides, bicolored_graph, graph_class,
                          is_orientable, remove_edge, twist_many)
-from monmap.mon import (_FAMILY, _check_history, _states, clear_caches,
+from monmap.mon import (_check_history, _states, clear_caches,
                         history_weight, is_top_degree_map,
                         is_top_degree_pair, lemma_equivalence_check)
 from monmap.oriented import OrientedMap, side_label
@@ -376,7 +376,7 @@ class TestRelabelling:
 class TestLevelZeroTwists:
     """The level-0 candidates of ``_settle`` and the maps that
     ``_round_trips`` reads go through one table of the level-0 maps of one
-    twist family (``mon._level0``): one object per value."""
+    twist family (``bijection._level0``): one object per value."""
 
     def test_warm_and_cold_maps_agree(self):
         # the table decides which object an output is, never its value
@@ -417,7 +417,8 @@ class TestLevelZeroTwists:
 
 class TestResultTable:
     """``phi`` and ``phi_inverse`` keep their results in the entry of the
-    input's twist family (``mon._family``), next to its level-0 maps."""
+    input's twist family (``bijection._family``), next to its level-0
+    maps."""
 
     H = ((1, 5), (2, 4), (3, 6))
 

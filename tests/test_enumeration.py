@@ -9,11 +9,11 @@ import pytest
 
 from monmap.diagrams import MultiRect, normalized_embeddings, top_map_sums
 from monmap.enumeration import (GuardExceeded, all_maps, all_pairs,
-                                conservative_maps, conservative_one_face,
-                                group_by, involutions, liberal_one_face,
-                                maps_by_class, maps_by_face_type,
-                                one_face_orbits, polygon_pairings,
-                                single_polygon_pairs,
+                                class_stream, conservative_maps,
+                                conservative_one_face, group_by,
+                                involutions, liberal_one_face, maps_by_class,
+                                maps_by_face_type, one_face_orbits,
+                                polygon_pairings, single_polygon_pairs,
                                 transitive_pairs_by_class)
 from monmap.maps import (NonOrientedMap, _component_trace, canonical_form,
                          canonical_graph_class, faces, graph_class, structure)
@@ -321,6 +321,15 @@ class TestOneFaceOrbits:
             seen |= orbit
             assert (m._b, m._w) == polygon_pairings((n,))
             assert m.labels == tuple(range(1, 2 * n + 1))
+
+    def test_orbits_are_classes(self):
+        # each orbit is one isomorphism class, first met in the one-face
+        # stream at its least gluing: the class stream keeps first maps
+        for n in range(1, 7):
+            classes = class_stream((m, 1) for m in conservative_one_face(n))
+            assert ([(m._key(), weight) for m, weight in classes]
+                    == [(m._key(), weight)
+                        for m, weight in one_face_orbits(n)])
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_canonical_histogram(self, n):

@@ -13,18 +13,19 @@ from hypothesis import strategies as st
 
 from monmap import kernels
 from monmap.algebra import GAMMA, ONE, GammaPoly
-from monmap.bijection import NotInDomainError, phi, phi_inverse
+from monmap.bijection import (_FAMILY, NotInDomainError, _level0, phi,
+                              phi_inverse)
 from monmap.enumeration import (all_maps, conservative_one_face,
                                 involutions, one_face_orbits)
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
                          _component_trace, _edge_index, ClassMemo,
                          canonical_form, classify_edge, load_fixture,
                          remove_edge, structure, twist_many)
-from monmap.mon import (_FAMILY, _MON_CACHE, _STATES, _failing_prefix,
-                        _level0, _mon_pair, _states, clear_caches,
-                        history_weight, is_top_degree_map,
-                        is_top_degree_pair, lemma_equivalence_check, mon,
-                        mon_top, mon_top_degree_target, mon_top_detail)
+from monmap.mon import (_MON_CACHE, _STATES, _failing_prefix, _mon_pair,
+                        _states, clear_caches, history_weight,
+                        is_top_degree_map, is_top_degree_pair,
+                        lemma_equivalence_check, mon, mon_top,
+                        mon_top_degree_target, mon_top_detail)
 from monmap.verify import (_round_trips, suite_key_bijection,
                            suite_lemma_equivalence)
 

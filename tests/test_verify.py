@@ -469,8 +469,8 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_liberation_oriented_tables_keyed_by_canonical_form(self, n):
-        # the suite's tables share one ClassMemo between the sides;
-        # here every map is keyed by its own canonical form
+        # the suite groups each side by class_stream; here every map is
+        # keyed by its own canonical form
         verify = importlib.import_module("monmap.verify")
         lhs, rhs = Counter(), Counter()
         for om, size in transitive_pairs_by_class(n):
