@@ -217,8 +217,12 @@ def class_stream(
     Yields ``(m, weight)`` once per class, in order of first sight: m is
     the class's first map in the stream and weight the sum of the weights
     of its maps there.  The maps are grouped by a ``maps.ClassMemo`` that
-    lives for this call, and the whole stream is read before the first
-    class is yielded.
+    lives for this call, keyed by canonical forms, and the whole stream is
+    read before the first class is yielded.  A map of a class seen before,
+    here or anywhere in the process, costs one BFS per component: its
+    canonical form finds each component's least trace in the table of
+    rooted traces (``maps._COMPONENT_FORMS``); a stream of pairwise
+    non-isomorphic connected maps traces each map once from each side.
     """
     memo = ClassMemo()
     classes = []  # [first map, summed weight], in order of first sight

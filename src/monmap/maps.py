@@ -196,7 +196,8 @@ class NonOrientedMap:
     and ``eps`` view the involutions as sorted label pairs (a, b) with
     a < b.  These views, the kernel outputs (face, component and vertex
     orbits), the bicolored graph, the canonical form and the side-0 trace
-    are built on first access and cached per instance, in its ``__dict__``;
+    are built on first access and cached per instance, in its ``__dict__``
+    (a disconnected map keeps its side-0 component trace, ``_root_trace``);
     ``mon._states`` keeps the map's removals there too (``_removed``).  A
     twisted map (``_twist_sides``) gets none of its source's cached data:
     it builds its own views, walks its own orbits and builds its own graph
@@ -304,11 +305,19 @@ class NonOrientedMap:
 
     @_cached
     def _side_trace(self) -> Optional[bytes]:
-        """The trace from side 0 (position 0) as bytes, or None when the
-        map is not connected: the first key a ``ClassMemo`` tries.  The
-        empty map's trace is empty, as its canonical form is.
+        """The trace from side 0 as bytes, or None when the map is not
+        connected: the key under which the canonical form looks a
+        connected map up in ``_COMPONENT_FORMS``.  The empty map's trace
+        is empty, as its canonical form is.  A disconnected map keeps the
+        trace of side 0's component as ``_root_trace`` instead, for the
+        canonical form, so that it is made once.
         """
-        return _rooted_trace(self._b, self._w, self._e, 0) if self._b else b""
+        sides = len(self._b)
+        trace = _component_trace(self._b, self._w, self._e, 0) if sides else ()
+        if len(trace) < 3 * sides:
+            self.__dict__["_root_trace"] = trace
+            return None
+        return _trace_bytes(trace, sides)
 
     def _key(self):
         return self.labels, self._b, self._w, self._e
@@ -526,19 +535,11 @@ def _component_trace(b, w, e, start: int, best=None):
 
 
 def _trace_bytes(trace, sides: int) -> bytes:
-    """A trace of a map with ``sides`` sides as bytes: one byte per entry
-    up to 256 sides, four beyond.  An entry is a discovery index, less
-    than ``sides``, so it fits.  The only place a trace becomes bytes."""
+    """A trace over ``sides`` sides (a map's, or one component's) as bytes:
+    one byte per entry up to 256 sides, four beyond.  An entry is a
+    discovery index, less than ``sides``, so it fits.  The only place a
+    trace becomes bytes."""
     return bytes(trace) if sides <= 256 else array("I", trace).tobytes()
-
-
-def _rooted_trace(b, w, e, start: int) -> Optional[bytes]:
-    """The trace from ``start`` as bytes, or None when it does not reach
-    every side."""
-    trace = _component_trace(b, w, e, start)
-    if len(trace) < 3 * len(b):
-        return None
-    return _trace_bytes(trace, len(b))
 
 
 def canonical_form(m: NonOrientedMap) -> bytes:
@@ -547,6 +548,12 @@ def canonical_form(m: NonOrientedMap) -> bytes:
     The least BFS trace of each component over its starting sides, the
     traces sorted and joined, each encoded as a rooted trace is: a
     connected map's form is its least rooted trace.  Memoized on the map.
+    Each component is traced once, from its first side, and its least
+    trace is looked up in ``_COMPONENT_FORMS`` by that trace, so a
+    component of a known class costs one BFS; the search over its other
+    sides runs only on a miss (``_least_form``).  The table never changes
+    a form: it holds only least traces, under rooted traces of their own
+    class.
 
     A map with s sides has a form of 3s bytes when s <= 256 and 12s
     beyond, so the length gives the width of an entry.  At a known width
@@ -564,58 +571,29 @@ class ClassMemo:
     """A memo of ``compute(m)`` per isomorphism class of m, for values that
     depend on a map only up to relabelling.
 
-    One dict maps both canonical forms and rooted traces to the values,
-    and the two are keys of one kind.  A rooted trace (``m._side_trace``,
-    kept on the map, or ``_rooted_trace``) is a key only when it reaches
-    every side; then equal traces mean a label bijection sending one map
-    onto the other, root onto root: the same class.  A connected map's
-    canonical form is its least rooted trace, so it is such a key too.  A
-    disconnected map's form joins two or more component traces and so
-    equals no single trace (``canonical_form``'s docstring): it keys its
-    own class and nothing else.
-
-    m is looked up first by its trace from side 0, one BFS where the
-    canonical form runs about one per side; the trace hits when it was
-    registered, or when it is the least rooted trace, that is the form of
-    a class already computed.  The trace from any side s is the side-0
-    trace of the relabelling that moves s to position 0, a map of the same
-    class.  A connected map whose form finds a known class under a new
-    side-0 trace (the class is seen a second time, under a new rooting)
-    registers its traces from all sides, and every later map of that class
-    is found by its trace alone.  A class seen once is keyed by its form
-    and its first map's side-0 trace, so a stream of pairwise
-    non-isomorphic maps traces each map once besides its canonical form.
-    A disconnected map has no side-0 trace; it goes through the canonical
-    form and registers nothing else.
-
-    ``len`` is the number of classes computed, ``clear`` empties the memo.
+    One dict maps canonical forms to the values, so ``len`` is the number
+    of classes computed.  The memo keeps no traces: the canonical form
+    finds each component's class in the table of rooted traces,
+    ``_COMPONENT_FORMS``, so a map of a known class costs one BFS per
+    component (``canonical_form``), and the form is kept on the map.
+    ``clear`` empties the memo.
     """
 
     def __init__(self):
         self.clear()
 
     def __len__(self) -> int:
-        return self._classes
+        return len(self._values)
 
     def clear(self) -> None:
         self._values: dict[bytes, object] = {}
-        self._classes = 0
 
     def get(self, m: NonOrientedMap, compute):
         values = self._values
-        trace = m._side_trace
-        value = values.get(trace)  # None, a disconnected map's, is no key
+        key = canonical_form(m)
+        value = values.get(key)
         if value is None:
-            key = canonical_form(m)
-            value = values.get(key)
-            if value is None:
-                value = values[key] = compute(m)
-                self._classes += 1
-                if trace is not None:
-                    values[trace] = value
-            elif trace is not None:
-                for s in range(len(m._b)):
-                    values[_rooted_trace(m._b, m._w, m._e, s)] = value
+            value = values[key] = compute(m)
         return value
 
 
@@ -626,34 +604,96 @@ _CACHES: list = []
 
 
 def clear_caches():
-    """Empty every cache in ``_CACHES``: ``mon``'s class memo (its ``len``,
-    the class count, back to 0), state table and twist family table with
-    its bijection results, and the ``lru_cache`` tables of ``jack`` and
-    ``oriented``.  Caches kept on map instances stay: a map built before
-    the clear keeps its own views, orbit data, ``_removed`` and ``_graph``,
-    so residuals reached through it are no longer the state table's
-    objects and the sharing that ``mon._states`` gives holds only among
-    maps built since the clear.  The values are equal either way, so no
-    result changes."""
+    """Empty every cache in ``_CACHES``: the table of component forms,
+    ``mon``'s class memo (its ``len``, the class count, back to 0), state
+    table and twist family table with its bijection results, and the
+    ``lru_cache`` tables of ``jack`` and ``oriented``.  Caches kept on map
+    instances stay: a map built before the clear keeps its own views,
+    orbit data, ``_removed`` and ``_graph``, so residuals reached through
+    it are no longer the state table's objects and the sharing that
+    ``mon._states`` gives holds only among maps built since the clear.
+    The values are equal either way, so no result changes."""
     for cache in _CACHES:
         clear = getattr(cache, "cache_clear", None) or cache.clear
         clear()
 
 
+# rooted component trace -> the least trace of that component's class,
+# both as bytes at the component's own width (``_least_form``)
+_COMPONENT_FORMS: dict[bytes, bytes] = {}
+_CACHES.append(_COMPONENT_FORMS)
+
+
+def _least_form(b, w, e, sides, start: int, trace, key: bytes) -> bytes:
+    """The least trace of a component as bytes, on a miss of
+    ``_COMPONENT_FORMS``: ``sides`` lists the component's sides, ``trace``
+    is its trace from its side ``start`` and ``key`` that trace's bytes.
+
+    The search is seeded with ``trace`` and skips ``start``, so no side is
+    traced twice.  A rooted trace (a component's trace from one of its
+    sides) is a key of the table: equal traces mean a label bijection
+    sending one component onto the other, root onto root, so a key names
+    one class, and the least trace, the value, depends on the class alone.
+    The least trace is itself the trace from the least rooting, so values
+    are keys of the same kind.  A class met for the first time registers
+    its least trace and ``key``; a class met again under a rooting that is
+    no key yet (a miss whose least trace is a known key) registers its
+    traces from every side, so that every later component of that class
+    is found by the trace from its first side alone.  The table only
+    saves the search: every result is the least trace, whatever it holds.
+    """
+    best = trace
+    for s in sides:
+        if s != start:
+            best = _component_trace(b, w, e, s, best) or best
+    width = len(sides)
+    form = _trace_bytes(best, width)
+    known = _COMPONENT_FORMS.get(form)
+    if known is None:
+        _COMPONENT_FORMS[form] = _COMPONENT_FORMS[key] = form
+        return form
+    _COMPONENT_FORMS[key] = known
+    for s in sides:
+        if s != start:
+            rooted = _trace_bytes(_component_trace(b, w, e, s), width)
+            _COMPONENT_FORMS[rooted] = known
+    return known
+
+
+def _trace_entries(form: bytes) -> tuple[int, ...]:
+    """A trace back from its bytes at its component's own width: a
+    component of s sides takes 3s bytes, at most 768, when s <= 256, and
+    12s, more than 3 072, beyond."""
+    return tuple(form) if len(form) <= 768 else tuple(array("I", form))
+
+
 def _canonical_bytes(m: NonOrientedMap) -> bytes:
     b, w, e = m._b, m._w, m._e
+    key = m._side_trace
+    if key is not None:  # connected: the one component, traced from side 0
+        form = _COMPONENT_FORMS.get(key)
+        if form is None:
+            form = _least_form(b, w, e, range(len(b)), 0,
+                               _trace_entries(key), key)
+        return form
     ids, count, _ = m._component_data
     comps: list[list[int]] = [[] for _ in range(count)]
     for i, cid in enumerate(ids):
         comps[cid].append(i)
-    traces = []
-    for comp in comps:
-        best = None
-        for s in comp:
-            best = _component_trace(b, w, e, s, best) or best
-        traces.append(best)
-    traces.sort()
-    return b"".join([_trace_bytes(t, len(b)) for t in traces])
+    forms = []
+    for sides in comps:  # _side_trace kept side 0's component's trace
+        trace = (_component_trace(b, w, e, sides[0]) if sides[0]
+                 else m._root_trace)
+        key = _trace_bytes(trace, len(sides))
+        form = _COMPONENT_FORMS.get(key)
+        if form is None:
+            form = _least_form(b, w, e, sides, sides[0], trace, key)
+        forms.append(form)
+    if len(b) > 256:  # sorted by trace, then joined at the map's width
+        traces = sorted(map(_trace_entries, forms))
+        return b"".join([_trace_bytes(t, len(b)) for t in traces])
+    forms.sort()  # as bytes: one byte per entry, so in the order of traces
+    return b"".join(forms)
 
 
 def bicolored_graph(m: NonOrientedMap) -> BicoloredGraph:

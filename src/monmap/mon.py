@@ -14,11 +14,14 @@ fractions, and K = n! times the probability, the number of top-degree
 histories.  ``mon``, ``mon_top_detail`` and ``mon_top`` divide by 2^n n!
 and by n! only when they return, and ``mon_top`` checks one route against
 the other.  The memo, ``_MON_CACHE``, is a ``maps.ClassMemo``: one value
-per isomorphism class, keyed by canonical forms and rooted traces in one
-dict.  The residual maps are built afresh and never interned: the memo
-already shares the work between isomorphic residuals, and interning them
-in ``_STATES`` as well raised the peak RSS of an in-process
-``degree-bounds`` run from 20.7 to 23.3 MB (+12%).
+per isomorphism class, keyed by its canonical form alone.  A residual of
+a known class costs one BFS per component, since the canonical form finds
+each component's class by its trace from its first side in the table of
+rooted traces, ``maps._COMPONENT_FORMS``.  The residual maps are built
+afresh and never interned: the memo already shares the work between
+isomorphic residuals, and interning them in ``_STATES`` as well raised
+the peak RSS of an in-process ``degree-bounds`` run from 20.7 to 23.3 MB
+(+12%).
 
 A history weight is the monomial gamma^t / 2^f, with t the number of
 twisted and f the number of interface removals, so a check on it reads

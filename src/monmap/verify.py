@@ -213,7 +213,10 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
     decided once, by ``_class_verdict``: the exhaustive part walks one
     weighted representative per isomorphism class (``maps_by_class``,
     weights summed into ``maps``) and weighs its histories, and the
-    sampled part keeps one verdict per class in a ``maps.ClassMemo``.
+    sampled part keeps one verdict per class in a ``maps.ClassMemo``,
+    keyed by the sample's canonical form: one BFS per component of a
+    known class, from its first side (a connected sample's side 0), looked
+    up in the table of rooted traces, ``maps._COMPONENT_FORMS``.
     Each sample draws its three pairings and its history through
     ``_shuffle``, with the step tables of its size built once per n."""
     checks = []

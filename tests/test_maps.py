@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from monmap.enumeration import all_maps, conservative_one_face
 from monmap.maps import (BicoloredGraph, EdgeKind, MapError, NonOrientedMap,
-                         _component_trace, _edge_index, _rooted_trace,
-                         _twist_sides, bicolored_graph, canonical_form,
-                         canonical_graph_class, classify_edge, faces,
-                         graph_class, is_orientable, map_from_json_obj,
+                         _component_trace, _edge_index, _twist_sides,
+                         bicolored_graph, canonical_form,
+                         canonical_graph_class, classify_edge, clear_caches,
+                         faces, graph_class, is_orientable, map_from_json_obj,
                          map_to_json_obj, remove_edge, structure, twist_many)
 from monmap.oriented import OrientedMap, side_label
 
@@ -344,6 +344,80 @@ class TestSideTrace:
         assert len(set(by_key.values())) == 3
 
 
+def _cycle(k):
+    """Partner arrays of a one-component map on 2k sides: a cycle that
+    alternates beta and eps, with omega equal to eps."""
+    size = 2 * k
+    b, w = [0] * size, [0] * size
+    for i in range(0, size, 2):
+        w[i], w[i + 1] = i + 1, i
+        b[i + 1], b[(i + 2) % size] = (i + 2) % size, i + 1
+    return b, w, list(w)
+
+
+def _union(*components):
+    """The map whose components are the given partner arrays, in order."""
+    arrays = [[], [], []]
+    for component in components:
+        offset = len(arrays[0])
+        for out, partner in zip(arrays, component):
+            out += [offset + i for i in partner]
+    return NonOrientedMap.from_arrays(range(1, len(arrays[0]) + 1), *arrays)
+
+
+def _fresh(maps):
+    """New instances of the maps, with nothing cached on them."""
+    return [NonOrientedMap.from_arrays(m.labels, m._b, m._w, m._e)
+            for m in maps]
+
+
+class TestWideForms:
+    """Canonical forms of disconnected maps past 256 sides, where an entry
+    takes four bytes: components of known classes come from the table of
+    rooted traces, and the component traces are sorted as traces."""
+
+    @staticmethod
+    def family():
+        rng = random.Random(1)
+        while True:  # a connected component of 260 sides, wide by itself
+            wide = [_uniform_matching(rng, 260) for _ in range(3)]
+            if _union(wide)._component_data[1] == 1:
+                break
+        small = [_uniform_matching(rng, 10) for _ in range(3)]
+        return [
+            # 263 edges: the two cycles' least traces agree up to entries
+            # 256 and 255, so their order as traces is not the order of
+            # their 4-byte little-endian strings
+            _union(_cycle(128), small, _cycle(130)),
+            # 136 edges: a wide component and two of one class
+            _union(_cycle(3), wide, _cycle(3)),
+        ]
+
+    def test_forms_match_the_reference(self):
+        rng = random.Random(2)
+        family = self.family()
+        refs = [ref_canonical_form(m) for m in family]
+        moved = []
+        for m in family:
+            p = list(range(len(m._b)))
+            rng.shuffle(p)
+            moved.append(_permuted(m, p))
+        assert [m._component_data[1] for m in family] == [3, 3]
+        assert all(len(m._b) > 256 for m in family)
+        clear_caches()
+        cold = [canonical_form(m) for m in family]
+        warm = [canonical_form(m) for m in _fresh(family)]
+        relabelled = [canonical_form(m) for m in moved]
+        clear_caches()
+        relabelled_cold = [canonical_form(m) for m in _fresh(moved)]
+        assert cold == warm == relabelled == relabelled_cold == refs
+        # the two cycles (each looks alike from every side) order one way
+        # as traces and the other way as 4-byte strings
+        short, long = (_component_trace(*_cycle(k), 0) for k in (128, 130))
+        assert short < long
+        assert array("I", long).tobytes() < array("I", short).tobytes()
+
+
 class TestGraphClass:
     def test_klein_triple_edge(self, klein):
         cls = graph_class(klein)
@@ -560,7 +634,7 @@ class TestArrayCoreMatchesReference:
                     disconnected.add(form)
                 else:
                     b, w, e = m._b, m._w, m._e
-                    assert form == min(_rooted_trace(b, w, e, s)
+                    assert form == min(bytes(_component_trace(b, w, e, s))
                                        for s in range(len(b)))
                     connected.add(form)
         assert connected and disconnected

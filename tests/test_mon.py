@@ -18,9 +18,9 @@ from monmap.bijection import (_FAMILY, NotInDomainError, _level0, phi,
 from monmap.enumeration import (all_maps, conservative_one_face,
                                 involutions, one_face_orbits)
 from monmap.maps import (EdgeKind, MapError, NonOrientedMap, _bridge_or_leaf,
-                         _component_trace, _edge_index, ClassMemo,
-                         canonical_form, classify_edge, load_fixture,
-                         remove_edge, structure, twist_many)
+                         _COMPONENT_FORMS, _component_trace, _edge_index,
+                         ClassMemo, canonical_form, classify_edge,
+                         load_fixture, remove_edge, structure, twist_many)
 from monmap.mon import (_MON_CACHE, _STATES, _failing_prefix, _mon_pair,
                         _states, clear_caches, history_weight,
                         is_top_degree_map, is_top_degree_pair,
@@ -562,10 +562,30 @@ def disconnecting_map():
     raise AssertionError("no connected n = 3 map with a splitting edge")
 
 
+def spy_traces(monkeypatch):
+    """Spy on ``maps._component_trace``: the list it returns gets the
+    start of each full trace, and None for each trace of a search (one
+    compared with the best trace so far)."""
+    maps = importlib.import_module("monmap.maps")
+    starts = []
+    real = maps._component_trace
+
+    def spy(b, w, e, start, best=None):
+        starts.append(start if best is None else None)
+        return real(b, w, e, start, best)
+    monkeypatch.setattr(maps, "_component_trace", spy)
+    return starts
+
+
+def first_sides(m):
+    """The first side of each of m's components, in order."""
+    ids = m._component_data[0]
+    return [ids.index(c) for c in range(m._component_data[1])]
+
+
 class TestIntegerCounts:
     """``_mon_pair`` returns T = 2^n n! mon and K = n! times the top-degree
-    probability, as integers, memoised by canonical form and side-0
-    trace."""
+    probability, as integers, memoised by canonical form."""
 
     def test_against_fraction_recursion(self, klein, projective):
         clear_caches()
@@ -584,6 +604,15 @@ class TestIntegerCounts:
 
     def test_disconnected_residual_goes_through_canonical_form(
             self, monkeypatch):
+        # the memo holds one key per class computed, its canonical form,
+        # and a map of a known class costs one BFS per component: the
+        # trace from the component's first side finds its least trace in
+        # the table of rooted traces
+        module = importlib.import_module("monmap.mon")
+        computed = []
+        real = module._history_counts
+        monkeypatch.setattr(module, "_history_counts",
+                            lambda x: computed.append(x) or real(x))
         m, e = disconnecting_map()
         residual = remove_edge(m, e)
         assert residual._side_trace is None
@@ -591,23 +620,23 @@ class TestIntegerCounts:
         mon(m)
         keys = dict(_MON_CACHE._values)
         assert canonical_form(residual) in keys
-        forms = []
-
-        def spy(x):
-            forms.append(x)
-            return canonical_form(x)
-
-        monkeypatch.setattr(importlib.import_module("monmap.maps"),
-                            "canonical_form", spy)
-        # warm: the trace lookup misses and the canonical form hits ...
+        assert len(keys) == len(computed) == len(_MON_CACHE)
+        assert set(keys) == {canonical_form(x) for x in computed}
+        table = dict(_COMPONENT_FORMS)
+        forms = TestByClass.spy_forms(monkeypatch)
+        traces = spy_traces(monkeypatch)
         fresh_residual, = fresh([residual])
         assert _mon_pair(fresh_residual) == keys[canonical_form(residual)]
         assert forms == [fresh_residual]
-        assert _MON_CACHE._values == keys
-        # ... while a connected map is found by its trace alone
+        assert traces == first_sides(residual) and len(traces) > 1
+        assert _MON_CACHE._values == keys and _COMPONENT_FORMS == table
+        # ... and so does a connected map, by its trace from side 0
         forms.clear()
-        _mon_pair(fresh([m])[0])
-        assert forms == []
+        traces.clear()
+        again, = fresh([m])
+        _mon_pair(again)
+        assert forms == [again] and traces == [0]
+        assert _MON_CACHE._values == keys and _COMPONENT_FORMS == table
 
     def test_detail_does_not_depend_on_cache_state(self):
         maps = [m for n in range(1, 5) for m in conservative_one_face(n)]
@@ -622,9 +651,11 @@ class TestIntegerCounts:
 
 
 class TestByClass:
-    """``maps.ClassMemo`` computes once per isomorphism class, keys canonical
-    forms and rooted traces in one dict, finds a connected map again by its
-    side-0 trace alone, and keys a disconnected map by its form only."""
+    """``maps.ClassMemo`` computes once per isomorphism class and keys
+    canonical forms alone.  The canonical form finds a component of a
+    known class by its trace from its first side, one BFS, in the table
+    of rooted traces (``maps._COMPONENT_FORMS``), which registers every
+    rooting of a class met again under a new one."""
 
     @staticmethod
     def counted():
@@ -646,23 +677,27 @@ class TestByClass:
             value = memo.get(x, compute)
             form = canonical_form(x)
             assert value is memo._values[form]
-            if x._component_data[1] > 1:
-                assert set(memo._values) <= keys | {form}
-            else:
-                assert memo._values[x._side_trace] is value
+            assert set(memo._values) <= keys | {form}
         classes = {canonical_form(x) for x in family}
         assert any(x._component_data[1] > 1 for x in family)
+        assert set(memo._values) == classes
         assert len(computed) == len(classes) == len(memo)
 
+        # every component's trace from its first side is now a key: a map
+        # of a known class costs one full trace per component, no search
         forms = self.spy_forms(monkeypatch)
+        traces = spy_traces(monkeypatch)
+        table = dict(_COMPONENT_FORMS)
         for x, again in zip(family, fresh(family)):
             keys = dict(memo._values)
             forms.clear()
+            traces.clear()
             value = memo.get(again, compute)
             assert value is keys[canonical_form(x)]
-            connected = x._component_data[1] == 1
-            assert forms == ([] if connected else [again])
+            assert forms == [again]
+            assert traces == first_sides(x)
             assert memo._values == keys
+        assert _COMPONENT_FORMS == table
         assert len(computed) == len(classes) == len(memo)
 
     @staticmethod
@@ -689,25 +724,33 @@ class TestByClass:
         for t in range(6):  # the trace from side t is a rerooting's
             assert rerooted(m, t)._side_trace == bytes(
                 _component_trace(m._b, m._w, m._e, t))
-        forms = self.spy_forms(monkeypatch)
+        clear_caches()  # an empty table of rooted traces
+        traces = spy_traces(monkeypatch)
         memo = ClassMemo()
         computed, compute = self.counted()
-        value = memo.get(m, compute)
-        # a new class: its form and its side-0 trace
-        assert set(memo._values) == {form, m._side_trace}
+        first, = fresh([m])
+        value = memo.get(first, compute)
+        # a new class: the trace from side 0, then the search over the
+        # other five sides; the table keys its form and that trace
+        assert traces == [0] + [None] * 5
+        assert _COMPONENT_FORMS == {form: form, m._side_trace: form}
         # the rooting at the least trace is found by its form's key
-        forms.clear()
+        traces.clear()
         assert memo.get(rerooted(m, least), compute) is value
-        assert forms == [] and set(memo._values) == {form, m._side_trace}
-        again = rerooted(m, s)
-        assert memo.get(again, compute) is value
-        assert forms == [again] and computed == [m]
-        assert set(memo._values) == rootings
+        assert traces == [0]
+        assert _COMPONENT_FORMS == {form: form, m._side_trace: form}
+        # a new rooting: the search finds the known form, then the trace
+        # from every other side makes every rooting a key
+        traces.clear()
+        assert memo.get(rerooted(m, s), compute) is value
+        assert traces == [0] + [None] * 5 + [1, 2, 3, 4, 5]
+        assert _COMPONENT_FORMS == dict.fromkeys(rootings, form)
+        assert computed == [first]
         for t in range(6):
-            forms.clear()
+            traces.clear()
             assert memo.get(rerooted(m, t), compute) is value
-            assert forms == []
-        assert computed == [m] and len(memo) == 1
+            assert traces == [0]
+        assert computed == [first] and len(memo) == 1
 
     def test_disconnected_map_registers_no_trace(self, monkeypatch):
         m, e = disconnecting_map()
@@ -725,26 +768,30 @@ class TestByClass:
         assert len(memo) == 1
 
     def test_class_stream_traces_each_map_once(self, monkeypatch):
-        # pairwise non-isomorphic maps: one side-0 trace and one canonical
-        # form (one trace per side) each, and no rooted traces
-        maps = importlib.import_module("monmap.maps")
-        calls = []
-        real = maps._component_trace
-        monkeypatch.setattr(maps, "_component_trace",
-                            lambda *args: calls.append(args) or real(*args))
+        # pairwise non-isomorphic connected maps on an empty table: the
+        # trace from side 0 and the search over the other sides make one
+        # trace per side, and the table keys each map's form and its
+        # side-0 trace, no other rooting
         reps = [x for x, _ in one_face_orbits(5)]
+        clear_caches()
+        traces = spy_traces(monkeypatch)
         memo = ClassMemo()
-        for x in reps:
+        for x in fresh(reps):
             memo.get(x, lambda x: object())
+        table = dict(_COMPONENT_FORMS)
         assert len(memo) == len(reps) == 137
-        assert len(calls) == len(reps) * (1 + 10) == 1507
-        assert set(memo._values) == ({canonical_form(x) for x in reps}
-                                     | {x._side_trace for x in reps})
+        assert len(traces) == len(reps) * 10 == 1370
+        assert traces == [0, *[None] * 9] * len(reps)
+        assert set(memo._values) == {canonical_form(x) for x in reps}
+        assert set(table) == ({canonical_form(x) for x in reps}
+                              | {x._side_trace for x in reps})
 
     def test_one_key_space_is_sound(self):
         # the memo's values are the reference forms, and every rooted trace
-        # of every connected map at n <= 3 becomes a key: a key that served
-        # two classes would hand some map another class's form
+        # of every connected map at n <= 3 becomes a key of the table of
+        # rooted traces, which starts empty: a key that served two classes
+        # would hand some map another class's form
+        clear_caches()
         memo = ClassMemo()
         for n in (1, 2, 3):
             for m in all_maps(n):

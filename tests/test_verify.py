@@ -13,8 +13,8 @@ from monmap.algebra import GammaPoly
 from monmap.bijection import BijectionResult
 from monmap.enumeration import (all_maps, conservative_one_face,
                                 transitive_pairs_by_class)
-from monmap.maps import (NonOrientedMap, _component_trace, canonical_form,
-                         clear_caches, is_orientable, structure)
+from monmap.maps import (NonOrientedMap, canonical_form, clear_caches,
+                         is_orientable, structure)
 from monmap.mon import _mon_pair, is_top_degree_map
 from monmap.oriented import side_label
 from monmap.verify import (Check, Report, SUITES, _random_pairing, _shuffle,
@@ -372,49 +372,64 @@ class TestRunSuite:
         assert len(calls) == len(classes) < 400
 
     def test_sampled_part_looks_classes_up_by_side_trace(self, monkeypatch):
-        # a canonical form only for a sample whose trace from side 0 is no
-        # key yet, or which is disconnected, so that the trace is no key.
-        # Forms and traces are keys of one kind: a side-0 trace that equals
-        # a known form (a connected class's least trace) is a hit, and a
-        # connected sample whose form finds a known class makes its traces
-        # from every side keys.  mon canonicalises the sample it is handed
-        # too, so count instances
+        # every sample goes through the canonical form, which traces each
+        # component once, from its first side (a connected sample's key is
+        # its side-0 trace), and looks it up in the table of rooted traces.
+        # A known rooting costs that one BFS; a miss searches the other
+        # sides, and a miss whose least trace is a known key (a class met
+        # again under a new rooting) traces every other side once more and
+        # makes all of them keys.  mon fills the table too, between
+        # samples, so the rule is replayed on the table as each sample
+        # found it
         maps = importlib.import_module("monmap.maps")
+        verify = importlib.import_module("monmap.verify")
+        real = maps._component_trace
         calls = []
-        real = maps.canonical_form
-        monkeypatch.setattr(maps, "canonical_form",
-                            lambda m: calls.append(m) or real(m))
+        monkeypatch.setattr(maps, "_component_trace",
+                            lambda *args: calls.append(args) or real(*args))
+        seen = []  # (sample, table keys before, traces made, keys after)
+
+        class Spy(verify.ClassMemo):
+            def get(self, m, compute):
+                before, made = set(maps._COMPONENT_FORMS), len(calls)
+                maps.canonical_form(m)
+                seen.append((m, before, len(calls) - made,
+                             set(maps._COMPONENT_FORMS)))
+                return super().get(m, compute)
+        monkeypatch.setattr(verify, "ClassMemo", Spy)
         weighed = weighed_samples(monkeypatch)
+        clear_caches()
         report = run_suite("degree-bounds", n_exhaustive=0, sampled=(3, 4),
                            samples=200, seed=0)
         assert report.passed
-        canonicalised = {id(m) for m in calls} & {id(m) for m, _ in weighed}
-        keys, traces, side0_keys = set(), set(), set()
-        disconnected = second_sightings = form_hits = expected = 0
-        for m, _ in label_level_samples(0, (3, 4), 200):
-            if m._component_data[1] > 1:
-                disconnected += 1
-                expected += 1
-                keys.add(canonical_form(m))
-                continue
-            rooted = [bytes(_component_trace(m._b, m._w, m._e, s))
-                      for s in range(len(m._b))]
-            side0_keys.add(rooted[0])
-            if rooted[0] in keys:
-                form_hits += rooted[0] not in traces  # a form's key alone
-                continue
-            expected += 1
-            form = canonical_form(m)
-            if form in keys:
-                second_sightings += 1
-                keys.update(rooted)
-                traces.update(rooted)
-            else:
-                keys.update((form, rooted[0]))
-                traces.add(rooted[0])
-        assert disconnected > 0 and second_sightings > 0 and form_hits > 0
-        # fewer forms than with the side-0 trace as the only key
-        assert len(canonicalised) == expected < len(side0_keys) + disconnected
+        assert [id(m) for m, *_ in seen] == [id(m) for m, _ in weighed]
+        hits = misses = second_sightings = disconnected = traced = 0
+        for m, before, made, after in seen:
+            b, w, e = m._b, m._w, m._e
+            ids, count, _ = m._component_data
+            disconnected += count > 1
+            known, expected = set(before), 0
+            for c in range(count):
+                sides = [i for i, cid in enumerate(ids) if cid == c]
+                rooted = [bytes(real(b, w, e, s)) for s in sides]
+                if rooted[0] in known:
+                    hits += 1
+                    expected += 1
+                    continue
+                misses += 1
+                expected += len(sides)
+                if min(rooted) in known:
+                    second_sightings += 1
+                    expected += len(sides) - 1
+                    known.update(rooted)
+                else:
+                    known.update((min(rooted), rooted[0]))
+            assert (made, after) == (expected, known)
+            traced += made
+        assert len(seen) == 400 and disconnected > 0
+        assert hits > misses > second_sightings > 0
+        # fewer traces than one per side of every sample
+        assert traced < sum(len(m._b) for m, *_ in seen)
 
     def test_sampled_part_traces_each_map_once(self, monkeypatch):
         # the suite's class lookup, then mon_top_detail's and mon's, read
