@@ -20,7 +20,7 @@ from .algebra import Sqrt2, _as_fraction, gamma_of
 from .enumeration import (FORCE_HINT, conservative_maps, one_face_orbits,
                           transitive_pairs_by_class)
 from .maps import BicoloredGraph, bicolored_graph, canonical_graph_class
-from .mon import mon, mon_top_detail
+from .mon import _history_counts, _top_detail, mon
 from .oriented import bicolored_graph_oriented, z_of
 
 Scalar = Union[Fraction, Sqrt2]
@@ -264,8 +264,11 @@ def _one_face_table(n: int, force: bool = False
 
     Both routes of mon_top and the graph class are constant on the orbits
     of :func:`~monmap.enumeration.one_face_orbits`, so the table walks
-    that stream once and weighs each representative by its orbit size."""
-    details = [(bicolored_graph(m), size, *mon_top_detail(m))
+    that stream once and weighs each representative by its orbit size.
+    The representatives are pairwise non-isomorphic, so a lookup in the
+    class memo could never hit on one: each is counted by
+    ``mon._history_counts``, which memoises its residuals alone."""
+    details = [(bicolored_graph(m), size, *_top_detail(m, _history_counts(m)))
                for m, size in one_face_orbits(n, force=force)]
     table = _class_table((graph, size * prob)
                          for graph, size, prob, _ in details)

@@ -222,7 +222,8 @@ def class_stream(
     here or anywhere in the process, costs one BFS per component: its
     canonical form finds each component's least trace in the table of
     rooted traces (``maps._COMPONENT_FORMS``); a stream of pairwise
-    non-isomorphic connected maps traces each map once from each side.
+    non-isomorphic connected maps traces each map from side 0, misses,
+    and traces it once more from each side.
     """
     memo = ClassMemo()
     classes = []  # [first map, summed weight], in order of first sight

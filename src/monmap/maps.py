@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from operator import eq, lt
-from typing import Optional
 
 from . import kernels
 
@@ -195,13 +194,12 @@ class NonOrientedMap:
     from the index tuples they made, by ``_new_map``.  ``beta``, ``omega``
     and ``eps`` view the involutions as sorted label pairs (a, b) with
     a < b.  These views, the kernel outputs (face, component and vertex
-    orbits), the bicolored graph, the canonical form and the side-0 trace
-    are built on first access and cached per instance, in its ``__dict__``
-    (a disconnected map keeps its side-0 component trace, ``_root_trace``);
-    ``mon._states`` keeps the map's removals there too (``_removed``).  A
-    twisted map (``_twist_sides``) gets none of its source's cached data:
-    it builds its own views, walks its own orbits and builds its own graph
-    from its own omega.
+    orbits), the bicolored graph and the canonical form are built on first
+    access and cached per instance, in its ``__dict__``; ``mon._states``
+    keeps the map's removals there too (``_removed``).  A twisted map
+    (``_twist_sides``) gets none of its source's cached data: it builds
+    its own views, walks its own orbits and builds its own graph from its
+    own omega.
     """
 
     __slots__ = ("labels", "_b", "_w", "_e", "__dict__")
@@ -302,22 +300,6 @@ class NonOrientedMap:
     @_cached
     def _canonical(self) -> bytes:
         return _canonical_bytes(self)
-
-    @_cached
-    def _side_trace(self) -> Optional[bytes]:
-        """The trace from side 0 as bytes, or None when the map is not
-        connected: the key under which the canonical form looks a
-        connected map up in ``_COMPONENT_FORMS``.  The empty map's trace
-        is empty, as its canonical form is.  A disconnected map keeps the
-        trace of side 0's component as ``_root_trace`` instead, for the
-        canonical form, so that it is made once.
-        """
-        sides = len(self._b)
-        trace = _component_trace(self._b, self._w, self._e, 0) if sides else ()
-        if len(trace) < 3 * sides:
-            self.__dict__["_root_trace"] = trace
-            return None
-        return _trace_bytes(trace, sides)
 
     def _key(self):
         return self.labels, self._b, self._w, self._e
@@ -490,18 +472,15 @@ def _bridge_or_leaf(before: NonOrientedMap, after: NonOrientedMap,
             or after._component_data[1] > before._component_data[1])
 
 
-def _component_trace(b, w, e, start: int, best=None):
+def _component_trace(b, w, e, start: int):
     """Renumber the component of position `start` by BFS over (B, W, E).
 
     The trace lists, for each discovered position in discovery order, the
     discovery indices of its three partners.  Two starts yield equal traces
     exactly when some label bijection maps the one component onto the
     other and the one start onto the other, which is what the canonical
-    form minimizes over.
-
-    A position's triple is known when the BFS dequeues it, so the trace is
-    built as the BFS runs.  Given ``best``, a trace of the same component,
-    it returns None at the first triple that makes the trace larger.
+    form minimizes over.  A position's triple is known when the BFS
+    dequeues it, so the trace is built as the BFS runs.
     """
     pos = [-1] * len(b)
     pos[start] = 0
@@ -523,13 +502,6 @@ def _component_trace(b, w, e, start: int, best=None):
         if pe < 0:
             pe = pos[y] = len(order)
             order.append(y)
-        if best is not None:
-            k = len(out)
-            # element by element: slicing ``best`` at every step costs more
-            if pb != best[k] or pw != best[k + 1] or pe != best[k + 2]:
-                if (pb, pw, pe) > best[k:k + 3]:
-                    return None
-                best = None  # smaller already: no more comparing
         out += (pb, pw, pe)
     return tuple(out)
 
@@ -549,11 +521,13 @@ def canonical_form(m: NonOrientedMap) -> bytes:
     traces sorted and joined, each encoded as a rooted trace is: a
     connected map's form is its least rooted trace.  Memoized on the map.
     Each component is traced once, from its first side, and its least
-    trace is looked up in ``_COMPONENT_FORMS`` by that trace, so a
-    component of a known class costs one BFS; the search over its other
-    sides runs only on a miss (``_least_form``).  The table never changes
-    a form: it holds only least traces, under rooted traces of their own
-    class.
+    trace is looked up in ``_COMPONENT_FORMS`` by that trace, which keys
+    every rooting of every class met so far: a component of a known class
+    costs one BFS, and a miss is a new class, traced from every side
+    (``_least_form``).  A map whose trace from side 0 reaches every side
+    is connected, and that trace is its key; otherwise the components
+    come from ``_component_data``.  The table never changes a form: it
+    holds only least traces, under rooted traces of their own class.
 
     A map with s sides has a form of 3s bytes when s <= 256 and 12s
     beyond, so the length gives the width of an entry.  At a known width
@@ -574,7 +548,8 @@ class ClassMemo:
     One dict maps canonical forms to the values, so ``len`` is the number
     of classes computed.  The memo keeps no traces: the canonical form
     finds each component's class in the table of rooted traces,
-    ``_COMPONENT_FORMS``, so a map of a known class costs one BFS per
+    ``_COMPONENT_FORMS``, which keys every rooting of a class the first
+    time the class is met, so a map of a known class costs one BFS per
     component (``canonical_form``), and the form is kept on the map.
     ``clear`` empties the memo.
     """
@@ -619,45 +594,33 @@ def clear_caches():
 
 
 # rooted component trace -> the least trace of that component's class,
-# both as bytes at the component's own width (``_least_form``)
+# both as bytes at the component's own width: every rooting of every
+# class met since ``clear_caches`` is a key (``_least_form``)
 _COMPONENT_FORMS: dict[bytes, bytes] = {}
 _CACHES.append(_COMPONENT_FORMS)
 
 
-def _least_form(b, w, e, sides, start: int, trace, key: bytes) -> bytes:
+def _least_form(b, w, e, sides) -> bytes:
     """The least trace of a component as bytes, on a miss of
-    ``_COMPONENT_FORMS``: ``sides`` lists the component's sides, ``trace``
-    is its trace from its side ``start`` and ``key`` that trace's bytes.
+    ``_COMPONENT_FORMS``: ``sides`` lists the component's sides.
 
-    The search is seeded with ``trace`` and skips ``start``, so no side is
-    traced twice.  A rooted trace (a component's trace from one of its
-    sides) is a key of the table: equal traces mean a label bijection
-    sending one component onto the other, root onto root, so a key names
-    one class, and the least trace, the value, depends on the class alone.
-    The least trace is itself the trace from the least rooting, so values
-    are keys of the same kind.  A class met for the first time registers
-    its least trace and ``key``; a class met again under a rooting that is
-    no key yet (a miss whose least trace is a known key) registers its
-    traces from every side, so that every later component of that class
-    is found by the trace from its first side alone.  The table only
-    saves the search: every result is the least trace, whatever it holds.
+    A rooted trace (a component's trace from one of its sides) is a key of
+    the table: equal traces mean a label bijection sending one component
+    onto the other, root onto root, so a key names one class, and the
+    least trace, the value, depends on the class alone.  A class met for
+    the first time has every one of its rootings keyed here, so a miss is
+    always a new class: the component is traced in full from each of its
+    sides, and each of those traces is keyed to the least.  The least is
+    taken over the traces, not their bytes, which past 256 sides order
+    otherwise.  The table only saves the search: every result is the
+    least trace, whatever it holds.
     """
-    best = trace
-    for s in sides:
-        if s != start:
-            best = _component_trace(b, w, e, s, best) or best
     width = len(sides)
-    form = _trace_bytes(best, width)
-    known = _COMPONENT_FORMS.get(form)
-    if known is None:
-        _COMPONENT_FORMS[form] = _COMPONENT_FORMS[key] = form
-        return form
-    _COMPONENT_FORMS[key] = known
-    for s in sides:
-        if s != start:
-            rooted = _trace_bytes(_component_trace(b, w, e, s), width)
-            _COMPONENT_FORMS[rooted] = known
-    return known
+    traces = [_component_trace(b, w, e, s) for s in sides]
+    form = _trace_bytes(min(traces), width)
+    for trace in traces:
+        _COMPONENT_FORMS[_trace_bytes(trace, width)] = form
+    return form
 
 
 def _trace_entries(form: bytes) -> tuple[int, ...]:
@@ -669,26 +632,21 @@ def _trace_entries(form: bytes) -> tuple[int, ...]:
 
 def _canonical_bytes(m: NonOrientedMap) -> bytes:
     b, w, e = m._b, m._w, m._e
-    key = m._side_trace
-    if key is not None:  # connected: the one component, traced from side 0
-        form = _COMPONENT_FORMS.get(key)
-        if form is None:
-            form = _least_form(b, w, e, range(len(b)), 0,
-                               _trace_entries(key), key)
-        return form
+    if not b:
+        return b""
+    root = _component_trace(b, w, e, 0)
+    if len(root) == 3 * len(b):  # connected: the trace from side 0 is its key
+        return (_COMPONENT_FORMS.get(_trace_bytes(root, len(b)))
+                or _least_form(b, w, e, range(len(b))))
     ids, count, _ = m._component_data
     comps: list[list[int]] = [[] for _ in range(count)]
     for i, cid in enumerate(ids):
         comps[cid].append(i)
     forms = []
-    for sides in comps:  # _side_trace kept side 0's component's trace
-        trace = (_component_trace(b, w, e, sides[0]) if sides[0]
-                 else m._root_trace)
-        key = _trace_bytes(trace, len(sides))
-        form = _COMPONENT_FORMS.get(key)
-        if form is None:
-            form = _least_form(b, w, e, sides, sides[0], trace, key)
-        forms.append(form)
+    for sides in comps:  # side 0's component was traced above
+        trace = _component_trace(b, w, e, sides[0]) if sides[0] else root
+        forms.append(_COMPONENT_FORMS.get(_trace_bytes(trace, len(sides)))
+                     or _least_form(b, w, e, sides))
     if len(b) > 256:  # sorted by trace, then joined at the map's width
         traces = sorted(map(_trace_entries, forms))
         return b"".join([_trace_bytes(t, len(b)) for t in traces])

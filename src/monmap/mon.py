@@ -17,11 +17,14 @@ the other.  The memo, ``_MON_CACHE``, is a ``maps.ClassMemo``: one value
 per isomorphism class, keyed by its canonical form alone.  A residual of
 a known class costs one BFS per component, since the canonical form finds
 each component's class by its trace from its first side in the table of
-rooted traces, ``maps._COMPONENT_FORMS``.  The residual maps are built
-afresh and never interned: the memo already shares the work between
-isomorphic residuals, and interning them in ``_STATES`` as well raised
-the peak RSS of an in-process ``degree-bounds`` run from 20.7 to 23.3 MB
-(+12%).
+rooted traces, ``maps._COMPONENT_FORMS``, which keys every rooting of a
+class the first time the class is met.  A caller whose maps are pairwise
+non-isomorphic, on which the memo could never hit, counts each through
+``_history_counts``, which still memoises the residuals
+(``diagrams._one_face_table``).  The residual maps are built afresh and
+never interned: the memo already shares the work between isomorphic
+residuals, and interning them in ``_STATES`` as well raised the peak RSS
+of an in-process ``degree-bounds`` run from 20.7 to 23.3 MB (+12%).
 
 A history weight is the monomial gamma^t / 2^f, with t the number of
 twisted and f the number of interface removals, so a check on it reads
@@ -251,7 +254,12 @@ def mon_top_degree_target(m: NonOrientedMap) -> int:
 
 def mon_top_detail(m: NonOrientedMap) -> tuple[Fraction, Fraction]:
     """(probability over random histories, top coefficient of mon)."""
-    t, k = _mon_pair(m)
+    return _top_detail(m, _mon_pair(m))
+
+
+def _top_detail(m: NonOrientedMap, counts) -> tuple[Fraction, Fraction]:
+    """``mon_top_detail`` of m from its history counts (T, K)."""
+    t, k = counts
     scale, labelings = _scales(m.n)
     target = mon_top_degree_target(m)
     coeff = t[target] if 0 <= target < len(t) else 0

@@ -283,12 +283,11 @@ def _liberation_oriented_tables(n: int, force: bool):
     the canonical form: (2n)! times the transitive pairs, and
     2 n! times the connected orientable maps of ``all_maps(n)``, each
     side grouped by ``class_stream``.  Every map on either side is
-    connected (a side-labelled transitive pair is), and a connected map
-    is one whose side-0 trace reaches every side."""
+    connected (a side-labelled transitive pair is)."""
     pairs = class_stream((side_label(om), size) for om, size
                          in transitive_pairs_by_class(n, force=force))
     maps = class_stream((m, 1) for m in all_maps(n, force=force)
-                        if m._side_trace is not None and is_orientable(m))
+                        if is_orientable(m) and m._component_data[1] == 1)
     lhs = {canonical_form(m): count * math.factorial(2 * n)
            for m, count in pairs}
     rhs = {canonical_form(m): count * 2 * math.factorial(n)

@@ -236,6 +236,26 @@ class TestMapsByFaceType:
         assert m.n == 5 and weight == 945 * 3840 // (5 * 2)
 
 
+def burnside_classes(n):
+    """The number of classes of maps with n edges, by Burnside's lemma:
+    the orbits of S_2n on triples of fixed-point-free involutions number
+    the sum over lambda |- 2n of c(lambda)^3 / z_lambda, where c(lambda)
+    counts the fixed-point-free involutions commuting with a permutation
+    of cycle type lambda.  With m_k cycles of length k, such an involution
+    pairs 2j of them (C(m_k, 2j) (2j-1)!! k^j ways) and maps each other one
+    to itself by half a turn, which needs k even.  It reads no map."""
+    total = Fraction(0)
+    for lam in partitions_of(2 * n):
+        c = z = 1
+        for k, count in Counter(lam).items():
+            z *= k ** count * math.factorial(count)
+            c *= sum(math.comb(count, 2 * j) * math.prod(range(1, 2 * j, 2))
+                     * k ** j for j in range(count // 2 + 1)
+                     if k % 2 == 0 or 2 * j == count)
+        total += Fraction(c ** 3, z)
+    return total
+
+
 class TestMapsByClass:
     """The class stream against the face-type stream and the triples."""
 
@@ -260,10 +280,13 @@ class TestMapsByClass:
         assert total == math.prod(range(1, 2 * n, 2)) ** 3
 
     def test_class_counts(self):
-        # Burnside's counts, pinned: group_by shares the stream's canonical
-        # form, so only a number catches a form that merges or splits
-        assert [sum(1 for _ in maps_by_class(n)) for n in range(1, 5)] == [
-            1, 5, 16, 86]
+        # Burnside's counts, computed and pinned: group_by shares the
+        # stream's canonical form, so only a number catches a form that
+        # merges or splits
+        counts = [sum(1 for _ in maps_by_class(n, force=n > 4))
+                  for n in range(1, 6)]
+        assert counts == [burnside_classes(n) for n in range(1, 6)] == [
+            1, 5, 16, 86, 448]
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):
@@ -436,8 +459,9 @@ def side0_components_alike():
 
 
 class TestGroupByTraceFirst:
-    """``group_by`` looks each map up by its side-0 trace first; its table
-    must be the one keyed by every map's own form."""
+    """``group_by`` finds each map's class by its side-0 trace first (the
+    canonical form's first lookup); its table must be the one keyed by
+    every map's own form."""
 
     @pytest.mark.parametrize("stream", [
         lambda: all_maps(2), lambda: liberal_one_face(3),
@@ -448,7 +472,12 @@ class TestGroupByTraceFirst:
             canonical_form(m) for m in stream())
 
     def test_all_maps_2_has_disconnected_maps(self):
-        assert any(m._side_trace is None for m in all_maps(2))
+        # the side-0 trace reaches every side exactly on a connected map
+        maps = list(all_maps(2))
+        covers = [len(_component_trace(m._b, m._w, m._e, 0)) == 3 * len(m._b)
+                  for m in maps]
+        assert covers == [m._component_data[1] == 1 for m in maps]
+        assert not all(covers)
 
     def test_disconnected_maps_alike_at_side_0(self):
         a, b = side0_components_alike()

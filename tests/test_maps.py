@@ -1,3 +1,4 @@
+import importlib
 import random
 from array import array
 from fractions import Fraction
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monmap.enumeration import all_maps, conservative_one_face
-from monmap.maps import (BicoloredGraph, EdgeKind, MapError, NonOrientedMap,
-                         _component_trace, _edge_index, _twist_sides,
-                         bicolored_graph, canonical_form,
-                         canonical_graph_class, classify_edge, clear_caches,
-                         faces, graph_class, is_orientable, map_from_json_obj,
-                         map_to_json_obj, remove_edge, structure, twist_many)
+from monmap.maps import (_COMPONENT_FORMS, BicoloredGraph, EdgeKind, MapError,
+                         NonOrientedMap, _component_trace, _edge_index,
+                         _trace_bytes, _twist_sides, bicolored_graph,
+                         canonical_form, canonical_graph_class, classify_edge,
+                         clear_caches, faces, graph_class, is_orientable,
+                         map_from_json_obj, map_to_json_obj, remove_edge,
+                         structure, twist_many)
 from monmap.oriented import OrientedMap, side_label
 
 from conftest import _uniform_matching, edge_role, map_strategy, partner_dict
@@ -286,17 +288,26 @@ def _permuted(m, p):
 
 
 class TestSideTrace:
-    """``m._side_trace`` keys a connected map by its trace from side 0."""
+    """The trace from side 0 keys a connected map in the table of rooted
+    traces (``maps._COMPONENT_FORMS``), and every other rooting does too
+    once the map's class has been met."""
 
     @staticmethod
     def check_sound(family):
-        by_key = {}  # key -> canonical form
+        clear_caches()
+        by_key = {}  # side-0 trace -> canonical form
         for m in family:
-            key = m._side_trace
-            assert (key is None) == (m._component_data[1] > 1)
-            if key is not None:
-                assert by_key.setdefault(key, canonical_form(m)) \
-                    == canonical_form(m)
+            form = canonical_form(m)
+            b, w, e = m._b, m._w, m._e
+            sides = len(b)
+            root = _component_trace(b, w, e, 0)
+            assert (len(root) == 3 * sides) == (m._component_data[1] == 1)
+            if len(root) == 3 * sides:
+                key = _trace_bytes(root, sides)
+                assert by_key.setdefault(key, form) == form
+                for s in range(sides):
+                    rooted = _trace_bytes(_component_trace(b, w, e, s), sides)
+                    assert _COMPONENT_FORMS[rooted] == form
         return by_key
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -307,21 +318,29 @@ class TestSideTrace:
         self.check_sound(conservative_one_face(4))
 
     def test_empty_map(self):
-        assert NonOrientedMap.from_arrays((), (), (), ())._side_trace == b""
+        empty = NonOrientedMap.from_arrays((), (), (), ())
+        clear_caches()
+        assert canonical_form(empty) == b"" and _COMPONENT_FORMS == {}
 
     def test_kept_on_the_map(self, monkeypatch):
-        # traced once per instance, None (a disconnected map's) included
-        cached = NonOrientedMap.__dict__["_side_trace"]
-        real, traced = cached.fn, []
-        monkeypatch.setattr(cached, "fn",
-                            lambda m: traced.append(m) or real(m))
+        # the form, and the side-0 trace it starts from, are made once per
+        # instance: a new class costs its side-0 trace and one trace per
+        # side, a known rooting one trace per component
+        maps = importlib.import_module("monmap.maps")
+        real, starts = maps._component_trace, []
+        monkeypatch.setattr(maps, "_component_trace", lambda b, w, e, s: (
+            starts.append(s) or real(b, w, e, s)))
         two_edges = [(1, 2), (3, 4)]
         disconnected = NonOrientedMap.from_pairs(two_edges, two_edges,
                                                  two_edges)
         connected = NonOrientedMap.from_pairs(*[[(1, 2)]] * 3)
-        assert [disconnected._side_trace for _ in range(2)] == [None, None]
-        assert connected._side_trace == connected._side_trace is not None
-        assert [id(m) for m in traced] == [id(disconnected), id(connected)]
+        edge = b"\x01\x01\x01\x00\x00\x00"  # one edge's least trace
+        clear_caches()
+        forms = [canonical_form(disconnected) for _ in range(2)]
+        assert forms == [edge * 2] * 2
+        assert starts == [0, 0, 1, 2]
+        assert [canonical_form(connected) for _ in range(2)] == [edge] * 2
+        assert starts == [0, 0, 1, 2, 0]
 
     def test_exact_past_128_edges(self):
         # sides past 255 need more than one byte per trace entry
@@ -630,7 +649,7 @@ class TestArrayCoreMatchesReference:
         for n in (1, 2, 3):
             for m in all_maps(n):
                 form = canonical_form(m)
-                if m._side_trace is None:
+                if m._component_data[1] > 1:
                     disconnected.add(form)
                 else:
                     b, w, e = m._b, m._w, m._e

@@ -564,17 +564,18 @@ def disconnecting_map():
 
 def spy_traces(monkeypatch):
     """Spy on ``maps._component_trace``: the list it returns gets the
-    start of each full trace, and None for each trace of a search (one
-    compared with the best trace so far)."""
+    start of each trace."""
     maps = importlib.import_module("monmap.maps")
     starts = []
     real = maps._component_trace
-
-    def spy(b, w, e, start, best=None):
-        starts.append(start if best is None else None)
-        return real(b, w, e, start, best)
-    monkeypatch.setattr(maps, "_component_trace", spy)
+    monkeypatch.setattr(maps, "_component_trace", lambda b, w, e, start: (
+        starts.append(start) or real(b, w, e, start)))
     return starts
+
+
+def side0(m):
+    """m's trace from side 0 as bytes (at most 256 sides)."""
+    return bytes(_component_trace(m._b, m._w, m._e, 0))
 
 
 def first_sides(m):
@@ -615,7 +616,7 @@ class TestIntegerCounts:
                             lambda x: computed.append(x) or real(x))
         m, e = disconnecting_map()
         residual = remove_edge(m, e)
-        assert residual._side_trace is None
+        assert residual._component_data[1] > 1
         clear_caches()
         mon(m)
         keys = dict(_MON_CACHE._values)
@@ -654,8 +655,8 @@ class TestByClass:
     """``maps.ClassMemo`` computes once per isomorphism class and keys
     canonical forms alone.  The canonical form finds a component of a
     known class by its trace from its first side, one BFS, in the table
-    of rooted traces (``maps._COMPONENT_FORMS``), which registers every
-    rooting of a class met again under a new one."""
+    of rooted traces (``maps._COMPONENT_FORMS``), which keys every rooting
+    of a class the first time the class is met."""
 
     @staticmethod
     def counted():
@@ -709,20 +710,20 @@ class TestByClass:
                             lambda x: forms.append(x) or real(x))
         return forms
 
-    def test_second_rooting_registers_every_rooting(self, monkeypatch):
+    def test_first_sighting_registers_every_rooting(self, monkeypatch):
         # m's side-0 trace is not its least, and it has a rooting whose
         # trace is neither of the two
         m = next(x for x in all_maps(3) if x._component_data[1] == 1
-                 and x._side_trace != canonical_form(x)
-                 and len({rerooted(x, s)._side_trace for s in range(6)}) > 2)
+                 and side0(x) != canonical_form(x)
+                 and len({side0(rerooted(x, s)) for s in range(6)}) > 2)
         form = canonical_form(m)
-        rootings = {rerooted(m, t)._side_trace for t in range(6)}
+        rootings = {side0(rerooted(m, t)) for t in range(6)}
         assert form in rootings  # a connected map's form is its least trace
-        least = next(t for t in range(6) if rerooted(m, t)._side_trace == form)
+        least = next(t for t in range(6) if side0(rerooted(m, t)) == form)
         s = next(s for s in range(1, 6)
-                 if rerooted(m, s)._side_trace not in (m._side_trace, form))
+                 if side0(rerooted(m, s)) not in (side0(m), form))
         for t in range(6):  # the trace from side t is a rerooting's
-            assert rerooted(m, t)._side_trace == bytes(
+            assert side0(rerooted(m, t)) == bytes(
                 _component_trace(m._b, m._w, m._e, t))
         clear_caches()  # an empty table of rooted traces
         traces = spy_traces(monkeypatch)
@@ -730,26 +731,17 @@ class TestByClass:
         computed, compute = self.counted()
         first, = fresh([m])
         value = memo.get(first, compute)
-        # a new class: the trace from side 0, then the search over the
-        # other five sides; the table keys its form and that trace
-        assert traces == [0] + [None] * 5
-        assert _COMPONENT_FORMS == {form: form, m._side_trace: form}
-        # the rooting at the least trace is found by its form's key
-        traces.clear()
-        assert memo.get(rerooted(m, least), compute) is value
-        assert traces == [0]
-        assert _COMPONENT_FORMS == {form: form, m._side_trace: form}
-        # a new rooting: the search finds the known form, then the trace
-        # from every other side makes every rooting a key
-        traces.clear()
-        assert memo.get(rerooted(m, s), compute) is value
-        assert traces == [0] + [None] * 5 + [1, 2, 3, 4, 5]
+        # a new class: the trace from side 0 misses, then one trace from
+        # every side keys every rooting to the least
+        assert traces == [0, 0, 1, 2, 3, 4, 5]
         assert _COMPONENT_FORMS == dict.fromkeys(rootings, form)
-        assert computed == [first]
-        for t in range(6):
+        # the rooting at the least trace, a rooting that is neither, and
+        # every other one: one trace each, and the table stays as it is
+        for t in (least, s, *range(6)):
             traces.clear()
             assert memo.get(rerooted(m, t), compute) is value
             assert traces == [0]
+            assert _COMPONENT_FORMS == dict.fromkeys(rootings, form)
         assert computed == [first] and len(memo) == 1
 
     def test_disconnected_map_registers_no_trace(self, monkeypatch):
@@ -768,10 +760,9 @@ class TestByClass:
         assert len(memo) == 1
 
     def test_class_stream_traces_each_map_once(self, monkeypatch):
-        # pairwise non-isomorphic connected maps on an empty table: the
-        # trace from side 0 and the search over the other sides make one
-        # trace per side, and the table keys each map's form and its
-        # side-0 trace, no other rooting
+        # pairwise non-isomorphic connected maps on an empty table: each
+        # is a new class, so its side-0 trace misses and one trace from
+        # each side keys every rooting of the map to its form
         reps = [x for x, _ in one_face_orbits(5)]
         clear_caches()
         traces = spy_traces(monkeypatch)
@@ -780,11 +771,11 @@ class TestByClass:
             memo.get(x, lambda x: object())
         table = dict(_COMPONENT_FORMS)
         assert len(memo) == len(reps) == 137
-        assert len(traces) == len(reps) * 10 == 1370
-        assert traces == [0, *[None] * 9] * len(reps)
+        assert len(traces) == len(reps) * 11 == 1507
+        assert traces == [0, *range(10)] * len(reps)
         assert set(memo._values) == {canonical_form(x) for x in reps}
-        assert set(table) == ({canonical_form(x) for x in reps}
-                              | {x._side_trace for x in reps})
+        assert table == {bytes(_component_trace(x._b, x._w, x._e, s)):
+                         canonical_form(x) for x in reps for s in range(10)}
 
     def test_one_key_space_is_sound(self):
         # the memo's values are the reference forms, and every rooted trace
@@ -797,7 +788,7 @@ class TestByClass:
             for m in all_maps(n):
                 ref = ref_canonical_form(m)
                 assert memo.get(m, ref_canonical_form) == ref
-                if m._side_trace is not None:
+                if m._component_data[1] == 1:
                     for s in range(1, len(m._b)):
                         assert memo.get(rerooted(m, s),
                                         ref_canonical_form) == ref

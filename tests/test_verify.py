@@ -375,12 +375,10 @@ class TestRunSuite:
         # every sample goes through the canonical form, which traces each
         # component once, from its first side (a connected sample's key is
         # its side-0 trace), and looks it up in the table of rooted traces.
-        # A known rooting costs that one BFS; a miss searches the other
-        # sides, and a miss whose least trace is a known key (a class met
-        # again under a new rooting) traces every other side once more and
-        # makes all of them keys.  mon fills the table too, between
-        # samples, so the rule is replayed on the table as each sample
-        # found it
+        # A known rooting costs that one BFS; a miss is a new class, traced
+        # once more from each of its sides, and all of those traces become
+        # keys.  mon fills the table too, between samples, so the rule is
+        # replayed on the table as each sample found it
         maps = importlib.import_module("monmap.maps")
         verify = importlib.import_module("monmap.verify")
         real = maps._component_trace
@@ -403,7 +401,7 @@ class TestRunSuite:
                            samples=200, seed=0)
         assert report.passed
         assert [id(m) for m, *_ in seen] == [id(m) for m, _ in weighed]
-        hits = misses = second_sightings = disconnected = traced = 0
+        hits = misses = disconnected = traced = 0
         for m, before, made, after in seen:
             b, w, e = m._b, m._w, m._e
             ids, count, _ = m._component_data
@@ -417,25 +415,21 @@ class TestRunSuite:
                     expected += 1
                     continue
                 misses += 1
-                expected += len(sides)
-                if min(rooted) in known:
-                    second_sightings += 1
-                    expected += len(sides) - 1
-                    known.update(rooted)
-                else:
-                    known.update((min(rooted), rooted[0]))
+                expected += 1 + len(sides)
+                assert not known & set(rooted)  # no rooting of it is a key
+                known.update(rooted)
             assert (made, after) == (expected, known)
             traced += made
         assert len(seen) == 400 and disconnected > 0
-        assert hits > misses > second_sightings > 0
+        assert hits > misses > 0
         # fewer traces than one per side of every sample
         assert traced < sum(len(m._b) for m, *_ in seen)
 
     def test_sampled_part_traces_each_map_once(self, monkeypatch):
         # the suite's class lookup, then mon_top_detail's and mon's, read
-        # the trace kept on the sample; the list keeps every map alive, so
-        # ids are not reused
-        cached = NonOrientedMap.__dict__["_side_trace"]
+        # the canonical form kept on the sample, made from one side-0
+        # trace; the list keeps every map alive, so ids are not reused
+        cached = NonOrientedMap.__dict__["_canonical"]
         real, traced = cached.fn, []
         monkeypatch.setattr(cached, "fn",
                             lambda m: traced.append(m) or real(m))
