@@ -345,23 +345,30 @@ def stanley_special(pi, lam, alpha, force: bool = False):
     in Q[sqrt(2)].  Each sum counts the maps of a bicolored graph class
     first and embeds one graph per class.
     """
+    return _stanley_values(pi, [lam], alpha, force)[0]
+
+
+def _stanley_values(pi, lams, alpha, force: bool = False) -> list:
+    """``stanley_special(pi, lam, alpha, force)`` for each lam of lams, in
+    order, with the guards of every lam checked first and one class table
+    of the maps of face-type pi built for all of them."""
     pi = Partition(pi)
-    lam = Partition(lam)
+    lams = [Partition(lam) for lam in lams]
     alpha = _as_fraction(alpha)
     if pi.size + pi.length > 6 and not force:
         raise JackGuardError(
             f"|pi| + l(pi) exceeds the guard (6); {FORCE_HINT}")
-    if lam.size > JACK_SIZE_GUARD and not force:
+    if any(lam.size > JACK_SIZE_GUARD for lam in lams) and not force:
         raise JackGuardError(f"|lambda| exceeds the guard (6); {FORCE_HINT}")
     sign = -1 if pi.length % 2 else 1
 
     if alpha == 1:
         a = Fraction(1)
-        oracle = ch(pi.parts, lam, a, force=force)
         table = _class_table((bicolored_graph_oriented(om), 1)
                              for om in oriented_face_type_maps(pi))
-        return oracle, sign * _class_sums([table], lam, a,
-                                          Fraction(1), 0)[0]
+        return [(ch(pi.parts, lam, a, force=force),
+                 sign * _class_sums([table], lam, a, Fraction(1), 0)[0])
+                for lam in lams]
 
     if alpha == 2:
         a = SQRT2
@@ -372,11 +379,14 @@ def stanley_special(pi, lam, alpha, force: bool = False):
     else:
         raise ValueError("alpha must be one of 1, 2, 1/2")
 
-    oracle = ch(pi.parts, lam, a, force=force)
     table = _class_table((bicolored_graph(m), 1)
                          for m in conservative_maps(pi.parts))
-    mapsum = sign * _class_sums([table], lam, a, base,
-                                pi.size + pi.length)[0]
-    if isinstance(oracle, Sqrt2) and not isinstance(mapsum, Sqrt2):
-        mapsum = Sqrt2.of(mapsum)
-    return oracle, mapsum
+    values = []
+    for lam in lams:
+        oracle = ch(pi.parts, lam, a, force=force)
+        mapsum = sign * _class_sums([table], lam, a, base,
+                                    pi.size + pi.length)[0]
+        if isinstance(oracle, Sqrt2) and not isinstance(mapsum, Sqrt2):
+            mapsum = Sqrt2.of(mapsum)
+        values.append((oracle, mapsum))
+    return values

@@ -118,7 +118,9 @@ def _states(m: NonOrientedMap, edges) -> list[NonOrientedMap]:
     """
     states = [m]
     for e in edges:
-        removed = m.__dict__.setdefault("_removed", {})
+        removed = m.__dict__.get("_removed")
+        if removed is None:
+            removed = m.__dict__["_removed"] = {}
         child = removed.get(e)
         if child is None:
             child = remove_edge(m, e)

@@ -26,8 +26,8 @@ from .diagrams import (MultiRect, Partition, _class_sums, _map_sum_diagram,
 from .enumeration import (all_maps, class_stream, conservative_one_face,
                           group_by, involutions, liberal_one_face,
                           maps_by_class, transitive_pairs_by_class)
-from .jack import (ch, ch_stanley, jack_in_p, jack_inner_product,
-                   partitions_of, stanley_closed_form, stanley_special)
+from .jack import (_stanley_values, ch, ch_stanley, jack_in_p,
+                   jack_inner_product, partitions_of, stanley_closed_form)
 from .maps import (ClassMemo, EdgeKind, NonOrientedMap, _new_map,
                    bicolored_graph, canonical_form, classify_edge,
                    is_orientable, load_fixture, structure)
@@ -161,48 +161,59 @@ def _shuffle_steps(size: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, (i + 1).bit_length()) for i in range(size - 1, 0, -1))
 
 
-def _shuffle(getrandbits, x: list, steps) -> None:
-    """Shuffle the list x in place, as ``random.Random.shuffle`` does, with
-    the same ``getrandbits`` calls; ``steps`` is ``_shuffle_steps(len(x))``.
-    At each step (i, k), j is drawn below i + 1 by rejection on k bits, and
-    x[i] and x[j] are swapped.  A generator shuffled either way gives the
-    same order and ends in the same state; this one makes no method call
-    per draw besides ``getrandbits``."""
-    for i, k in steps:
+def _draw_sample(getrandbits, positions: list, side_steps, edge_steps):
+    """One sample of the degree-bounds sampler: ((b, w, e), h), three
+    uniform perfect matchings of ``positions`` (``list(range(2n))``) as
+    partner tuples and a uniform history of the map they make, as the side
+    positions of its edges.
+
+    Each matching shuffles a copy of ``positions`` and pairs consecutive
+    entries of the shuffled copy; the history shuffles the edges of the
+    third matching in the order of ``m.edges()``.  Every shuffle is that of
+    ``random.Random.shuffle``, with its ``getrandbits`` calls: at each step
+    (i, k) of ``side_steps`` (``_shuffle_steps(2n)``) or ``edge_steps``
+    (``_shuffle_steps(n)``), j is drawn below i + 1 by rejection on k bits
+    and x[i] and x[j] are swapped.  A generator drawn from here and one
+    that makes the four ``shuffle`` calls give the same sample and end in
+    the same state."""
+    pairings = []
+    for _ in range(3):
+        order = positions.copy()
+        for i, k in side_steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+        partner = positions.copy()
+        pairs = iter(order)
+        for a, b in zip(pairs, pairs):
+            partner[a] = b
+            partner[b] = a
+        pairings.append(tuple(partner))
+    h = [(i, j) for i, j in enumerate(partner) if i < j]
+    for i, k in edge_steps:
         j = getrandbits(k)
         while j > i:
             j = getrandbits(k)
-        x[i], x[j] = x[j], x[i]
+        h[i], h[j] = h[j], h[i]
+    return tuple(pairings), h
 
 
-def _random_pairing(getrandbits, positions: list,
-                    steps) -> tuple[int, ...]:
-    """A uniform perfect matching of the positions 0 .. size - 1 as partner
-    indices: a copy of ``positions`` (``list(range(size))``) is shuffled
-    through ``_shuffle`` with ``steps``, ``_shuffle_steps(size)``, making
-    the ``getrandbits`` calls of one ``random.Random.shuffle``, and
-    consecutive entries of the shuffled copy are paired."""
-    order = positions.copy()
-    _shuffle(getrandbits, order, steps)
-    partner = positions.copy()
-    pairs = iter(order)
-    for a, b in zip(pairs, pairs):
-        partner[a] = b
-        partner[b] = a
-    return tuple(partner)
-
-
-def _class_verdict(m: NonOrientedMap) -> tuple[Fraction, bool]:
+def _class_verdict(m: NonOrientedMap) -> tuple[int, bool]:
     """(2 * genus, whether m keeps the degree laws): deg mon is at most
     n + |F| - |V| and 2 * genus, the two routes to mon_top agree, and on a
     top-degree map (one face per component) n + |F| - |V| is 2 * genus,
     which gives the genus a second route.  Positivity of all weight
     coefficients makes deg mon the max history degree, so 2 * genus also
-    bounds every history weight."""
-    bound = 2 * structure(m).genus
+    bounds every history weight.  2 * genus is an integer on every map;
+    it is returned as one (its numerator), and a map on which it is not
+    fails, so the bound is never a truncated one."""
+    twice = 2 * structure(m).genus
+    bound = twice.numerator
     prob, coeff = mon_top_detail(m)
     target = mon_top_degree_target(m)
-    return bound, (mon(m).degree <= min(bound, target) and prob == coeff
+    return bound, (twice.denominator == 1
+                   and mon(m).degree <= min(bound, target) and prob == coeff
                    and (not is_top_degree_map(m) or target == bound))
 
 
@@ -217,8 +228,9 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
     keyed by the sample's canonical form: one BFS per component of a
     known class, from its first side (a connected sample's side 0), looked
     up in the table of rooted traces, ``maps._COMPONENT_FORMS``.
-    Each sample draws its three pairings and its history through
-    ``_shuffle``, with the step tables of its size built once per n."""
+    Each sample draws its three pairings and its history in one call of
+    ``_draw_sample``, with the step tables of its size built once per n,
+    and its history weight's degree is compared with the integer bound."""
     checks = []
     # exhaustive regime: every map class and every history
     hist_ok = mon_ok = True
@@ -246,14 +258,11 @@ def suite_degree_bounds(n_exhaustive: int = 3, sampled=(4, 5),
         positions = list(range(2 * n))
         side_steps, edge_steps = _shuffle_steps(2 * n), _shuffle_steps(n)
         for _ in range(samples):
+            pairings, h = _draw_sample(getrandbits, positions, side_steps,
+                                       edge_steps)
             # valid by construction, so built unvalidated
-            m = _new_map(labels, *(_random_pairing(getrandbits, positions,
-                                                   side_steps)
-                                   for _ in range(3)))
+            m = _new_map(labels, *pairings)
             bound, class_ok = verdicts.get(m, _class_verdict)
-            # the edges as side positions, in the order of m.edges()
-            h = [(i, j) for i, j in enumerate(m._e) if i < j]
-            _shuffle(getrandbits, h, edge_steps)
             # the weight's degree is its count of twisted removals
             if not class_ok or _sides_weight(m, h)[0] > bound:
                 ok = False
@@ -357,7 +366,9 @@ def _round_trips(maps, inverse: bool) -> tuple[int, int, bool]:
     pair that an earlier round trip settled is answered from the family's
     results.  An object that is not equal to the stream map fails the
     check: the family key would then miss part of the map, and the results
-    read under it could belong to another map."""
+    read under it could belong to another map.  A map that is not
+    top-degree is the first state of each of its histories, so none of
+    them is a top-degree pair, and their states are not walked."""
     pairs = orient_hists = 0
     ok = True
     for m in maps:
@@ -368,9 +379,10 @@ def _round_trips(maps, inverse: bool) -> tuple[int, int, bool]:
         if orientable:
             orient_hists += math.factorial(m.n)
         graph = bicolored_graph(m)
+        top = is_top_degree_map(m)
         # m's own edges as sorted label pairs: a valid history as is
         for h in permutations(m.edges()):
-            if _failing_prefix(_states(m, h)) is None:
+            if top and _failing_prefix(_states(m, h)) is None:
                 pairs += 1
                 ok = _round_trip(m, h, graph, forward=True) and ok
             if orientable:
@@ -518,11 +530,8 @@ def suite_stanley_special() -> Report:
                        (Fraction(2), [(1,), (2,)]),
                        (Fraction(1, 2), [(1,), (2,)])):
         for pi in pis:
-            ok = True
-            for lam in lams:
-                oracle, mapsum = stanley_special(pi, lam, alpha)
-                if oracle != mapsum:
-                    ok = False
+            ok = all(oracle == mapsum for oracle, mapsum
+                     in _stanley_values(pi, lams, alpha))
             checks.append(Check(
                 f"alpha={alpha} pi={list(pi)}: character == map sum "
                 f"(all |lambda| <= 5)", ok, {"lambdas": str(len(lams))}))

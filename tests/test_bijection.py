@@ -82,6 +82,32 @@ class TestPhiInverse:
         assert again.map == nm
 
 
+class TestPastTheExhaustiveFrontier:
+    def test_random_side_labelled_maps_round_trip(self):
+        # random permutation pairs at n = 6, 8 and 10, each side-labelled
+        # and given a shuffled history of its edges
+        rng = random.Random(0)
+        draws = 0
+        for n, count in ((6, 300), (8, 200), (10, 100)):
+            for _ in range(count):
+                if draws % 50 == 0:
+                    clear_caches()
+                draws += 1
+                sigma1, sigma2 = list(range(n)), list(range(n))
+                rng.shuffle(sigma1)
+                rng.shuffle(sigma2)
+                nm = side_label(OrientedMap(sigma1, sigma2))
+                h = list(nm.eps)
+                rng.shuffle(h)
+                res = phi_inverse(nm, h)
+                assert is_top_degree_pair(res.map, h)
+                assert bicolored_graph(res.map) == bicolored_graph(nm)
+                again = phi(res.map, h)
+                assert again.map == nm
+                assert again.twists == res.twists
+        assert draws == 600
+
+
 class TestExhaustiveSmall:
     def test_round_trip_n2(self):
         pairs = 0

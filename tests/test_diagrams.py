@@ -139,6 +139,53 @@ class TestCountEmbeddings:
         assert count_embeddings(star, Partition([1])) == 1
 
 
+def label_level_embeddings(g, lam):
+    """count_embeddings by brute force: every map of the black vertices to
+    rows and of the white vertices to columns, counted when each edge
+    (b, w) has the column of w inside the row of b."""
+    rows = lam.parts
+    columns = range(rows[0] if rows else 0)
+    total = 0
+    for row in product(range(len(rows)), repeat=g.blacks):
+        for col in product(columns, repeat=g.whites):
+            total += all(col[w] < rows[row[b]] for b, w in g.edges)
+    return total
+
+
+@pytest.fixture(scope="module")
+def many_black_graphs():
+    """One graph per class with at least 4 black vertices of the oriented
+    and one-face tables at n = 4, 5."""
+    graphs = {}
+    for n in (4, 5):
+        for table in (_oriented_table(n), _one_face_table(n)[0]):
+            graphs.update((key, graph) for key, (graph, _) in table.items()
+                          if graph.blacks >= 4)
+    return list(graphs.values())
+
+
+class TestManyBlackVertices:
+    """Embedding counts past 3 black vertices, on diagrams with distinct
+    rows, against the brute force over labels."""
+
+    LAMS = ((2, 1), (3, 1), (3, 2, 1))
+
+    def test_count_matches_label_level_brute_force(self, many_black_graphs):
+        assert {g.blacks for g in many_black_graphs} == {4, 5}
+        for g in many_black_graphs:
+            for lam in map(Partition, self.LAMS):
+                assert count_embeddings(g, lam) == \
+                    label_level_embeddings(g, lam)
+
+    def test_normalized_is_the_signed_scaled_count(self, many_black_graphs):
+        for g in many_black_graphs:
+            for lam in map(Partition, self.LAMS):
+                count = label_level_embeddings(g, lam)
+                for a in (F(1), F(2), F(1, 2)):
+                    assert normalized_embeddings(g, lam, a) == \
+                        a ** g.whites / (-a) ** g.blacks * count
+
+
 class TestNormalizedEmbeddings:
     def test_single_edge_at_various_a(self):
         lam = Partition((2, 2))

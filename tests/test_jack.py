@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -401,6 +402,23 @@ class TestStanleySpecial:
                     oracle, mapsum = stanley_special(pi, lam, alpha)
                     assert oracle == mapsum
                     assert isinstance(oracle, Sqrt2)
+
+    def test_values_share_one_class_table(self, monkeypatch):
+        # one table per (alpha, pi), the values those of stanley_special
+        jack = importlib.import_module("monmap.jack")
+        lams = [(1,), (2,), (2, 1), (3, 1), (2, 2, 1)]
+        for alpha in (F(1), F(2), F(1, 2)):
+            for pi in ((1,), (2,)):
+                expected = [stanley_special(pi, lam, alpha) for lam in lams]
+                builds = []
+                real = jack._class_table
+                monkeypatch.setattr(jack, "_class_table", lambda pairs: (
+                    builds.append(1) or real(pairs)))
+                assert jack._stanley_values(pi, lams, alpha) == expected
+                assert builds == [1]
+                monkeypatch.undo()
+        with pytest.raises(JackGuardError, match="force=True"):
+            jack._stanley_values((1,), [(2,), (7,)], 1)
 
     @pytest.mark.parametrize("pi,lam", [((3, 1, 1), (2,)), ((1,), (7,))])
     def test_guards_name_force(self, pi, lam):

@@ -12,12 +12,12 @@ import pytest
 from monmap.algebra import GammaPoly
 from monmap.bijection import BijectionResult
 from monmap.enumeration import (all_maps, conservative_one_face,
-                                transitive_pairs_by_class)
+                                maps_by_class, transitive_pairs_by_class)
 from monmap.maps import (NonOrientedMap, canonical_form, clear_caches,
                          is_orientable, structure)
 from monmap.mon import _mon_pair, is_top_degree_map
 from monmap.oriented import side_label
-from monmap.verify import (Check, Report, SUITES, _random_pairing, _shuffle,
+from monmap.verify import (Check, Report, SUITES, _class_verdict, _draw_sample,
                            _shuffle_steps, report_render, run_suite)
 
 
@@ -69,6 +69,23 @@ def label_level_samples(seed, ns, samples):
             rng.shuffle(history)
             pairs.append((m, history))
     return pairs
+
+
+def shuffled_sample(rng, n):
+    """``_draw_sample``'s sample at n, drawn by four random.Random.shuffle
+    calls: three of the positions 0..2n-1, consecutive entries partners,
+    then one of the third pairing's edges as side-position pairs."""
+    pairings = []
+    for _ in range(3):
+        order = list(range(2 * n))
+        rng.shuffle(order)
+        partner = [None] * (2 * n)
+        for a, b in zip(order[::2], order[1::2]):
+            partner[a], partner[b] = b, a
+        pairings.append(tuple(partner))
+    history = [(i, j) for i, j in enumerate(pairings[2]) if i < j]
+    rng.shuffle(history)
+    return tuple(pairings), history
 
 
 def weighed_samples(monkeypatch):
@@ -322,30 +339,27 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_shuffle_draws_as_random_shuffle(self, seed):
-        for size in range(13):
+        # _draw_sample's four shuffles are random.Random.shuffle's: the
+        # history and the generator's state after the draw agree
+        for n in range(7):
             ours, theirs = random.Random(seed), random.Random(seed)
-            x, y = list(range(size)), list(range(size))
-            _shuffle(ours.getrandbits, x, _shuffle_steps(size))
-            theirs.shuffle(y)
-            assert x == y
+            _, h = _draw_sample(ours.getrandbits, list(range(2 * n)),
+                                _shuffle_steps(2 * n), _shuffle_steps(n))
+            _, history = shuffled_sample(theirs, n)
+            assert h == history
             assert ours.getstate() == theirs.getstate()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_pairing_pairs_a_random_shuffle(self, seed):
-        # consecutive entries of random.Random.shuffle's order are partners
-        for size in range(0, 13, 2):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            positions = list(range(size))
-            partner = _random_pairing(ours.getrandbits, positions,
-                                      _shuffle_steps(size))
-            order = list(range(size))
-            theirs.shuffle(order)
-            expected = [None] * size
-            for a, b in zip(order[::2], order[1::2]):
-                expected[a], expected[b] = b, a
-            assert partner == tuple(expected)
-            assert positions == list(range(size))
-            assert ours.getstate() == theirs.getstate()
+        # each of _draw_sample's three pairings pairs consecutive entries
+        # of random.Random.shuffle's order of the positions
+        for n in range(7):
+            positions = list(range(2 * n))
+            pairings, _ = _draw_sample(random.Random(seed).getrandbits,
+                                       positions, _shuffle_steps(2 * n),
+                                       _shuffle_steps(n))
+            assert pairings == shuffled_sample(random.Random(seed), n)[0]
+            assert positions == list(range(2 * n))
 
     def test_sampled_maps_are_valid(self, monkeypatch):
         # the sampler builds its maps unvalidated; each must be one the
@@ -357,6 +371,22 @@ class TestRunSuite:
         assert [m.n for m, _ in weighed] == [4] * 500 + [5] * 500
         for m, _ in weighed:
             assert NonOrientedMap.from_arrays(m.labels, m._b, m._w, m._e) == m
+
+    def test_class_verdict_fails_a_genus_that_is_not_a_half_integer(
+            self, monkeypatch):
+        # the bound is 2 * genus as an int; a genus off the half-integers
+        # fails the class rather than giving a truncated bound
+        verify = importlib.import_module("monmap.verify")
+        maps = [m for m, _ in maps_by_class(3)]
+        for m in maps:
+            bound, ok = _class_verdict(m)
+            assert ok and type(bound) is int
+            assert bound == 2 * structure(m).genus
+        real = verify.structure
+        for shift in (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 4)):
+            monkeypatch.setattr(verify, "structure", lambda m: dataclasses.
+                                replace(real(m), genus=real(m).genus + shift))
+            assert not any(_class_verdict(m)[1] for m in maps)
 
     def test_sampled_part_decides_each_class_once(self, monkeypatch):
         verify = importlib.import_module("monmap.verify")
