@@ -2,11 +2,9 @@
 
 Rationals are ``fractions.Fraction`` throughout.  This module adds the two
 algebraic structures the map sums need on top of that: dense univariate
-polynomials, in the deformation variable ``gamma`` for the map sums and in
-a grading variable when the closed character polynomials are split into
-homogeneous parts, and the quadratic extension Q[sqrt(2)] used for the
-alpha in {2, 1/2} special-value checks.  No floating point is used
-anywhere.
+polynomials in the deformation variable ``gamma``, and the quadratic
+extension Q[sqrt(2)] used for the alpha in {2, 1/2} special-value checks.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -134,10 +132,7 @@ def gamma_of(a):
 
 
 class GammaPoly:
-    """Dense univariate polynomial with Fraction coefficients.
-
-    The variable is gamma in the map sums, and a grading variable t in
-    ``jack.ch_stanley``.
+    """Dense univariate polynomial in gamma with Fraction coefficients.
 
     Trailing zero coefficients are trimmed; the zero polynomial has degree
     -inf.  Instances are immutable and hashable.

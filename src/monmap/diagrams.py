@@ -187,14 +187,20 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
     return total
 
 
+def _signed_scale(blacks: int, whites: int, a: Scalar) -> Scalar:
+    """A^{#white} / (-A)^{#black}: the factor that normalizes the embedding
+    count of a graph with these vertex counts."""
+    if not a:
+        raise DiagramError("A must be nonzero")
+    sign = -1 if blacks % 2 else 1
+    return a ** (whites - blacks) * sign
+
+
 def normalized_embeddings(g: BicoloredGraph, lam: Partition,
                           a: Scalar) -> Scalar:
     """A^{#white} / (-A)^{#black} times the embedding count."""
-    if not a:
-        raise DiagramError("A must be nonzero")
-    n = count_embeddings(g, lam)
-    sign = -1 if g.blacks % 2 else 1
-    return a ** (g.whites - g.blacks) * (sign * n)
+    scale = _signed_scale(g.blacks, g.whites, a)
+    return scale * count_embeddings(g, lam)
 
 
 MAX_EMBEDDING_SEARCH = 10 ** 6  # row assignments; about 2 s
@@ -224,7 +230,8 @@ def _class_table(weighted: Iterable[tuple[BicoloredGraph, Scalar]]
 
     A map-sum summand is w * base^(top-|V|) * N~_G(lambda), and |V| and
     N~_G depend only on the class of G, so :func:`_class_sums` over the
-    table equals the sum over the pairs with one embedding count per class.
+    table equals the sum over the pairs with one embedding count per class
+    (and one sign/scale factor per (#black, #white) group).
     A stream repeats its labelled graphs (the 5 408 transitive pairs of
     :func:`_oriented_table` at n = 6 have 445 distinct ones), so each
     distinct graph is canonicalised once, through a dict that lives for
@@ -280,17 +287,32 @@ def _class_sums(tables, lam: Partition, a: Scalar, base: Scalar,
                 top: int) -> list[Scalar]:
     """For each class table, the sum of w * base^(top-|V|) * N~_G(lam) at
     scale a over its (G, w), with one embedding count per class of the
-    union of the tables."""
-    sums = [a * 0] * len(tables)
+    union of the tables.
+
+    N~_G is the count times :func:`_signed_scale`, and that factor and
+    base^(top-|V|) depend on (#black, #white) alone, so each table's
+    w * count is summed per (#black, #white) group and each group's sum
+    is scaled once.  Only ring operations are used, so int, Fraction and
+    Sqrt2 weights and scalars all work."""
     union = {key: graph
              for table in tables for key, (graph, _) in table.items()}
+    groups: dict[tuple[int, int], list] = {}
     for key, graph in union.items():
-        term = (base ** (top - graph.blacks - graph.whites)
-                * normalized_embeddings(graph, lam, a))
+        count = count_embeddings(graph, lam)
+        sums = groups.get((graph.blacks, graph.whites))
+        if sums is None:
+            sums = groups[graph.blacks, graph.whites] = [0] * len(tables)
         for i, table in enumerate(tables):
-            if key in table:
-                sums[i] += table[key][1] * term
-    return sums
+            entry = table.get(key)
+            if entry is not None:
+                sums[i] += entry[1] * count
+    totals = [a * 0] * len(tables)
+    for (blacks, whites), sums in groups.items():
+        scale = (base ** (top - blacks - whites)
+                 * _signed_scale(blacks, whites, a))
+        for i, s in enumerate(sums):
+            totals[i] += s * scale
+    return totals
 
 
 def top_map_sums(n: int, mr: MultiRect,
@@ -311,10 +333,11 @@ def top_map_sums(n: int, mr: MultiRect,
     Each summand depends only on the bicolored graph (and on mon_top(M)),
     so each side walks its stream once (:func:`_oriented_table`,
     :func:`_one_face_table`) and sums the weights of each graph class,
-    and one graph per class of the two tables together is embedded.  The
-    guards run before either stream is walked, and a one-face map on
-    which mon_top's two routes disagree raises ``AssertionError``, as
-    :func:`mon_top` does.
+    and one graph per class of the two tables together is embedded; the
+    weighted counts are summed per (#black, #white) group, and gamma and
+    A enter once per group (:func:`_class_sums`).  The guards run before
+    either stream is walked, and a one-face map on which mon_top's two
+    routes disagree raises ``AssertionError``, as :func:`mon_top` does.
     """
     lam = _map_sum_diagram(n, mr, force)
     oriented = _oriented_table(n, force)

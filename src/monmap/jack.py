@@ -22,9 +22,9 @@ characters via Murnaghan-Nakayama), a literal transcription of the closed
 multirectangular polynomials for the first three characters, and the
 special-value identities at alpha in {1, 2, 1/2} that tie characters to
 map sums.  The closed forms are never expanded into monomials: they are
-evaluated at one point, directly where only the value is read, and with
-every argument times a grading variable t where the homogeneous parts are
-(the powers of t in the result separate them).
+evaluated at one point.  ``ch_stanley`` evaluates them over the integers,
+at the numerators of the point over one common denominator D, and
+separates the homogeneous parts by their powers of D.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence, Union
 
-from .algebra import SQRT2, GammaPoly, Sqrt2, _as_fraction
+from .algebra import SQRT2, Sqrt2, _as_fraction
 from .diagrams import Partition, _class_sums, _class_table
 from .enumeration import FORCE_HINT, conservative_maps
 from .maps import _CACHES, bicolored_graph
@@ -299,19 +299,27 @@ def stanley_closed_form(n: int, g, p: Sequence, q: Sequence):
 def ch_stanley(n: int, gamma, P: Sequence, Q: Sequence):
     """(full value, top-homogeneous value) of the closed Ch_n polynomial.
 
-    The polynomial f is evaluated at (t*gamma, t*P, t*Q) in Q[t], with
-    ``GammaPoly`` serving as Q[t]; t is a grading variable, not gamma.  Then
-    f(t*gamma, t*P, t*Q) = sum_d t^d * f_d(gamma, P, Q), where f_d is the
-    degree-d homogeneous part of f.  The full value is the sum of the
-    coefficients and the top part, of degree n + 1, is coefficient n + 1.
+    gamma, P and Q are put over one common denominator D, and the closed
+    form is evaluated once at their integer numerators (D*gamma, D*P,
+    D*Q), where its degree-d part takes the factor D^d.  The top part has
+    degree n + 1, and the only part below it is the degree-2 sum of
+    p_i * q_i of Ch_3 (Ch_1 and Ch_2 are homogeneous), so the two parts
+    are split over the integers and each is divided by its power of D.
     """
     if len(P) != len(Q):
         raise ValueError("P and Q must have the same length")
-
-    t = GammaPoly((0, 1))
-    value = stanley_closed_form(n, t * gamma, [t * x for x in P],
-                                [t * x for x in Q])
-    return sum(value.coeffs, Fraction(0)), value.coefficient(n + 1)
+    gamma = _as_fraction(gamma)
+    P = [_as_fraction(x) for x in P]
+    Q = [_as_fraction(x) for x in Q]
+    d = math.lcm(gamma.denominator, *(x.denominator for x in P),
+                 *(x.denominator for x in Q))
+    g = gamma.numerator * (d // gamma.denominator)
+    p = [x.numerator * (d // x.denominator) for x in P]
+    q = [x.numerator * (d // x.denominator) for x in Q]
+    value = stanley_closed_form(n, g, p, q)
+    low = sum(x * y for x, y in zip(p, q)) if n == 3 else 0
+    top = Fraction(value - low, d ** (n + 1))
+    return top + Fraction(low, d * d), top
 
 
 # -- special-value identities (Stanley formulas) ----------------------------

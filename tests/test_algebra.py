@@ -90,6 +90,64 @@ class TestSqrt2:
             assert (x / y) * y == x
 
 
+def pair_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c + 2 * b * d, a * d + b * c
+
+
+def pair_inverse(x):
+    a, b = x
+    norm = a * a - 2 * b * b
+    return a / norm, -b / norm
+
+
+def pair_pow(x, k):
+    base = x if k >= 0 else pair_inverse(x)
+    out = (F(1), F(0))
+    for _ in range(abs(k)):
+        out = pair_mul(out, base)
+    return out
+
+
+def as_pair(x):
+    assert isinstance(x, Sqrt2)
+    return x.a, x.b
+
+
+small_fractions = st.fractions(min_value=-20, max_value=20,
+                               max_denominator=30)
+
+
+class TestSqrt2Operators:
+    """Each operator of Q[sqrt2] against (a, b) pairs of Fractions, with
+    rational and int operands on either side."""
+
+    @given(small_fractions, small_fractions, small_fractions,
+           small_fractions, small_fractions, st.integers(-20, 20),
+           st.integers(-4, 4))
+    def test_match_the_pair_reference(self, a, b, c, d, r, i, k):
+        x, y = Sqrt2(a, b), Sqrt2(c, d)
+        assert as_pair(-x) == (-a, -b)
+        assert as_pair(x - y) == (a - c, b - d)
+        for s in (r, i):
+            assert as_pair(x - s) == (a - s, b)
+            assert as_pair(s - x) == (s - a, -b)  # __rsub__
+            if s:
+                assert as_pair(x / s) == (a / s, b / s)
+        if y:
+            assert as_pair(x / y) == pair_mul((a, b), pair_inverse((c, d)))
+        if x:
+            assert as_pair(x.inverse()) == pair_inverse((a, b))
+            for s in (r, i):  # __rtruediv__
+                assert as_pair(s / x) == pair_mul((s, 0), pair_inverse((a, b)))
+            assert as_pair(x ** k) == pair_pow((a, b), k)
+        elif k < 0:
+            with pytest.raises(ZeroDivisionError):
+                x ** k
+        else:
+            assert as_pair(x ** k) == ((F(1), F(0)) if k == 0 else (0, 0))
+
+
 class TestGammaOf:
     def test_values(self):
         assert gamma_of(F(1)) == 0

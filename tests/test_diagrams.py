@@ -215,6 +215,87 @@ class TestNormalizedEmbeddings:
             assert values[0] == values[1]
 
 
+def per_class_sums(tables, lam, a, base, top):
+    """_class_sums with one term per class: the sum of
+    w * base^(top-|V|) * N~_G(lam) over each table's (G, w), with N~ from
+    normalized_embeddings."""
+    sums = [a * 0] * len(tables)
+    union = {key: graph
+             for table in tables for key, (graph, _) in table.items()}
+    for key, graph in union.items():
+        term = (base ** (top - graph.blacks - graph.whites)
+                * normalized_embeddings(graph, lam, a))
+        for i, table in enumerate(tables):
+            if key in table:
+                sums[i] += table[key][1] * term
+    return sums
+
+
+@pytest.fixture
+def checked_class_sums(monkeypatch):
+    """Replace _class_sums in the given module by a spy that checks each
+    call against per_class_sums; returns the list of checked calls."""
+    real = importlib.import_module("monmap.diagrams")._class_sums
+    calls = []
+
+    def install(module):
+        def spy(tables, lam, a, base, top):
+            got = real(tables, lam, a, base, top)
+            assert got == per_class_sums(tables, lam, a, base, top)
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(importlib.import_module(module), "_class_sums",
+                            spy)
+        return calls
+
+    return install
+
+
+class TestClassSumsByGroup:
+    """_class_sums, summed per (#black, #white) group, against one term per
+    class."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_second_main_theorem_points(self, n):
+        tables = [_oriented_table(n), _one_face_table(n)[0]]
+        points = SECOND_THEOREM_POINTS + tuple(_printed_grid())
+        groups = set()
+        for pt in points:
+            mr = MultiRect.from_primes(*pt)
+            args = (tables, mr.diagram(), mr.A, mr.gamma, n + 1)
+            assert _class_sums(*args) == per_class_sums(*args)
+        for table in tables:
+            groups |= {(g.blacks, g.whites) for g, _ in table.values()}
+        # every (#black, #white) with #black + #white <= n + 1 occurs
+        assert len(groups) == n * (n + 1) // 2
+
+    @pytest.mark.parametrize("alpha, pi", [
+        (F(1), (1,)), (F(1), (2,)), (F(1), (3,)), (F(1), (2, 1)),
+        (F(2), (1,)), (F(2), (2,)), (F(1, 2), (1,)), (F(1, 2), (2,))],
+        ids=["1-1", "1-2", "1-3", "1-21", "2-1", "2-2", "1/2-1", "1/2-2"])
+    def test_stanley_special_tables(self, checked_class_sums, alpha, pi):
+        lams = [lam for d in range(1, 6) for lam in partitions_of(d)]
+        calls = checked_class_sums("monmap.jack")
+        values = importlib.import_module("monmap.jack")._stanley_values(
+            pi, lams, alpha)
+        assert all(oracle == mapsum for oracle, mapsum in values)
+        assert len(calls) == len(lams)
+        if alpha != 1:  # in Q[sqrt2], and irrational for pi = (2,)
+            assert all(isinstance(x, Sqrt2) for [x] in calls)
+            assert any(x.b for [x] in calls) == (pi == (2,))
+
+    @pytest.mark.parametrize("a", [F(1), F(2), F(1, 3), SQRT2,
+                                   Sqrt2(0, F(1, 2))],
+                             ids=["1", "2", "1/3", "sqrt2", "1/sqrt2"])
+    def test_ogs_full(self, checked_class_sums, a):
+        calls = checked_class_sums("monmap.diagrams")
+        for pi in ((1,), (2,), (1, 1), (3,), (2, 1)):
+            for lam in ((1,), (2, 1), (3, 1), (2, 2, 1)):
+                ogs_full(pi, Partition(lam), a)
+        assert len(calls) == 20
+
+
 def one_table_sum(table, n, mr):
     """The sum of one class table at mr, embedding that table's classes."""
     return _class_sums([table], mr.diagram(), mr.A, mr.gamma, n + 1)[0]

@@ -1,5 +1,6 @@
 import importlib
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -13,6 +14,7 @@ from monmap.jack import (JackGuardError, _jack_family, _m_to_p, alpha_of, ch,
                          normalized_sn_character, partitions_of, sn_character,
                          sn_dimension, stanley_closed_form, stanley_special)
 from monmap.oriented import z_of
+from monmap.verify import _printed_grid
 
 F = Fraction
 
@@ -381,6 +383,53 @@ class TestStanleyPolynomials:
                     for n in (1, 2, 3):
                         full, _ = ch_stanley(n, mr.gamma, mr.P, mr.Q)
                         assert ch((n,), lam, a) == full
+
+
+def graded_ch_stanley(n, gamma, P, Q):
+    """ch_stanley through Q[t]: the closed form at t * (gamma, P, Q), with
+    GammaPoly as Q[t], is sum_d t^d f_d(gamma, P, Q); the full value is
+    the sum of its coefficients and the top part coefficient n + 1."""
+    t = GammaPoly((0, 1))
+    value = stanley_closed_form(n, t * gamma, [t * x for x in P],
+                                [t * x for x in Q])
+    return sum(value.coeffs, F(0)), value.coefficient(n + 1)
+
+
+def random_rational(rng):
+    return F(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+class TestIntegerEvaluation:
+    """ch_stanley over the integers against the graded evaluation in Q[t]."""
+
+    @staticmethod
+    def check(n, gamma, P, Q):
+        got = ch_stanley(n, gamma, P, Q)
+        assert got == graded_ch_stanley(n, gamma, P, Q)
+        assert all(type(x) is F for x in got)
+
+    def test_grid_points(self):
+        points = [(n, MultiRect.from_primes(*pt))
+                  for pt in _printed_grid() for n in (1, 2, 3)]
+        points += jack_oracle_points()
+        assert len(points) == 3 * 36 + 348
+        for n, mr in points:
+            self.check(n, mr.gamma, mr.P, mr.Q)
+
+    def test_random_rational_points(self):
+        rng = random.Random(0)
+        lengths = set()
+        for _ in range(3000):
+            n, ell = rng.choice((1, 2, 3)), rng.randint(0, 4)
+            lengths.add(ell)
+            P = [random_rational(rng) for _ in range(ell)]
+            Q = [random_rational(rng) for _ in range(ell)]
+            self.check(n, random_rational(rng), P, Q)
+        assert lengths == {0, 1, 2, 3, 4}
+
+    def test_integer_arguments(self):
+        self.check(3, 2, (1, 2, 3), (5, 3, 1))
+        self.check(2, F(-3, 2), (1, 2), (F(4, 7), 1))
 
 
 class TestStanleySpecial:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monmap.enumeration import all_maps, conservative_one_face
+from monmap.enumeration import all_maps, conservative_one_face, maps_by_class
 from monmap.maps import (_COMPONENT_FORMS, BicoloredGraph, EdgeKind, MapError,
                          NonOrientedMap, _component_trace, _edge_index,
                          _trace_bytes, _twist_sides, bicolored_graph,
@@ -285,6 +285,24 @@ def _permuted(m, p):
             out[p[i]] = p[j]
         arrays.append(out)
     return NonOrientedMap.from_arrays(m.labels, *arrays)
+
+
+class TestFormStability:
+    """A class's form is its least trace whichever rooting is met first."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_relabelled_from_cold_caches(self, n):
+        rng = random.Random(n)
+        representatives = [m for m, _ in maps_by_class(n)]
+        for m in representatives:
+            clear_caches()
+            form = canonical_form(m)
+            assert form == ref_canonical_form(m)
+            for _ in range(3):
+                p = list(range(2 * n))
+                rng.shuffle(p)
+                clear_caches()
+                assert canonical_form(_permuted(m, p)) == form
 
 
 class TestSideTrace:
