@@ -23,12 +23,12 @@ from .jack import JackGuardError, alpha_of, ch, ch_stanley, jack_in_p
 from .maps import (MapError, bicolored_graph, checked_pairs, load_fixture,
                    map_from_json_obj, map_to_json_obj, structure, graph_class,
                    is_orientable, faces)
-from .mon import is_top_degree_pair, mon, mon_top_detail
+from .mon import MonTopMismatch, is_top_degree_pair, mon, mon_top
 from .oriented import oriented_to_json_obj
 from .verify import SUITES, SUITE_ALIASES, report_render, run_suite
 
 DOMAIN_ERRORS = (MapError, DiagramError, GuardExceeded, JackGuardError,
-                 ZeroDivisionError, OSError)
+                 MonTopMismatch, ZeroDivisionError, OSError)
 
 FIXTURES = ("klein", "projective")
 # From cold caches, `mon` with `mon_top_detail` grows about 2.3x per edge,
@@ -174,15 +174,9 @@ def cmd_mon(args) -> int:
         raise MapError(f"mon of a map with {m.n} edges exceeds the guard of "
                        f"{MAX_MON_EDGES} (it canonicalises up to 2^n "
                        f"residual maps)")
-    poly = mon(m)
-    prob, coeff = mon_top_detail(m)
-    if prob != coeff:
-        print("internal inconsistency between mon_top computations",
-              file=sys.stderr)
-        return 2
     _emit({
-        "mon": [_frac_obj(c) for c in poly.coeffs],
-        "mon_top": _frac_obj(prob),
+        "mon": [_frac_obj(c) for c in mon(m).coeffs],
+        "mon_top": _frac_obj(mon_top(m)),
     }, args.out)
     return 0
 
@@ -211,7 +205,7 @@ def cmd_chtop(args) -> int:
             "chtop needs rational A (multirectangular coordinates must "
             "realize an integer diagram)")
     mr = MultiRect(args.P, args.Q, args.A)
-    oriented_sum, one_face = top_map_sums(args.n, mr, force=args.force)
+    [(oriented_sum, one_face)] = top_map_sums(args.n, [mr], force=args.force)
     payload = {
         "n": args.n,
         "gamma": _frac_obj(mr.gamma),

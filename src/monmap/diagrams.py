@@ -20,7 +20,7 @@ from .algebra import Sqrt2, _as_fraction, gamma_of
 from .enumeration import (FORCE_HINT, conservative_maps, one_face_orbits,
                           transitive_pairs_by_class)
 from .maps import BicoloredGraph, bicolored_graph, canonical_graph_class
-from .mon import _history_counts, _top_detail, mon
+from .mon import MonTopMismatch, _history_counts, _top_detail, mon
 from .oriented import bicolored_graph_oriented, z_of
 
 Scalar = Union[Fraction, Sqrt2]
@@ -189,7 +189,10 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
 
 def _signed_scale(blacks: int, whites: int, a: Scalar) -> Scalar:
     """A^{#white} / (-A)^{#black}: the factor that normalizes the embedding
-    count of a graph with these vertex counts."""
+    count of a graph with these vertex counts.  An int A is taken as a
+    Fraction, so a negative power stays exact."""
+    if not isinstance(a, Sqrt2):
+        a = _as_fraction(a)
     if not a:
         raise DiagramError("A must be nonzero")
     sign = -1 if blacks % 2 else 1
@@ -315,10 +318,11 @@ def _class_sums(tables, lam: Partition, a: Scalar, base: Scalar,
     return totals
 
 
-def top_map_sums(n: int, mr: MultiRect,
-                 force: bool = False) -> tuple[Fraction, Fraction]:
-    """The two top-degree character map sums at the lattice point mr:
-    (chtop, ogs_top), with lambda = mr.diagram() and gamma = mr.gamma.
+def top_map_sums(n: int, points: Iterable[MultiRect], force: bool = False
+                 ) -> list[tuple[Fraction, Fraction]]:
+    """The two top-degree character map sums at each lattice point mr of
+    points, in order: (chtop, ogs_top), with lambda = mr.diagram() and
+    gamma = mr.gamma.
 
     chtop, the oriented side, is (-1) * the sum over transitive
     (sigma1, sigma2) of gamma^(n+1-|V|) * N~_G(lambda), divided by (n-1)!
@@ -331,32 +335,39 @@ def top_map_sums(n: int, mr: MultiRect,
     :func:`normalized_embeddings` at scale mr.A.
 
     Each summand depends only on the bicolored graph (and on mon_top(M)),
-    so each side walks its stream once (:func:`_oriented_table`,
-    :func:`_one_face_table`) and sums the weights of each graph class,
-    and one graph per class of the two tables together is embedded; the
-    weighted counts are summed per (#black, #white) group, and gamma and
-    A enter once per group (:func:`_class_sums`).  The guards run before
-    either stream is walked, and a one-face map on which mon_top's two
-    routes disagree raises ``AssertionError``, as :func:`mon_top` does.
+    so each side walks its stream once per call (:func:`_oriented_table`,
+    :func:`_one_face_table`) and sums the weights of each graph class, and
+    at each point one graph per class of the two tables together is
+    embedded; the weighted counts are summed per (#black, #white) group,
+    and gamma and A enter once per group (:func:`_class_sums`).  The
+    guards of every point run before either stream is walked, and a
+    one-face map on which mon_top's two routes disagree raises
+    :class:`~monmap.mon.MonTopMismatch`, as :func:`mon_top` does.
     """
-    lam = _map_sum_diagram(n, mr, force)
+    lams = [(mr, _map_sum_diagram(n, mr, force)) for mr in points]
     oriented = _oriented_table(n, force)
     one_face, mismatched = _one_face_table(n, force)
     if mismatched:
-        raise AssertionError(
+        raise MonTopMismatch(
             f"mon_top mismatch: probability and coefficient differ on a "
             f"one-face map with n={n}")
-    oriented_sum, one_face_sum = _class_sums([oriented, one_face], lam, mr.A,
-                                             mr.gamma, n + 1)
-    return -oriented_sum, one_face_sum
+    sums = []
+    for mr, lam in lams:
+        oriented_sum, one_face_sum = _class_sums(
+            [oriented, one_face], lam, mr.A, mr.gamma, n + 1)
+        sums.append((-oriented_sum, one_face_sum))
+    return sums
 
 
-def ogs_full(pi, lam: Partition, a: Scalar, force: bool = False) -> Scalar:
-    """Full orientability generating series at a point:
-    (-1)^{l(pi)} sum over conservative maps of face-type pi of
+def ogs_full(pi, lams: Iterable, a: Scalar,
+             force: bool = False) -> list[Scalar]:
+    """Full orientability generating series at each diagram of lams, in
+    order: (-1)^{l(pi)} sum over conservative maps of face-type pi of
     mon_M(gamma) * normalized embeddings, with mon_M(gamma) summed by
-    bicolored graph class first (:func:`_class_table`)."""
+    bicolored graph class first (:func:`_class_table`), in one table for
+    all of lams."""
     pi = Partition(pi)
+    lams = [Partition(lam) for lam in lams]
     if pi.size + pi.length > 8 and not force:
         raise DiagramError(
             f"|pi| + l(pi) = {pi.size + pi.length} exceeds the guard (8); "
@@ -365,4 +376,5 @@ def ogs_full(pi, lam: Partition, a: Scalar, force: bool = False) -> Scalar:
     table = _class_table((bicolored_graph(m), mon(m).evaluate(g))
                          for m in conservative_maps(pi.parts))
     sign = -1 if pi.length % 2 else 1
-    return sign * _class_sums([table], lam, a, Fraction(1), 0)[0]
+    return [sign * _class_sums([table], lam, a, Fraction(1), 0)[0]
+            for lam in lams]

@@ -344,22 +344,17 @@ def oriented_face_type_maps(pi):
         yield OrientedMap(s1, s2)
 
 
-def stanley_special(pi, lam, alpha, force: bool = False):
-    """(character oracle value, map-sum value) at alpha in {1, 2, 1/2}.
+def stanley_special(pi, lams, alpha, force: bool = False) -> list:
+    """(character oracle value, map-sum value) at alpha in {1, 2, 1/2}, for
+    each diagram of lams, in order.
 
     alpha = 1: signed embedding sum over oriented maps with face-type pi.
     alpha = 2 (A = sqrt2) and 1/2 (A = 1/sqrt2): weighted embedding sums
     over non-oriented conservative maps of face-type pi, computed exactly
-    in Q[sqrt(2)].  Each sum counts the maps of a bicolored graph class
-    first and embeds one graph per class.
+    in Q[sqrt(2)].  The guards of every diagram run first; then the maps
+    of face-type pi are counted by bicolored graph class in one table for
+    all of lams, and one graph per class is embedded at each diagram.
     """
-    return _stanley_values(pi, [lam], alpha, force)[0]
-
-
-def _stanley_values(pi, lams, alpha, force: bool = False) -> list:
-    """``stanley_special(pi, lam, alpha, force)`` for each lam of lams, in
-    order, with the guards of every lam checked first and one class table
-    of the maps of face-type pi built for all of them."""
     pi = Partition(pi)
     lams = [Partition(lam) for lam in lams]
     alpha = _as_fraction(alpha)
@@ -368,27 +363,22 @@ def _stanley_values(pi, lams, alpha, force: bool = False) -> list:
             f"|pi| + l(pi) exceeds the guard (6); {FORCE_HINT}")
     if any(lam.size > JACK_SIZE_GUARD for lam in lams) and not force:
         raise JackGuardError(f"|lambda| exceeds the guard (6); {FORCE_HINT}")
-    sign = -1 if pi.length % 2 else 1
-
     if alpha == 1:
-        a = Fraction(1)
+        a = base = Fraction(1)
         table = _class_table((bicolored_graph_oriented(om), 1)
                              for om in oriented_face_type_maps(pi))
-        return [(ch(pi.parts, lam, a, force=force),
-                 sign * _class_sums([table], lam, a, Fraction(1), 0)[0])
-                for lam in lams]
-
-    if alpha == 2:
-        a = SQRT2
-        base = Sqrt2(0, Fraction(-1, 2))  # -1/sqrt2
-    elif alpha == Fraction(1, 2):
-        a = Sqrt2(0, Fraction(1, 2))  # 1/sqrt2
-        base = Sqrt2(0, Fraction(1, 2))
     else:
-        raise ValueError("alpha must be one of 1, 2, 1/2")
-
-    table = _class_table((bicolored_graph(m), 1)
-                         for m in conservative_maps(pi.parts))
+        if alpha == 2:
+            a = SQRT2
+            base = Sqrt2(0, Fraction(-1, 2))  # -1/sqrt2
+        elif alpha == Fraction(1, 2):
+            a = Sqrt2(0, Fraction(1, 2))  # 1/sqrt2
+            base = Sqrt2(0, Fraction(1, 2))
+        else:
+            raise ValueError("alpha must be one of 1, 2, 1/2")
+        table = _class_table((bicolored_graph(m), 1)
+                             for m in conservative_maps(pi.parts))
+    sign = -1 if pi.length % 2 else 1
     values = []
     for lam in lams:
         oracle = ch(pi.parts, lam, a, force=force)

@@ -268,10 +268,14 @@ def _top_detail(m: NonOrientedMap, counts) -> tuple[Fraction, Fraction]:
     return Fraction(k, labelings), Fraction(coeff, scale)
 
 
+class MonTopMismatch(AssertionError):
+    """mon_top's two routes, the probability and the coefficient, differ."""
+
+
 def mon_top(m: NonOrientedMap) -> Fraction:
     prob, coeff = mon_top_detail(m)
     if prob != coeff:
-        raise AssertionError(
+        raise MonTopMismatch(
             f"mon_top mismatch: probability {prob} vs coefficient {coeff} "
             f"on {m!r}")
     return prob

@@ -18,22 +18,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from .algebra import GammaPoly, Sqrt2
+from .algebra import SQRT2, GammaPoly, Sqrt2
 from .bijection import (DichotomyError, NotInDomainError, _level0, phi,
                         phi_inverse)
-from .diagrams import (MultiRect, Partition, _class_sums, _map_sum_diagram,
-                       _one_face_table, _oriented_table)
+from .diagrams import (MultiRect, Partition, _one_face_table, _oriented_table,
+                       top_map_sums)
 from .enumeration import (all_maps, class_stream, conservative_one_face,
                           group_by, involutions, liberal_one_face,
                           maps_by_class, transitive_pairs_by_class)
-from .jack import (_stanley_values, ch, ch_stanley, jack_in_p,
-                   jack_inner_product, partitions_of)
+from .jack import (alpha_of, ch, ch_stanley, jack_in_p, jack_inner_product,
+                   partitions_of, stanley_special)
 from .maps import (ClassMemo, EdgeKind, NonOrientedMap, _new_map,
                    bicolored_graph, canonical_form, classify_edge,
                    is_orientable, load_fixture, structure)
-from .mon import (_failing_prefix, _sides_weight, _states, history_weight,
-                  is_top_degree_map, lemma_equivalence_check, mon,
-                  mon_top_detail, mon_top_degree_target)
+from .mon import (MonTopMismatch, _failing_prefix, _sides_weight, _states,
+                  history_weight, is_top_degree_map, lemma_equivalence_check,
+                  mon, mon_top_detail, mon_top_degree_target)
 from .oriented import side_label
 
 
@@ -438,49 +438,39 @@ def _printed_grid():
 
 
 def suite_second_main_theorem(ns=(1, 2, 3, 4), force: bool = False) -> Report:
-    """Both top-degree map sums, from one class table per n and side that
-    every point reuses; a mon_top route mismatch fails that n's checks.
+    """Both top-degree map sums, from one ``top_map_sums`` call per n over
+    the points and, for n <= 3, the closed-form grid; a mon_top route
+    mismatch, which that call raises, fails that n's checks.
 
-    The tables are those of ``top_map_sums``: chtop is minus the oriented
-    table's sum and ogs_top is the one-face table's sum, so the documented
-    reconciliation chtop = (-1) * ogs_top holds when the two table sums
-    are equal."""
+    The documented reconciliation is chtop = (-1) * ogs_top, and on the
+    grid both equal the top part of the closed form."""
     points = [MultiRect.from_primes(*pt) for pt in SECOND_THEOREM_POINTS]
+    grid = [MultiRect.from_primes(*pt) for pt in _printed_grid()]
     checks = []
-    tables = {}
-    agree = {}
+    grid_ok = {}
     for n in ns:
-        # the guards run before any stream is walked
-        lams = [_map_sum_diagram(n, mr, force) for mr in points]
-        one_face, mismatched = _one_face_table(n, force)
-        tables[n] = (_oriented_table(n, force), one_face)
-        agree[n] = not mismatched
-        ok = agree[n]
-        for mr, lam in zip(points, lams):
-            oriented_sum, one_face_sum = _class_sums(tables[n], lam, mr.A,
-                                                     mr.gamma, n + 1)
-            if oriented_sum != one_face_sum:
-                ok = False
+        on_grid = n in (1, 2, 3)
+        try:
+            sums = top_map_sums(n, points + grid if on_grid else points,
+                                force)
+        except MonTopMismatch:
+            sums = None
+        ok = sums is not None and all(
+            chtop == -ogs_top for chtop, ogs_top in sums[:len(points)])
         checks.append(Check(
             f"n={n}: oriented sum == (-1) * one-face mon_top sum "
             f"({len(points)} points)", ok,
             {"points": str(len(points)),
              "sign_reconciliation": "chtop = -ogs_displayed"}))
-    grid = [MultiRect.from_primes(*pt) for pt in _printed_grid()]
-    for n in (1, 2, 3):
-        if n not in ns:
-            continue
-        ok = agree[n]
-        for mr in grid:
-            lam = _map_sum_diagram(n, mr, force)
-            oriented_sum, one_face_sum = _class_sums(tables[n], lam, mr.A,
-                                                     mr.gamma, n + 1)
-            _, top = ch_stanley(n, mr.gamma, mr.P, mr.Q)
-            if not -oriented_sum == -one_face_sum == top:
-                ok = False
+        if on_grid:
+            grid_ok[n] = sums is not None and all(
+                chtop == -ogs_top == ch_stanley(n, mr.gamma, mr.P, mr.Q)[1]
+                for mr, (chtop, ogs_top) in zip(grid, sums[len(points):]))
+    for n in sorted(grid_ok):
         checks.append(Check(
             f"n={n}: both map sums equal the closed-form top part "
-            f"({len(grid)} grid points)", ok, {"points": str(len(grid))}))
+            f"({len(grid)} grid points)", grid_ok[n],
+            {"points": str(len(grid))}))
     return Report("second-main-theorem", {"ns": str(list(ns))}, checks)
 
 
@@ -524,14 +514,19 @@ def suite_jack_oracle() -> Report:
 
 
 def suite_stanley_special() -> Report:
+    """stanley_special once per (alpha, pi) on every lam with |lam| <= 5;
+    each pair is also compared with the character ch at its own lam, so a
+    value returned for the wrong lam fails."""
     checks = []
     lams = [lam for d in range(1, 6) for lam in partitions_of(d)]
-    for alpha, pis in ((Fraction(1), [(1,), (2,), (3,), (2, 1)]),
-                       (Fraction(2), [(1,), (2,)]),
-                       (Fraction(1, 2), [(1,), (2,)])):
+    for a, pis in ((Fraction(1), [(1,), (2,), (3,), (2, 1)]),
+                   (SQRT2, [(1,), (2,)]),
+                   (Sqrt2(0, Fraction(1, 2)), [(1,), (2,)])):
+        alpha = alpha_of(a)
         for pi in pis:
-            ok = all(oracle == mapsum for oracle, mapsum
-                     in _stanley_values(pi, lams, alpha))
+            ok = all(ch(pi, lam, a) == oracle == mapsum
+                     for lam, (oracle, mapsum)
+                     in zip(lams, stanley_special(pi, lams, alpha)))
             checks.append(Check(
                 f"alpha={alpha} pi={list(pi)}: character == map sum "
                 f"(all |lambda| <= 5)", ok, {"lambdas": str(len(lams))}))

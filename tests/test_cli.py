@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import inspect
 import io
 import json
@@ -302,6 +303,24 @@ class TestChtopCommand:
         assert data["one_face_sum_reconciled"] == {"num": 6, "den": 1}
         assert data["closed_form_top"] == {"num": 6, "den": 1}
         assert data["gamma"] == {"num": -3, "den": 2}
+
+
+class TestMonTopMismatch:
+    """A mon_top route mismatch is one error line and exit code 2, in the
+    command that sums over one-face maps and in the one that reads one."""
+
+    @pytest.mark.parametrize("argv", [
+        ("chtop", "--n", "2", "--P", "1", "--Q", "4", "--A", "2"),
+        ("mon", "--map", "klein")], ids=["chtop", "mon"])
+    def test_one_error_line(self, capsys, monkeypatch, argv):
+        mon_module = importlib.import_module("monmap.mon")
+        real = mon_module.mon_top_degree_target
+        monkeypatch.setattr(mon_module, "mon_top_degree_target",
+                            lambda m: real(m) + 1)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: mon_top mismatch")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestJackAndCh:

@@ -18,7 +18,7 @@ from monmap.jack import (ch, ch_stanley, jack_in_p, oriented_face_type_maps,
                          stanley_special)
 from monmap.maps import (BicoloredGraph, bicolored_graph, canonical_form,
                          canonical_graph_class, graph_class, structure)
-from monmap.mon import mon, mon_top, mon_top_detail
+from monmap.mon import MonTopMismatch, mon, mon_top, mon_top_detail
 from monmap.oriented import (OrientedMap, bicolored_graph_oriented,
                              cycle_type_permutation, partitions_of, z_of)
 from monmap.verify import SECOND_THEOREM_POINTS, _printed_grid, run_suite
@@ -277,8 +277,7 @@ class TestClassSumsByGroup:
     def test_stanley_special_tables(self, checked_class_sums, alpha, pi):
         lams = [lam for d in range(1, 6) for lam in partitions_of(d)]
         calls = checked_class_sums("monmap.jack")
-        values = importlib.import_module("monmap.jack")._stanley_values(
-            pi, lams, alpha)
+        values = stanley_special(pi, lams, alpha)
         assert all(oracle == mapsum for oracle, mapsum in values)
         assert len(calls) == len(lams)
         if alpha != 1:  # in Q[sqrt2], and irrational for pi = (2,)
@@ -292,7 +291,7 @@ class TestClassSumsByGroup:
         calls = checked_class_sums("monmap.diagrams")
         for pi in ((1,), (2,), (1, 1), (3,), (2, 1)):
             for lam in ((1,), (2, 1), (3, 1), (2, 2, 1)):
-                ogs_full(pi, Partition(lam), a)
+                ogs_full(pi, [Partition(lam)], a)
         assert len(calls) == 20
 
 
@@ -301,14 +300,20 @@ def one_table_sum(table, n, mr):
     return _class_sums([table], mr.diagram(), mr.A, mr.gamma, n + 1)[0]
 
 
+def both_map_sums(n, mr, force=False):
+    """top_map_sums at the one point mr."""
+    [sums] = top_map_sums(n, [mr], force)
+    return sums
+
+
 def chtop_map_sum(n, mr, force=False):
     """top_map_sums' oriented side alone."""
-    return top_map_sums(n, mr, force)[0]
+    return both_map_sums(n, mr, force)[0]
 
 
 def ogs_top_map_sum(n, mr, force=False):
     """top_map_sums' one-face side alone."""
-    return top_map_sums(n, mr, force)[1]
+    return both_map_sums(n, mr, force)[1]
 
 
 class TestChTopMapSum:
@@ -317,7 +322,7 @@ class TestChTopMapSum:
     def test_n1_is_sum_pq(self):
         mr = MultiRect.from_primes((2, 1), (3, 1), F(1))
         expected = sum(p * q for p, q in zip(mr.P, mr.Q))
-        assert top_map_sums(1, mr)[0] == expected
+        assert chtop_map_sum(1, mr) == expected
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_top_map_sums_gives_both_sums(self, n):
@@ -326,24 +331,24 @@ class TestChTopMapSum:
         oriented, (one_face, _) = _oriented_table(n), _one_face_table(n)
         for pt in SECOND_THEOREM_POINTS:
             mr = MultiRect.from_primes(*pt)
-            assert top_map_sums(n, mr) == (-one_table_sum(oriented, n, mr),
-                                           one_table_sum(one_face, n, mr))
+            assert both_map_sums(n, mr) == (-one_table_sum(oriented, n, mr),
+                                            one_table_sum(one_face, n, mr))
 
     def test_n2_reference_point(self):
         mr = MultiRect((F(1),), (F(4),), F(2))
-        assert top_map_sums(2, mr)[0] == 6
+        assert chtop_map_sum(2, mr) == 6
 
     def test_n3_matches_closed_form_top(self):
         for primes in (((1,), (3,)), ((2,), (2,)), ((1, 1), (2, 1))):
             for a in (F(1), F(2)):
                 mr = MultiRect.from_primes(primes[0], primes[1], a)
                 _, top = ch_stanley(3, mr.gamma, mr.P, mr.Q)
-                assert top_map_sums(3, mr)[0] == top
+                assert chtop_map_sum(3, mr) == top
 
     def test_guard(self):
         mr = MultiRect.from_primes((1,), (1,), F(1))
         with pytest.raises(DiagramError):
-            top_map_sums(6, mr)
+            both_map_sums(6, mr)
 
     @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum])
     def test_tall_diagram_guard(self, map_sum):
@@ -408,20 +413,31 @@ class TestMapSumGuardsBeforeWalk:
         monkeypatch.setattr(diagrams, "one_face_orbits", refuse)
         return walked
 
-    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum,
-                                         top_map_sums])
+    @pytest.mark.parametrize("map_sum", [
+        chtop_map_sum, ogs_top_map_sum,
+        pytest.param(both_map_sums, id="top_map_sums")])
     def test_n_guard(self, map_sum, walks):
         mr = MultiRect.from_primes((1,), (1,), F(1))
         with pytest.raises(DiagramError, match="map-sum guard"):
             map_sum(6, mr)
         assert walks == []
 
-    @pytest.mark.parametrize("map_sum", [chtop_map_sum, ogs_top_map_sum,
-                                         top_map_sums])
+    @pytest.mark.parametrize("map_sum", [
+        chtop_map_sum, ogs_top_map_sum,
+        pytest.param(both_map_sums, id="top_map_sums")])
     def test_row_guard(self, map_sum, walks):
         mr = MultiRect.from_primes((101,), (1,), F(1))
         with pytest.raises(DiagramError, match="embedding guard"):
             map_sum(3, mr)
+        assert walks == []
+
+    def test_row_guard_in_a_list(self, walks):
+        # one guarded point refuses the whole list, the others included
+        fine = MultiRect.from_primes((1,), (1,), F(1))
+        tall = MultiRect.from_primes((101,), (1,), F(1))
+        for points in ([fine, tall], [tall, fine]):
+            with pytest.raises(DiagramError, match="embedding guard"):
+                top_map_sums(3, points)
         assert walks == []
 
     def test_suite_n_guard(self, walks):
@@ -471,7 +487,7 @@ class TestOneCountPerClass:
 
     @pytest.mark.parametrize("a", [F(2), SQRT2])
     def test_ogs_full(self, embedded_classes, a):
-        ogs_full((2, 1), Partition((2, 1)), a)
+        ogs_full((2, 1), [Partition((2, 1))], a)
         maps = list(conservative_maps((2, 1)))
         assert len(embedded_classes) == len(set(embedded_classes)) > 1
         assert len(embedded_classes) < len(maps)
@@ -479,7 +495,7 @@ class TestOneCountPerClass:
 
     @pytest.mark.parametrize("alpha", [F(1), F(2), F(1, 2)])
     def test_stanley_special(self, embedded_classes, alpha):
-        stanley_special((2, 1), (2, 1), alpha)
+        stanley_special((2, 1), [(2, 1)], alpha)
         if alpha == 1:
             expected = {canonical_graph_class(bicolored_graph_oriented(om)).key
                         for om in oriented_face_type_maps((2, 1))}
@@ -498,7 +514,7 @@ class TestOgsTopMapSum:
         if n <= 3:
             points += [MultiRect.from_primes(*pt) for pt in _printed_grid()]
         for mr in points:
-            assert top_map_sums(n, mr)[1] == brute_ogs_top(n, mr)
+            assert ogs_top_map_sum(n, mr) == brute_ogs_top(n, mr)
 
     def test_coefficient_mismatch_raises(self, monkeypatch):
         # library callers get mon_top's AssertionError, not a wrong sum
@@ -508,11 +524,24 @@ class TestOgsTopMapSum:
                             lambda m: real(m) + 1)
         mr = MultiRect.from_primes((1,), (2,), F(1))
         with pytest.raises(AssertionError, match="mon_top mismatch"):
-            top_map_sums(2, mr)
+            both_map_sums(2, mr)
+
+    def test_mismatch_is_one_error_type(self, monkeypatch, klein):
+        # mon_top and top_map_sums raise the same AssertionError subclass
+        mon_module = importlib.import_module("monmap.mon")
+        real = mon_module.mon_top_degree_target
+        monkeypatch.setattr(mon_module, "mon_top_degree_target",
+                            lambda m: real(m) + 1)
+        assert issubclass(MonTopMismatch, AssertionError)
+        with pytest.raises(MonTopMismatch, match="mon_top mismatch"):
+            mon_top(klein)
+        mr = MultiRect.from_primes((1,), (2,), F(1))
+        with pytest.raises(MonTopMismatch, match="mon_top mismatch"):
+            top_map_sums(2, [mr])
 
     def test_n1_sign_reconciliation(self):
         mr = MultiRect.from_primes((2,), (3,), F(1))
-        chtop, ogs_top = top_map_sums(1, mr)
+        chtop, ogs_top = both_map_sums(1, mr)
         assert ogs_top == -chtop
 
     def test_klein_class_contributes(self, klein):
@@ -528,7 +557,7 @@ class TestOgsTopMapSum:
 
     def test_n2_reference_point(self):
         mr = MultiRect((F(1),), (F(4),), F(2))
-        assert -top_map_sums(2, mr)[1] == 6
+        assert -ogs_top_map_sum(2, mr) == 6
 
 
 def reference_oriented_table(n):
@@ -598,7 +627,7 @@ class TestOgsFull:
     def test_single_part_is_diagram_size(self):
         for a in (F(1), F(2), F(1, 2), F(3)):
             for lam in ((1,), (2, 1), (3, 2)):
-                assert ogs_full((1,), Partition(lam), a) == sum(lam)
+                assert ogs_full((1,), [Partition(lam)], a) == [sum(lam)]
 
     def test_two_gon_explicit_oracle(self):
         # independent arithmetic over the three square gluings at A = 1
@@ -610,7 +639,7 @@ class TestOgsFull:
             graph = bicolored_graph(m)
             total += mon(m).evaluate(g) * normalized_embeddings(graph, lam, a)
         expected = -total  # (-1)^{l(pi)} with one part
-        assert ogs_full((2,), lam, a) == expected
+        assert ogs_full((2,), [lam], a) == [expected]
 
     def test_degree_consistency_along_scaling_ray(self):
         # |pi| + l(pi) bounds the polynomial degree in the scale variable
@@ -621,7 +650,7 @@ class TestOgsFull:
                 rows = MultiRect(tuple(F(t) * p for p in base_p),
                                  tuple(F(t) * q for q in base_q),
                                  F(1)).diagram()
-                samples.append(ogs_full(pi, rows, F(1)))
+                samples.extend(ogs_full(pi, [rows], F(1)))
             # (d+1)-th finite difference of a degree-<=d polynomial vanishes
             diff = samples[:]
             for _ in range(d + 1):
@@ -630,4 +659,104 @@ class TestOgsFull:
 
     def test_guard(self):
         with pytest.raises(DiagramError):
-            ogs_full((5, 4), Partition((1,)), F(1))
+            ogs_full((5, 4), [Partition((1,))], F(1))
+
+    def test_invalid_diagram_in_a_list(self, monkeypatch):
+        # every diagram is read before the maps of face-type pi are walked
+        def refuse(parts):
+            raise AssertionError("maps walked before the diagrams were read")
+
+        monkeypatch.setattr(importlib.import_module("monmap.diagrams"),
+                            "conservative_maps", refuse)
+        with pytest.raises(DiagramError, match="weakly decreasing"):
+            ogs_full((2,), [(2, 1), (1, 2)], F(1))
+
+
+@pytest.fixture
+def stream_walks(monkeypatch):
+    """Count the walks of the named streams of a module; returns a
+    function that installs the counters and gives the count dict."""
+    def install(module, names):
+        mod = importlib.import_module(module)
+        walks = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _real=getattr(mod, name), _name=name,
+                        **kwargs):
+                walks[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counted)
+        return walks
+
+    return install
+
+
+class TestListCalls:
+    """Each map sum takes a list of diagrams: the list call equals the
+    one-element calls entry by entry, and it walks each stream once."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_top_map_sums(self, n, stream_walks):
+        points = [MultiRect.from_primes(*pt) for pt in SECOND_THEOREM_POINTS]
+        singles = [both_map_sums(n, mr) for mr in points]
+        walks = stream_walks("monmap.diagrams",
+                             ["transitive_pairs_by_class", "one_face_orbits"])
+        assert top_map_sums(n, points) == singles
+        assert walks == {"transitive_pairs_by_class": 1,
+                         "one_face_orbits": 1}
+
+    @pytest.mark.parametrize("alpha, pi", [
+        (F(1), (1,)), (F(1), (2,)), (F(1), (3,)), (F(1), (2, 1)),
+        (F(2), (1,)), (F(2), (2,)), (F(1, 2), (1,)), (F(1, 2), (2,))],
+        ids=["1-1", "1-2", "1-3", "1-21", "2-1", "2-2", "1/2-1", "1/2-2"])
+    def test_stanley_special(self, alpha, pi, stream_walks):
+        lams = [lam for d in range(1, 6) for lam in partitions_of(d)]
+        singles = [value for lam in lams
+                   for value in stanley_special(pi, [lam], alpha)]
+        walks = stream_walks("monmap.jack", ["oriented_face_type_maps",
+                                             "conservative_maps"])
+        assert stanley_special(pi, lams, alpha) == singles
+        oriented = 1 if alpha == 1 else 0
+        assert walks == {"oriented_face_type_maps": oriented,
+                         "conservative_maps": 1 - oriented}
+
+    @pytest.mark.parametrize("a", [F(1), F(2), SQRT2],
+                             ids=["1", "2", "sqrt2"])
+    def test_ogs_full(self, a, stream_walks):
+        lams = [Partition(lam) for lam in ((1,), (2, 1), (3, 1), (2, 2, 1))]
+        walks = stream_walks("monmap.diagrams", ["conservative_maps"])
+        for pi in ((1,), (2,), (1, 1), (2, 1)):
+            singles = [value for lam in lams
+                       for value in ogs_full(pi, [lam], a)]
+            walks["conservative_maps"] = 0
+            assert ogs_full(pi, lams, a) == singles
+            assert walks == {"conservative_maps": 1}
+
+
+class TestIntScale:
+    """An int scale A gives the exact value at Fraction(A)."""
+
+    AS = (1, 2, 3, -1)
+
+    def test_normalized_embeddings(self):
+        for graph in (SINGLE_EDGE_GRAPH, PATH_GRAPH):
+            for a in self.AS:
+                got = normalized_embeddings(graph, Partition((2, 1)), a)
+                assert isinstance(got, Fraction)
+                assert got == normalized_embeddings(graph, Partition((2, 1)),
+                                                    F(a))
+
+    def test_ogs_full(self):
+        lams = [Partition(lam) for lam in ((2,), (2, 1), (3, 1))]
+        for pi in ((1,), (2,), (1, 1), (2, 1)):
+            for a in self.AS:
+                got = ogs_full(pi, lams, a)
+                assert all(isinstance(x, Fraction) for x in got)
+                assert got == ogs_full(pi, lams, F(a))
+
+    def test_top_map_sums(self):
+        for n in (1, 2, 3):
+            for a in self.AS[:3]:
+                got = top_map_sums(n, [MultiRect((1, 2), (4 * a, 2 * a), a)])
+                assert all(isinstance(x, Fraction) for x in got[0])
+                assert got == top_map_sums(
+                    n, [MultiRect((1, 2), (4 * a, 2 * a), F(a))])

@@ -209,8 +209,8 @@ class TestPairsByClass:
     def test_chtop_map_sum(self, n, brute_pairs):
         for pp, qq, a in SECOND_THEOREM_POINTS:
             mr = MultiRect.from_primes(pp, qq, a)
-            assert top_map_sums(n, mr)[0] == brute_chtop(n, mr,
-                                                         brute_pairs[n])
+            [(chtop, _)] = top_map_sums(n, [mr])
+            assert chtop == brute_chtop(n, mr, brute_pairs[n])
 
 
 class TestMapsByFaceType:

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monmap.algebra import SQRT2, GammaPoly, Sqrt2, gamma_of
-from monmap.diagrams import MultiRect, Partition
+from monmap.diagrams import MultiRect, Partition, normalized_embeddings
 from monmap.jack import (JackGuardError, _jack_family, _m_to_p, alpha_of, ch,
                          ch_stanley, jack_in_p, jack_inner_product,
                          normalized_sn_character, partitions_of, sn_character,
                          sn_dimension, stanley_closed_form, stanley_special)
+from monmap.maps import BicoloredGraph
 from monmap.oriented import z_of
 from monmap.verify import _printed_grid
 
@@ -435,20 +436,20 @@ class TestIntegerEvaluation:
 class TestStanleySpecial:
     def test_single_part_single_map(self):
         for alpha in (F(1), F(2), F(1, 2)):
-            oracle, mapsum = stanley_special((1,), (2, 1), alpha)
+            [(oracle, mapsum)] = stanley_special((1,), [(2, 1)], alpha)
             assert oracle == mapsum == 3
 
     def test_alpha_one_pairs(self):
         for pi in ((2,), (2, 1), (3,)):
             for lam in ((2, 1), (2, 2), (3, 1, 1)):
-                oracle, mapsum = stanley_special(pi, lam, F(1))
+                [(oracle, mapsum)] = stanley_special(pi, [lam], F(1))
                 assert oracle == mapsum
 
     def test_sqrt2_cases(self):
         for alpha in (F(2), F(1, 2)):
             for pi in ((1,), (2,)):
                 for lam in ((2,), (2, 2), (3, 1)):
-                    oracle, mapsum = stanley_special(pi, lam, alpha)
+                    [(oracle, mapsum)] = stanley_special(pi, [lam], alpha)
                     assert oracle == mapsum
                     assert isinstance(oracle, Sqrt2)
 
@@ -458,25 +459,40 @@ class TestStanleySpecial:
         lams = [(1,), (2,), (2, 1), (3, 1), (2, 2, 1)]
         for alpha in (F(1), F(2), F(1, 2)):
             for pi in ((1,), (2,)):
-                expected = [stanley_special(pi, lam, alpha) for lam in lams]
+                expected = [value for lam in lams
+                            for value in stanley_special(pi, [lam], alpha)]
                 builds = []
                 real = jack._class_table
                 monkeypatch.setattr(jack, "_class_table", lambda pairs: (
                     builds.append(1) or real(pairs)))
-                assert jack._stanley_values(pi, lams, alpha) == expected
+                assert jack.stanley_special(pi, lams, alpha) == expected
                 assert builds == [1]
                 monkeypatch.undo()
         with pytest.raises(JackGuardError, match="force=True"):
-            jack._stanley_values((1,), [(2,), (7,)], 1)
+            jack.stanley_special((1,), [(2,), (7,)], 1)
+
+    @pytest.mark.parametrize("alpha", [F(1), F(2), F(1, 2)])
+    def test_guarded_diagram_in_a_list(self, monkeypatch, alpha):
+        # one guarded diagram refuses the list before any map is walked
+        jack = importlib.import_module("monmap.jack")
+
+        def refuse(*args):
+            raise AssertionError("maps walked before the guards ran")
+
+        monkeypatch.setattr(jack, "oriented_face_type_maps", refuse)
+        monkeypatch.setattr(jack, "conservative_maps", refuse)
+        for lams in ([(2,), (7,)], [(7,), (2,)]):
+            with pytest.raises(JackGuardError, match="force=True"):
+                stanley_special((1,), lams, alpha)
 
     @pytest.mark.parametrize("pi,lam", [((3, 1, 1), (2,)), ((1,), (7,))])
     def test_guards_name_force(self, pi, lam):
         with pytest.raises(JackGuardError, match="force=True"):
-            stanley_special(pi, lam, 1)
+            stanley_special(pi, [lam], 1)
 
     def test_unknown_alpha_rejected(self):
         with pytest.raises(ValueError):
-            stanley_special((1,), (1,), F(3))
+            stanley_special((1,), [(1,)], F(3))
 
 
 class TestFloatsRejected:
@@ -491,11 +507,13 @@ class TestFloatsRejected:
         lambda: MultiRect([0.5], [2], 2),
         lambda: MultiRect.from_primes([1], [2], 0.5),
         lambda: gamma_of(0.5),
-        lambda: stanley_special((1,), (2, 1), 2.0),
+        lambda: stanley_special((1,), [(2, 1)], 2.0),
+        lambda: normalized_embeddings(BicoloredGraph(2, 1, ((0, 0), (1, 0))),
+                                      Partition((2,)), 0.5),
     ], ids=["ch_stanley-P", "ch_stanley-gamma", "jack_in_p",
             "jack_inner_product", "JackParams", "JackParams-A",
             "JackParams.from_A", "MultiRect", "MultiRect.from_primes",
-            "gamma_of", "stanley_special"])
+            "gamma_of", "stanley_special", "normalized_embeddings"])
     def test_float_scalar_raises(self, call):
         with pytest.raises(TypeError, match="exact rational"):
             call()

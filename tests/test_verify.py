@@ -238,6 +238,53 @@ class TestRunSuite:
                             lambda m: real(m) + 1)
         assert run_suite(name, **params).passed is False
 
+    def test_second_main_theorem_calls_top_map_sums_once_per_n(
+            self, monkeypatch):
+        diagrams = importlib.import_module("monmap.diagrams")
+        verify = importlib.import_module("monmap.verify")
+        assert verify.top_map_sums is diagrams.top_map_sums
+        calls = []
+
+        def spy(n, points, force=False):
+            calls.append((n, len(points)))
+            return diagrams.top_map_sums(n, points, force)
+
+        monkeypatch.setattr(verify, "top_map_sums", spy)
+        assert run_suite("second-main-theorem").passed
+        # 8 points, and the 36 grid points for n <= 3
+        assert calls == [(1, 44), (2, 44), (3, 44), (4, 8)]
+
+    def test_stanley_special_calls_it_once_per_alpha_and_pi(
+            self, monkeypatch):
+        jack = importlib.import_module("monmap.jack")
+        verify = importlib.import_module("monmap.verify")
+        assert verify.stanley_special is jack.stanley_special
+        calls = []
+
+        def spy(pi, lams, alpha, force=False):
+            calls.append((alpha, tuple(pi), len(lams)))
+            return jack.stanley_special(pi, lams, alpha, force)
+
+        monkeypatch.setattr(verify, "stanley_special", spy)
+        assert run_suite("stanley-special").passed
+        assert [(str(alpha), pi) for alpha, pi, _ in calls] == [
+            ("1", (1,)), ("1", (2,)), ("1", (3,)), ("1", (2, 1)),
+            ("2", (1,)), ("2", (2,)), ("1/2", (1,)), ("1/2", (2,))]
+        assert {size for _, _, size in calls} == {18}
+
+    def test_second_main_theorem_lets_other_assertions_through(
+            self, monkeypatch):
+        # only a mon_top route mismatch reads as FAIL; any other error of
+        # the map sums is a fault of the program and propagates
+        verify = importlib.import_module("monmap.verify")
+
+        def broken(n, points, force=False):
+            raise AssertionError("not a mon_top mismatch")
+
+        monkeypatch.setattr(verify, "top_map_sums", broken)
+        with pytest.raises(AssertionError, match="not a mon_top mismatch"):
+            run_suite("second-main-theorem", ns=(1,))
+
     def test_second_main_theorem_walks_each_stream_once_per_n(
             self, monkeypatch):
         diagrams = importlib.import_module("monmap.diagrams")
