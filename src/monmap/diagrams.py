@@ -209,6 +209,22 @@ def normalized_embeddings(g: BicoloredGraph, lam: Partition,
 MAX_EMBEDDING_SEARCH = 10 ** 6  # row assignments; about 2 s
 
 
+def _diagram_list(diagrams, caller: str) -> list:
+    """The entries of ``diagrams``, a list of diagrams.  One diagram in its
+    place (a Partition, a MultiRect or a bare sequence of parts) raises
+    TypeError, since its parts would otherwise be read as diagrams."""
+    entries = None
+    if not isinstance(diagrams, (Partition, MultiRect)):
+        try:
+            entries = list(diagrams)
+        except TypeError:  # not iterable: not a list of anything
+            pass
+    if entries is None or any(isinstance(d, int) for d in entries):
+        raise TypeError(f"{caller} takes a list of diagrams, not "
+                        f"{diagrams!r}; pass [diagram] for one diagram")
+    return entries
+
+
 def _map_sum_diagram(n: int, mr: MultiRect, force: bool) -> Partition:
     """The diagram of mr, once the guards pass: at most 5 edges, and at
     most MAX_EMBEDDING_SEARCH row assignments per embedding count (a graph
@@ -344,7 +360,8 @@ def top_map_sums(n: int, points: Iterable[MultiRect], force: bool = False
     one-face map on which mon_top's two routes disagree raises
     :class:`~monmap.mon.MonTopMismatch`, as :func:`mon_top` does.
     """
-    lams = [(mr, _map_sum_diagram(n, mr, force)) for mr in points]
+    lams = [(mr, _map_sum_diagram(n, mr, force))
+            for mr in _diagram_list(points, "top_map_sums")]
     oriented = _oriented_table(n, force)
     one_face, mismatched = _one_face_table(n, force)
     if mismatched:
@@ -367,7 +384,7 @@ def ogs_full(pi, lams: Iterable, a: Scalar,
     bicolored graph class first (:func:`_class_table`), in one table for
     all of lams."""
     pi = Partition(pi)
-    lams = [Partition(lam) for lam in lams]
+    lams = [Partition(lam) for lam in _diagram_list(lams, "ogs_full")]
     if pi.size + pi.length > 8 and not force:
         raise DiagramError(
             f"|pi| + l(pi) = {pi.size + pi.length} exceeds the guard (8); "

@@ -36,7 +36,7 @@ from itertools import combinations
 from typing import Sequence, Union
 
 from .algebra import SQRT2, Sqrt2, _as_fraction
-from .diagrams import Partition, _class_sums, _class_table
+from .diagrams import Partition, _class_sums, _class_table, _diagram_list
 from .enumeration import FORCE_HINT, conservative_maps
 from .maps import _CACHES, bicolored_graph
 from .oriented import (OrientedMap, bicolored_graph_oriented,
@@ -356,7 +356,7 @@ def stanley_special(pi, lams, alpha, force: bool = False) -> list:
     all of lams, and one graph per class is embedded at each diagram.
     """
     pi = Partition(pi)
-    lams = [Partition(lam) for lam in lams]
+    lams = [Partition(lam) for lam in _diagram_list(lams, "stanley_special")]
     alpha = _as_fraction(alpha)
     if pi.size + pi.length > 6 and not force:
         raise JackGuardError(

@@ -200,6 +200,13 @@ class NonOrientedMap:
     (``_twist_sides``) gets none of its source's cached data: it builds
     its own views, walks its own orbits and builds its own graph from its
     own omega.
+
+    Maps of at most ``MAX_TABLE_SIDES`` (8) sides also share two process
+    tables, since the history suites meet the same small arrays over and
+    over: ``_DROPS``, the partner arrays :func:`remove_edge` leaves (at
+    most 3 184 entries), and ``_FACES``, the face and vertex walks of
+    ``_face_data`` and ``_vertex_data`` (at most 11 261), whose values are
+    tuples because maps share them.  Larger maps store nothing there.
     """
 
     __slots__ = ("labels", "_b", "_w", "_e", "__dict__")
@@ -273,7 +280,7 @@ class NonOrientedMap:
 
     @_cached
     def _face_data(self):
-        return kernels.face_data(self._b, self._w)
+        return _faces(self._b, self._w)
 
     @_cached
     def _component_data(self):
@@ -283,8 +290,8 @@ class NonOrientedMap:
     @_cached
     def _vertex_data(self):
         """Black and white vertex orbits: ((ids, count), (ids, count))."""
-        black_ids, _, blacks = kernels.face_data(self._b, self._e)
-        white_ids, _, whites = kernels.face_data(self._w, self._e)
+        black_ids, _, blacks = _faces(self._b, self._e)
+        white_ids, _, whites = _faces(self._w, self._e)
         return (black_ids, blacks), (white_ids, whites)
 
     @_cached
@@ -401,34 +408,47 @@ def _edge_kind(m: NonOrientedMap, i: int, j: int) -> EdgeKind:
     return EdgeKind.STRAIGHT
 
 
-def _drop(partner, i: int, j: int, renumber, heal: bool) -> tuple[int, ...]:
+def _drop(partner, i: int, j: int, renumber) -> tuple[int, ...]:
     """Partner array without positions i < j, renumbered.
 
-    With ``heal``, the partners of i and j are paired with each other
-    (unless i and j were partners), which closes the corner the removed
-    edge leaves behind.
+    The partners of i and j are paired with each other, which closes the
+    corner the removed edge leaves behind, unless i and j were partners:
+    always so for eps, whose pair (i, j) is the edge itself.  So the
+    result depends on partner, i and j alone, for all three arrays.
     """
     out = list(map(renumber.__getitem__, partner))
-    if heal:
-        pi, pj = partner[i], partner[j]
-        if pi != j:
-            out[pi] = renumber[pj]
-            out[pj] = renumber[pi]
+    pi, pj = partner[i], partner[j]
+    if pi != j:
+        out[pi] = renumber[pj]
+        out[pj] = renumber[pi]
     del out[j], out[i]
     return tuple(out)
 
 
 def remove_edge(m: NonOrientedMap, e) -> NonOrientedMap:
-    """Remove one edge; endpoints that become isolated vanish with it."""
+    """Remove one edge; endpoints that become isolated vanish with it.
+
+    A map of at most ``MAX_TABLE_SIDES`` sides reads its three dropped
+    partner arrays from ``_DROPS`` and stores those it misses."""
     i, j = _edge_index(m, e)
     labels = m.labels
-    # old position -> new position; positions i and j map to junk values
-    # that _drop deletes or overwrites
-    renumber = [*range(i + 1), *range(i, j), *range(j - 1, len(labels) - 2)]
-    return _new_map(labels[:i] + labels[i + 1:j] + labels[j + 1:],
-                    _drop(m._b, i, j, renumber, True),
-                    _drop(m._w, i, j, renumber, True),
-                    _drop(m._e, i, j, renumber, False))
+    stored = len(labels) <= MAX_TABLE_SIDES
+    renumber = None
+    drops = []
+    for partner in (m._b, m._w, m._e):
+        key = (partner, i, j)
+        dropped = _DROPS.get(key) if stored else None
+        if dropped is None:
+            if renumber is None:
+                # old position -> new position; positions i and j map to
+                # junk values that _drop deletes or overwrites
+                renumber = [*range(i + 1), *range(i, j),
+                            *range(j - 1, len(labels) - 2)]
+            dropped = _drop(partner, i, j, renumber)
+            if stored:
+                _DROPS[key] = dropped
+        drops.append(dropped)
+    return _new_map(labels[:i] + labels[i + 1:j] + labels[j + 1:], *drops)
 
 
 def twist_many(m: NonOrientedMap, edges) -> NonOrientedMap:
@@ -580,9 +600,12 @@ _CACHES: list = []
 
 def clear_caches():
     """Empty every cache in ``_CACHES``: the table of component forms,
-    ``mon``'s class memo (its ``len``, the class count, back to 0), state
-    table and twist family table with its bijection results, and the
-    ``lru_cache`` tables of ``jack`` and ``oriented``.  Caches kept on map
+    the tables of partner-array drops (``_DROPS``, at most 3 184 entries)
+    and of face walks (``_FACES``, at most 11 261), both kept only for
+    arrays of at most ``MAX_TABLE_SIDES`` sides, ``mon``'s class memo
+    (its ``len``, the class count, back to 0), state table and twist
+    family table with its bijection results, and the ``lru_cache`` tables
+    of ``jack`` and ``oriented``.  Caches kept on map
     instances stay: a map built before the clear keeps its own views,
     orbit data, ``_removed`` and ``_graph``, so residuals reached through
     it are no longer the state table's objects and the sharing that
@@ -591,6 +614,39 @@ def clear_caches():
     for cache in _CACHES:
         clear = getattr(cache, "cache_clear", None) or cache.clear
         clear()
+
+
+# Partner arrays of at most this many sides have their drops and face walks
+# kept in _DROPS and _FACES.  The maps of the history suites have at most
+# 8 sides (all_maps(3) and their residuals; the one-face family at n = 4),
+# and the bound keeps both tables small at any n: over every size up to 8,
+# there are 3 184 (involution, pair i < j) keys and 11 261 pairs of
+# involutions.
+MAX_TABLE_SIDES = 8
+
+# (partner, i, j) -> ``_drop`` of partner at positions i < j, which
+# ``remove_edge`` reads for the edge at (i, j)
+_DROPS: dict[tuple, tuple[int, ...]] = {}
+_CACHES.append(_DROPS)
+
+# (p, q) -> ``kernels.face_data(p, q)`` with tuples for its lists, since
+# every map of those arrays shares the value (``_faces``)
+_FACES: dict[tuple, tuple] = {}
+_CACHES.append(_FACES)
+
+
+def _faces(p, q):
+    """``kernels.face_data(p, q)`` as tuples: (ids, cols, count).  Arrays
+    of at most ``MAX_TABLE_SIDES`` sides read it from ``_FACES`` and store
+    it on a miss."""
+    stored = len(p) <= MAX_TABLE_SIDES
+    data = _FACES.get((p, q)) if stored else None
+    if data is None:
+        ids, cols, count = kernels.face_data(p, q)
+        data = tuple(ids), tuple(cols), count
+        if stored:
+            _FACES[p, q] = data
+    return data
 
 
 # rooted component trace -> the least trace of that component's class,

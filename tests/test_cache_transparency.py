@@ -29,6 +29,12 @@ RUNS = {
 CHECKED_BY = {
     ("maps", "_COMPONENT_FORMS"): (
         "degree-bounds", "main-theorem", "liberation-oriented"),
+    ("maps", "_DROPS"): (
+        "lemma-equivalence", "key-bijection", "degree-bounds",
+        "main-theorem"),
+    ("maps", "_FACES"): (
+        "lemma-equivalence", "key-bijection", "degree-bounds",
+        "main-theorem"),
     ("mon", "_MON_CACHE"): ("degree-bounds", "main-theorem"),
     ("mon", "_STATES"): ("lemma-equivalence", "key-bijection"),
     ("bijection", "_FAMILY"): ("key-bijection",),
@@ -119,6 +125,24 @@ def test_every_registered_cache_is_bypassed():
 def test_component_forms_bypassed(name, reference, monkeypatch):
     stand_in = NoStore()
     bypass(monkeypatch, registered("maps", "_COMPONENT_FORMS"), stand_in)
+    assert render(name) == reference[name]
+    assert stand_in.lookups > 0 and len(stand_in) == 0
+
+
+@pytest.mark.parametrize("name", CHECKED_BY["maps", "_DROPS"])
+def test_drops_bypassed(name, reference, monkeypatch):
+    # every removal then renumbers its three partner arrays afresh
+    stand_in = NoStore()
+    bypass(monkeypatch, registered("maps", "_DROPS"), stand_in)
+    assert render(name) == reference[name]
+    assert stand_in.lookups > 0 and len(stand_in) == 0
+
+
+@pytest.mark.parametrize("name", CHECKED_BY["maps", "_FACES"])
+def test_faces_bypassed(name, reference, monkeypatch):
+    # every map then walks its own faces and vertices
+    stand_in = NoStore()
+    bypass(monkeypatch, registered("maps", "_FACES"), stand_in)
     assert render(name) == reference[name]
     assert stand_in.lookups > 0 and len(stand_in) == 0
 

@@ -731,6 +731,15 @@ class TestListCalls:
             assert ogs_full(pi, lams, a) == singles
             assert walks == {"conservative_maps": 1}
 
+    @pytest.mark.parametrize("call", [
+        lambda: stanley_special((1,), (2, 1), 1),
+        lambda: ogs_full((1,), Partition((2, 1)), 1),
+        lambda: top_map_sums(2, MultiRect((1, 2), (4, 2), 1))],
+        ids=["stanley_special", "ogs_full", "top_map_sums"])
+    def test_one_diagram_in_place_of_a_list(self, call):
+        with pytest.raises(TypeError, match="takes a list of diagrams"):
+            call()
+
 
 class TestIntScale:
     """An int scale A gives the exact value at Fraction(A)."""

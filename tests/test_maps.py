@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monmap.enumeration import all_maps, conservative_one_face, maps_by_class
-from monmap.maps import (_COMPONENT_FORMS, BicoloredGraph, EdgeKind, MapError,
-                         NonOrientedMap, _component_trace, _edge_index,
-                         _trace_bytes, _twist_sides, bicolored_graph,
+from monmap import kernels
+from monmap.enumeration import (all_maps, conservative_one_face, involutions,
+                                maps_by_class)
+from monmap.maps import (_COMPONENT_FORMS, _DROPS, _FACES, MAX_TABLE_SIDES,
+                         BicoloredGraph, EdgeKind, MapError, NonOrientedMap,
+                         _component_trace, _drop, _edge_index, _faces,
+                         _new_map, _trace_bytes, _twist_sides, bicolored_graph,
                          canonical_form, canonical_graph_class, classify_edge,
                          clear_caches, faces, graph_class, is_orientable,
                          map_from_json_obj, map_to_json_obj, remove_edge,
@@ -182,6 +185,68 @@ class TestRemoveEdge:
             lhs = canonical_form(remove_edge(m, (a, b)))
             rhs = canonical_form(remove_edge(image, (relabel[a], relabel[b])))
             assert lhs == rhs
+
+
+class TestKernelTables:
+    """``_DROPS`` and ``_FACES`` hold what ``_drop`` and ``face_data``
+    compute, as tuples, and only for arrays of at most 8 sides."""
+
+    @pytest.mark.parametrize("sides", [2, 4, 6])
+    def test_drops_match_a_fresh_drop(self, sides):
+        clear_caches()
+        labels = tuple(range(sides))
+        invs = list(involutions(labels))
+        # with b = w over every involution and e over every involution,
+        # every key (partner, i, j) of this size is filled
+        for b in invs:
+            for e in invs:
+                m = _new_map(labels, b, b, e)
+                for i, j in enumerate(e):
+                    if i > j:
+                        continue
+                    renumber = [x - (x > i) - (x > j) for x in labels]
+                    fresh = (_drop(b, i, j, renumber),
+                             _drop(e, i, j, renumber))
+                    for _ in range(2):  # the second call reads the table
+                        residual = remove_edge(m, (i, j))
+                        assert (residual._b, residual._w, residual._e) == (
+                            fresh[0], fresh[0], fresh[1])
+                    assert (_DROPS[b, i, j], _DROPS[e, i, j]) == fresh
+        assert all(type(v) is tuple for v in _DROPS.values())
+        assert len(_DROPS) == len(invs) * sides * (sides - 1) // 2
+
+    def test_faces_match_face_data(self):
+        clear_caches()
+        for sides in (0, 2, 4, 6):
+            invs = list(involutions(range(sides)))
+            for p in invs:
+                for q in invs:
+                    ids, cols, count = kernels.face_data(p, q)
+                    expected = (tuple(ids), tuple(cols), count)
+                    assert _faces(p, q) == expected  # a miss
+                    assert _FACES[p, q] == expected
+                    assert _faces(p, q) is _FACES[p, q]  # a hit
+        assert len(_FACES) == 1 + 1 + 3 ** 2 + 15 ** 2
+        assert all(type(ids) is tuple and type(cols) is tuple
+                   for ids, cols, _ in _FACES.values())
+
+    def test_no_array_past_the_bound_is_stored(self):
+        assert MAX_TABLE_SIDES == 8
+        # a 10-gon: its one face alternates the pairs of e = b and of w
+        e = (1, 0, 3, 2, 5, 4, 7, 6, 9, 8)
+        w = (9, 2, 1, 4, 3, 6, 5, 8, 7, 0)
+        m = NonOrientedMap.from_arrays(range(10), e, w, e)
+        clear_caches()
+        residual = remove_edge(m, m.edges()[0])
+        assert not _DROPS
+        assert m._face_data[2] == 1 and m._vertex_data
+        assert not _FACES
+        assert type(m._face_data[0]) is tuple
+        # the 8-side residual is within the bound: its data is stored
+        assert residual._face_data and residual._vertex_data
+        remove_edge(residual, residual.edges()[0])
+        assert _FACES and all(len(p) == len(q) == 8 for p, q in _FACES)
+        assert _DROPS and all(len(key[0]) == 8 for key in _DROPS)
 
 
 class TestTwist:
